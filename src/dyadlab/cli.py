@@ -368,8 +368,8 @@ _COMMANDS = {
         ("k", int, 2, "cell depth (matrix size 2**k)"),
         ("trials", int, 10, "random admissible matrices"),
         ("martingale_trials", int, 4, "matrices from random function pairs"),
-        ("restarts", int, 32, "ascent restarts"),
-        ("iters", int, 400, "ascent iterations"),
+        ("restarts", int, 32, "ascent restarts (sizes above 8 only)"),
+        ("iters", int, 400, "ascent iterations (sizes above 8 only)"),
     ]),
     "bellman-check": (_cmd_bellman_check, "grid oracle invariants", [
         ("seed", int, 0, "master seed"),

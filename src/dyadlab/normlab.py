@@ -101,8 +101,9 @@ def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None,
 
     Vectors of length ``n`` are read as ``n / d`` cells of ``d`` components.
     Extra start vectors can be supplied; random restarts fill the rest.  The
-    objective ``|A x| / |x|`` never decreases along an iteration (asserted up
-    to roundoff) and the best witness is kept across restarts.
+    objective ``|A x| / |x|`` never decreases along an iteration (checked up
+    to roundoff; a decrease raises ``RuntimeError``) and the best witness is
+    kept across restarts.
     """
     A = np.asarray(A, float)
     n = A.shape[1]
@@ -128,8 +129,8 @@ def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None,
             total_iters += 1
             y = A @ x
             obj = _mixed_norm(y, p, q, d)
-            assert obj >= prev - _MONOTONE_SLACK * max(1.0, abs(prev)), \
-                "power-iteration objective decreased"
+            if obj < prev - _MONOTONE_SLACK * max(1.0, abs(prev)):
+                raise RuntimeError("power-iteration objective decreased")
             if obj > best_val:
                 best_val = obj
                 best_wit = x.copy()

@@ -8,8 +8,9 @@ checks:
   boxes ``|alpha|, |beta| <= 1`` (computed exactly by vertex enumeration for
   sizes up to 16);
 * ``norm1``: the quadratic sup ``|alpha^T Lambda alpha|`` over the balanced
-  box ``|alpha| <= 1/4``, ``sum(alpha) = 0`` (lower bounds by enumeration and
-  projected gradient ascent).
+  box ``|alpha| <= 1/4``, ``sum(alpha) = 0`` (exact by face enumeration for
+  sizes up to 8; beyond that, lower bounds by balanced-vertex enumeration
+  and projected gradient ascent).
 
 Their ratio is the object of the equivalence experiments; ``16 * norm1 <=
 norm2`` is a hard inequality, while the upper ratio is probed empirically.
@@ -17,6 +18,7 @@ norm2`` is a hard inequality, while the upper ratio is probed empirically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,6 +50,7 @@ __all__ = [
 KG_DEFAULT = 1.783
 
 _ENUM_MAX = 16  # largest size handled by exact vertex enumeration
+_FACE_MAX = 8  # largest size whose norm1 is found by face enumeration
 
 
 @dataclass
@@ -266,43 +269,85 @@ def _balanced_vertices(n, cap=0.25):
     return np.stack(out)
 
 
-def _polytope_vertices(n, cap=0.25):
-    """Vertices of the balanced box: all coordinates at +-cap except at most
-    one, which absorbs the balancing constraint."""
-    rows = []
-    for free in range(n):
-        others = [i for i in range(n) if i != free]
-        for bits in range(2 ** (n - 1)):
-            v = np.empty(n)
-            for pos, i in enumerate(others):
-                v[i] = cap if (bits >> pos) & 1 else -cap
-            v[free] = -v[others].sum()
-            if abs(v[free]) <= cap + 1e-15:
-                rows.append(v)
-    return np.stack(rows)
+@functools.lru_cache(maxsize=_FACE_MAX + 1)
+def _face_index(n):
+    """Faces of the ``n``-dimensional box, grouped by the number ``m`` of free
+    coordinates: per ``m``, the free sets ``S`` and fixed sets ``T`` as rows,
+    and every sign pattern on ``T``.  Read-only; cached per size."""
+    out = []
+    for m in range(n + 1):
+        free = np.array(list(itertools.combinations(range(n), m)),
+                        dtype=np.intp).reshape(math.comb(n, m), m)
+        fixed = np.array([[i for i in range(n) if i not in row]
+                          for row in free.tolist()],
+                         dtype=np.intp).reshape(len(free), n - m)
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=n - m)),
+                         dtype=float).reshape(2 ** (n - m), n - m)
+        for arr in (free, fixed, signs):
+            arr.flags.writeable = False
+        out.append((free, fixed, signs))
+    return tuple(out)
 
 
-def norm1_lower(lam, restarts=32, iters=400, seed=0):
-    """Best found value of ``|alpha^T Lambda alpha|`` over the balanced box.
+def _face_candidates(A, cap=0.25):
+    """Feasible stationary points of ``alpha^T A alpha`` on every face of the
+    balanced box, as rows.
 
-    Returns ``(value, report)``; the value is always attained by the feasible
-    ``report["alpha"]`` and is therefore a certified lower bound.
+    A face fixes ``alpha_T = +-cap`` and leaves ``S`` free; its stationary
+    points solve the KKT system
+    ``[[2 A_SS, -1], [1^T, 0]] [alpha_S; mu] = [-2 A_ST alpha_T; -sum alpha_T]``,
+    which is the same for ``A`` and ``-A``.  One pseudo-inverse per free set
+    serves all ``2^|T|`` sign patterns.  A singular face yields a
+    least-squares point or nothing: along a null direction the quadratic is
+    constant, so its optimum also sits on a smaller face.  Points that leave
+    the box by more than rounding, or break the balance, are dropped; the
+    rest are clipped into the box.
     """
-    A = lam.as_float() if isinstance(lam, LambdaMatrix) else np.asarray(lam, float)
+    n = A.shape[0]
+    out = []
+    for free, fixed, signs in _face_index(n):
+        count, m = free.shape
+        alpha_t = cap * signs
+        kkt = np.zeros((count, m + 1, m + 1))
+        kkt[:, :m, :m] = 2.0 * A[free[:, :, None], free[:, None, :]]
+        kkt[:, :m, m] = -1.0
+        kkt[:, m, :m] = 1.0
+        rhs = np.empty((count, m + 1, len(signs)))
+        rhs[:, :m] = -2.0 * A[free[:, :, None], fixed[:, None, :]] @ alpha_t.T
+        rhs[:, m] = -alpha_t.sum(axis=1)
+        sol = np.linalg.pinv(kkt) @ rhs
+        vecs = np.empty((count, len(signs), n))
+        rows = np.arange(count)[:, None, None]
+        cols = np.arange(len(signs))[None, :, None]
+        vecs[rows, cols, free[:, None, :]] = sol[:, :m].transpose(0, 2, 1)
+        vecs[rows, cols, fixed[:, None, :]] = alpha_t[None]
+        vecs = vecs.reshape(-1, n)
+        vecs = np.clip(vecs[(np.abs(vecs) <= cap + 1e-13).all(axis=1)],
+                       -cap, cap)
+        out.append(vecs[np.abs(vecs.sum(axis=1)) <= 1e-12])
+    return np.concatenate(out)
+
+
+def _best_quadratic(vecs, A):
+    vals = np.abs(np.einsum("ij,jk,ik->i", vecs, A, vecs))
+    i = int(np.argmax(vals))
+    return float(vals[i]), vecs[i]
+
+
+def _norm1_search(A, restarts, iters, seed):
+    """Balanced-vertex enumeration (sizes up to 16) and projected-gradient
+    ascent from ``2 * restarts`` random starts; returns ``(value, report)``."""
     n = A.shape[0]
     best_val, best_alpha, best_method = -1.0, None, None
 
     def consider(vecs, method):
         nonlocal best_val, best_alpha, best_method
-        vals = np.abs(np.einsum("ij,jk,ik->i", vecs, A, vecs))
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_alpha, best_method = float(vals[i]), vecs[i], method
+        val, alpha = _best_quadratic(vecs, A)
+        if val > best_val:
+            best_val, best_alpha, best_method = val, alpha, method
 
     if n <= _ENUM_MAX:
         consider(_balanced_vertices(n), "balanced_enumeration")
-    if n <= 8:
-        consider(_polytope_vertices(n), "vertex_enumeration")
 
     rng = np.random.default_rng(seed)
     norm_scale = max(float(np.abs(A).sum(axis=1).max()), 1e-30)
@@ -329,6 +374,24 @@ def norm1_lower(lam, restarts=32, iters=400, seed=0):
 
     report = {"value": best_val, "alpha": best_alpha, "method": best_method}
     return best_val, report
+
+
+def norm1_lower(lam, restarts=32, iters=400, seed=0):
+    """Value of ``|alpha^T Lambda alpha|`` over the balanced box.
+
+    Returns ``(value, report)``; the value is always attained by the feasible
+    ``report["alpha"]`` and is therefore a certified lower bound.  For sizes
+    up to 8 it is the maximum itself (up to rounding), found by enumerating
+    the stationary points of every face (``method`` ``"face_enumeration"``):
+    a quadratic attains its maximum over a polytope at a stationary point
+    inside some face.  ``restarts``, ``iters`` and ``seed`` steer the
+    projected-gradient ascent that is used only above size 8.
+    """
+    A = lam.as_float() if isinstance(lam, LambdaMatrix) else np.asarray(lam, float)
+    if A.shape[0] > _FACE_MAX:
+        return _norm1_search(A, restarts, iters, seed)
+    value, alpha = _best_quadratic(_face_candidates(A), A)
+    return value, {"value": value, "alpha": alpha, "method": "face_enumeration"}
 
 
 # -- Schur products and multiplier norms --------------------------------
@@ -366,14 +429,16 @@ def multiplier_norm_report(A, trials=25, seed=0, tol=1e-10):
     """Lower bound for the Schur multiplier norm of ``A``.
 
     Probes structured and random test matrices ``M`` and reports the largest
-    ratio ``spectral_norm(A o M) / spectral_norm(M)``.
+    ratio ``spectral_norm(A o M) / spectral_norm(M)``.  The numerator is a
+    power-iteration lower bound and the denominator an exact SVD norm, so
+    every ratio is itself a lower bound.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     rng = np.random.default_rng(seed)
     best = {"value": 0.0, "witness": None}
     for name, M in _candidate_matrices(n, trials, rng):
-        denom, _ = spectral_norm_power(M, tol=tol)
+        denom = float(np.linalg.norm(M, 2))
         if denom < 1e-12:
             continue
         numer, _ = spectral_norm_power(schur_product(A, M), tol=tol)
@@ -397,6 +462,8 @@ def equivalence_report(lam, restarts=32, iters=400, seed=0, upper_factor=192.0):
     The inequality ``norm2 >= 16 * norm1`` holds for every admissible matrix
     (any feasible quadratic witness splits into a bilinear sign pair); the
     reported upper comparison probes the reverse direction empirically.
+    ``restarts`` and ``iters`` reach ``norm1_lower`` and matter only above
+    size 8.
     """
     rep2 = norm2_report(lam, seed=seed)
     val1, rep1 = norm1_lower(lam, restarts=restarts, iters=iters, seed=seed)
@@ -472,7 +539,9 @@ def find_alpha(lam, kg=KG_DEFAULT, restarts=32, iters=400, seed=0):
 
     Returns ``(AlphaSequence, report)``.  The report carries
     ``achieved_c = |alpha^T Lambda alpha| * 2**(k/2) / sum|lambda|`` together
-    with the reference threshold ``1 / (192 * kg)``.
+    with the reference threshold ``1 / (192 * kg)``.  Up to size 8 the pick
+    is the exact maximiser; ``restarts`` and ``iters`` apply only above size
+    8 (see ``norm1_lower``).
     """
     value, inner = norm1_lower(lam, restarts=restarts, iters=iters, seed=seed)
     sum_abs = lam.abs_sum() if isinstance(lam, LambdaMatrix) \

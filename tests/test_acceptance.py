@@ -174,13 +174,7 @@ def test_criterion_3_lambda_equivalence():
         lam = random_admissible_lambda(k, seed=(903, i))
         if lam.abs_sum() == 0:
             continue
-        report = equivalence_report(lam, restarts=8, iters=200,
-                                    seed=(903, i, 1))
-        if not (report["lower_ok"] and report["upper_ok"]):
-            # escalate the ascent before declaring a violation: the lower
-            # norm is estimated, so a loose first run is not a finding
-            report = equivalence_report(lam, restarts=48, iters=600,
-                                        seed=(903, i, 2))
+        report = equivalence_report(lam, seed=(903, i, 1))
         assert report["lower_ok"], (k, i, report["ratio"])
         assert report["upper_ok"], (k, i, report["ratio"])
         ratios[k].append(report["ratio"])

@@ -88,6 +88,16 @@ def test_opnorm_lp_never_exceeds_l2_on_p2():
     assert est.lower == pytest.approx(exact, rel=1e-6)
 
 
+def test_opnorm_lp_decrease_raises(monkeypatch):
+    """A falling objective is an error, checked without ``assert`` so that
+    ``python -O`` keeps the check."""
+    import dyadlab.normlab as normlab
+    norms = iter([1.0, 2.0, 1.0, 1.0])  # start, step 1, dual, step 2
+    monkeypatch.setattr(normlab, "_mixed_norm", lambda *args: next(norms))
+    with pytest.raises(RuntimeError, match="decreased"):
+        opnorm_lp_lower(np.eye(2), SpaceSpec(p=2.0), restarts=1, iters=5)
+
+
 def test_opnorm_lp_dimension_guard():
     with pytest.raises(DyadicError):
         opnorm_lp_lower(np.zeros((5, 5)), SpaceSpec(p=2.0, d=2))

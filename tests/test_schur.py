@@ -164,6 +164,81 @@ def test_norm1_beats_random_feasible_probes():
     assert val >= worst * (1.0 - 1e-9)
 
 
+def _assert_feasible_witness(val, rep, A):
+    alpha = rep["alpha"]
+    assert np.abs(alpha).max() <= 0.25
+    assert abs(alpha.sum()) <= 1e-12
+    assert abs(abs(alpha @ A @ alpha) - val) <= 1e-12 * val
+
+
+def _tree_lambdas(seed, k_values=(1, 2, 3)):
+    system = sample_system(seed, depth=3)
+    f = random_step_function(system, seed=(seed, 1))
+    g = random_step_function(system, seed=(seed, 2))
+    tree = tree_from_functions(f.as_float(), g.as_float(), SpaceSpec(p=2.0))
+    return [lambda_matrix(tree, k) for k in k_values]
+
+
+def test_norm1_face_enumeration_beats_fine_lattice():
+    """At size four the exact value dominates every point of a lattice of
+    step 1/64 on the balanced box."""
+    grid = np.linspace(-0.25, 0.25, 33)
+    pts = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    last = -pts.sum(axis=1)
+    pts = np.column_stack([pts, last])[np.abs(last) <= 0.25]
+    # seeds 2, 46 and 80 put the maximum inside a two-dimensional face
+    lams = [random_admissible_lambda(2, seed=(84, t)) for t in (0, 2, 46, 80)]
+    lams += _tree_lambdas(82, k_values=(2,))
+    for lam in lams:
+        A = lam.as_float()
+        val, rep = norm1_lower(lam)
+        assert rep["method"] == "face_enumeration"
+        _assert_feasible_witness(val, rep, A)
+        lattice = np.abs(np.einsum("ij,jk,ik->i", pts, A, pts)).max()
+        assert val >= lattice * (1.0 - 1e-12)
+
+
+def test_norm1_face_enumeration_beats_ascent():
+    """For sizes 2, 4 and 8 the exact value is never below what the
+    balanced-vertex pass and the projected-gradient ascent find, on
+    rank-two tree matrices and on full-rank random ones."""
+    from dyadlab.schur import _norm1_search
+    lams = [lam for t in range(2) for lam in _tree_lambdas((83, t))]
+    lams += [random_admissible_lambda(k, seed=(84, t))
+             for t in range(2) for k in (1, 2, 3)]
+    lams.append(random_admissible_lambda(3, seed=(84, 50)))  # 2-dim face
+    for lam in lams:
+        A = lam.as_float()
+        val, rep = norm1_lower(lam)
+        assert rep["method"] == "face_enumeration"
+        _assert_feasible_witness(val, rep, A)
+        ascent, _ = _norm1_search(A, restarts=32, iters=400, seed=0)
+        assert val >= ascent * (1.0 - 1e-12), (lam.n, val, ascent)
+
+
+def test_norm1_singular_faces_raise_nothing():
+    for n in (2, 4, 8):
+        val, rep = norm1_lower(np.zeros((n, n)))
+        assert val == 0.0
+        _assert_feasible_witness(val, rep, np.zeros((n, n)))
+    # rank one: every face with three or more free coordinates is singular,
+    # and the maximum (sum|u| / 4)^2 sits on a balanced vertex
+    u = np.array([1.0, -1.0] * 4)
+    lam = LambdaMatrix(np.outer(u, u), 3)
+    val, rep = norm1_lower(lam)
+    assert val == pytest.approx(4.0, rel=1e-12)
+    _assert_feasible_witness(val, rep, lam.as_float())
+
+
+def test_norm1_above_size_eight_keeps_the_search():
+    lam = random_admissible_lambda(4, seed=85)
+    val, rep = norm1_lower(lam, restarts=2, iters=30, seed=86)
+    assert rep["method"] in ("balanced_enumeration",
+                             "projected_gradient_ascent")
+    _assert_feasible_witness(val, rep, lam.as_float())
+
+
 def test_sixteen_to_one_inequality_random():
     for case in range(100):
         k = 1 + case % 3
