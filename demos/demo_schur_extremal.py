@@ -31,5 +31,4 @@ print(f"reference threshold       = {report['threshold']:.9f}")
 print(f"meets threshold: {report['meets_threshold']}")
 
 rep = equivalence_report(random_admissible_lambda(2, seed=99))
-print(f"\nat size four the ratio moves off 16: {rep['ratio']:.3f} "
-       f"(must stay within [16, 192])")
+print(f"\nat size four the ratio stays within [16, 192]: {rep['ratio']:.3f}")

@@ -25,9 +25,9 @@ from .shifts import (ShiftSpec, SignSequence, apply_shift,
                      martingale_matrix, martingale_transform, paraproduct,
                      paraproduct_adjoint, paraproduct_matrix,
                      petermichl_shift, random_extremal_shift,
-                     random_sign_sequence, random_symmetric_extremal_shift,
-                     series_bound, shift_matrix, shift_slice, slice_levels,
-                     slice_bilinear_sides, symmetrize)
+                     random_sign_sequence, series_bound, shift_matrix,
+                     shift_slice, slice_levels, slice_bilinear_sides,
+                     symmetrize)
 from .schur import (AlphaSequence, LambdaMatrix, equivalence_report,
                     find_alpha, lambda_matrix, multiplier_norm_lower,
                     norm1_lower, norm2, random_admissible_lambda,
@@ -58,8 +58,7 @@ __all__ = [
     "ShiftSpec", "SignSequence", "apply_shift", "martingale_matrix",
     "martingale_transform", "paraproduct", "paraproduct_adjoint",
     "paraproduct_matrix", "petermichl_shift", "random_extremal_shift",
-    "random_sign_sequence", "random_symmetric_extremal_shift",
-    "series_bound", "shift_matrix", "shift_slice", "slice_levels",
+    "random_sign_sequence", "series_bound", "shift_matrix", "shift_slice", "slice_levels",
     "slice_bilinear_sides", "symmetrize",
     # schur
     "AlphaSequence", "LambdaMatrix", "equivalence_report", "find_alpha",

@@ -5,7 +5,10 @@ deterministic JSON report into the output directory, and exits with
 
 * 0 when every checked claim held,
 * 2 when a mathematical claim was falsified by the run,
-* 1 on usage errors (bad flags, malformed or unknown config keys).
+* 1 on usage errors (bad flags, malformed or unknown config keys,
+  parameters rejected with ``DyadicError``).
+
+Any other exception is a bug and propagates with its traceback.
 
 Options may come from a flat ``key = value`` config file (``--config``);
 explicit flags override the file, which overrides built-in defaults.  The
@@ -198,6 +201,8 @@ def _cmd_lambda_equivalence(opts, outdir):
         if lam.abs_sum() != 0:
             ok = ok and rep["lower_ok"] and rep["upper_ok"]
             ratios.append(rep["ratio"])
+    if not ratios:
+        raise UsageError("no non-degenerate matrix was drawn; raise --trials")
     report = {"k": opts["k"], "rows": rows,
               "ratio_min": min(ratios), "ratio_max": max(ratios),
               "all_passed": bool(ok)}
@@ -309,7 +314,10 @@ def _cmd_scaling_study(opts, outdir):
 
 
 def _cmd_hilbert_demo(opts, outdir):
-    checkpoints = tuple(int(x) for x in opts["checkpoints"].split(","))
+    try:
+        checkpoints = tuple(int(x) for x in opts["checkpoints"].split(","))
+    except ValueError as exc:
+        raise UsageError(f"checkpoints: {exc}")
     report = hilbert_demo(checkpoints=checkpoints, seed=opts["seed"],
                           M=opts["window_exp"], depth=opts["depth"],
                           residual_tol=opts["tol"])
@@ -534,11 +542,9 @@ def main(argv=None):
         outdir.mkdir(parents=True, exist_ok=True)
         code, report, summary = args._func(opts, outdir)
         path = _write_report(outdir, args._name, report)
-    except UsageError as exc:
-        print(f"dyadlab: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # DyadicError subclasses ValueError; both signal bad parameters here
+    except (UsageError, DyadicError) as exc:
+        # bad options or parameters; any other exception is a bug and
+        # surfaces with its traceback
         print(f"dyadlab: error: {exc}", file=sys.stderr)
         return 1
     status = "PASS" if code == 0 else "FAIL"

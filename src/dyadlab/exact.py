@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["Sqrt2Rational", "ROOT2", "sqrt2_pow", "as_exact"]
+__all__ = ["Sqrt2Rational", "ROOT2", "sqrt2_pow", "as_exact", "to_text",
+           "from_text"]
 
 _RationalTypes = (int, Fraction)
 
@@ -191,3 +192,20 @@ def as_exact(x):
     if isinstance(x, Sqrt2Rational):
         return x
     return Sqrt2Rational(x)
+
+
+def to_text(x):
+    """Lossless text of an exact number: ``"a"`` or ``"a + b*sqrt(2)"``.
+
+    ``a`` and ``b`` are written as Fraction strings such as ``-3/4``.
+    """
+    x = as_exact(x)
+    return str(x.a) if x.b == 0 else f"{x.a} + {x.b}*sqrt(2)"
+
+
+def from_text(text):
+    """Inverse of :func:`to_text`; a Fraction when there is no sqrt(2) part."""
+    a, _, b = text.partition(" + ")
+    if not b:
+        return Fraction(a)
+    return Sqrt2Rational(Fraction(a), Fraction(b.removesuffix("*sqrt(2)")))

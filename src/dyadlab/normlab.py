@@ -159,6 +159,8 @@ def umd_probe(depth=6, p=4.0, q=2.0, d=1, trials=12, seed=0, restarts=4,
     reports the gap between the two runs (equal in exact arithmetic because
     the matrices are symmetric).
     """
+    if trials < 1:
+        raise DyadicError("umd probe needs at least one trial")
     space = SpaceSpec(p=p, q=q, d=d)
     system = DyadicSystem(Fraction(0), 0, depth)
     rows = []
@@ -242,6 +244,8 @@ def shift_scaling_study(k_values=(1, 2, 3, 4, 5), depth=8, p=4.0, trials=50,
     reference constant; ``fitted_c`` is the largest implied value and the
     homogeneity ratio compares the extreme implied values across ``k``.
     """
+    if not k_values:
+        raise DyadicError("scaling study needs at least one complexity")
     space = SpaceSpec(p=p)
     system = DyadicSystem(Fraction(0), 0, depth)
     report = ScalingReport(p=float(p), depth=depth, trials=trials, seed=seed,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import spectral_norm_power
+from .dyadic import DyadicError
 
 __all__ = [
     "KG_DEFAULT",
@@ -486,6 +487,8 @@ def rank_one_multiplier_check(n, trials=8, seed=0):
     multiplier norm is at most ``max|s| * max|t|``.  Verifies the action
     identity exactly and the norm bound against probed lower bounds.
     """
+    if n < 1:
+        raise DyadicError("rank-one check needs matrix size >= 1")
     rng = np.random.default_rng(seed)
     max_identity_error = 0.0
     max_excess = -math.inf

@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .dyadic import DyadicError, DepthExhaustedError, children, descendants
-from .exact import Sqrt2Rational, sqrt2_pow
+from .dyadic import (DyadicError, DepthExhaustedError, WindowError, children,
+                     descendants)
+from .exact import Sqrt2Rational, as_exact, from_text, sqrt2_pow, to_text
 from .signal import StepFunction, average, haar_profile
 
 __all__ = [
@@ -33,7 +35,6 @@ __all__ = [
     "apply_shift",
     "petermichl_shift",
     "random_extremal_shift",
-    "random_symmetric_extremal_shift",
     "martingale_transform",
     "random_sign_sequence",
     "paraproduct",
@@ -53,23 +54,94 @@ MAX_MATRIX_DIM = 4096
 
 _EXACT_TYPES = (int, Fraction, Sqrt2Rational)
 
+# Key columns: L level, L index, I level, I index, J level, J index.  This
+# permutation turns a key (L, I, J) into the adjoint key (L, J, I).
+_ADJOINT = [0, 1, 4, 5, 2, 3]
+
+
+def _merge(keys, weights):
+    """Sort key rows lexicographically and add the weights of repeated rows.
+
+    The sort is stable, so repeated rows are added in the order given.
+    """
+    order = np.lexsort(keys.T[::-1])
+    keys, weights = keys[order], weights[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    if not first.all():
+        starts = np.flatnonzero(first)
+        keys, weights = keys[starts], np.add.reduceat(weights, starts)
+    return keys, weights
+
+
+def _object_array(values):
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _weight_array(values):
+    """int64 for Python ints, object for other exact types, else float."""
+    if all(isinstance(c, int) for c in values):
+        return np.array(values, dtype=np.int64)
+    if all(isinstance(c, _EXACT_TYPES) for c in values):
+        return _object_array(values)
+    return np.array([float(c) for c in values], dtype=float)
+
+
+def _sorted_set(values):
+    """Sorted distinct ints of an int array.
+
+    Stands in for ``np.unique``, whose first call imports ``numpy.ma``
+    (about 1.5 MB of resident memory).
+    """
+    return sorted(set(values.tolist()))
+
+
+def _check_blocks(m, n):
+    if m < 0 or n < 0:
+        raise DyadicError("shift parameters must be non-negative")
+
 
 class ShiftSpec:
     """A finite-window Haar shift given by its coefficient table.
 
-    ``entries`` maps ``(L_address, I_address, J_address)`` to a coefficient;
-    addresses are ``(level, index)`` pairs of the owning system.  Exact
-    coefficient types (int, Fraction, Sqrt2Rational) keep applications exact
-    on exact inputs.
+    The table is stored as arrays.  Row ``r`` of the ``(N, 6)`` int64 array
+    ``keys`` is ``(L level, L index, I level, I index, J level, J index)``;
+    rows are in ascending order without repeats, and the coefficient of row
+    ``r`` is ``weights[r] * amplitude`` for one exact ``amplitude``.
+    Extremal and symmetrized shifts have int64 weights.  A coefficient dict
+    given to the constructor is stored with amplitude 1 and int64, object
+    (other exact types: Fraction, Sqrt2Rational) or float weights.  Exact
+    coefficients keep applications exact on exact inputs.
+
+    ``entries`` gives the table back as a dict that maps
+    ``(L_address, I_address, J_address)`` to a coefficient, in key order;
+    addresses are ``(level, index)`` pairs of the owning system.
     """
 
     def __init__(self, system, m, n, entries):
-        if m < 0 or n < 0:
-            raise DyadicError("shift parameters must be non-negative")
+        keys = np.array([[*laddr, *iaddr, *jaddr]
+                         for laddr, iaddr, jaddr in entries],
+                        dtype=np.int64).reshape(-1, 6)
+        weights = _weight_array(list(entries.values()))
+        self._init(system, m, n, *_merge(keys, weights), 1)
+
+    @classmethod
+    def _from_arrays(cls, system, m, n, keys, weights, amplitude):
+        """Wrap key rows already in ascending order without repeats."""
+        shift = cls.__new__(cls)
+        shift._init(system, m, n, keys, weights, amplitude)
+        return shift
+
+    def _init(self, system, m, n, keys, weights, amplitude):
+        _check_blocks(m, n)
         self.system = system
         self.m = int(m)
         self.n = int(n)
-        self.entries = dict(entries)
+        self.keys = keys
+        self.weights = weights
+        self.amplitude = amplitude
         self._validate()
 
     @property
@@ -82,167 +154,229 @@ class ShiftSpec:
         return sqrt2_pow(-(self.m + self.n))
 
     @property
+    def exact(self):
+        """True when every coefficient is an exact number."""
+        return self.weights.dtype != float
+
+    # -- coefficients ------------------------------------------------------
+
+    def _distinct(self):
+        """Distinct weights, and the position of each row's weight among them.
+
+        Int64 weights are collapsed, so exact work is done once per value.
+        """
+        if self.weights.dtype == np.int64:
+            distinct = _sorted_set(self.weights)
+            return distinct, np.searchsorted(distinct, self.weights)
+        return list(self.weights), np.arange(len(self.weights))
+
+    def _exact_values(self, factor=1):
+        """Object array of ``coefficient * factor`` per row (exact tables)."""
+        distinct, inverse = self._distinct()
+        scale = self.amplitude * factor
+        return _object_array([w * scale for w in distinct])[inverse]
+
+    def _float_values(self):
+        """``float(coefficient)`` per row."""
+        if not self.exact:
+            return self.weights * float(self.amplitude)
+        distinct, inverse = self._distinct()
+        values = np.array([float(w * self.amplitude) for w in distinct],
+                          dtype=float)
+        return values[inverse]
+
+    @cached_property
+    def entries(self):
+        """The table as ``{(L_address, I_address, J_address): coefficient}``.
+
+        Built on first use, in key order; not for hot paths.
+        """
+        coeffs = (list(self._exact_values()) if self.exact
+                  else self._float_values().tolist())
+        return {((a, b), (c, d), (e, f)): coeff
+                for (a, b, c, d, e, f), coeff in zip(self.keys.tolist(),
+                                                     coeffs)}
+
+    @property
     def normalized_extremal(self):
         bound = self.coefficient_bound
+        if self.exact:
+            return all(abs(as_exact(w * self.amplitude)) == bound
+                       for w in self._distinct()[0])
         fbound = float(bound)
-        for c in self.entries.values():
-            if isinstance(c, _EXACT_TYPES):
-                if abs(Sqrt2Rational._coerce(c)) != bound:
-                    return False
-            elif not math.isclose(abs(float(c)), fbound, rel_tol=1e-12):
-                return False
-        return True
+        mags = np.abs(self._float_values())
+        return bool(np.all(np.abs(mags - fbound)
+                           <= 1e-12 * np.maximum(mags, fbound)))
+
+    # -- validation --------------------------------------------------------
+
+    def _reject(self, bad, error, what):
+        if bad.any():
+            row = self.keys[int(np.argmax(bad))].tolist()
+            laddr, iaddr, jaddr = (tuple(row[0:2]), tuple(row[2:4]),
+                                   tuple(row[4:6]))
+            raise error(f"entry {laddr}->{iaddr},{jaddr}: {what}")
 
     def _validate(self):
-        depth = self.system.depth
+        keys, depth = self.keys, self.system.depth
+        if keys.ndim != 2 or keys.shape[1] != 6 \
+                or len(keys) != len(self.weights):
+            raise DyadicError("keys must be (N, 6) rows, one per weight")
+        levels, index = keys[:, 0::2], keys[:, 1::2]  # columns L, I, J
+        self._reject(((levels < 0) | (levels > depth)).any(axis=1),
+                     WindowError, f"level outside [0, {depth}]")
+        self._reject(((index < 0) | (index >= np.left_shift(1, levels)))
+                     .any(axis=1), WindowError, "index outside its level")
+        d_i = levels[:, 1] - levels[:, 0]
+        d_j = levels[:, 2] - levels[:, 0]
+        blocks = sorted({(self.m, self.n), (self.n, self.m)})
+        self._reject(~(((d_i == self.m) & (d_j == self.n))
+                       | ((d_i == self.n) & (d_j == self.m))),
+                     DyadicError, f"depths outside the blocks {blocks}")
+        self._reject((index[:, 1] >> d_i != index[:, 0])
+                     | (index[:, 2] >> d_j != index[:, 0]),
+                     DyadicError, "intervals not nested")
+        self._reject((levels[:, 1] >= depth) | (levels[:, 2] >= depth),
+                     DepthExhaustedError,
+                     "needs Haar functions below the leaf level")
         bound = self.coefficient_bound
-        fbound = float(bound) * (1.0 + 1e-12)
-        blocks = {(self.m, self.n), (self.n, self.m)}
-        for (laddr, iaddr, jaddr), coeff in self.entries.items():
-            L = self.system.interval(*laddr)
-            I = self.system.interval(*iaddr)
-            J = self.system.interval(*jaddr)
-            d_i, d_j = I.level - L.level, J.level - L.level
-            if (d_i, d_j) not in blocks:
-                raise DyadicError(
-                    f"entry {laddr}->{iaddr},{jaddr} has depths {(d_i, d_j)}, "
-                    f"expected one of {sorted(blocks)}")
-            if not (L.contains(I) and L.contains(J)):
-                raise DyadicError(
-                    f"entry {laddr}->{iaddr},{jaddr}: intervals not nested")
-            if I.level >= depth or J.level >= depth:
-                raise DepthExhaustedError(
-                    f"entry {laddr}->{iaddr},{jaddr} needs Haar functions "
-                    f"below the leaf level")
-            if isinstance(coeff, _EXACT_TYPES):
-                value = coeff if isinstance(coeff, Sqrt2Rational) \
-                    else Sqrt2Rational(coeff)
-                if abs(value) > bound:
-                    raise DyadicError(
-                        f"coefficient {coeff!r} exceeds bound {float(bound)}")
-            elif abs(float(coeff)) > fbound:
+        if not self.exact:
+            mags = np.abs(self._float_values())
+            self._reject(mags > float(bound) * (1.0 + 1e-12), DyadicError,
+                         f"coefficient exceeds bound {float(bound)}")
+            return
+        if self.weights.dtype == np.int64:
+            # one comparison: the largest |weight| times |amplitude|
+            candidates = [int(np.abs(self.weights).max())] if len(keys) else []
+        else:
+            candidates = self.weights
+        for w in candidates:
+            coeff = w * self.amplitude
+            if abs(as_exact(coeff)) > bound:
                 raise DyadicError(
                     f"coefficient {coeff!r} exceeds bound {float(bound)}")
 
-    def sorted_entries(self):
-        return sorted(self.entries.items(), key=lambda kv: kv[0])
+    # -- algebra -----------------------------------------------------------
 
     def adjoint(self):
         """The adjoint shift: every entry ``(L, I, J)`` becomes ``(L, J, I)``."""
-        flipped = {}
-        for (laddr, iaddr, jaddr), c in self.entries.items():
-            key = (laddr, jaddr, iaddr)
-            flipped[key] = flipped.get(key, 0) + c
-        return ShiftSpec(self.system, self.m, self.n, flipped)
+        keys, weights = _merge(self.keys[:, _ADJOINT], self.weights)
+        return ShiftSpec._from_arrays(self.system, self.m, self.n, keys,
+                                      weights, self.amplitude)
 
     def __add__(self, other):
         if not isinstance(other, ShiftSpec):
             return NotImplemented
         if other.system != self.system or {self.m, self.n} != {other.m, other.n}:
             raise DyadicError("can only add shifts with matching blocks")
-        merged = dict(self.entries)
-        for key, c in other.entries.items():
-            merged[key] = merged.get(key, 0) + c
-        return ShiftSpec(self.system, self.m, self.n, merged)
+        if (self.weights.dtype == other.weights.dtype == np.int64
+                and self.amplitude == other.amplitude):
+            parts, amplitude = (self.weights, other.weights), self.amplitude
+        elif self.exact and other.exact:
+            parts, amplitude = (self._exact_values(), other._exact_values()), 1
+        else:
+            parts, amplitude = (self._float_values(), other._float_values()), 1
+        keys, weights = _merge(np.concatenate([self.keys, other.keys]),
+                               np.concatenate(parts))
+        return ShiftSpec._from_arrays(self.system, self.m, self.n, keys,
+                                      weights, amplitude)
 
     def scale(self, factor):
-        return ShiftSpec(self.system, self.m, self.n,
-                         {k: factor * c for k, c in self.entries.items()})
+        if self.exact and isinstance(factor, _EXACT_TYPES):
+            return ShiftSpec._from_arrays(self.system, self.m, self.n,
+                                          self.keys, self.weights,
+                                          factor * self.amplitude)
+        return ShiftSpec._from_arrays(self.system, self.m, self.n, self.keys,
+                                      self._float_values() * float(factor), 1)
 
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self):
-        rows = []
-        for (laddr, iaddr, jaddr), c in self.sorted_entries():
-            rows.append([*laddr, *iaddr, *jaddr, float(c)])
+        """Lossless JSON form.
+
+        Each entry row is the six key integers and its weight: a JSON int
+        for int64 weights, a float for float weights, and the text of
+        :func:`dyadlab.exact.to_text` for other exact weights.  The exact
+        amplitude is written as text too.
+        """
+        if self.weights.dtype == object:
+            weights = [to_text(w) for w in self.weights]
+        else:
+            weights = self.weights.tolist()
+        rows = [[*key, w] for key, w in zip(self.keys.tolist(), weights)]
         return {"m": self.m, "n": self.n,
-                "system": self.system.to_json_dict(), "entries": rows}
+                "system": self.system.to_json_dict(),
+                "amplitude": to_text(self.amplitude), "entries": rows}
 
     @classmethod
     def from_json_dict(cls, data):
         from .dyadic import DyadicSystem
         system = DyadicSystem.from_json_dict(data["system"])
-        entries = {}
-        for row in data["entries"]:
-            llev, lidx, ilev, iidx, jlev, jidx, c = row
-            entries[((llev, lidx), (ilev, iidx), (jlev, jidx))] = float(c)
-        return cls(system, data["m"], data["n"], entries)
+        rows = data["entries"]
+        keys = np.array([row[:6] for row in rows],
+                        dtype=np.int64).reshape(-1, 6)
+        weights = _weight_array([from_text(row[6]) if isinstance(row[6], str)
+                                 else row[6] for row in rows])
+        return cls._from_arrays(system, data["m"], data["n"],
+                                *_merge(keys, weights),
+                                from_text(data["amplitude"]))
 
 
 # -- constructors --------------------------------------------------------
 
 
-def _base_levels(system, complexity):
-    """Levels of L whose full complexity subtree fits in the window."""
-    top = system.depth - complexity
-    return range(0, top + 1)
+def _block_keys(system, m, n):
+    """Key rows of every ``(L, I, J)`` with block depths ``(m, n)`` whose
+    Haar functions exist, in key order (L level, L, I, J ascending)."""
+    _check_blocks(m, n)
+    top = system.depth - max(m, n) - 1
+    i_off, j_off = np.divmod(np.arange(1 << (m + n)), 1 << n)
+    blocks = [np.empty((0, 6), dtype=np.int64)]
+    for lev in range(top + 1):
+        L = np.repeat(np.arange(1 << lev), 1 << (m + n))
+        reps = 1 << lev
+        blocks.append(np.column_stack([
+            np.full_like(L, lev), L,
+            np.full_like(L, lev + m), (L << m) + np.tile(i_off, reps),
+            np.full_like(L, lev + n), (L << n) + np.tile(j_off, reps)]))
+    return np.concatenate(blocks)
 
 
 def random_extremal_shift(system, m, n, seed):
-    """All coefficients drawn i.i.d. uniform from ``{-1, +1} * 2**-((m+n)/2)``."""
-    rng = np.random.default_rng(seed)
-    amp = sqrt2_pow(-(m + n))
-    k = max(m, n) + 1
-    entries = {}
-    for lev in _base_levels(system, k):
-        for L in system.intervals(lev):
-            for I in descendants(L, m):
-                for J in descendants(L, n):
-                    sign = 1 if rng.integers(0, 2) else -1
-                    entries[(L.address, I.address, J.address)] = sign * amp
-    if not entries:
-        raise DepthExhaustedError(
-            f"window depth {system.depth} cannot host complexity {k}")
-    return ShiftSpec(system, m, n, entries)
+    """All coefficients drawn i.i.d. uniform from ``{-1, +1} * 2**-((m+n)/2)``.
 
-
-def random_symmetric_extremal_shift(system, m, seed):
-    """Extremal shift with ``c[L,I,J] = c[L,J,I]``; self-adjoint and extremal."""
-    rng = np.random.default_rng(seed)
-    amp = sqrt2_pow(-2 * m)
-    entries = {}
-    for lev in _base_levels(system, m + 1):
-        for L in system.intervals(lev):
-            subs = descendants(L, m)
-            for a, I in enumerate(subs):
-                for J in subs[a:]:
-                    sign = 1 if rng.integers(0, 2) else -1
-                    entries[(L.address, I.address, J.address)] = sign * amp
-                    entries[(L.address, J.address, I.address)] = sign * amp
-    if not entries:
+    One draw per entry in key order, all in a single ``integers`` call.
+    """
+    keys = _block_keys(system, m, n)
+    if not len(keys):
         raise DepthExhaustedError(
-            f"window depth {system.depth} cannot host complexity {m + 1}")
-    return ShiftSpec(system, m, m, entries)
+            f"window depth {system.depth} cannot host complexity "
+            f"{max(m, n) + 1}")
+    rng = np.random.default_rng(seed)
+    signs = 2 * rng.integers(0, 2, size=len(keys)) - 1
+    return ShiftSpec._from_arrays(system, m, n, keys, signs,
+                                  sqrt2_pow(-(m + n)))
 
 
 def petermichl_shift(system):
     """The (0, 1) shift sending ``h_L`` to ``(h_(right child) - h_(left child)) / sqrt(2)``."""
-    amp = sqrt2_pow(-1)
-    entries = {}
-    for lev in _base_levels(system, 2):
-        for L in system.intervals(lev):
-            left, right = children(L)
-            entries[(L.address, L.address, left.address)] = -amp
-            entries[(L.address, L.address, right.address)] = amp
-    if not entries:
+    keys = _block_keys(system, 0, 1)  # (L, L, left child), (L, L, right child)
+    if not len(keys):
         raise DepthExhaustedError("window depth < 2 cannot host this shift")
-    return ShiftSpec(system, 0, 1, entries)
+    signs = np.tile(np.array([-1, 1], dtype=np.int64), len(keys) // 2)
+    return ShiftSpec._from_arrays(system, 0, 1, keys, signs, sqrt2_pow(-1))
 
 
 # -- application ---------------------------------------------------------
 
 
 def _prefix_sums(f):
-    """Row prefix sums of the leaf values, length ``n + 1``."""
+    """Row prefix sums of the leaf values, shape ``(n + 1, d)``."""
     if f.exact:
-        n, d = f.values.shape
-        out = [np.array([Fraction(0)] * d, dtype=object)]
-        acc = out[0]
-        for i in range(n):
-            acc = acc + f.values[i]
-            out.append(acc)
-        return out
-    return np.vstack([np.zeros((1, f.d)), np.cumsum(f.values, axis=0)])
+        zero = np.full((1, f.d), Fraction(0), dtype=object)
+    else:
+        zero = np.zeros((1, f.d))
+    return np.vstack([zero, np.cumsum(f.values, axis=0)])
 
 
 def _span_average(prefix, lo, hi):
@@ -259,48 +393,74 @@ def _haar_coeff_from_prefix(f, prefix, interval):
     return (math.sqrt(2.0 ** (f.system.M - interval.level)) / 2.0) * diff
 
 
+def _level_jumps(prefix, depth, lev):
+    """Left-half mean minus right-half mean of every interval at ``lev``."""
+    width = 2 ** (depth - lev)
+    half = width // 2
+    lo = np.arange(0, prefix.shape[0] - 1, width)
+    return ((prefix[lo + half] - prefix[lo]) / half
+            - (prefix[lo + width] - prefix[lo + half]) / half)
+
+
+def _level_groups(shift):
+    """Rows of each (L level, I level, J level) group, groups ascending."""
+    base = shift.system.depth + 1
+    keys = shift.keys
+    codes = (keys[:, 0] * base + keys[:, 2]) * base + keys[:, 4]
+    for code in _sorted_set(codes):
+        llev, rest = divmod(code, base * base)
+        yield (np.flatnonzero(codes == code), llev, *divmod(rest, base))
+
+
+def _rational(x):
+    """A Fraction when ``x`` has no sqrt(2) part (cheaper arithmetic)."""
+    if isinstance(x, Sqrt2Rational) and x.b == 0:
+        return x.a
+    return x
+
+
 def apply_shift(shift, f):
     """Apply a :class:`ShiftSpec` to a step function.
 
     Exact when both the input values and every coefficient are exact types.
+    Each output cell sums its terms in the key order of the table: groups
+    by ascending (L level, I level), and within a group by ascending I.
     """
     if f.system != shift.system:
         raise DyadicError("function and shift live on different systems")
-    exact = f.exact and all(isinstance(c, _EXACT_TYPES)
-                            for c in shift.entries.values())
+    exact = f.exact and shift.exact
     src = f if exact or not f.exact else f.as_float()
+    system, keys = shift.system, shift.keys
     prefix = _prefix_sums(src)
-    n, d = src.values.shape
     if exact:
-        out = np.empty((n, d), dtype=object)
-        out[:] = Fraction(0)
+        out = np.full(src.values.shape, Fraction(0), dtype=object)
+        distinct, inverse = shift._distinct()
     else:
-        out = np.zeros((n, d))
-    coeff_cache = {}
-    for (laddr, iaddr, jaddr), c in shift.sorted_entries():
-        if iaddr not in coeff_cache:
-            coeff_cache[iaddr] = _haar_coeff_from_prefix(
-                src, prefix, shift.system.interval(*iaddr))
-        a = coeff_cache[iaddr]
-        J = shift.system.interval(*jaddr)
-        left, right = children(J)
+        out = np.zeros(src.values.shape)
+        coeffs = shift._float_values()
+    for rows, llev, ilev, jlev in _level_groups(shift):
+        jumps = _level_jumps(prefix, system.depth, ilev)
         if exact:
-            amp = sqrt2_pow(J.level - shift.system.M)
-            term = np.array([c * amp * v for v in a], dtype=object)
-            lo, hi = left.leaf_span
-            for i in range(lo, hi):
-                out[i] = out[i] + term
-            lo, hi = right.leaf_span
-            for i in range(lo, hi):
-                out[i] = out[i] - term
+            # |J|**-0.5 * sqrt(|I|) / 2 = 2**((jlev - ilev) / 2) / 2 joins
+            # the coefficient once per distinct weight; the product is
+            # rational for extremal and symmetrized shifts
+            factor = shift.amplitude * sqrt2_pow(jlev - ilev) / 2
+            scaled = _object_array([_rational(w * factor)
+                                    for w in distinct])[inverse[rows]]
         else:
-            amp = 1.0 / math.sqrt(2.0 ** (shift.system.M - J.level))
-            term = float(c) * amp * a
-            lo, hi = left.leaf_span
-            out[lo:hi] += term
-            lo, hi = right.leaf_span
-            out[lo:hi] -= term
-    return StepFunction(shift.system, out)
+            scaled = coeffs[rows] * (1.0 / math.sqrt(2.0 ** (system.M - jlev)))
+            jumps = (math.sqrt(2.0 ** (system.M - ilev)) / 2.0) * jumps
+        L, I, J = keys[rows, 1], keys[rows, 3], keys[rows, 5]
+        offset = I - (L << (ilev - llev))
+        half = 2 ** (system.depth - jlev - 1)
+        span = np.arange(half)
+        for t in range(2 ** (ilev - llev)):
+            sel = offset == t
+            term = (scaled[sel, None] * jumps[I[sel]])[:, None, :]
+            left = (J[sel] * (2 * half))[:, None] + span
+            out[left] += term
+            out[left + half] -= term
+    return StepFunction(system, out)
 
 
 # -- martingale transforms ----------------------------------------------
@@ -454,34 +614,32 @@ def slice_levels(M, depth, j, k):
 def shift_slice(shift, j, k=None):
     """Restrict a shift to base intervals L with ``|L| = 2**(j + k*t)``."""
     k = shift.complexity if k is None else k
-    keep = set(slice_levels(shift.system.M, shift.system.depth, j, k))
-    entries = {key: c for key, c in shift.entries.items() if key[0][0] in keep}
-    return ShiftSpec(shift.system, shift.m, shift.n, entries)
+    keep = np.isin(shift.keys[:, 0],
+                   slice_levels(shift.system.M, shift.system.depth, j, k))
+    return ShiftSpec._from_arrays(shift.system, shift.m, shift.n,
+                                  shift.keys[keep], shift.weights[keep],
+                                  shift.amplitude)
 
 
 def symmetrize(shift):
     """``(S + adjoint(S)) / 2``; always self-adjoint."""
-    half = Fraction(1, 2)
-    merged = {}
-    for (laddr, iaddr, jaddr), c in shift.entries.items():
-        scaled = half * c if isinstance(c, _EXACT_TYPES) else 0.5 * c
-        key = (laddr, iaddr, jaddr)
-        merged[key] = merged.get(key, 0) + scaled
-        flip = (laddr, jaddr, iaddr)
-        merged[flip] = merged.get(flip, 0) + scaled
-    return ShiftSpec(shift.system, shift.m, shift.n, merged)
+    keys, weights = _merge(
+        np.concatenate([shift.keys, shift.keys[:, _ADJOINT]]),
+        np.concatenate([shift.weights, shift.weights]))
+    return ShiftSpec._from_arrays(shift.system, shift.m, shift.n, keys,
+                                  weights, shift.amplitude * Fraction(1, 2))
 
 
 def is_self_adjoint(shift, tol=0.0):
-    """Entrywise check that the coefficient table is symmetric in I, J."""
-    table = {}
-    for (laddr, iaddr, jaddr), c in shift.entries.items():
-        table[(laddr, iaddr, jaddr)] = table.get((laddr, iaddr, jaddr), 0) + c
-    for (laddr, iaddr, jaddr), c in table.items():
-        mirror = table.get((laddr, jaddr, iaddr), 0)
-        if abs(float(c) - float(mirror)) > tol:
-            return False
-    return True
+    """Entrywise check that the coefficient table is symmetric in I, J.
+
+    Compares ``float`` coefficients: an entry without a mirror counts as
+    facing a zero.
+    """
+    coeffs = shift._float_values()
+    _, gaps = _merge(np.concatenate([shift.keys, shift.keys[:, _ADJOINT]]),
+                     np.concatenate([coeffs, -coeffs]))
+    return not bool(np.any(np.abs(gaps) > tol))
 
 
 def slice_bilinear_sides(slice_shift_, f, g):
@@ -527,15 +685,10 @@ def slice_bilinear_sides(slice_shift_, f, g):
 
 def _slice_index(shift, k):
     """Recover the slice index j from the populated base levels."""
-    levels = {laddr[0] for (laddr, _, _) in shift.entries}
-    if not levels:
-        return 0
-    lev = next(iter(levels))
-    j = (shift.system.M - lev) % k
-    for other in levels:
-        if (shift.system.M - other) % k != j:
-            raise DyadicError("entries span more than one slice")
-    return j
+    js = {(shift.system.M - lev) % k for lev in set(shift.keys[:, 0].tolist())}
+    if len(js) > 1:
+        raise DyadicError("entries span more than one slice")
+    return js.pop() if js else 0
 
 
 # -- matrices ------------------------------------------------------------
@@ -550,26 +703,57 @@ def _check_matrix_dim(system):
 def shift_matrix(shift):
     """Dense leaf-basis matrix; assembled from the coefficient table.
 
-    This is an independent evaluation route from :func:`apply_shift` (outer
-    products of Haar profiles instead of prefix-sum averaging).
+    This is an independent evaluation route from :func:`apply_shift`: the
+    entry ``(L, I, J)`` adds ``c * leaf_width * outer(h_J, h_I)`` built from
+    Haar profiles instead of prefix-sum averaging.  All entries of one
+    (L level, I level, J level) group go in as one Kronecker product of
+    their coefficient blocks with that outer product, added onto the
+    diagonal blocks of the L intervals.  The groups go in ascending order,
+    so each matrix element sums its terms in the key order of the table.
     """
     system = shift.system
     _check_matrix_dim(system)
-    n = system.n_leaves
-    w = float(system.leaf_width)
+    n, depth = system.n_leaves, system.depth
     out = np.zeros((n, n))
-    profiles = {}
-    for (laddr, iaddr, jaddr), c in shift.sorted_entries():
-        for addr in (iaddr, jaddr):
-            if addr not in profiles:
-                iv = system.interval(*addr)
-                lo, hi = iv.leaf_span
-                profiles[addr] = (lo, hi, haar_profile(
-                    system, iv, exact=False)[lo:hi])
-        lj, hj, pj = profiles[jaddr]
-        li, hi_i, pi = profiles[iaddr]
-        out[lj:hj, li:hi_i] += float(c) * w * np.outer(pj, pi)
+    scaled = shift._float_values() * float(system.leaf_width)
+    keys = shift.keys
+    for rows, llev, ilev, jlev in _level_groups(shift):
+        n_l = 2 ** llev
+        d_i, d_j = ilev - llev, jlev - llev
+        L = keys[rows, 1]
+        table = np.zeros((n_l, 2 ** d_j, 2 ** d_i))
+        table[L, keys[rows, 5] - (L << d_j), keys[rows, 3] - (L << d_i)] = \
+            scaled[rows]
+        _add_kronecker(out, table, np.outer(_first_profile(system, jlev),
+                                            _first_profile(system, ilev)))
     return out
+
+
+def _add_kronecker(out, table, tile):
+    """``out[L block] += kron(table[L], tile)`` on each diagonal block."""
+    n = out.shape[0]
+    n_l = table.shape[0]
+    span, step = n // n_l, out.itemsize
+    diagonal = np.lib.stride_tricks.as_strided(
+        out, shape=(n_l, span, span),
+        strides=(span * (n + 1) * step, n * step, step))
+    # temporaries stay below n x n beside ``out``: a lone block (the root
+    # at complexity 1) scales the tile in place, others go in by J rows
+    if table.size == 1:
+        tile *= table.item()
+        diagonal += tile
+        return
+    height = tile.shape[0]
+    for a in range(table.shape[1]):
+        diagonal[:, a * height:(a + 1) * height] += (
+            table[:, a, None, :, None] * tile[:, None, :]
+        ).reshape(n_l, height, span)
+
+
+def _first_profile(system, lev):
+    """Haar profile of the first interval of ``lev`` over its own leaves."""
+    width = 2 ** (system.depth - lev)
+    return haar_profile(system, system.interval(lev, 0))[:width]
 
 
 def martingale_matrix(sigma):
@@ -614,9 +798,9 @@ def series_bound(delta, poly_degree=2, k_max=60):
     ``k_max``.
     """
     if poly_degree < 0:
-        raise ValueError("poly_degree must be >= 0")
+        raise DyadicError("poly_degree must be >= 0")
     if not 0 <= k_max <= 100_000:
-        raise ValueError("k_max outside [0, 100000]")
+        raise DyadicError("k_max outside [0, 100000]")
     ratio = 2.0 ** (0.5 - delta)
     ks = np.arange(k_max + 1, dtype=float)
     with np.errstate(over="ignore"):

@@ -53,11 +53,11 @@ class SpaceSpec:
 
     def __post_init__(self):
         if not (1.0 < self.p < math.inf):
-            raise ValueError(f"p must lie in (1, inf), got {self.p}")
+            raise DyadicError(f"p must lie in (1, inf), got {self.p}")
         if not (1.0 < self.q < math.inf):
-            raise ValueError(f"q must lie in (1, inf), got {self.q}")
+            raise DyadicError(f"q must lie in (1, inf), got {self.q}")
         if self.d < 1:
-            raise ValueError("d must be a positive integer")
+            raise DyadicError("d must be a positive integer")
         if self.beta_ref is None and self.d == 1:
             object.__setattr__(self, "beta_ref", max(self.p, self.p_dual) - 1.0)
 

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from dyadlab import cli
 from dyadlab.cli import identity_battery, main
 
 
@@ -49,6 +50,33 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     # depth below the battery's minimum is caught, not a traceback
     assert run(tmp_path, "identities", "--depth", "1") == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("umd-probe", "--p", "0.5"),
+    ("umd-probe", "--trials", "0"),
+    ("scaling-study", "--k-max", "0"),
+    ("schur-check", "--n", "0"),
+    ("lambda-equivalence", "--trials", "0", "--martingale-trials", "0"),
+    ("hilbert-demo", "--checkpoints", "250,many"),
+    ("series-bound", "--poly-degree", "-1"),
+])
+def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    assert "dyadlab: error" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch,
+                                                   capsys):
+    # a ValueError from inside a computation is a bug, not bad input: it
+    # propagates with its traceback instead of exiting 1
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "series_bound", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        run(tmp_path, "series-bound")
+    assert "dyadlab: error" not in capsys.readouterr().err
 
 
 # -- config files --------------------------------------------------------

@@ -1,22 +1,24 @@
 """Tests for Haar shifts, martingale transforms, paraproducts and slices."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dyadlab.cli import main
 from dyadlab.dyadic import (DepthExhaustedError, DyadicError, DyadicSystem,
-                            sample_system)
-from dyadlab.exact import sqrt2_pow
+                            descendants, sample_system)
+from dyadlab.exact import Sqrt2Rational, sqrt2_pow
 from dyadlab.shifts import (ShiftSpec, apply_shift, is_self_adjoint,
                             martingale_matrix, martingale_transform,
                             paraproduct, paraproduct_adjoint,
                             paraproduct_matrix, petermichl_shift,
                             random_extremal_shift, random_sign_sequence,
-                            random_symmetric_extremal_shift, series_bound,
-                            shift_matrix, shift_slice, slice_bilinear_sides,
-                            slice_levels, symmetrize)
+                            series_bound, shift_matrix, shift_slice,
+                            slice_bilinear_sides, slice_levels, symmetrize)
 from dyadlab.signal import (SpaceSpec, StepFunction, haar_profile, lp_norm,
                             pairing_integral, random_step_function)
 
@@ -80,6 +82,94 @@ def test_extremal_flags_and_depth_guard():
         random_extremal_shift(DyadicSystem(depth=1), 1, 1, seed=0)
     with pytest.raises(DepthExhaustedError):
         petermichl_shift(DyadicSystem(depth=1))
+
+
+def test_table_algebra_keeps_exact_coefficients():
+    sys_ = sample_system(21, depth=4)
+    sh = random_extremal_shift(sys_, 1, 0, seed=22)
+    third = sh.scale(Fraction(1, 3))
+    total = sh + third.adjoint()
+    for (laddr, iaddr, jaddr), c in total.entries.items():
+        want = (sh.entries.get((laddr, iaddr, jaddr), 0)
+                + third.entries.get((laddr, jaddr, iaddr), 0))
+        assert c == want
+    sparse = ShiftSpec(sys_, 0, 1, {((1, 1), (2, 3), (1, 1)): Fraction(-1, 3),
+                                    ((0, 0), (0, 0), (1, 0)): sqrt2_pow(-3)})
+    assert list(sparse.entries) == [((0, 0), (0, 0), (1, 0)),
+                                    ((1, 1), (2, 3), (1, 1))]
+    f = random_step_function(sys_, seed=23, exact=True)
+    out = apply_shift(sparse, f)
+    assert out.exact
+    assert np.abs(out.as_float().values
+                  - shift_matrix(sparse) @ f.as_float().values).max() \
+        < AGREE_TOL
+
+
+# -- golden outputs of the array-backed tables --------------------------
+
+
+def _per_entry_extremal(system, m, n, seed):
+    """Dict-building construction kept as the reference: one scalar draw
+    per (L, I, J) in nested-loop order."""
+    rng = np.random.default_rng(seed)
+    amp = sqrt2_pow(-(m + n))
+    entries = {}
+    for lev in range(system.depth - max(m, n)):
+        for L in system.intervals(lev):
+            for I in descendants(L, m):
+                for J in descendants(L, n):
+                    sign = 1 if rng.integers(0, 2) else -1
+                    entries[(L.address, I.address, J.address)] = sign * amp
+    return entries
+
+
+@pytest.mark.parametrize("depth,m,n", [(4, 0, 1), (6, 1, 2), (8, 2, 2),
+                                       (7, 3, 0)])
+def test_extremal_shift_matches_per_entry_construction(depth, m, n):
+    sys_ = sample_system((5, depth), depth)
+    seed = (17, depth, m, n)
+    got = random_extremal_shift(sys_, m, n, seed=seed).entries
+    want = _per_entry_extremal(sys_, m, n, seed)
+    assert list(got) == list(want)
+    for key, c in got.items():
+        assert isinstance(c, Sqrt2Rational) and c == want[key]
+
+
+# sha256 of shift_matrix(symmetrize(shift)).tobytes(), recorded with the
+# per-entry dict implementation of the tables; keys (depth, m, n, seed)
+SYMMETRIZED_MATRIX_SHA256 = {
+    (5, 0, 1, 13): "7e6cfae365053f3b29c8107f4562cb0a"
+                   "79f8af20b5bdbdd17d8e1764a347688b",
+    (6, 1, 2, 12): "2e631020a01793e041a7d3dbd0e757bc"
+                   "a094ab9485fad90d1eb07558fd0e9a25",
+    (7, 3, 0, 14): "43adba03ab32ea549b54a95b4d131907"
+                   "7cf8aab89bbd432b6d26933f2d37cf91",
+    (8, 2, 2, 11): "912bb2b9beb37ec34925a057f20ab7b2"
+                   "1cbd2baeb8813faa9b9acb898ee8631a",
+    (8, 4, 4, 16): "d176ed29ebe858d912bc097985ef2696"
+                   "50b42d51ef86efc42d5656fef61a6a8e",
+    (10, 1, 1, 15): "7a7a4f4fcf8427e3e760d0da073e3457"
+                    "fccaaec31834b3d58d7267ae2632b568",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRIZED_MATRIX_SHA256))
+def test_symmetrized_matrix_bytes_are_frozen(case):
+    depth, m, n, seed = case
+    sh = random_extremal_shift(sample_system((seed, 0), depth), m, n,
+                               seed=(seed, 1))
+    digest = hashlib.sha256(shift_matrix(symmetrize(sh)).tobytes())
+    assert digest.hexdigest() == SYMMETRIZED_MATRIX_SHA256[case]
+
+
+def test_scaling_study_report_bytes_are_frozen(tmp_path, monkeypatch):
+    # relative --out keeps the csv path inside the report fixed
+    monkeypatch.chdir(tmp_path)
+    assert main(["scaling-study", "--trials", "2", "--out", "out"]) == 2
+    digest = hashlib.sha256((tmp_path / "out" / "scaling_study.json")
+                            .read_bytes())
+    assert digest.hexdigest() == ("27c79dc375d16ba76a93dd6a2404b08f"
+                                  "a8b3abda5d7a1625a8752ec1133715b8")
 
 
 # -- the frozen two-step example ----------------------------------------
@@ -165,13 +255,6 @@ def test_symmetrize_is_self_adjoint():
     A = shift_matrix(sym)
     assert np.abs(A - A.T).max() < AGREE_TOL
     assert not is_self_adjoint(sh) or np.abs(A - shift_matrix(sh)).max() < 1e-9
-
-
-def test_symmetric_extremal_shift_is_extremal_and_self_adjoint():
-    sys_ = sample_system(61, depth=4)
-    sh = random_symmetric_extremal_shift(sys_, 1, seed=62)
-    assert sh.normalized_extremal
-    assert is_self_adjoint(sh)
 
 
 # -- slices --------------------------------------------------------------
@@ -299,11 +382,16 @@ def test_paraproduct_decomposition_exact():
 def test_shift_json_roundtrip():
     sys_ = sample_system(141, depth=3)
     sh = random_extremal_shift(sys_, 0, 1, seed=142)
-    back = ShiftSpec.from_json_dict(sh.to_json_dict())
-    assert back.system == sys_
-    assert set(back.entries) == set(sh.entries)
-    for key, c in sh.entries.items():
-        assert back.entries[key] == pytest.approx(float(c))
+    general = ShiftSpec(sys_, 0, 1, {((0, 0), (0, 0), (1, 0)): Fraction(1, 3),
+                                     ((0, 0), (1, 1), (0, 0)): sqrt2_pow(-3)})
+    floats = ShiftSpec(sys_, 0, 1, {((0, 0), (0, 0), (1, 1)): 0.1})
+    for shift in (sh, symmetrize(sh), general, floats):
+        data = json.loads(json.dumps(shift.to_json_dict()))
+        back = ShiftSpec.from_json_dict(data)
+        assert back.system == sys_
+        assert list(back.entries) == list(shift.entries)
+        for key, c in shift.entries.items():
+            assert back.entries[key] == c
 
 
 def test_series_bound_verdicts():
