@@ -20,7 +20,6 @@ and with nested grid refinement.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +46,8 @@ __all__ = [
 MAX_TABLE_DEPTH = 6
 MAX_AXIS_POINTS = 65
 _MAX_LAYER_OPS = 5_000_000_000
+# Candidate entries per block of the DP sweep (256 KiB of float64).
+_SWEEP_BLOCK = 1 << 15
 
 # Design range of the split ratios produced by quarter-bounded modulations,
 # and the wider range asserted for them downstream.
@@ -326,31 +327,47 @@ def _estimated_layer_ops(shape, max_offset):
     return total
 
 
-def _dp_layer(B, hf, hg, max_offset):
-    """One depth step: maximise over symmetric on-grid splits."""
-    out = B.copy()
-    shape = B.shape
-    half = [(n - 1) // 2 for n in shape]
-    if max_offset is not None:
-        half = [min(h, max_offset) for h in half]
-    for j in itertools.product(*[range(-h, h + 1) for h in half]):
-        first = next((x for x in j if x != 0), 0)
-        if first <= 0:
-            continue
-        cs, ps, ms = [], [], []
-        for n, ja in zip(shape, j):
-            a = abs(ja)
-            cs.append(slice(a, n - a))
-            ps.append(slice(a + ja, n - a + ja))
-            ms.append(slice(a - ja, n - a - ja))
-        cand = B[tuple(ps)] + B[tuple(ms)]
-        cand *= 0.5
-        gain = 4.0 * abs(j[0] * hf * j[2] * hg)
-        if gain:
-            cand += gain
-        view = out[tuple(cs)]
-        np.maximum(view, cand, out=view)
-    return out
+def _plane_splits(feasible, half0, half1):
+    """Symmetric on-grid splits of one plane with all three nodes feasible.
+
+    Returns the flat indices of the feasible nodes (their compact ids are
+    positions in this array) and, for every offset ``(a, b)`` in
+    lexicographic order that has at least one such split, the tuple
+    ``((a, b), centre, plus, minus)`` of compact-id arrays.
+    """
+    n0, n1 = feasible.shape
+    nodes = np.flatnonzero(feasible)
+    ids = np.full(feasible.size, -1, dtype=np.intp)
+    ids[nodes] = np.arange(nodes.size)
+    ids = ids.reshape(feasible.shape)
+    splits = []
+    for a in range(-half0, half0 + 1):
+        for b in range(-half1, half1 + 1):
+            r0, r1 = abs(a), abs(b)
+            c = ids[r0:n0 - r0, r1:n1 - r1]
+            p = ids[r0 + a:n0 - r0 + a, r1 + b:n1 - r1 + b]
+            m = ids[r0 - a:n0 - r0 - a, r1 - b:n1 - r1 - b]
+            ok = (c >= 0) & (p >= 0) & (m >= 0)
+            if ok.any():
+                splits.append(((a, b), c[ok], p[ok], m[ok]))
+    return nodes, splits
+
+
+def _centre_groups(splits):
+    """Concatenate splits sorted by centre: plus ends, minus ends, first
+    offset coordinates, the ``reduceat`` start of each centre and the
+    centres; None when there are no splits."""
+    if not splits:
+        return None
+    centre = np.concatenate([s[1] for s in splits])
+    order = np.argsort(centre, kind="stable")
+    centre = centre[order]
+    plus = np.concatenate([s[2] for s in splits])[order]
+    minus = np.concatenate([s[3] for s in splits])[order]
+    first = np.concatenate([np.full(s[1].size, s[0][0], dtype=np.intp)
+                            for s in splits])[order]
+    starts = np.flatnonzero(np.r_[True, centre[1:] != centre[:-1]])
+    return plus, minus, first, starts, centre[starts]
 
 
 class BellmanTable:
@@ -378,21 +395,74 @@ class BellmanTable:
                       & self._feasible_g[None, None, :, :])
         base = np.where(self._mask, 0.0, -np.inf)
         self._layers = [base]
+        half = [(n - 1) // 2 for n in shape]
+        if config.max_offset is not None:
+            half = [min(h, config.max_offset) for h in half]
+        self._f_nodes, f_splits = _plane_splits(self._feasible_f, *half[:2])
+        self._g_nodes, g_splits = _plane_splits(self._feasible_g, *half[2:])
+        # j and -j give the same candidate, so the (f, F) offsets stop at
+        # (0, 0), which pairs only with the positive (g, G) offsets
+        self._f_splits = [s for s in f_splits if s[0] >= (0, 0)]
+        self._g_all = _centre_groups(g_splits)
+        self._g_positive = _centre_groups(
+            [s for s in g_splits if s[0] > (0, 0)])
+        self._g_half = half[2]
 
     @property
     def depth(self):
         return len(self._layers) - 1
 
     def layer(self, t):
+        if t < 0:
+            raise DyadicError(f"depth {t} is negative")
         if t > MAX_TABLE_DEPTH:
             raise DyadicError(
                 f"depth {t} exceeds the table cap of {MAX_TABLE_DEPTH}")
         while self.depth < t:
-            nxt = _dp_layer(self._layers[-1], self.steps[0], self.steps[2],
-                            self.config.max_offset)
+            nxt = self._dp_layer(self._layers[-1])
             nxt[~self._mask] = -np.inf
             self._layers.append(nxt)
         return self._layers[t]
+
+    def _dp_layer(self, B):
+        """One depth step: maximise over symmetric on-grid splits whose
+        ends are feasible, on the compact matrix of feasible nodes (rows
+        in the (f, F) plane, columns in the (g, G) plane)."""
+        n_f, n_F, n_g, n_G = B.shape
+        nodes = np.ix_(self._f_nodes, self._g_nodes)
+        H = B.reshape(n_f * n_F, n_g * n_G)[nodes]
+        out = H.copy()
+        hf, hg = self.steps[0], self.steps[2]
+        cs = range(-self._g_half, self._g_half + 1)
+        gains = {}
+        for (a, b), centre, plus, minus in self._f_splits:
+            if (a, b) == (0, 0):
+                if self._g_positive is None:
+                    continue
+                vp, vm, _, starts, cols = self._g_positive
+            else:
+                vp, vm, vc, starts, cols = self._g_all
+            gain = None
+            if a:
+                # one scalar expression per (a, c), so rounding does not
+                # depend on how the sweep groups the offsets
+                if a not in gains:
+                    row = np.array([4.0 * abs(a * hf * c * hg) for c in cs])
+                    gains[a] = row[vc + self._g_half]
+                gain = gains[a]
+            step = max(1, _SWEEP_BLOCK // vp.size)
+            for s in range(0, centre.size, step):
+                cand = np.take(H[plus[s:s + step]], vp, axis=1)
+                cand += np.take(H[minus[s:s + step]], vm, axis=1)
+                cand *= 0.5
+                if gain is not None:
+                    cand += gain
+                best = np.maximum.reduceat(cand, starts, axis=1)
+                cell = np.ix_(centre[s:s + step], cols)
+                out[cell] = np.maximum(out[cell], best)
+        nxt = np.full((n_f * n_F, n_g * n_G), -np.inf)
+        nxt[nodes] = out
+        return nxt.reshape(B.shape)
 
     def nearest_index(self, coords):
         """Grid index closest to a real state, with the snap distance."""
@@ -432,19 +502,27 @@ class BellmanTable:
                 "snap_distance": dist, "bumped": bumped}
 
 
+# Most recently used tables, oldest first (dicts keep insertion order).
 _TABLE_CACHE = {}
+_TABLE_CACHE_SIZE = 4
 
 
 def bellman_oracle(config=None, depth=0, **overrides):
-    """Shared table for a grid configuration, computed up to ``depth``."""
+    """Shared table for a grid configuration, computed up to ``depth``.
+
+    The cache keeps the ``_TABLE_CACHE_SIZE`` most recently used
+    configurations and drops the least recently used one.
+    """
     if config is None:
         config = BellmanConfig(**overrides)
     elif overrides:
         raise DyadicError("pass either a config or keyword overrides")
-    table = _TABLE_CACHE.get(config)
+    table = _TABLE_CACHE.pop(config, None)
     if table is None:
         table = BellmanTable(config)
-        _TABLE_CACHE[config] = table
+        while len(_TABLE_CACHE) >= _TABLE_CACHE_SIZE:
+            del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
+    _TABLE_CACHE[config] = table
     table.layer(depth)
     return table
 

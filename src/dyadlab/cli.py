@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bellman import (BellmanConfig, bellman_oracle, concavity_gain_check,
-                      lemma51_verify, range_check)
+from .bellman import (MAX_TABLE_DEPTH, BellmanConfig, bellman_oracle,
+                      concavity_gain_check, lemma51_verify, range_check)
 from .dyadic import DyadicError, sample_system
 from .schur import (equivalence_report, random_admissible_lambda,
                     rank_one_multiplier_check, sign_multiplier_check)
@@ -71,6 +71,10 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
     """
     if depth < 2:
         raise UsageError("identity battery needs depth >= 2")
+    if d < 1:
+        raise UsageError("identity battery needs d >= 1")
+    if trials < 1:
+        raise UsageError("identity battery needs at least one trial")
     checks = []
     all_ok = True
     for trial in range(trials):
@@ -217,6 +221,10 @@ def _cmd_bellman_check(opts, outdir):
                            G_max=opts["G_max"], n_f=opts["n"],
                            n_F=opts["n"], n_g=opts["n"], n_G=opts["n"])
     depth = opts["depth"]
+    if not 1 <= depth <= MAX_TABLE_DEPTH:
+        raise UsageError(f"depth must lie in 1..{MAX_TABLE_DEPTH}")
+    if opts["samples"] < 1:
+        raise UsageError("samples must be at least 1")
     table = bellman_oracle(config, depth=depth)
     checks = {}
     mono = True

@@ -246,6 +246,8 @@ def shift_scaling_study(k_values=(1, 2, 3, 4, 5), depth=8, p=4.0, trials=50,
     """
     if not k_values:
         raise DyadicError("scaling study needs at least one complexity")
+    if trials < 1:
+        raise DyadicError("scaling study needs at least one trial")
     space = SpaceSpec(p=p)
     system = DyadicSystem(Fraction(0), 0, depth)
     report = ScalingReport(p=float(p), depth=depth, trials=trials, seed=seed,

@@ -1,11 +1,14 @@
 """Tests for martingale state trees, reweighting and the grid DP oracle."""
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dyadlab import bellman
 from dyadlab.bellman import (BellmanConfig, BellmanTable, MartingalePoint,
                              bellman_oracle, concavity_gain_check,
                              lemma51_verify, modified_points, range_check,
@@ -171,6 +174,8 @@ def test_table_depth_cap():
     table = BellmanTable(BellmanConfig(n_f=5, n_F=5, n_g=5, n_G=5))
     with pytest.raises(DyadicError):
         table.layer(7)
+    with pytest.raises(DyadicError):
+        table.layer(-1)
 
 
 def test_oracle_cache_and_override_guard():
@@ -181,6 +186,100 @@ def test_oracle_cache_and_override_guard():
     assert b.depth >= 2
     with pytest.raises(DyadicError):
         bellman_oracle(cfg, depth=1, p=2.0)
+
+
+def test_oracle_cache_keeps_most_recent_configs(monkeypatch):
+    monkeypatch.setattr(bellman, "_TABLE_CACHE", {})
+    size = bellman._TABLE_CACHE_SIZE
+    cfgs = [BellmanConfig(n_f=3, n_F=2, n_g=3, n_G=2, f_max=1.0 + i)
+            for i in range(size + 1)]
+    tables = [bellman_oracle(cfg) for cfg in cfgs[:size]]
+    assert bellman_oracle(cfgs[0]) is tables[0]  # a hit makes it most recent
+    bellman_oracle(cfgs[size])  # evicts cfgs[1], now the least recent
+    assert list(bellman._TABLE_CACHE) == [*cfgs[2:size], cfgs[0], cfgs[size]]
+    assert bellman_oracle(cfgs[0]) is tables[0]
+    assert bellman_oracle(cfgs[1]) is not tables[1]  # rebuilt
+
+
+# -- grid oracle: the DP against a reference loop -----------------------
+
+
+def reference_layer(B, hf, hg, max_offset):
+    """Offset-by-offset DP step: every symmetric split of the full 4-D
+    grid, one offset ``j ~ -j`` at a time, feasible or not."""
+    out = B.copy()
+    half = [(n - 1) // 2 for n in B.shape]
+    if max_offset is not None:
+        half = [min(h, max_offset) for h in half]
+    for j in itertools.product(*[range(-h, h + 1) for h in half]):
+        first = next((x for x in j if x != 0), 0)
+        if first <= 0:
+            continue
+        cs, ps, ms = [], [], []
+        for n, ja in zip(B.shape, j):
+            a = abs(ja)
+            cs.append(slice(a, n - a))
+            ps.append(slice(a + ja, n - a + ja))
+            ms.append(slice(a - ja, n - a - ja))
+        cand = B[tuple(ps)] + B[tuple(ms)]
+        cand *= 0.5
+        gain = 4.0 * abs(j[0] * hf * j[2] * hg)
+        if gain:
+            cand += gain
+        view = out[tuple(cs)]
+        np.maximum(view, cand, out=view)
+    return out
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_f=9, n_F=9, n_g=9, n_G=9),
+    dict(p=3.0, n_f=9, n_F=9, n_g=9, n_G=9),
+    dict(p=1.5, n_f=9, n_F=9, n_g=9, n_G=9),
+    dict(n_f=5, n_F=9, n_g=7, n_G=3),
+    dict(n_f=9, n_F=9, n_g=9, n_G=9, max_offset=1),
+    dict(n_f=9, n_F=9, n_g=9, n_G=9, max_offset=2),
+    dict(p=2.5, f_max=1.5, F_max=3.0, g_max=3.0, G_max=5.0,
+         n_f=7, n_F=11, n_g=9, n_G=5),
+], ids=["p2", "p3", "p1.5", "non-square", "max-offset-1", "max-offset-2",
+        "box"])
+def test_dp_layers_match_reference_loop(kwargs):
+    cfg = BellmanConfig(**kwargs)
+    table = BellmanTable(cfg)
+    hf, hg = table.steps[0], table.steps[2]
+    ref = table.layer(0)
+    for t in (1, 2, 3):
+        ref = reference_layer(ref, hf, hg, cfg.max_offset)
+        ref[~table._mask] = -np.inf
+        assert table.layer(t).tobytes() == ref.tobytes(), t
+
+
+def test_criterion_4_table_bytes_are_frozen():
+    """sha256 of layers 0..3 of the criterion-4 oracle, recorded with the
+    offset-by-offset DP (the loop in ``reference_layer``)."""
+    table = bellman_oracle(BellmanConfig(p=2.0, f_max=4.0, F_max=16.0,
+                                         g_max=4.0, G_max=16.0), depth=3)
+    digest = hashlib.sha256()
+    for t in range(4):
+        digest.update(table.layer(t).tobytes())
+    assert digest.hexdigest() == (
+        "7c075d44227a242dfc97cd1c10076691328059e5fa686b7ce4f061e634aca563")
+
+
+def test_p2_table_below_closed_form():
+    """At p = 2 no martingale pair started from (f, F, g, G) collects more
+    than 4 sqrt((F - f^2)(G - g^2)): the squared increments add up to the
+    variances, and Cauchy-Schwarz bounds the sum of products."""
+    table = bellman_oracle(BellmanConfig(), depth=3)
+    f = table.fs[:, None, None, None]
+    F = table.Fs[None, :, None, None]
+    g = table.gs[None, None, :, None]
+    G = table.Gs[None, None, None, :]
+    mask = table._mask
+    variances = np.where(mask, (F - f * f) * (G - g * g), 0.0)
+    bound = 4.0 * np.sqrt(variances)
+    for t in (1, 2, 3):
+        layer = table.layer(t)
+        assert np.all(layer[mask] <= bound[mask]), t
 
 
 # -- grid oracle: frozen values and structure ----------------------------

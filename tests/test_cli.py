@@ -60,6 +60,12 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("lambda-equivalence", "--trials", "0", "--martingale-trials", "0"),
     ("hilbert-demo", "--checkpoints", "250,many"),
     ("series-bound", "--poly-degree", "-1"),
+    ("bellman-check", "--depth", "0"),
+    ("bellman-check", "--depth", "7"),
+    ("bellman-check", "--samples", "0"),
+    ("scaling-study", "--trials", "0", "--k-max", "1", "--depth", "3"),
+    ("identities", "--d", "0"),
+    ("identities", "--trials", "0"),
 ])
 def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
