@@ -5,7 +5,7 @@ The package is organised bottom-up:
 * :mod:`dyadlab.exact` — arithmetic in the field extended by the square
   root of two, kept exact through Haar normalisations;
 * :mod:`dyadlab.dyadic` — translated dyadic windows and their intervals;
-* :mod:`dyadlab.signal` — step functions, Haar analysis, norms, kernels;
+* :mod:`dyadlab.signal` — step functions, Haar analysis and norms;
 * :mod:`dyadlab.shifts` — Haar shift operators, slices, paraproducts;
 * :mod:`dyadlab.schur` — interaction matrices and multiplier norms;
 * :mod:`dyadlab.bellman` — martingale state trees and the grid gain oracle;
@@ -17,10 +17,10 @@ from .exact import ROOT2, Sqrt2Rational, as_exact, sqrt2_pow
 from .dyadic import (DepthExhaustedError, DyadicError, DyadicInterval,
                      DyadicSystem, WindowError, children, descendants,
                      sample_system)
-from .signal import (KernelSpec, SpaceSpec, StepFunction, average,
-                     haar_coeff, haar_expand, haar_profile, haar_reconstruct,
-                     hilbert_kernel, lp_norm, pairing_integral,
-                     pointwise_product, random_step_function)
+from .signal import (SpaceSpec, StepFunction, average, haar_coeff,
+                     haar_expand, haar_profile, haar_reconstruct, lp_norm,
+                     pairing_integral, pointwise_product,
+                     random_step_function)
 from .shifts import (ShiftSpec, SignSequence, apply_shift,
                      martingale_matrix, martingale_transform, paraproduct,
                      paraproduct_adjoint, paraproduct_matrix,
@@ -37,7 +37,7 @@ from .bellman import (BellmanConfig, BellmanTable, MartingalePoint,
                       lemma51_verify, modified_points, range_check,
                       tree_from_functions)
 from .normlab import (NormEstimate, ScalingReport,
-                      discrete_hilbert_transform, hilbert_demo, opnorm_l2,
+                      discrete_hilbert_transform, hilbert_demo,
                       opnorm_lp_lower, shift_scaling_study, umd_probe)
 
 __version__ = "0.1.0"
@@ -50,10 +50,9 @@ __all__ = [
     "DepthExhaustedError", "DyadicError", "DyadicInterval", "DyadicSystem",
     "WindowError", "children", "descendants", "sample_system",
     # signal
-    "KernelSpec", "SpaceSpec", "StepFunction", "average", "haar_coeff",
-    "haar_expand", "haar_profile", "haar_reconstruct", "hilbert_kernel",
-    "lp_norm", "pairing_integral", "pointwise_product",
-    "random_step_function",
+    "SpaceSpec", "StepFunction", "average", "haar_coeff", "haar_expand",
+    "haar_profile", "haar_reconstruct", "lp_norm", "pairing_integral",
+    "pointwise_product", "random_step_function",
     # shifts
     "ShiftSpec", "SignSequence", "apply_shift", "martingale_matrix",
     "martingale_transform", "paraproduct", "paraproduct_adjoint",
@@ -70,6 +69,6 @@ __all__ = [
     "modified_points", "range_check", "tree_from_functions",
     # normlab
     "NormEstimate", "ScalingReport", "discrete_hilbert_transform",
-    "hilbert_demo", "opnorm_l2", "opnorm_lp_lower", "shift_scaling_study",
+    "hilbert_demo", "opnorm_lp_lower", "shift_scaling_study",
     "umd_probe",
 ]

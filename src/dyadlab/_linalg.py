@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spectral_norm_power", "spectral_norm_upper"]
+__all__ = ["spectral_norm_power"]
 
 
 def spectral_norm_power(A, tol=1e-10, max_iter=5000, seed=0):
@@ -43,13 +43,3 @@ def spectral_norm_power(A, tol=1e-10, max_iter=5000, seed=0):
         prev = value
     return prev, it
 
-
-def spectral_norm_upper(A):
-    """A cheap certified upper bound: ``sqrt(min(|A|_1 * |A|_inf, |A^T A|_inf))``."""
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return 0.0
-    one = np.abs(A).sum(axis=0).max()
-    inf = np.abs(A).sum(axis=1).max()
-    gram_inf = np.abs(A.T @ A).sum(axis=1).max()
-    return float(np.sqrt(min(one * inf, gram_inf)))

@@ -8,8 +8,7 @@ so no reweighting is needed.
 Lower bounds for ``p``-norms come from a nonlinear power iteration that
 alternates the matrix with the duality maps of the mixed norm
 ``L^p(l^q)``; the objective is monotone along the iteration and every
-reported value is attained by an explicit witness vector.  Spectral norms
-additionally get a certified upper bound from degree estimates.
+reported value is attained by an explicit witness vector.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._linalg import spectral_norm_power, spectral_norm_upper
 from .dyadic import DyadicError, DyadicSystem
 from .signal import SpaceSpec
 from .shifts import (martingale_matrix, petermichl_shift,
@@ -29,7 +27,6 @@ from .shifts import (martingale_matrix, petermichl_shift,
 
 __all__ = [
     "NormEstimate",
-    "opnorm_l2",
     "opnorm_lp_lower",
     "umd_probe",
     "ScalingReport",
@@ -84,15 +81,6 @@ def _dual_map(y, p, q, d):
         factor = np.where(u > 0.0, u ** (p - q), 0.0)
     W = factor[:, None] * absY ** (q - 1.0) * np.sign(Y) / N ** (p - 1.0)
     return W.ravel()
-
-
-def opnorm_l2(A, tol=1e-10, seed=0):
-    """Spectral norm bracket: power iteration below, degree bounds above."""
-    A = np.asarray(A, float)
-    lower, iters = spectral_norm_power(A, tol=tol, seed=seed)
-    upper = max(float(spectral_norm_upper(A)), lower)
-    return NormEstimate(lower=lower, upper=upper,
-                        method="gram_power_iteration", iterations=iters)
 
 
 def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None,

@@ -24,10 +24,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import (DyadicError, DepthExhaustedError, WindowError, children,
-                     descendants)
+from .dyadic import DyadicError, DepthExhaustedError, WindowError
 from .exact import Sqrt2Rational, as_exact, from_text, sqrt2_pow, to_text
-from .signal import StepFunction, average, haar_profile
+from .signal import (StepFunction, _level_jumps, _level_means, _synthesize,
+                     _zeros, haar_coeff, haar_profile)
 
 __all__ = [
     "ShiftSpec",
@@ -370,38 +370,6 @@ def petermichl_shift(system):
 # -- application ---------------------------------------------------------
 
 
-def _prefix_sums(f):
-    """Row prefix sums of the leaf values, shape ``(n + 1, d)``."""
-    if f.exact:
-        zero = np.full((1, f.d), Fraction(0), dtype=object)
-    else:
-        zero = np.zeros((1, f.d))
-    return np.vstack([zero, np.cumsum(f.values, axis=0)])
-
-
-def _span_average(prefix, lo, hi):
-    return (prefix[hi] - prefix[lo]) / (hi - lo)
-
-
-def _haar_coeff_from_prefix(f, prefix, interval):
-    left, right = children(interval)
-    l_lo, l_hi = left.leaf_span
-    r_lo, r_hi = right.leaf_span
-    diff = _span_average(prefix, l_lo, l_hi) - _span_average(prefix, r_lo, r_hi)
-    if f.exact:
-        return (sqrt2_pow(f.system.M - interval.level) / 2) * diff
-    return (math.sqrt(2.0 ** (f.system.M - interval.level)) / 2.0) * diff
-
-
-def _level_jumps(prefix, depth, lev):
-    """Left-half mean minus right-half mean of every interval at ``lev``."""
-    width = 2 ** (depth - lev)
-    half = width // 2
-    lo = np.arange(0, prefix.shape[0] - 1, width)
-    return ((prefix[lo + half] - prefix[lo]) / half
-            - (prefix[lo + width] - prefix[lo + half]) / half)
-
-
 def _level_groups(shift):
     """Rows of each (L level, I level, J level) group, groups ascending."""
     base = shift.system.depth + 1
@@ -423,44 +391,35 @@ def apply_shift(shift, f):
     """Apply a :class:`ShiftSpec` to a step function.
 
     Exact when both the input values and every coefficient are exact types.
-    Each output cell sums its terms in the key order of the table: groups
-    by ascending (L level, I level), and within a group by ascending I.
+    The entry ``(L, I, J)`` adds ``c * sqrt(|I| / |J|) / 2`` times the jump
+    of ``f`` across ``I`` to the term of ``J``; one synthesis then turns the
+    terms into leaf values.
     """
     if f.system != shift.system:
         raise DyadicError("function and shift live on different systems")
     exact = f.exact and shift.exact
     src = f if exact or not f.exact else f.as_float()
-    system, keys = shift.system, shift.keys
-    prefix = _prefix_sums(src)
+    keys = shift.keys
+    jumps = _level_jumps(_level_means(src.values, exact))
+    terms = [_zeros(jump.shape, exact) for jump in jumps]
     if exact:
-        out = np.full(src.values.shape, Fraction(0), dtype=object)
         distinct, inverse = shift._distinct()
     else:
-        out = np.zeros(src.values.shape)
         coeffs = shift._float_values()
-    for rows, llev, ilev, jlev in _level_groups(shift):
-        jumps = _level_jumps(prefix, system.depth, ilev)
+    for rows, _, ilev, jlev in _level_groups(shift):
+        # sqrt(|I|) / 2 comes from <f, h_I> and |J|**-0.5 from h_J
+        factor = sqrt2_pow(jlev - ilev) / 2
         if exact:
-            # |J|**-0.5 * sqrt(|I|) / 2 = 2**((jlev - ilev) / 2) / 2 joins
-            # the coefficient once per distinct weight; the product is
+            # joins the coefficient once per distinct weight; the product is
             # rational for extremal and symmetrized shifts
-            factor = shift.amplitude * sqrt2_pow(jlev - ilev) / 2
+            factor = shift.amplitude * factor
             scaled = _object_array([_rational(w * factor)
                                     for w in distinct])[inverse[rows]]
         else:
-            scaled = coeffs[rows] * (1.0 / math.sqrt(2.0 ** (system.M - jlev)))
-            jumps = (math.sqrt(2.0 ** (system.M - ilev)) / 2.0) * jumps
-        L, I, J = keys[rows, 1], keys[rows, 3], keys[rows, 5]
-        offset = I - (L << (ilev - llev))
-        half = 2 ** (system.depth - jlev - 1)
-        span = np.arange(half)
-        for t in range(2 ** (ilev - llev)):
-            sel = offset == t
-            term = (scaled[sel, None] * jumps[I[sel]])[:, None, :]
-            left = (J[sel] * (2 * half))[:, None] + span
-            out[left] += term
-            out[left + half] -= term
-    return StepFunction(system, out)
+            scaled = coeffs[rows] * float(factor)
+        np.add.at(terms[jlev], keys[rows, 5],
+                  scaled[:, None] * jumps[ilev][keys[rows, 3]])
+    return StepFunction(shift.system, _synthesize(terms, exact))
 
 
 # -- martingale transforms ----------------------------------------------
@@ -485,120 +444,67 @@ class SignSequence:
 
 
 def random_sign_sequence(system, seed):
+    """Fair signs from one draw, in coarse-to-fine interval order."""
     rng = np.random.default_rng(seed)
-    signs = {}
-    for iv in system.nonleaf_intervals():
-        signs[iv.address] = 1 if rng.integers(0, 2) else -1
-    return SignSequence(system, signs)
+    bits = rng.integers(0, 2, size=2 ** system.depth - 1).tolist()
+    intervals = system.nonleaf_intervals()
+    return SignSequence(system, {iv.address: 1 if b else -1
+                                 for iv, b in zip(intervals, bits)})
 
 
 def martingale_transform(sigma, f):
-    """``sum over I of sigma_I <f, h_I> h_I``; kills the window mean."""
+    """``sum over I of sigma_I <f, h_I> h_I``; kills the window mean.
+
+    The term of ``I`` is ``sigma_I`` times half the jump of ``f`` across ``I``.
+    """
     if f.system != sigma.system:
         raise DyadicError("function and signs live on different systems")
-    prefix = _prefix_sums(f)
-    n, d = f.values.shape
-    if f.exact:
-        out = np.empty((n, d), dtype=object)
-        out[:] = Fraction(0)
-    else:
-        out = np.zeros((n, d))
-    for iv in f.system.nonleaf_intervals():
-        s = sigma.signs[iv.address]
-        a = _haar_coeff_from_prefix(f, prefix, iv)
-        left, right = children(iv)
-        if f.exact:
-            amp = sqrt2_pow(iv.level - f.system.M)
-            term = np.array([s * amp * v for v in a], dtype=object)
-            lo, hi = left.leaf_span
-            for i in range(lo, hi):
-                out[i] = out[i] + term
-            lo, hi = right.leaf_span
-            for i in range(lo, hi):
-                out[i] = out[i] - term
-        else:
-            amp = 1.0 / math.sqrt(2.0 ** (f.system.M - iv.level))
-            term = s * amp * a
-            lo, hi = left.leaf_span
-            out[lo:hi] += term
-            lo, hi = right.leaf_span
-            out[lo:hi] -= term
-    return StepFunction(f.system, out)
+    half = Fraction(1, 2) if f.exact else 0.5
+    terms = []
+    for lev, jump in enumerate(_level_jumps(_level_means(f.values, f.exact))):
+        signs = np.array([sigma.signs[(lev, i)] for i in range(len(jump))])
+        terms.append(signs[:, None] * jump * half)
+    return StepFunction(f.system, _synthesize(terms, f.exact))
 
 
 # -- paraproducts --------------------------------------------------------
 
 
-def paraproduct(phi, f):
-    """``sum over I of h_I <phi, h_I> (mean of f over I)``."""
+def _paraproduct_means(phi, f):
+    """Level means of the symbol and the function; exact when both are."""
     if phi.system != f.system:
         raise DyadicError("symbol and function live on different systems")
     if phi.d != 1:
         raise DyadicError("paraproduct symbol must be scalar valued")
     exact = phi.exact and f.exact
-    src_phi = phi if exact else phi.as_float()
-    src_f = f if exact else f.as_float()
-    prefix_phi = _prefix_sums(src_phi)
-    prefix_f = _prefix_sums(src_f)
-    n, d = src_f.values.shape
-    if exact:
-        out = np.empty((n, d), dtype=object)
-        out[:] = Fraction(0)
-    else:
-        out = np.zeros((n, d))
-    for iv in f.system.nonleaf_intervals():
-        coeff = _haar_coeff_from_prefix(src_phi, prefix_phi, iv)[0]
-        lo, hi = iv.leaf_span
-        mean_f = _span_average(prefix_f, lo, hi)
-        left, right = children(iv)
-        if exact:
-            amp = sqrt2_pow(iv.level - f.system.M)
-            term = np.array([coeff * amp * v for v in mean_f], dtype=object)
-            l_lo, l_hi = left.leaf_span
-            for i in range(l_lo, l_hi):
-                out[i] = out[i] + term
-            r_lo, r_hi = right.leaf_span
-            for i in range(r_lo, r_hi):
-                out[i] = out[i] - term
-        else:
-            amp = 1.0 / math.sqrt(2.0 ** (f.system.M - iv.level))
-            term = coeff * amp * mean_f
-            l_lo, l_hi = left.leaf_span
-            out[l_lo:l_hi] += term
-            r_lo, r_hi = right.leaf_span
-            out[r_lo:r_hi] -= term
-    return StepFunction(f.system, out)
+    if not exact:
+        phi, f = phi.as_float(), f.as_float()
+    return (_level_means(phi.values, exact), _level_means(f.values, exact),
+            exact)
+
+
+def paraproduct(phi, f):
+    """``sum over I of h_I <phi, h_I> (mean of f over I)``.
+
+    The term of ``I`` is half the jump of ``phi`` times the mean of ``f``.
+    """
+    means_phi, means_f, exact = _paraproduct_means(phi, f)
+    half = Fraction(1, 2) if exact else 0.5
+    terms = [jump * half * mean
+             for jump, mean in zip(_level_jumps(means_phi), means_f)]
+    return StepFunction(f.system, _synthesize(terms, exact))
 
 
 def paraproduct_adjoint(phi, f):
-    """``sum over I of <phi, h_I> <f, h_I> (indicator of I) / |I|``."""
-    if phi.system != f.system:
-        raise DyadicError("symbol and function live on different systems")
-    if phi.d != 1:
-        raise DyadicError("paraproduct symbol must be scalar valued")
-    exact = phi.exact and f.exact
-    src_phi = phi if exact else phi.as_float()
-    src_f = f if exact else f.as_float()
-    prefix_phi = _prefix_sums(src_phi)
-    prefix_f = _prefix_sums(src_f)
-    n, d = src_f.values.shape
-    if exact:
-        out = np.empty((n, d), dtype=object)
-        out[:] = Fraction(0)
-    else:
-        out = np.zeros((n, d))
-    for iv in f.system.nonleaf_intervals():
-        c_phi = _haar_coeff_from_prefix(src_phi, prefix_phi, iv)[0]
-        c_f = _haar_coeff_from_prefix(src_f, prefix_f, iv)
-        lo, hi = iv.leaf_span
-        if exact:
-            inv_len = 1 / Fraction(iv.length)
-            term = np.array([c_phi * v * inv_len for v in c_f], dtype=object)
-            for i in range(lo, hi):
-                out[i] = out[i] + term
-        else:
-            out[lo:hi] += c_phi * c_f / float(iv.length)
-    return StepFunction(f.system, out)
+    """``sum over I of <phi, h_I> <f, h_I> (indicator of I) / |I|``.
+
+    The term of ``I`` is a quarter of the product of the two jumps.
+    """
+    means_phi, means_f, exact = _paraproduct_means(phi, f)
+    quarter = Fraction(1, 4) if exact else 0.25
+    terms = [jump_phi * quarter * jump_f for jump_phi, jump_f
+             in zip(_level_jumps(means_phi), _level_jumps(means_f))]
+    return StepFunction(f.system, _synthesize(terms, exact, signed=False))
 
 
 # -- slices and the bilinear majorant ------------------------------------
@@ -660,26 +566,21 @@ def slice_bilinear_sides(slice_shift_, f, g):
     w = float(f.system.leaf_width)
     lhs = 2.0 * abs(float((out.values * gg.values).sum() * w))
 
-    prefix_f = _prefix_sums(ff)
-    prefix_g = _prefix_sums(gg)
     system = f.system
+    means_f = _level_means(ff.values, False)
+    means_g = _level_means(gg.values, False)
     rhs = 0.0
-    scale = 1.0 / 2.0 ** k
-    levels = [lev for lev in slice_levels(system.M, system.depth,
-                                          _slice_index(slice_shift_, k), k)
-              if lev + k <= system.depth]
-    for lev in levels:
-        for L in system.intervals(lev):
-            lo, hi = L.leaf_span
-            mean_f = _span_average(prefix_f, lo, hi)
-            mean_g = _span_average(prefix_g, lo, hi)
-            cells = descendants(L, k)
-            U = np.stack([( _span_average(prefix_f, *c.leaf_span) - mean_f)
-                          * scale for c in cells])
-            V = np.stack([( _span_average(prefix_g, *c.leaf_span) - mean_g)
-                          * scale for c in cells])
-            A = U @ V.T
-            rhs += float(L.length) * float(np.abs(A + A.T).sum())
+    for lev in slice_levels(system.M, system.depth,
+                            _slice_index(slice_shift_, k), k):
+        if lev + k > system.depth:
+            continue
+        # one (2**k, d) block per base interval L of the level
+        U, V = ((means[lev + k].reshape(2 ** lev, 2 ** k, -1)
+                 - means[lev][:, None]) / 2.0 ** k
+                for means in (means_f, means_g))
+        A = U @ V.transpose(0, 2, 1)
+        rhs += 2.0 ** (system.M - lev) * float(
+            np.abs(A + A.transpose(0, 2, 1)).sum())
     return lhs, rhs
 
 
@@ -705,7 +606,7 @@ def shift_matrix(shift):
 
     This is an independent evaluation route from :func:`apply_shift`: the
     entry ``(L, I, J)`` adds ``c * leaf_width * outer(h_J, h_I)`` built from
-    Haar profiles instead of prefix-sum averaging.  All entries of one
+    Haar profiles instead of the jumps of the level means.  All entries of one
     (L level, I level, J level) group go in as one Kronecker product of
     their coefficient blocks with that outer product, added onto the
     diagonal blocks of the L intervals.  The groups go in ascending order,
@@ -773,11 +674,10 @@ def paraproduct_matrix(phi):
     system = phi.system
     _check_matrix_dim(system)
     src = phi.as_float()
-    prefix = _prefix_sums(src)
     n = system.n_leaves
     out = np.zeros((n, n))
     for iv in system.nonleaf_intervals():
-        coeff = _haar_coeff_from_prefix(src, prefix, iv)[0]
+        coeff = haar_coeff(src, iv)[0]
         lo, hi = iv.leaf_span
         prof = haar_profile(system, iv, exact=False)[lo:hi]
         out[lo:hi, lo:hi] += coeff * np.outer(prof,

@@ -7,6 +7,17 @@ entries when identities are to be checked exactly.
 
 The Haar function of a non-leaf interval ``I`` is ``|I|**-0.5`` on the left
 half and ``-|I|**-0.5`` on the right half.
+
+Haar operators run on one level-major pyramid.  Analysis takes the means of
+every interval, level by level, as pairwise averages of the next finer
+level, and the jump of ``I``: its left-half mean minus its right-half mean.
+Since ``<f, h_I> = sqrt(|I|)/2 * jump``, an operator of the form
+``sum c * <f, h_I> * h_J`` becomes a map from jumps and means to one term per
+interval, with one normalising factor per level.  Synthesis then spreads the
+terms onto the leaves with ``np.repeat``, adding each term on the left half
+of its interval and subtracting it on the right half.  The per-interval
+:func:`average`, :func:`haar_coeff` and :func:`haar_profile` stay as the
+independent reference.
 """
 
 from __future__ import annotations
@@ -23,8 +34,6 @@ from .exact import sqrt2_pow
 __all__ = [
     "SpaceSpec",
     "StepFunction",
-    "KernelSpec",
-    "hilbert_kernel",
     "average",
     "haar_coeff",
     "haar_expand",
@@ -91,13 +100,6 @@ class StepFunction:
         self.values = values
 
     # -- construction ----------------------------------------------------
-
-    @classmethod
-    def from_callable(cls, system, func):
-        """Sample ``func`` at leaf midpoints (float mode)."""
-        mids = np.array([float(leaf.midpoint) for leaf in system.leaves()])
-        vals = np.asarray([func(x) for x in mids], dtype=float)
-        return cls(system, vals)
 
     @classmethod
     def constant(cls, system, value, d=1, exact=False):
@@ -232,13 +234,54 @@ def haar_profile(f_or_system, interval, exact=False):
     return out
 
 
+def _zeros(shape, exact):
+    if exact:
+        return np.full(shape, Fraction(0), dtype=object)
+    return np.zeros(shape)
+
+
+def _level_means(values, exact):
+    """Means of every interval: ``means[lev]`` has one row per interval of
+    level ``lev``, and ``means[depth]`` is ``values`` itself."""
+    half = Fraction(1, 2) if exact else 0.5
+    means = [values]
+    while len(means[-1]) > 1:
+        finer = means[-1]
+        means.append((finer[0::2] + finer[1::2]) * half)
+    return means[::-1]
+
+
+def _level_jumps(means):
+    """Left-half mean minus right-half mean of every non-leaf interval."""
+    return [finer[0::2] - finer[1::2] for finer in means[1:]]
+
+
+def _synthesize(terms, exact, signed=True):
+    """Leaf values of the per-interval ``terms`` (one array per level).
+
+    The term of ``I`` is added on the left half of ``I`` and subtracted on
+    its right half, or added on all of ``I`` when ``signed`` is false.
+    """
+    out = _zeros((1, terms[0].shape[1]), exact)
+    for term in terms:
+        out = np.repeat(out, 2, axis=0)
+        out[0::2] += term
+        if signed:
+            out[1::2] -= term
+        else:
+            out[1::2] += term
+    return out
+
+
 def haar_expand(f):
     """Full expansion ``(window mean, {address: coefficient vector})``."""
-    mean = average(f, f.system.root)
+    means = _level_means(f.values, f.exact)
     coeffs = {}
-    for interval in f.system.nonleaf_intervals():
-        coeffs[interval.address] = haar_coeff(f, interval)
-    return mean, coeffs
+    for lev, jump in enumerate(_level_jumps(means)):
+        scale = sqrt2_pow(f.system.M - lev) / 2
+        level = jump * (scale if f.exact else float(scale))
+        coeffs.update(((lev, i), row) for i, row in enumerate(level))
+    return means[0][0], coeffs
 
 
 def haar_reconstruct(system, mean, coeffs, exact=False):
@@ -254,34 +297,15 @@ def haar_reconstruct(system, mean, coeffs, exact=False):
         raise DyadicError(
             f"coefficient cover mismatch: missing {sorted(missing)[:4]}, "
             f"unknown {sorted(extra)[:4]}")
-    mean = np.asarray(mean, dtype=object if exact else float)
-    if mean.ndim == 0:
-        mean = mean[None]
-    d = mean.shape[0]
-    if exact:
-        vals = np.empty((system.n_leaves, d), dtype=object)
-        for i in range(system.n_leaves):
-            for j in range(d):
-                vals[i, j] = mean[j]
-    else:
-        vals = np.tile(np.asarray(mean, dtype=float), (system.n_leaves, 1))
-    for address, cvec in coeffs.items():
-        interval = system.interval(*address)
-        cvec = np.asarray(cvec, dtype=object if exact else float)
-        if cvec.ndim == 0:
-            cvec = cvec[None]
-        left, right = children(interval)
-        if exact:
-            amp = sqrt2_pow(interval.level - system.M)
-            for half, sign in ((left, 1), (right, -1)):
-                lo, hi = half.leaf_span
-                for i in range(lo, hi):
-                    for j in range(d):
-                        vals[i, j] = vals[i, j] + sign * amp * cvec[j]
-        else:
-            profile = haar_profile(system, interval, exact=False)
-            vals += np.outer(profile, cvec)
-    return StepFunction(system, vals)
+    dtype = object if exact else float
+    terms = []
+    for lev in range(system.depth):
+        level = np.array([coeffs[(lev, i)] for i in range(2 ** lev)],
+                         dtype=dtype).reshape(2 ** lev, -1)
+        amp = sqrt2_pow(lev - system.M)
+        terms.append(level * (amp if exact else float(amp)))
+    mean = np.asarray(mean, dtype=dtype).reshape(-1)
+    return StepFunction(system, mean + _synthesize(terms, exact))
 
 
 # -- norms and pairings --------------------------------------------------
@@ -340,63 +364,3 @@ def random_step_function(system, seed, d=1, exact=False, vmax=4, denom_exp=3):
     vals = rng.uniform(-vmax, vmax, size=(system.n_leaves, d))
     return StepFunction(system, vals)
 
-
-# -- Calderon-Zygmund kernel checks --------------------------------------
-
-
-@dataclass
-class KernelSpec:
-    """A kernel with claimed size/smoothness constants.
-
-    ``evaluate(x, y)`` must accept numpy arrays and is only probed off the
-    diagonal.  ``check_standard_estimates`` samples admissible triples
-    ``(x, y, z)`` with ``|x - y| > 2 |y - z|`` and verifies
-
-    * size:       ``|K(x, y)| <= C / |x - y|``
-    * smoothness: ``|K(x,y) - K(x,z)| + |K(y,x) - K(z,x)|
-                    <= C |y - z|**delta / |x - y|**(1 + delta)``.
-    """
-
-    evaluate: object
-    C: float
-    delta: float
-    name: str = "kernel"
-
-    def check_standard_estimates(self, n_samples=100_000, seed=0,
-                                 half_width=8.0):
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-half_width, half_width, size=n_samples)
-        y = rng.uniform(-half_width, half_width, size=n_samples)
-        sep = np.abs(x - y)
-        ok = sep > 1e-6
-        x, y, sep = x[ok], y[ok], sep[ok]
-        rho = rng.uniform(0.0, 1.0, size=x.size) * 0.999
-        sign = rng.choice([-1.0, 1.0], size=x.size)
-        z = y + sign * rho * sep / 2.0
-
-        k_xy = np.asarray(self.evaluate(x, y), dtype=float)
-        k_xz = np.asarray(self.evaluate(x, z), dtype=float)
-        k_yx = np.asarray(self.evaluate(y, x), dtype=float)
-        k_zx = np.asarray(self.evaluate(z, x), dtype=float)
-
-        size_ratio = np.abs(k_xy) * sep / self.C
-        dz = np.abs(y - z)
-        smooth_lhs = np.abs(k_xy - k_xz) + np.abs(k_yx - k_zx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = self.C * dz ** self.delta / sep ** (1.0 + self.delta)
-            smooth_ratio = np.where(bound > 0, smooth_lhs / bound, 0.0)
-        report = {
-            "kernel": self.name,
-            "n_checked": int(x.size),
-            "max_size_ratio": float(size_ratio.max()),
-            "max_smoothness_ratio": float(smooth_ratio.max()),
-        }
-        report["accepted"] = bool(report["max_size_ratio"] <= 1.0 + 1e-9
-                                  and report["max_smoothness_ratio"] <= 1.0 + 1e-9)
-        return report
-
-
-def hilbert_kernel():
-    """The convolution kernel ``1 / (x - y)`` with its standard constants."""
-    return KernelSpec(evaluate=lambda x, y: 1.0 / (x - y), C=4.0, delta=1.0,
-                      name="hilbert")

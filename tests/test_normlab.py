@@ -8,8 +8,7 @@ import pytest
 from dyadlab.dyadic import DyadicError
 from dyadlab.normlab import (NormEstimate, ScalingReport,
                              discrete_hilbert_transform, hilbert_demo,
-                             opnorm_l2, opnorm_lp_lower, shift_scaling_study,
-                             umd_probe)
+                             opnorm_lp_lower, shift_scaling_study, umd_probe)
 from dyadlab.normlab import _dual_map, _mixed_norm
 from dyadlab.signal import SpaceSpec
 
@@ -43,18 +42,6 @@ def test_dual_map_attains_the_norm():
 
 
 # -- operator norms ------------------------------------------------------
-
-
-def test_opnorm_l2_brackets_the_svd_value():
-    rng = np.random.default_rng(11)
-    for trial in range(10):
-        A = rng.standard_normal((20, 20))
-        est = opnorm_l2(A)
-        exact = float(np.linalg.norm(A, 2))
-        assert est.lower <= exact * (1.0 + 1e-9)
-        assert est.upper >= exact * (1.0 - 1e-9)
-        assert est.lower == pytest.approx(exact, rel=1e-6)
-        assert est.width >= 0.0
 
 
 def test_opnorm_lp_rank_one_oracle():

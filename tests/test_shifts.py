@@ -19,17 +19,20 @@ from dyadlab.shifts import (ShiftSpec, apply_shift, is_self_adjoint,
                             random_extremal_shift, random_sign_sequence,
                             series_bound, shift_matrix, shift_slice,
                             slice_bilinear_sides, slice_levels, symmetrize)
-from dyadlab.signal import (SpaceSpec, StepFunction, haar_profile, lp_norm,
+from dyadlab.signal import (SpaceSpec, StepFunction, average, haar_coeff,
+                            haar_expand, haar_profile, lp_norm,
                             pairing_integral, random_step_function)
 
 AGREE_TOL = 1e-12
+# relative agreement of the float operators with their dense matrices
+MATRIX_REL_TOL = 1e-13
 
 
 def naive_apply(shift, f):
     """Direct summation oracle: evaluate every table entry from scratch.
 
     Computes sum of c * <f, h_I> * h_J with pairings and profiles taken
-    straight from the signal module, independently of the prefix-sum route
+    straight from the signal module, independently of the Haar pyramid
     inside ``apply_shift``.
     """
     system = shift.system
@@ -257,6 +260,83 @@ def test_symmetrize_is_self_adjoint():
     assert not is_self_adjoint(sh) or np.abs(A - shift_matrix(sh)).max() < 1e-9
 
 
+def _shift_blocks(k):
+    """One block-depth pair ``(m, n)`` of complexity ``k``."""
+    return k - 1, (k - 1) // 2
+
+
+@pytest.mark.parametrize("depth", [8, 10])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_float_apply_matches_shift_matrix(depth, k):
+    sys_ = sample_system((161, depth, k), depth, M=k - 2)
+    f = random_step_function(sys_, seed=(162, depth, k), d=2)
+    sh = random_extremal_shift(sys_, *_shift_blocks(k), seed=(163, depth, k))
+    for shift in (sh, symmetrize(sh)):
+        want = shift_matrix(shift) @ f.values
+        got = apply_shift(shift, f).values
+        assert np.abs(got - want).max() <= MATRIX_REL_TOL * np.abs(want).max()
+
+
+# -- exact per-interval references --------------------------------------
+
+
+def _interval_sum(system, d, terms):
+    """Sum of ``outer(profile, vector)`` over ``((interval, profile),
+    vector)`` triples, each added on the leaves of its interval (the
+    support of its profile)."""
+    out = np.full((system.n_leaves, d), Fraction(0), dtype=object)
+    for (interval, profile), vector in terms:
+        lo, hi = interval.leaf_span
+        out[lo:hi] += np.outer(profile[lo:hi], vector)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("M", [-1, 0, 1])
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_exact_operators_equal_per_interval_sums(depth, M, d):
+    """Each operator is ``==`` to its sum over intervals, built from
+    :func:`haar_coeff`, :func:`average` and exact Haar profiles."""
+    sys_ = sample_system((171, depth, M + 1, d), depth, M=M)
+    f = random_step_function(sys_, seed=(172, depth, M + 1, d), d=d,
+                             exact=True)
+    ivs = sys_.nonleaf_intervals()
+    coeff = {iv.address: haar_coeff(f, iv) for iv in ivs}
+    prof = {iv.address: (iv, haar_profile(sys_, iv, exact=True))
+            for iv in ivs}
+
+    mean, coeffs = haar_expand(f)
+    assert list(mean) == list(average(f, sys_.root))
+    assert list(coeffs) == list(coeff)
+    assert all(list(coeffs[a]) == list(c) for a, c in coeff.items())
+
+    sigma = random_sign_sequence(sys_, seed=(173, depth, M + 1))
+    want = _interval_sum(sys_, d, [(prof[a], s * coeff[a])
+                                   for a, s in sigma.signs.items()])
+    assert np.array_equal(martingale_transform(sigma, f).values, want)
+
+    for k in range(1, min(depth, 3) + 1):
+        sh = random_extremal_shift(sys_, *_shift_blocks(k),
+                                   seed=(174, depth, k))
+        for shift in (sh, symmetrize(sh)):
+            want = _interval_sum(sys_, d, [
+                (prof[jaddr], c * coeff[iaddr])
+                for (_, iaddr, jaddr), c in shift.entries.items()])
+            assert np.array_equal(apply_shift(shift, f).values, want)
+
+    if d == 1:
+        phi = random_step_function(sys_, seed=(175, depth, M + 1), exact=True)
+        c_phi = {iv.address: haar_coeff(phi, iv)[0] for iv in ivs}
+        want = _interval_sum(sys_, 1, [(prof[iv.address],
+                                        c_phi[iv.address] * average(f, iv))
+                                       for iv in ivs])
+        assert np.array_equal(paraproduct(phi, f).values, want)
+        # h_I squared is the indicator of I divided by |I|
+        want = _interval_sum(sys_, 1, [((iv, p * p), c_phi[a] * coeff[a])
+                                       for a, (iv, p) in prof.items()])
+        assert np.array_equal(paraproduct_adjoint(phi, f).values, want)
+
+
 # -- slices --------------------------------------------------------------
 
 
@@ -316,6 +396,27 @@ def test_transform_is_l2_isometry_on_mean_zero():
     out = martingale_transform(sigma, f)
     space = SpaceSpec(p=2.0)
     assert lp_norm(out, space) == pytest.approx(lp_norm(f, space), rel=1e-12)
+
+
+@pytest.mark.parametrize("depth", [8, 10])
+def test_float_transform_matches_martingale_matrix(depth):
+    sys_ = sample_system((181, depth), depth, M=1)
+    sigma = random_sign_sequence(sys_, seed=(182, depth))
+    f = random_step_function(sys_, seed=(183, depth), d=2)
+    want = martingale_matrix(sigma) @ f.values
+    got = martingale_transform(sigma, f).values
+    assert np.abs(got - want).max() <= MATRIX_REL_TOL * np.abs(want).max()
+
+
+@pytest.mark.parametrize("depth", [1, 3, 6, 9])
+def test_sign_sequence_matches_per_interval_draws(depth):
+    sys_ = DyadicSystem(depth=depth)
+    for seed in (0, 92, (96, depth)):
+        rng = np.random.default_rng(seed)
+        want = {iv.address: 1 if rng.integers(0, 2) else -1
+                for iv in sys_.nonleaf_intervals()}
+        assert list(random_sign_sequence(sys_, seed).signs.items()) \
+            == list(want.items())
 
 
 def test_transform_matrix_route_agrees():

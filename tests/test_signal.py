@@ -1,4 +1,4 @@
-"""Tests for step functions, Haar calculus, norms and kernel checks."""
+"""Tests for step functions, Haar calculus and norms."""
 
 import math
 from fractions import Fraction
@@ -8,10 +8,9 @@ import pytest
 
 from dyadlab.dyadic import DyadicError, DyadicSystem, sample_system
 from dyadlab.exact import ROOT2
-from dyadlab.signal import (KernelSpec, SpaceSpec, StepFunction, average,
-                            haar_coeff, haar_expand, haar_profile,
-                            haar_reconstruct, hilbert_kernel, lp_norm,
-                            pairing_integral, pointwise_product,
+from dyadlab.signal import (SpaceSpec, StepFunction, average, haar_coeff,
+                            haar_expand, haar_profile, haar_reconstruct,
+                            lp_norm, pairing_integral, pointwise_product,
                             random_step_function)
 
 FLOAT_TOL = 1e-12
@@ -73,12 +72,6 @@ def test_stepfunction_arithmetic_and_system_guard():
     assert (-f).values[0, 0] == -1.0
     with pytest.raises(DyadicError):
         f + StepFunction(other, [0.0, 0.0, 0.0, 0.0])
-
-
-def test_from_callable_samples_midpoints():
-    sys_ = DyadicSystem(depth=2)  # leaves of width 1/4 on [0, 1)
-    f = StepFunction.from_callable(sys_, lambda x: 2.0 * x)
-    assert np.allclose(f.values[:, 0], [0.25, 0.75, 1.25, 1.75])
 
 
 def test_constant_exact():
@@ -221,23 +214,7 @@ def test_pointwise_product_scalar_guard():
     assert prod.values[0, 1] == scalar.values[0, 0] * g.values[0, 1]
 
 
-# -- kernel checks -------------------------------------------------------
-
-
-def test_hilbert_kernel_standard_estimates():
-    report = hilbert_kernel().check_standard_estimates(n_samples=100_000,
-                                                       seed=0)
-    assert report["accepted"]
-    assert report["n_checked"] > 90_000
-    assert report["max_size_ratio"] <= 1.0 + 1e-9
-
-
-def test_undersized_constant_is_rejected():
-    bad = KernelSpec(evaluate=lambda x, y: 1.0 / (x - y), C=0.5, delta=1.0,
-                     name="undersized")
-    report = bad.check_standard_estimates(n_samples=20_000, seed=1)
-    assert not report["accepted"]
-    assert report["max_size_ratio"] > 1.0
+# -- serialization -------------------------------------------------------
 
 
 def test_json_roundtrip_float_function():
