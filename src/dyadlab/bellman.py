@@ -6,7 +6,9 @@ of the window tree carries a four-coordinate state
 
     (mean of f,  mean of |f|^p,  mean of g,  mean of |g|^p')
 
-and the parent state is always the mean of its two children.
+and the parent state is always the mean of its two children.  The tree is
+stored as four level-mean pyramids built by :mod:`dyadlab.signal`; the
+interaction matrix and the reweighting checks read whole levels of them.
 
 The oracle tabulates, on a uniform four-dimensional grid, a lower bound for
 the largest accumulated value of ``4 * |df| * |dg|`` that a depth-limited
@@ -29,6 +31,7 @@ import numpy as np
 from .dyadic import DyadicError
 from .schur import (KG_DEFAULT, AlphaSequence, _balanced_vertices, find_alpha,
                     lambda_matrix, norm1_lower)
+from .signal import _level_means
 
 __all__ = [
     "MartingalePoint",
@@ -45,7 +48,7 @@ __all__ = [
 
 MAX_TABLE_DEPTH = 6
 MAX_AXIS_POINTS = 65
-_MAX_LAYER_OPS = 5_000_000_000
+_MAX_LAYER_PAIRS = 5_000_000_000
 # Candidate entries per block of the DP sweep (256 KiB of float64).
 _SWEEP_BLOCK = 1 << 15
 
@@ -79,43 +82,41 @@ class MartingalePoint:
 class MartingaleTree:
     """States of all window-tree nodes for a pair of step functions.
 
-    ``points_at_depth(k)`` lists the ``2**k`` states at depth ``k`` below the
-    window root, left to right.  ``exact`` marks trees whose states are exact
-    rationals (possible when ``p = q = 2`` and the inputs are exact).
+    Four level-mean pyramids, lists indexed by the depth ``k`` below the
+    window root: ``f[k]`` and ``g[k]`` (shape ``(2**k, d)``) hold the means
+    of f and g on the depth-``k`` intervals, left to right, and ``F[k]``,
+    ``G[k]`` (shape ``(2**k,)``) the means of ``|f|^p`` and ``|g|^p'``.
+    ``exact`` marks trees of exact rationals (possible when ``p = q = 2``
+    and the inputs are exact); the arrays are float64 otherwise.
+    ``points_at_depth(k)`` views row ``k`` as :class:`MartingalePoint` states.
     """
 
-    def __init__(self, system, space, levels, exact):
+    def __init__(self, system, space, f, F, g, G, exact):
         self.system = system
         self.space = space
-        self._levels = levels
+        self.f, self.F, self.g, self.G = f, F, g, G
         self.exact = bool(exact)
 
     @property
     def depth(self):
-        return len(self._levels) - 1
+        return len(self.f) - 1
 
     def root_point(self):
-        return self._levels[0][0]
+        return self.points_at_depth(0)[0]
 
     def points_at_depth(self, k):
         if not 0 <= k <= self.depth:
             raise DyadicError(f"depth {k} outside 0..{self.depth}")
-        return list(self._levels[k])
+        return _points(self.f[k], self.F[k], self.g[k], self.G[k])
 
     def validate_dynamics(self):
         """Largest deviation of any parent state from the mean of its
         children; zero for exactly constructed trees."""
         worst = 0.0
-        for t in range(self.depth):
-            row, below = self._levels[t], self._levels[t + 1]
-            for i, parent in enumerate(row):
-                lt, rt = below[2 * i], below[2 * i + 1]
-                for a, b, c in zip(parent.f, lt.f, rt.f):
-                    worst = max(worst, abs(float(a - (b + c) / 2)))
-                for a, b, c in zip(parent.g, lt.g, rt.g):
-                    worst = max(worst, abs(float(a - (b + c) / 2)))
-                worst = max(worst, abs(float(parent.F - (lt.F + rt.F) / 2)))
-                worst = max(worst, abs(float(parent.G - (lt.G + rt.G) / 2)))
+        for levels in (self.f, self.F, self.g, self.G):
+            for parent, below in zip(levels, levels[1:]):
+                dev = parent - (below[0::2] + below[1::2]) / 2
+                worst = max(worst, float(np.abs(dev).max()))
         return worst
 
     def validate_domain(self):
@@ -124,17 +125,26 @@ class MartingaleTree:
         Nonnegative by the power-mean inequality; returned as a float so
         callers can assert it against a tolerance.
         """
-        p, q = self.space.p, self.space.q
-        pd, qd = self.space.p_dual, self.space.q_dual
+        s = self.space
         worst = math.inf
-        for row in self._levels:
-            for pt in row:
-                fv = np.array([float(c) for c in pt.f])
-                gv = np.array([float(c) for c in pt.g])
-                fpow = float(np.sum(np.abs(fv) ** q) ** (p / q))
-                gpow = float(np.sum(np.abs(gv) ** qd) ** (pd / qd))
-                worst = min(worst, float(pt.F) - fpow, float(pt.G) - gpow)
+        for f, F, g, G in zip(self.f, self.F, self.g, self.G):
+            f_margin = F.astype(float) - _powers(f.astype(float), s.p, s.q)
+            g_margin = G.astype(float) - _powers(g.astype(float), s.p_dual,
+                                                 s.q_dual)
+            worst = min(worst, float(f_margin.min()), float(g_margin.min()))
         return worst
+
+
+def _points(f, F, g, G):
+    """Rows of level arrays as states (Python scalars, as stored)."""
+    return [MartingalePoint(tuple(fr), Fr, tuple(gr), Gr)
+            for fr, Fr, gr, Gr in zip(f.tolist(), F.tolist(), g.tolist(),
+                                      G.tolist())]
+
+
+def _powers(rows, p, q):
+    """``|row|_q^p`` of every row of a float array."""
+    return (np.abs(rows) ** q).sum(axis=1) ** (p / q)
 
 
 def tree_from_functions(f, g, space):
@@ -145,34 +155,15 @@ def tree_from_functions(f, g, space):
         raise DyadicError(f"value dimensions differ: {f.d} vs {g.d}")
     exact = bool(f.exact and g.exact and space.p == 2.0 and space.q == 2.0)
     if exact:
-        f_rows = [tuple(r) for r in f.values]
-        g_rows = [tuple(r) for r in g.values]
-        F_leaf = [sum(c * c for c in r) for r in f_rows]
-        G_leaf = [sum(c * c for c in r) for r in g_rows]
+        fv, gv = f.values, g.values
+        F, G = (fv * fv).sum(axis=1), (gv * gv).sum(axis=1)
     else:
-        p, q = space.p, space.q
-        pd, qd = space.p_dual, space.q_dual
-        af, ag = f.as_float().values, g.as_float().values
-        f_rows = [tuple(float(c) for c in r) for r in af]
-        g_rows = [tuple(float(c) for c in r) for r in ag]
-        F_leaf = [float(np.sum(np.abs(r) ** q) ** (p / q)) for r in af]
-        G_leaf = [float(np.sum(np.abs(r) ** qd) ** (pd / qd)) for r in ag]
-    cur = [MartingalePoint(fr, Fr, gr, Gr)
-           for fr, Fr, gr, Gr in zip(f_rows, F_leaf, g_rows, G_leaf)]
-    levels = [cur]
-    while len(cur) > 1:
-        nxt = []
-        for i in range(0, len(cur), 2):
-            a, b = cur[i], cur[i + 1]
-            nxt.append(MartingalePoint(
-                tuple((x + y) / 2 for x, y in zip(a.f, b.f)),
-                (a.F + b.F) / 2,
-                tuple((x + y) / 2 for x, y in zip(a.g, b.g)),
-                (a.G + b.G) / 2))
-        levels.append(nxt)
-        cur = nxt
-    levels.reverse()
-    return MartingaleTree(f.system, space, levels, exact)
+        fv, gv = f.as_float().values, g.as_float().values
+        F = _powers(fv, space.p, space.q)
+        G = _powers(gv, space.p_dual, space.q_dual)
+    return MartingaleTree(f.system, space,
+                          *(_level_means(x, exact) for x in (fv, F, gv, G)),
+                          exact)
 
 
 def modified_points(tree, alpha, k=None, lam=None):
@@ -195,80 +186,55 @@ def modified_points(tree, alpha, k=None, lam=None):
         k = n.bit_length() - 1
     if 2 ** k != n:
         raise DyadicError(f"modulation length {n} is not 2**{k}")
-    pts = tree.points_at_depth(k)
-    root = tree.root_point()
+    if k > tree.depth:
+        raise DyadicError(f"depth {k} outside 0..{tree.depth}")
     exact = tree.exact and alpha.values.dtype == object
-    values = list(alpha.values) if exact else [float(v) for v in
-                                               alpha.as_float()]
+    values = alpha.values if exact else alpha.as_float()
     one = Fraction(1) if exact else 1.0
-    den = 2 ** k
-    d = root.d
     if lam is None:
         lam = lambda_matrix(tree, k)
+    rhs = values @ lam.values @ values / 2
 
-    quad = sum(values[i] * lam.values[i, j] * values[j]
-               for i in range(n) for j in range(n))
-    rhs = quad / 2
+    # row 0 holds the plus weights, row 1 the minus weights
+    weights = (one + np.array([[1], [-1]]) * values) / 2 ** k
+    f_mod, F_mod = weights @ tree.f[k], weights @ tree.F[k]
+    g_mod, G_mod = weights @ tree.g[k], weights @ tree.G[k]
+    plus, minus = _points(f_mod, F_mod, g_mod, G_mod)
 
-    out = {"k": k}
-    theta_lo, theta_hi = math.inf, -math.inf
-    product_err = 0.0
-    product_exact = exact
-    identity_err = 0.0
-    identity_exact = exact
-    for sign, tag in ((1, "plus"), (-1, "minus")):
-        weights = [(one + sign * v) / den for v in values]
-        fmod = tuple(sum(w * pt.f[c] for w, pt in zip(weights, pts))
-                     for c in range(d))
-        gmod = tuple(sum(w * pt.g[c] for w, pt in zip(weights, pts))
-                     for c in range(d))
-        Fmod = sum(w * pt.F for w, pt in zip(weights, pts))
-        Gmod = sum(w * pt.G for w, pt in zip(weights, pts))
-        out[tag] = MartingalePoint(fmod, Fmod, gmod, Gmod)
+    masses = [weights]
+    while masses[-1].shape[1] > 1:
+        finer = masses[-1]
+        masses.append(finer[:, 0::2] + finer[:, 1::2])
+    masses.reverse()
+    thetas = [masses[t + 1][:, 0::2] / masses[t] for t in range(k)]
+    theta_lo = min((float(t.min()) for t in thetas), default=math.inf)
+    theta_hi = max((float(t.max()) for t in thetas), default=-math.inf)
+    # split ratios along each root-to-cell path multiply to the cell mass
+    prod = np.ones((2, 1), dtype=weights.dtype)
+    for t in range(k):
+        prod = np.repeat(prod, 2, axis=1) * (
+            masses[t + 1] / np.repeat(masses[t], 2, axis=1))
 
-        mass_levels = [weights]
-        while len(mass_levels[0]) > 1:
-            row = mass_levels[0]
-            mass_levels.insert(0, [row[2 * i] + row[2 * i + 1]
-                                   for i in range(len(row) // 2)])
-        for t in range(k):
-            for i, total in enumerate(mass_levels[t]):
-                theta = float(mass_levels[t + 1][2 * i] / total)
-                theta_lo = min(theta_lo, theta)
-                theta_hi = max(theta_hi, theta)
-        for j in range(n):
-            prod = one
-            for t in range(k):
-                anc = j >> (k - t)
-                child = j >> (k - t - 1)
-                prod = prod * (mass_levels[t + 1][child] /
-                               mass_levels[t][anc])
-            if exact:
-                product_exact = product_exact and prod == weights[j]
-            product_err = max(product_err, abs(float(prod - weights[j])))
-
-        lhs = sum((a - b) * (c - e) for a, b, c, e in
-                  zip(fmod, root.f, gmod, root.g))
-        if exact:
-            identity_exact = identity_exact and lhs == rhs
-        identity_err = max(identity_err, abs(float(lhs - rhs)))
+    lhs = ((f_mod - tree.f[0]) * (g_mod - tree.g[0])).sum(axis=1)
 
     lo, hi = THETA_DESIGN_RANGE
     alo, ahi = THETA_ASSERTED_RANGE
-    out.update({
+    return {
+        "k": k,
+        "plus": plus,
+        "minus": minus,
         "theta_min": theta_lo,
         "theta_max": theta_hi,
         "theta_in_design_range": bool(lo - 1e-12 <= theta_lo
                                       and theta_hi <= hi + 1e-12),
         "theta_in_asserted_range": bool(alo <= theta_lo
                                         and theta_hi <= ahi),
-        "product_max_error": product_err,
-        "product_exact": product_exact,
-        "identity_error": identity_err,
-        "identity_exact": identity_exact,
+        "product_max_error": float(np.abs(prod - weights).max()),
+        "product_exact": exact and bool((prod == weights).all()),
+        "identity_error": float(np.abs(lhs - rhs).max()),
+        "identity_exact": exact and bool((lhs == rhs).all()),
         "pairing_value": float(rhs),
-    })
-    return out
+    }
 
 
 # -- the grid oracle ----------------------------------------------------
@@ -315,16 +281,6 @@ class BellmanConfig:
     @property
     def p_dual(self):
         return self.p / (self.p - 1.0)
-
-
-def _estimated_layer_ops(shape, max_offset):
-    total = 1
-    for n in shape:
-        m = (n - 1) // 2
-        if max_offset is not None:
-            m = min(m, max_offset)
-        total *= sum(n - 2 * abs(j) for j in range(-m, m + 1))
-    return total
 
 
 def _plane_splits(feasible, half0, half1):
@@ -382,19 +338,10 @@ class BellmanTable:
         self.steps = (self.fs[1] - self.fs[0], self.Fs[1] - self.Fs[0],
                       self.gs[1] - self.gs[0], self.Gs[1] - self.Gs[0])
         shape = (config.n_f, config.n_F, config.n_g, config.n_G)
-        ops = _estimated_layer_ops(shape, config.max_offset)
-        if ops > _MAX_LAYER_OPS:
-            raise DyadicError(
-                f"grid needs about {ops:.2e} operations per layer; shrink "
-                "the axes or set max_offset")
         self._feasible_f = (np.abs(self.fs)[:, None] ** config.p
                             <= self.Fs[None, :])
         self._feasible_g = (np.abs(self.gs)[:, None] ** config.p_dual
                             <= self.Gs[None, :])
-        self._mask = (self._feasible_f[:, :, None, None]
-                      & self._feasible_g[None, None, :, :])
-        base = np.where(self._mask, 0.0, -np.inf)
-        self._layers = [base]
         half = [(n - 1) // 2 for n in shape]
         if config.max_offset is not None:
             half = [min(h, config.max_offset) for h in half]
@@ -403,10 +350,23 @@ class BellmanTable:
         # j and -j give the same candidate, so the (f, F) offsets stop at
         # (0, 0), which pairs only with the positive (g, G) offsets
         self._f_splits = [s for s in f_splits if s[0] >= (0, 0)]
+        g_positive = [s for s in g_splits if s[0] > (0, 0)]
+        # candidates one DP layer evaluates: every (f, F) split times every
+        # (g, G) split, the (f, F) offset (0, 0) only with positive ones
+        n_all = sum(s[1].size for s in g_splits)
+        n_positive = sum(s[1].size for s in g_positive)
+        pairs = sum(s[1].size * (n_positive if s[0] == (0, 0) else n_all)
+                    for s in self._f_splits)
+        if pairs > _MAX_LAYER_PAIRS:
+            raise DyadicError(
+                f"grid needs {pairs:.2e} candidate pairs per layer; shrink "
+                "the axes or set max_offset")
         self._g_all = _centre_groups(g_splits)
-        self._g_positive = _centre_groups(
-            [s for s in g_splits if s[0] > (0, 0)])
+        self._g_positive = _centre_groups(g_positive)
         self._g_half = half[2]
+        self._mask = (self._feasible_f[:, :, None, None]
+                      & self._feasible_g[None, None, :, :])
+        self._layers = [np.where(self._mask, 0.0, -np.inf)]
 
     @property
     def depth(self):
@@ -630,11 +590,10 @@ def _quarter_alpha(lam):
 
 
 def _auto_config(tree, space):
-    leaves = tree.points_at_depth(tree.depth)
-    f_abs = max(abs(float(pt.f[0])) for pt in leaves)
-    g_abs = max(abs(float(pt.g[0])) for pt in leaves)
-    F_abs = max(float(pt.F) for pt in leaves)
-    G_abs = max(float(pt.G) for pt in leaves)
+    f_abs = float(np.abs(tree.f[-1][:, 0]).max())
+    g_abs = float(np.abs(tree.g[-1][:, 0]).max())
+    F_abs = float(tree.F[-1].max())
+    G_abs = float(tree.G[-1].max())
     return BellmanConfig(
         p=float(space.p),
         f_max=max(2.0, float(math.ceil(f_abs))),

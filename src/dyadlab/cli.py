@@ -177,6 +177,9 @@ def _cmd_schur_check(opts, outdir):
 
 
 def _cmd_lambda_equivalence(opts, outdir):
+    if opts["k"] < 1:
+        # the only admissible 1 x 1 matrix is zero
+        raise DyadicError(f"cell depth k must be at least 1, got {opts['k']}")
     rows = []
     ok = True
     ratios = []

@@ -91,8 +91,13 @@ def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None,
     Extra start vectors can be supplied; random restarts fill the rest.  The
     objective ``|A x| / |x|`` never decreases along an iteration (checked up
     to roundoff; a decrease raises ``RuntimeError``) and the best witness is
-    kept across restarts.
+    kept across restarts.  At least one start vector and one iteration are
+    needed, or there is no witness.
     """
+    if restarts + len(starts or []) < 1:
+        raise DyadicError("power iteration needs at least one start vector")
+    if iters < 1:
+        raise DyadicError("power iteration needs at least one step")
     A = np.asarray(A, float)
     n = A.shape[1]
     d = space.d

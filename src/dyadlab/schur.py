@@ -89,13 +89,10 @@ class LambdaMatrix:
     def _check_admissible(self):
         vals = self.values
         if self.exact:
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    if vals[i, j] != vals[j, i]:
-                        raise ValueError("matrix is not symmetric")
-            for i in range(self.n):
-                if sum(vals[i, :]) != 0:
-                    raise ValueError(f"row {i} sum is nonzero")
+            if (vals != vals.T).any():
+                raise ValueError("matrix is not symmetric")
+            if (vals.sum(axis=1) != 0).any():
+                raise ValueError("row sums are nonzero")
         else:
             scale = max(1.0, float(np.abs(vals).max()))
             if np.abs(vals - vals.T).max() > 1e-9 * scale:
@@ -104,9 +101,8 @@ class LambdaMatrix:
                 raise ValueError("row sums are nonzero")
 
     def abs_sum(self):
-        if self.exact:
-            return sum(abs(v) for v in self.values.ravel())
-        return float(np.abs(self.values).sum())
+        total = np.abs(self.values).sum()
+        return total if self.exact else float(total)
 
 
 @dataclass
@@ -147,33 +143,14 @@ def lambda_matrix(tree, k):
     Entry ``(K, L)`` is ``<x_K, y_L> + <x_L, y_K>`` where ``x_K`` is the
     ``f``-side increment ``(f_K - f_root) / 2**k`` and ``y_L`` the ``g``-side
     one.  Symmetry is structural; zero row sums follow from the martingale
-    dynamics.
+    dynamics.  Exact trees give exact entries.
     """
-    root = tree.root_point()
-    pts = tree.points_at_depth(k)
-    nn = 2 ** k
-    if len(pts) != nn:
-        raise ValueError(f"expected {nn} points at depth {k}, got {len(pts)}")
-    exact = getattr(tree, "exact", False)
-    den = 2 ** k
-    if exact:
-        from fractions import Fraction
-        xs = [[(a - b) / den for a, b in zip(p.f, root.f)] for p in pts]
-        ys = [[(a - b) / den for a, b in zip(p.g, root.g)] for p in pts]
-        vals = np.empty((nn, nn), dtype=object)
-        for i in range(nn):
-            for j in range(nn):
-                dot_ij = sum(a * b for a, b in zip(xs[i], ys[j]))
-                dot_ji = sum(a * b for a, b in zip(xs[j], ys[i]))
-                vals[i, j] = dot_ij + dot_ji
-    else:
-        X = np.stack([(np.asarray(p.f, float) - np.asarray(root.f, float)) / den
-                      for p in pts])
-        Y = np.stack([(np.asarray(p.g, float) - np.asarray(root.g, float)) / den
-                      for p in pts])
-        A = X @ Y.T
-        vals = A + A.T
-    return LambdaMatrix(vals, k)
+    if not 0 <= k <= tree.depth:
+        raise DyadicError(f"depth {k} outside 0..{tree.depth}")
+    X = (tree.f[k] - tree.f[0]) / 2 ** k
+    Y = (tree.g[k] - tree.g[0]) / 2 ** k
+    A = X @ Y.T
+    return LambdaMatrix(A + A.T, k)
 
 
 def random_admissible_lambda(k, seed, scale=1.0):
@@ -489,6 +466,8 @@ def rank_one_multiplier_check(n, trials=8, seed=0):
     """
     if n < 1:
         raise DyadicError("rank-one check needs matrix size >= 1")
+    if trials < 1:
+        raise DyadicError("rank-one check needs at least one trial")
     rng = np.random.default_rng(seed)
     max_identity_error = 0.0
     max_excess = -math.inf
@@ -519,6 +498,10 @@ def sign_multiplier_check(k, trials=4, seed=0):
     Probes random ``+-1`` matrices and reports the largest lower bound found
     relative to the theoretical ceiling.
     """
+    if k < 0:
+        raise DyadicError(f"sign-matrix size exponent must be >= 0, got {k}")
+    if trials < 1:
+        raise DyadicError("sign-matrix check needs at least one trial")
     n = 2 ** k
     bound = 2.0 ** (k / 2.0)
     worst = 0.0

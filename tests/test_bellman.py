@@ -14,7 +14,8 @@ from dyadlab.bellman import (BellmanConfig, BellmanTable, MartingalePoint,
                              lemma51_verify, modified_points, range_check,
                              tree_from_functions)
 from dyadlab.dyadic import DyadicError, DyadicSystem, sample_system
-from dyadlab.schur import AlphaSequence, lambda_matrix
+from dyadlab.schur import (AlphaSequence, _project_balanced_box,
+                           lambda_matrix)
 from dyadlab.signal import SpaceSpec, StepFunction, random_step_function
 
 ROOT2_OVER_16 = math.sqrt(2.0) / 16.0
@@ -143,6 +144,169 @@ def test_modified_points_length_guard():
         modified_points(tree, np.array([0.25, 0.0, -0.25]))
 
 
+# -- per-node references for the level-array tree ----------------------
+
+
+def reference_tree(f, g, space):
+    """Node-by-node tree states, root level first: per-leaf powers, then
+    every parent as the mean of its two children."""
+    if f.exact and g.exact and space.p == 2.0 and space.q == 2.0:
+        f_rows = [tuple(r) for r in f.values]
+        g_rows = [tuple(r) for r in g.values]
+        F_leaf = [sum(c * c for c in r) for r in f_rows]
+        G_leaf = [sum(c * c for c in r) for r in g_rows]
+    else:
+        p, q, pd, qd = space.p, space.q, space.p_dual, space.q_dual
+        af, ag = f.as_float().values, g.as_float().values
+        f_rows = [tuple(float(c) for c in r) for r in af]
+        g_rows = [tuple(float(c) for c in r) for r in ag]
+        F_leaf = [float(np.sum(np.abs(r) ** q) ** (p / q)) for r in af]
+        G_leaf = [float(np.sum(np.abs(r) ** qd) ** (pd / qd)) for r in ag]
+
+    def mean(a, b):
+        return (tuple((x + y) / 2 for x, y in zip(a[0], b[0])),
+                (a[1] + b[1]) / 2,
+                tuple((x + y) / 2 for x, y in zip(a[2], b[2])),
+                (a[3] + b[3]) / 2)
+
+    levels = [list(zip(f_rows, F_leaf, g_rows, G_leaf))]
+    while len(levels[0]) > 1:
+        row = levels[0]
+        levels.insert(0, [mean(row[i], row[i + 1])
+                          for i in range(0, len(row), 2)])
+    return levels
+
+
+def reference_lambda(levels, k, exact):
+    """Interaction matrix entry by entry (exact) or from stacked increments
+    (float)."""
+    root, pts, n = levels[0][0], levels[k], 2 ** k
+    xs = [[(a - b) / n for a, b in zip(pt[0], root[0])] for pt in pts]
+    ys = [[(a - b) / n for a, b in zip(pt[2], root[2])] for pt in pts]
+    if not exact:
+        A = np.array(xs) @ np.array(ys).T
+        return A + A.T
+    vals = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            vals[i, j] = (sum(a * b for a, b in zip(xs[i], ys[j]))
+                          + sum(a * b for a, b in zip(xs[j], ys[i])))
+    return vals
+
+
+def reference_modified(levels, lam, values, k, exact):
+    """Cell-by-cell reweighting, split ratios, path products and pairing."""
+    pts, root, n = levels[k], levels[0][0], 2 ** k
+    one = Fraction(1) if exact else 1.0
+    rhs = sum(values[i] * lam[i, j] * values[j]
+              for i in range(n) for j in range(n)) / 2
+    out = {"pairing_value": float(rhs)}
+    thetas, prod_err, prod_ok, id_err, id_ok = [], 0.0, True, 0.0, True
+    for sign, tag in ((1, "plus"), (-1, "minus")):
+        w = [(one + sign * v) / n for v in values]
+        state = tuple(
+            tuple(sum(wi * pt[c][i] for wi, pt in zip(w, pts))
+                  for i in range(len(root[c]))) if c in (0, 2)
+            else sum(wi * pt[c] for wi, pt in zip(w, pts))
+            for c in range(4))
+        out[tag] = state
+        masses = [w]
+        while len(masses[0]) > 1:
+            row = masses[0]
+            masses.insert(0, [row[2 * i] + row[2 * i + 1]
+                              for i in range(len(row) // 2)])
+        for t in range(k):
+            thetas += [float(masses[t + 1][2 * i] / total)
+                       for i, total in enumerate(masses[t])]
+        for j in range(n):
+            prod = one
+            for t in range(k):
+                prod = prod * (masses[t + 1][j >> (k - t - 1)]
+                               / masses[t][j >> (k - t)])
+            prod_ok = prod_ok and prod == w[j]
+            prod_err = max(prod_err, abs(float(prod - w[j])))
+        lhs = sum((a - b) * (c - e) for a, b, c, e in
+                  zip(state[0], root[0], state[2], root[2]))
+        id_ok = id_ok and lhs == rhs
+        id_err = max(id_err, abs(float(lhs - rhs)))
+    out.update(theta_min=min(thetas), theta_max=max(thetas),
+               product_max_error=prod_err, product_exact=exact and prod_ok,
+               identity_error=id_err, identity_exact=exact and id_ok)
+    return out
+
+
+def exact_balanced_alpha(rng, n):
+    mags = [Fraction(int(rng.integers(0, 9)), 32) for _ in range(n // 2)]
+    vals = np.array([s * m for m in mags for s in (1, -1)], dtype=object)
+    rng.shuffle(vals)
+    return AlphaSequence(vals)
+
+
+@pytest.mark.parametrize("mode", ["exact", "p4", "p1.5", "float-inputs"])
+def test_tree_lambda_and_modulation_match_per_node_reference(mode):
+    """Level-array trees, interaction matrices and reweighting reports
+    against node-by-node loops: equal in exact mode; in float mode the means
+    and the matrices are byte-equal, while the power coordinates (array
+    against scalar power) and the modified states (summation order) agree
+    to rounding."""
+    p = {"p4": 4.0, "p1.5": 1.5}.get(mode, 2.0)
+    for depth, M, d in itertools.product(range(1, 7), (-1, 0, 1), (1, 2)):
+        system = sample_system((depth, M + 1, d), depth, M=M)
+        f, g = (random_step_function(system, seed=(depth, M + 1, d, s), d=d,
+                                     exact=mode != "float-inputs")
+                for s in (1, 2))
+        space = SpaceSpec(p=p, d=d)
+        tree = tree_from_functions(f, g, space)
+        ref = reference_tree(f, g, space)
+        exact = mode == "exact"
+        assert tree.exact == exact and tree.depth == depth
+        for k, level in enumerate(ref):
+            want = [np.array(col, dtype=tree.F[k].dtype)
+                    for col in zip(*level)]
+            got = (tree.f[k], tree.F[k], tree.g[k], tree.G[k])
+            if exact:
+                assert all((a == b).all() for a, b in zip(got, want)), k
+            else:
+                assert got[0].tobytes() == want[0].tobytes(), k
+                assert got[2].tobytes() == want[2].tobytes(), k
+                np.testing.assert_allclose(got[1], want[1], rtol=1e-15)
+                np.testing.assert_allclose(got[3], want[3], rtol=1e-15)
+        for k in range(1, min(depth, 3) + 1):
+            lam = lambda_matrix(tree, k)
+            ref_lam = reference_lambda(ref, k, exact)
+            if exact:
+                assert lam.exact and (lam.values == ref_lam).all()
+            else:
+                assert lam.values.tobytes() == ref_lam.tobytes()
+            rng = np.random.default_rng((depth, M + 1, d, k))
+            alpha = (exact_balanced_alpha(rng, 2 ** k) if exact else
+                     AlphaSequence(_project_balanced_box(
+                         rng.uniform(-0.3, 0.3, 2 ** k))))
+            out = modified_points(tree, alpha, k=k, lam=lam)
+            want = reference_modified(ref, ref_lam, alpha.values, k, exact)
+            for tag in ("plus", "minus"):
+                pt = out[tag]
+                got = (pt.f, pt.F, pt.g, pt.G)
+                if exact:
+                    assert got == want[tag], (k, tag)
+                    continue
+                flat_got = np.array([*got[0], got[1], *got[2], got[3]])
+                flat_want = np.array([*want[tag][0], want[tag][1],
+                                      *want[tag][2], want[tag][3]])
+                scale = np.abs(flat_want).max()
+                assert np.abs(flat_got - flat_want).max() <= 1e-14 * scale
+            same = ["theta_min", "theta_max", "product_max_error",
+                    "product_exact", "identity_exact"]
+            if exact:
+                same += ["identity_error", "pairing_value"]
+            else:
+                a = np.abs(alpha.values)
+                tol = 1e-14 * max(1.0, float(a @ np.abs(ref_lam) @ a))
+                for key in ("identity_error", "pairing_value"):
+                    assert abs(out[key] - want[key]) <= tol, key
+            assert {s: out[s] for s in same} == {s: want[s] for s in same}
+
+
 # -- grid oracle: configuration and guards -------------------------------
 
 
@@ -167,7 +331,10 @@ def test_layer_ops_guard():
     with pytest.raises(DyadicError):
         BellmanTable(big)
     capped = BellmanConfig(n_f=65, n_F=65, n_g=65, n_G=65, max_offset=1)
-    BellmanTable(capped)  # fits under the per-layer operation budget
+    BellmanTable(capped)  # fits under the per-layer candidate budget
+    # 7.8e8 feasible candidate pairs per layer, under the budget; counting
+    # every 4-D offset (9.6e9) used to refuse it
+    BellmanTable(BellmanConfig(n_f=25, n_F=25, n_g=25, n_G=25))
 
 
 def test_table_depth_cap():

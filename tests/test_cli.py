@@ -66,6 +66,14 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("scaling-study", "--trials", "0", "--k-max", "1", "--depth", "3"),
     ("identities", "--d", "0"),
     ("identities", "--trials", "0"),
+    ("umd-probe", "--restarts", "0"),
+    ("umd-probe", "--iters", "0"),
+    ("scaling-study", "--restarts", "0", "--trials", "1", "--k-max", "1"),
+    ("schur-check", "--trials", "0"),
+    ("schur-check", "--sign-trials", "0"),
+    ("schur-check", "--k", "-1"),
+    ("lambda-equivalence", "--k", "-1"),
+    ("lambda-equivalence", "--k", "0", "--martingale-trials", "0"),
 ])
 def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
