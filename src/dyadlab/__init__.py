@@ -21,13 +21,11 @@ from .signal import (SpaceSpec, StepFunction, average, haar_coeff,
                      haar_expand, haar_profile, haar_reconstruct, lp_norm,
                      pairing_integral, pointwise_product,
                      random_step_function)
-from .shifts import (ShiftSpec, SignSequence, apply_shift,
-                     martingale_matrix, martingale_transform, paraproduct,
+from .shifts import (ShiftSpec, apply_shift, paraproduct,
                      paraproduct_adjoint, paraproduct_matrix,
-                     petermichl_shift, random_extremal_shift,
-                     random_sign_sequence, series_bound, shift_matrix,
-                     shift_slice, slice_levels, slice_bilinear_sides,
-                     symmetrize)
+                     petermichl_shift, random_extremal_shift, series_bound,
+                     shift_matrix, shift_slice, slice_levels,
+                     slice_bilinear_sides, symmetrize)
 from .schur import (AlphaSequence, LambdaMatrix, equivalence_report,
                     find_alpha, lambda_matrix, multiplier_norm_lower,
                     norm1_lower, norm2, random_admissible_lambda,
@@ -54,10 +52,9 @@ __all__ = [
     "haar_profile", "haar_reconstruct", "lp_norm", "pairing_integral",
     "pointwise_product", "random_step_function",
     # shifts
-    "ShiftSpec", "SignSequence", "apply_shift", "martingale_matrix",
-    "martingale_transform", "paraproduct", "paraproduct_adjoint",
+    "ShiftSpec", "apply_shift", "paraproduct", "paraproduct_adjoint",
     "paraproduct_matrix", "petermichl_shift", "random_extremal_shift",
-    "random_sign_sequence", "series_bound", "shift_matrix", "shift_slice", "slice_levels",
+    "series_bound", "shift_matrix", "shift_slice", "slice_levels",
     "slice_bilinear_sides", "symmetrize",
     # schur
     "AlphaSequence", "LambdaMatrix", "equivalence_report", "find_alpha",

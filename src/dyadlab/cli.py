@@ -32,9 +32,8 @@ from .bellman import (MAX_TABLE_DEPTH, BellmanConfig, bellman_oracle,
 from .dyadic import DyadicError, sample_system
 from .schur import (equivalence_report, random_admissible_lambda,
                     rank_one_multiplier_check, sign_multiplier_check)
-from .shifts import (apply_shift, martingale_transform, paraproduct,
-                     paraproduct_adjoint, random_extremal_shift,
-                     random_sign_sequence, series_bound, shift_slice,
+from .shifts import (apply_shift, paraproduct, paraproduct_adjoint,
+                     random_extremal_shift, series_bound, shift_slice,
                      slice_bilinear_sides, symmetrize)
 from .signal import (SpaceSpec, average, haar_coeff, haar_expand,
                      haar_reconstruct, pairing_integral, pointwise_product,
@@ -83,7 +82,7 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
                                  exact=True)
         g = random_step_function(system, seed=(seed, trial, 2), d=d,
                                  exact=True)
-        sigma = random_sign_sequence(system, seed=(seed, trial, 3))
+        sigma = random_extremal_shift(system, 0, 0, seed=(seed, trial, 3))
         results = {}
 
         mean_f, coeffs_f = haar_expand(f)
@@ -96,7 +95,7 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
             rhs = rhs + _dot(cf, coeffs_g[addr])
         results["parseval_pairing"] = (pairing_integral(f, g) == rhs)
 
-        twice = martingale_transform(sigma, martingale_transform(sigma, f))
+        twice = apply_shift(sigma, apply_shift(sigma, f))
         diff = f - twice
         results["transform_involution"] = all(
             diff.values[i, c] == mean_f[c]
@@ -177,9 +176,6 @@ def _cmd_schur_check(opts, outdir):
 
 
 def _cmd_lambda_equivalence(opts, outdir):
-    if opts["k"] < 1:
-        # the only admissible 1 x 1 matrix is zero
-        raise DyadicError(f"cell depth k must be at least 1, got {opts['k']}")
     rows = []
     ok = True
     ratios = []

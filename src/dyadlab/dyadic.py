@@ -259,6 +259,8 @@ def sample_system(seed, depth, M=0, base_origin=0, j_min=None, j_max=None):
     sequence seed such as ``(master, trial)`` gives independent per-trial
     streams.
     """
+    if depth < 1:
+        raise DyadicError("depth must be >= 1")
     if j_min is not None and j_max is not None and j_min > j_max:
         raise DyadicError(f"j_min {j_min} > j_max {j_max}")
     lo = 1 - M if j_min is None else max(j_min, 1 - M)

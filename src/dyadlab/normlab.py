@@ -21,9 +21,8 @@ import numpy as np
 
 from .dyadic import DyadicError, DyadicSystem
 from .signal import SpaceSpec
-from .shifts import (martingale_matrix, petermichl_shift,
-                     random_extremal_shift, random_sign_sequence,
-                     shift_matrix, symmetrize)
+from .shifts import (petermichl_shift, random_extremal_shift, shift_matrix,
+                     symmetrize)
 
 __all__ = [
     "NormEstimate",
@@ -159,8 +158,7 @@ def umd_probe(depth=6, p=4.0, q=2.0, d=1, trials=12, seed=0, restarts=4,
     rows = []
     best = None
     for t in range(trials):
-        sigma = random_sign_sequence(system, seed=(seed, t))
-        M = martingale_matrix(sigma)
+        M = shift_matrix(random_extremal_shift(system, 0, 0, seed=(seed, t)))
         if d > 1:
             M = np.kron(M, np.eye(d))
         est = opnorm_lp_lower(M, space, restarts=restarts, iters=iters,

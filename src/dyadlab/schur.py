@@ -154,7 +154,12 @@ def lambda_matrix(tree, k):
 
 
 def random_admissible_lambda(k, seed, scale=1.0):
-    """Centered random symmetric matrix: admissible and generically full rank."""
+    """Centered random symmetric matrix: admissible and generically full rank.
+
+    Needs ``k >= 1``: the only admissible 1 x 1 matrix is zero.
+    """
+    if k < 1:
+        raise DyadicError(f"cell depth k must be at least 1, got {k}")
     n = 2 ** k
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))

@@ -8,7 +8,8 @@ where ``I`` sits ``m`` levels and ``J`` sits ``n`` levels below ``L`` (the
 transposed block with depths ``(n, m)`` is also admitted so that adjoints and
 symmetrizations stay in one class).  Coefficients obey the normalisation
 ``|c| <= sqrt(|I| |J|) / |L| = 2**-((m+n)/2)``; the complexity of the operator
-is ``max(m, n) + 1``.
+is ``max(m, n) + 1``.  The martingale transform ``sum of sigma_I <f, h_I> h_I``
+is the ``(0, 0)`` shift with the sign ``sigma_L`` on the key ``(L, L, L)``.
 
 Sums over ``L`` include exactly the intervals whose Haar functions ``h_I`` and
 ``h_J`` exist inside the window, i.e. ``level(L) <= depth - complexity``.
@@ -18,7 +19,6 @@ Operators annihilate the window mean and produce mean-zero output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,12 +31,9 @@ from .signal import (StepFunction, _level_jumps, _level_means, _synthesize,
 
 __all__ = [
     "ShiftSpec",
-    "SignSequence",
     "apply_shift",
     "petermichl_shift",
     "random_extremal_shift",
-    "martingale_transform",
-    "random_sign_sequence",
     "paraproduct",
     "paraproduct_adjoint",
     "shift_slice",
@@ -44,15 +41,12 @@ __all__ = [
     "symmetrize",
     "slice_bilinear_sides",
     "shift_matrix",
-    "martingale_matrix",
     "paraproduct_matrix",
     "series_bound",
     "MAX_MATRIX_DIM",
 ]
 
 MAX_MATRIX_DIM = 4096
-
-_EXACT_TYPES = (int, Fraction, Sqrt2Rational)
 
 # Key columns: L level, L index, I level, I index, J level, J index.  This
 # permutation turns a key (L, I, J) into the adjoint key (L, J, I).
@@ -80,15 +74,6 @@ def _object_array(values):
     return out
 
 
-def _weight_array(values):
-    """int64 for Python ints, object for other exact types, else float."""
-    if all(isinstance(c, int) for c in values):
-        return np.array(values, dtype=np.int64)
-    if all(isinstance(c, _EXACT_TYPES) for c in values):
-        return _object_array(values)
-    return np.array([float(c) for c in values], dtype=float)
-
-
 def _sorted_set(values):
     """Sorted distinct ints of an int array.
 
@@ -108,24 +93,26 @@ class ShiftSpec:
 
     The table is stored as arrays.  Row ``r`` of the ``(N, 6)`` int64 array
     ``keys`` is ``(L level, L index, I level, I index, J level, J index)``;
-    rows are in ascending order without repeats, and the coefficient of row
-    ``r`` is ``weights[r] * amplitude`` for one exact ``amplitude``.
-    Extremal and symmetrized shifts have int64 weights.  A coefficient dict
-    given to the constructor is stored with amplitude 1 and int64, object
-    (other exact types: Fraction, Sqrt2Rational) or float weights.  Exact
-    coefficients keep applications exact on exact inputs.
+    the coefficient of row ``r`` is the int64 ``weights[r]`` times one exact
+    ``amplitude`` (an int, Fraction or Sqrt2Rational), so applications stay
+    exact on exact inputs.  Rows are in ascending order without repeats:
+    the constructor sorts them and adds the weights of repeated rows.
 
     ``entries`` gives the table back as a dict that maps
     ``(L_address, I_address, J_address)`` to a coefficient, in key order;
     addresses are ``(level, index)`` pairs of the owning system.
     """
 
-    def __init__(self, system, m, n, entries):
-        keys = np.array([[*laddr, *iaddr, *jaddr]
-                         for laddr, iaddr, jaddr in entries],
-                        dtype=np.int64).reshape(-1, 6)
-        weights = _weight_array(list(entries.values()))
-        self._init(system, m, n, *_merge(keys, weights), 1)
+    def __init__(self, system, m, n, keys, weights, amplitude=1):
+        keys = np.asarray(keys, dtype=np.int64)
+        weights = np.asarray(weights)
+        if weights.ndim != 1 or keys.shape != (len(weights), 6):
+            raise DyadicError("keys must be (N, 6) rows, one per weight")
+        if len(weights) and weights.dtype.kind not in "iu":
+            raise DyadicError("weights must be integers; fractions and "
+                              "sqrt(2) go in the amplitude")
+        self._init(system, m, n, *_merge(keys, weights.astype(np.int64)),
+                   amplitude)
 
     @classmethod
     def _from_arrays(cls, system, m, n, keys, weights, amplitude):
@@ -153,33 +140,16 @@ class ShiftSpec:
         """Exact value of ``2**-((m+n)/2)``."""
         return sqrt2_pow(-(self.m + self.n))
 
-    @property
-    def exact(self):
-        """True when every coefficient is an exact number."""
-        return self.weights.dtype != float
-
     # -- coefficients ------------------------------------------------------
 
     def _distinct(self):
-        """Distinct weights, and the position of each row's weight among them.
-
-        Int64 weights are collapsed, so exact work is done once per value.
-        """
-        if self.weights.dtype == np.int64:
-            distinct = _sorted_set(self.weights)
-            return distinct, np.searchsorted(distinct, self.weights)
-        return list(self.weights), np.arange(len(self.weights))
-
-    def _exact_values(self, factor=1):
-        """Object array of ``coefficient * factor`` per row (exact tables)."""
-        distinct, inverse = self._distinct()
-        scale = self.amplitude * factor
-        return _object_array([w * scale for w in distinct])[inverse]
+        """Distinct weights, and the position of each row's weight among
+        them, so exact work is done once per value."""
+        distinct = _sorted_set(self.weights)
+        return distinct, np.searchsorted(distinct, self.weights)
 
     def _float_values(self):
         """``float(coefficient)`` per row."""
-        if not self.exact:
-            return self.weights * float(self.amplitude)
         distinct, inverse = self._distinct()
         values = np.array([float(w * self.amplitude) for w in distinct],
                           dtype=float)
@@ -191,22 +161,11 @@ class ShiftSpec:
 
         Built on first use, in key order; not for hot paths.
         """
-        coeffs = (list(self._exact_values()) if self.exact
-                  else self._float_values().tolist())
-        return {((a, b), (c, d), (e, f)): coeff
-                for (a, b, c, d, e, f), coeff in zip(self.keys.tolist(),
-                                                     coeffs)}
-
-    @property
-    def normalized_extremal(self):
-        bound = self.coefficient_bound
-        if self.exact:
-            return all(abs(as_exact(w * self.amplitude)) == bound
-                       for w in self._distinct()[0])
-        fbound = float(bound)
-        mags = np.abs(self._float_values())
-        return bool(np.all(np.abs(mags - fbound)
-                           <= 1e-12 * np.maximum(mags, fbound)))
+        distinct, inverse = self._distinct()
+        coeffs = [w * self.amplitude for w in distinct]
+        return {((a, b), (c, d), (e, f)): coeffs[i]
+                for (a, b, c, d, e, f), i in zip(self.keys.tolist(),
+                                                 inverse.tolist())}
 
     # -- validation --------------------------------------------------------
 
@@ -219,9 +178,6 @@ class ShiftSpec:
 
     def _validate(self):
         keys, depth = self.keys, self.system.depth
-        if keys.ndim != 2 or keys.shape[1] != 6 \
-                or len(keys) != len(self.weights):
-            raise DyadicError("keys must be (N, 6) rows, one per weight")
         levels, index = keys[:, 0::2], keys[:, 1::2]  # columns L, I, J
         self._reject(((levels < 0) | (levels > depth)).any(axis=1),
                      WindowError, f"level outside [0, {depth}]")
@@ -239,22 +195,14 @@ class ShiftSpec:
         self._reject((levels[:, 1] >= depth) | (levels[:, 2] >= depth),
                      DepthExhaustedError,
                      "needs Haar functions below the leaf level")
-        bound = self.coefficient_bound
-        if not self.exact:
-            mags = np.abs(self._float_values())
-            self._reject(mags > float(bound) * (1.0 + 1e-12), DyadicError,
-                         f"coefficient exceeds bound {float(bound)}")
+        if not len(keys):
             return
-        if self.weights.dtype == np.int64:
-            # one comparison: the largest |weight| times |amplitude|
-            candidates = [int(np.abs(self.weights).max())] if len(keys) else []
-        else:
-            candidates = self.weights
-        for w in candidates:
-            coeff = w * self.amplitude
-            if abs(as_exact(coeff)) > bound:
-                raise DyadicError(
-                    f"coefficient {coeff!r} exceeds bound {float(bound)}")
+        # one comparison: the largest |weight| times |amplitude|
+        coeff = int(np.abs(self.weights).max()) * self.amplitude
+        bound = self.coefficient_bound
+        if abs(as_exact(coeff)) > bound:
+            raise DyadicError(
+                f"coefficient {coeff!r} exceeds bound {float(bound)}")
 
     # -- algebra -----------------------------------------------------------
 
@@ -264,46 +212,13 @@ class ShiftSpec:
         return ShiftSpec._from_arrays(self.system, self.m, self.n, keys,
                                       weights, self.amplitude)
 
-    def __add__(self, other):
-        if not isinstance(other, ShiftSpec):
-            return NotImplemented
-        if other.system != self.system or {self.m, self.n} != {other.m, other.n}:
-            raise DyadicError("can only add shifts with matching blocks")
-        if (self.weights.dtype == other.weights.dtype == np.int64
-                and self.amplitude == other.amplitude):
-            parts, amplitude = (self.weights, other.weights), self.amplitude
-        elif self.exact and other.exact:
-            parts, amplitude = (self._exact_values(), other._exact_values()), 1
-        else:
-            parts, amplitude = (self._float_values(), other._float_values()), 1
-        keys, weights = _merge(np.concatenate([self.keys, other.keys]),
-                               np.concatenate(parts))
-        return ShiftSpec._from_arrays(self.system, self.m, self.n, keys,
-                                      weights, amplitude)
-
-    def scale(self, factor):
-        if self.exact and isinstance(factor, _EXACT_TYPES):
-            return ShiftSpec._from_arrays(self.system, self.m, self.n,
-                                          self.keys, self.weights,
-                                          factor * self.amplitude)
-        return ShiftSpec._from_arrays(self.system, self.m, self.n, self.keys,
-                                      self._float_values() * float(factor), 1)
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self):
-        """Lossless JSON form.
-
-        Each entry row is the six key integers and its weight: a JSON int
-        for int64 weights, a float for float weights, and the text of
-        :func:`dyadlab.exact.to_text` for other exact weights.  The exact
-        amplitude is written as text too.
-        """
-        if self.weights.dtype == object:
-            weights = [to_text(w) for w in self.weights]
-        else:
-            weights = self.weights.tolist()
-        rows = [[*key, w] for key, w in zip(self.keys.tolist(), weights)]
+        """Lossless JSON form: each entry row is the six key integers and
+        its integer weight; the exact amplitude is written as the text of
+        :func:`dyadlab.exact.to_text`."""
+        rows = np.column_stack([self.keys, self.weights]).tolist()
         return {"m": self.m, "n": self.n,
                 "system": self.system.to_json_dict(),
                 "amplitude": to_text(self.amplitude), "entries": rows}
@@ -311,15 +226,10 @@ class ShiftSpec:
     @classmethod
     def from_json_dict(cls, data):
         from .dyadic import DyadicSystem
-        system = DyadicSystem.from_json_dict(data["system"])
-        rows = data["entries"]
-        keys = np.array([row[:6] for row in rows],
-                        dtype=np.int64).reshape(-1, 6)
-        weights = _weight_array([from_text(row[6]) if isinstance(row[6], str)
-                                 else row[6] for row in rows])
-        return cls._from_arrays(system, data["m"], data["n"],
-                                *_merge(keys, weights),
-                                from_text(data["amplitude"]))
+        rows = np.array(data["entries"], dtype=np.int64).reshape(-1, 7)
+        return cls(DyadicSystem.from_json_dict(data["system"]), data["m"],
+                   data["n"], rows[:, :6], rows[:, 6],
+                   from_text(data["amplitude"]))
 
 
 # -- constructors --------------------------------------------------------
@@ -390,81 +300,38 @@ def _rational(x):
 def apply_shift(shift, f):
     """Apply a :class:`ShiftSpec` to a step function.
 
-    Exact when both the input values and every coefficient are exact types.
-    The entry ``(L, I, J)`` adds ``c * sqrt(|I| / |J|) / 2`` times the jump
-    of ``f`` across ``I`` to the term of ``J``; one synthesis then turns the
-    terms into leaf values.
+    Exact when the input values are exact.  The entry ``(L, I, J)`` adds
+    ``c * sqrt(|I| / |J|) / 2`` times the jump of ``f`` across ``I`` to the
+    term of ``J``; one synthesis then turns the terms into leaf values.
     """
     if f.system != shift.system:
         raise DyadicError("function and shift live on different systems")
-    exact = f.exact and shift.exact
-    src = f if exact or not f.exact else f.as_float()
+    exact = f.exact
     keys = shift.keys
-    jumps = _level_jumps(_level_means(src.values, exact))
+    jumps = _level_jumps(_level_means(f.values, exact))
     terms = [_zeros(jump.shape, exact) for jump in jumps]
     if exact:
         distinct, inverse = shift._distinct()
     else:
         coeffs = shift._float_values()
+    scaled_by_gap = {}  # per row, for one value of J level - I level
     for rows, _, ilev, jlev in _level_groups(shift):
-        # sqrt(|I|) / 2 comes from <f, h_I> and |J|**-0.5 from h_J
-        factor = sqrt2_pow(jlev - ilev) / 2
-        if exact:
-            # joins the coefficient once per distinct weight; the product is
-            # rational for extremal and symmetrized shifts
-            factor = shift.amplitude * factor
-            scaled = _object_array([_rational(w * factor)
-                                    for w in distinct])[inverse[rows]]
-        else:
-            scaled = coeffs[rows] * float(factor)
+        gap = jlev - ilev
+        if gap not in scaled_by_gap:
+            # sqrt(|I|) / 2 comes from <f, h_I> and |J|**-0.5 from h_J:
+            # together 2**(gap/2) / 2
+            factor = sqrt2_pow(gap - 2)
+            if exact:
+                # joins the coefficient once per distinct weight; the
+                # product is rational for extremal and symmetrized shifts
+                factor = _rational(shift.amplitude * factor)
+                scaled_by_gap[gap] = _object_array(
+                    [_rational(w * factor) for w in distinct])[inverse]
+            else:
+                scaled_by_gap[gap] = coeffs * float(factor)
         np.add.at(terms[jlev], keys[rows, 5],
-                  scaled[:, None] * jumps[ilev][keys[rows, 3]])
+                  scaled_by_gap[gap][rows, None] * jumps[ilev][keys[rows, 3]])
     return StepFunction(shift.system, _synthesize(terms, exact))
-
-
-# -- martingale transforms ----------------------------------------------
-
-
-@dataclass
-class SignSequence:
-    """Signs ``+-1`` attached to every non-leaf interval of a window."""
-
-    system: object
-    signs: dict
-
-    def __post_init__(self):
-        expected = {iv.address for iv in self.system.nonleaf_intervals()}
-        got = set(self.signs)
-        if got != expected:
-            raise DyadicError(
-                f"sign cover mismatch: {len(got)} given, "
-                f"{len(expected)} non-leaf intervals")
-        if any(s not in (-1, 1) for s in self.signs.values()):
-            raise DyadicError("signs must be -1 or +1")
-
-
-def random_sign_sequence(system, seed):
-    """Fair signs from one draw, in coarse-to-fine interval order."""
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=2 ** system.depth - 1).tolist()
-    intervals = system.nonleaf_intervals()
-    return SignSequence(system, {iv.address: 1 if b else -1
-                                 for iv, b in zip(intervals, bits)})
-
-
-def martingale_transform(sigma, f):
-    """``sum over I of sigma_I <f, h_I> h_I``; kills the window mean.
-
-    The term of ``I`` is ``sigma_I`` times half the jump of ``f`` across ``I``.
-    """
-    if f.system != sigma.system:
-        raise DyadicError("function and signs live on different systems")
-    half = Fraction(1, 2) if f.exact else 0.5
-    terms = []
-    for lev, jump in enumerate(_level_jumps(_level_means(f.values, f.exact))):
-        signs = np.array([sigma.signs[(lev, i)] for i in range(len(jump))])
-        terms.append(signs[:, None] * jump * half)
-    return StepFunction(f.system, _synthesize(terms, f.exact))
 
 
 # -- paraproducts --------------------------------------------------------
@@ -655,19 +522,6 @@ def _first_profile(system, lev):
     """Haar profile of the first interval of ``lev`` over its own leaves."""
     width = 2 ** (system.depth - lev)
     return haar_profile(system, system.interval(lev, 0))[:width]
-
-
-def martingale_matrix(sigma):
-    system = sigma.system
-    _check_matrix_dim(system)
-    n = system.n_leaves
-    w = float(system.leaf_width)
-    out = np.zeros((n, n))
-    for iv in system.nonleaf_intervals():
-        lo, hi = iv.leaf_span
-        prof = haar_profile(system, iv, exact=False)[lo:hi]
-        out[lo:hi, lo:hi] += sigma.signs[iv.address] * w * np.outer(prof, prof)
-    return out
 
 
 def paraproduct_matrix(phi):

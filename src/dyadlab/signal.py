@@ -167,23 +167,6 @@ class StepFunction:
                 and self.values.shape == other.values.shape
                 and bool(np.all(self.values == other.values)))
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "system": self.system.to_json_dict(),
-            "depth": self.depth,
-            "d": self.d,
-            "values": [[float(v) for v in row] for row in self.values],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        from .dyadic import DyadicSystem
-        system = DyadicSystem.from_json_dict(data["system"])
-        vals = np.asarray(data["values"], dtype=float)
-        return cls(system, vals)
-
 
 # -- Haar calculus -------------------------------------------------------
 

@@ -74,6 +74,7 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("schur-check", "--k", "-1"),
     ("lambda-equivalence", "--k", "-1"),
     ("lambda-equivalence", "--k", "0", "--martingale-trials", "0"),
+    ("lemma51", "--depth", "-1"),
 ])
 def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1

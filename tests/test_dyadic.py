@@ -151,6 +151,12 @@ def test_sample_system_level_masking():
         sample_system(0, depth=3, j_min=2, j_max=1)
 
 
+def test_sample_system_rejects_depth_below_one():
+    for depth in (0, -1):
+        with pytest.raises(DyadicError):
+            sample_system(0, depth)
+
+
 def test_sample_system_is_deterministic():
     a = sample_system((3, 4), depth=5, M=1)
     b = sample_system((3, 4), depth=5, M=1)

@@ -14,7 +14,7 @@ from dyadlab.schur import (KG_DEFAULT, AlphaSequence, LambdaMatrix,
                            random_sign_matrix, rank_one_multiplier_check,
                            schur_product, sign_multiplier_check)
 from dyadlab.bellman import tree_from_functions
-from dyadlab.dyadic import sample_system
+from dyadlab.dyadic import DyadicError, sample_system
 from dyadlab.signal import SpaceSpec, random_step_function
 
 EXACT_TOL = 1e-12
@@ -66,6 +66,13 @@ def test_random_admissible_lambda_is_admissible():
         assert A.shape == (2 ** k, 2 ** k)
         assert np.abs(A - A.T).max() < EXACT_TOL
         assert np.abs(A.sum(axis=1)).max() < 1e-9
+
+
+def test_random_admissible_lambda_rejects_k_below_one():
+    # the only admissible 1 x 1 matrix is zero, so k = 0 is no sample
+    for k in (0, -1):
+        with pytest.raises(DyadicError):
+            random_admissible_lambda(k, seed=0)
 
 
 def test_lambda_matrix_from_tree_has_zero_row_sums():

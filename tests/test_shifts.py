@@ -13,12 +13,11 @@ from dyadlab.dyadic import (DepthExhaustedError, DyadicError, DyadicSystem,
                             descendants, sample_system)
 from dyadlab.exact import Sqrt2Rational, sqrt2_pow
 from dyadlab.shifts import (ShiftSpec, apply_shift, is_self_adjoint,
-                            martingale_matrix, martingale_transform,
                             paraproduct, paraproduct_adjoint,
                             paraproduct_matrix, petermichl_shift,
-                            random_extremal_shift, random_sign_sequence,
-                            series_bound, shift_matrix, shift_slice,
-                            slice_bilinear_sides, slice_levels, symmetrize)
+                            random_extremal_shift, series_bound,
+                            shift_matrix, shift_slice, slice_bilinear_sides,
+                            slice_levels, symmetrize)
 from dyadlab.signal import (SpaceSpec, StepFunction, average, haar_coeff,
                             haar_expand, haar_profile, lp_norm,
                             pairing_integral, random_step_function)
@@ -54,33 +53,39 @@ def naive_apply(shift, f):
 
 def test_shiftspec_validates_geometry_and_bound():
     sys_ = DyadicSystem(depth=3)
-    root = sys_.root.address
-    child = (1, 0)
-    ok = ShiftSpec(sys_, 0, 1, {(root, root, child): Fraction(1, 2)})
+    half, tenth = Fraction(1, 2), Fraction(1, 10)
+    # key rows: L level, L index, I level, I index, J level, J index
+    ok = ShiftSpec(sys_, 0, 1, [[0, 0, 0, 0, 1, 0]], [1], half)
     assert ok.complexity == 2
     assert float(ok.coefficient_bound) == pytest.approx(2.0 ** -0.5)
+    assert ok.entries == {((0, 0), (0, 0), (1, 0)): half}
     # transposed block (depths (1, 0)) is admitted
-    ShiftSpec(sys_, 0, 1, {(root, child, root): Fraction(1, 2)})
-    with pytest.raises(DyadicError):
-        ShiftSpec(sys_, 0, 1, {(root, root, (2, 0)): 0.1})  # wrong depths
-    with pytest.raises(DyadicError):
-        ShiftSpec(sys_, 0, 1, {(child, root, (2, 0)): 0.1})  # not nested
-    with pytest.raises(DyadicError):
-        ShiftSpec(sys_, 0, 1, {(root, root, child): 0.8})  # above the bound
+    ShiftSpec(sys_, 0, 1, [[0, 0, 1, 0, 0, 0]], [1], half)
+    with pytest.raises(DyadicError):  # wrong depths
+        ShiftSpec(sys_, 0, 1, [[0, 0, 0, 0, 2, 0]], [1], tenth)
+    with pytest.raises(DyadicError):  # not nested
+        ShiftSpec(sys_, 0, 1, [[1, 0, 0, 0, 2, 0]], [1], tenth)
+    with pytest.raises(DyadicError):  # above the bound
+        ShiftSpec(sys_, 0, 1, [[0, 0, 0, 0, 1, 0]], [1], Fraction(4, 5))
+    with pytest.raises(DyadicError):  # repeated rows add up above the bound
+        ShiftSpec(sys_, 0, 1, [[0, 0, 0, 0, 1, 0]] * 2, [1, 1], half)
     with pytest.raises(DyadicError):
         # Haar function of a leaf-level interval does not exist
-        ShiftSpec(sys_, 0, 2, {(root, root, (2, 0)): 0.1,
-                               (root, root, (3, 0)): 0.1})
+        ShiftSpec(sys_, 0, 2, [[0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 3, 0]],
+                  [1, 1], tenth)
+    with pytest.raises(DyadicError):  # weights are integers
+        ShiftSpec(sys_, 0, 1, [[0, 0, 0, 0, 1, 0]], [0.5])
+    with pytest.raises(DyadicError):  # one key row per weight
+        ShiftSpec(sys_, 0, 1, [[0, 0, 0, 0, 1, 0]], [1, 1], tenth)
 
 
 def test_extremal_flags_and_depth_guard():
     sys_ = DyadicSystem(depth=4)
     sh = random_extremal_shift(sys_, 1, 2, seed=0)
-    assert sh.normalized_extremal
     assert sh.complexity == 3
-    assert petermichl_shift(sys_).normalized_extremal
-    half = sh.scale(Fraction(1, 2))
-    assert not half.normalized_extremal
+    for shift in (sh, petermichl_shift(sys_)):
+        assert all(abs(c) == shift.coefficient_bound
+                   for c in shift.entries.values())
     with pytest.raises(DepthExhaustedError):
         random_extremal_shift(DyadicSystem(depth=1), 1, 1, seed=0)
     with pytest.raises(DepthExhaustedError):
@@ -90,14 +95,18 @@ def test_extremal_flags_and_depth_guard():
 def test_table_algebra_keeps_exact_coefficients():
     sys_ = sample_system(21, depth=4)
     sh = random_extremal_shift(sys_, 1, 0, seed=22)
-    third = sh.scale(Fraction(1, 3))
-    total = sh + third.adjoint()
-    for (laddr, iaddr, jaddr), c in total.entries.items():
+    adj, sym = sh.adjoint(), symmetrize(sh)
+    assert set(adj.entries) == {(laddr, jaddr, iaddr)
+                                for laddr, iaddr, jaddr in sh.entries}
+    for (laddr, iaddr, jaddr), c in sym.entries.items():
         want = (sh.entries.get((laddr, iaddr, jaddr), 0)
-                + third.entries.get((laddr, jaddr, iaddr), 0))
+                + adj.entries.get((laddr, iaddr, jaddr), 0)) / 2
         assert c == want
-    sparse = ShiftSpec(sys_, 0, 1, {((1, 1), (2, 3), (1, 1)): Fraction(-1, 3),
-                                    ((0, 0), (0, 0), (1, 0)): sqrt2_pow(-3)})
+    # rows are sorted into key order; coefficients are weight * amplitude
+    sparse = ShiftSpec(sys_, 0, 1, [[1, 1, 2, 3, 1, 1], [0, 0, 0, 0, 1, 0]],
+                       [-2, 1], sqrt2_pow(-3))
+    assert sparse.entries == {((0, 0), (0, 0), (1, 0)): sqrt2_pow(-3),
+                              ((1, 1), (2, 3), (1, 1)): -2 * sqrt2_pow(-3)}
     assert list(sparse.entries) == [((0, 0), (0, 0), (1, 0)),
                                     ((1, 1), (2, 3), (1, 1))]
     f = random_step_function(sys_, seed=23, exact=True)
@@ -173,6 +182,24 @@ def test_scaling_study_report_bytes_are_frozen(tmp_path, monkeypatch):
                             .read_bytes())
     assert digest.hexdigest() == ("27c79dc375d16ba76a93dd6a2404b08f"
                                   "a8b3abda5d7a1625a8752ec1133715b8")
+
+
+# sha256 of the default reports of the two commands that run martingale
+# transforms, recorded with the separate sign-sequence implementation
+DEFAULT_REPORT_SHA256 = {
+    "identities": "44bf6268689dc9ab6c6083ec56afe486"
+                  "2db4d11f4a9d6b13817cd76128c35599",
+    "umd-probe": "b14eda85e95c23e5519e61c739a4f4f1"
+                 "bf35c0fb36499eb8c697d13cb5145abe",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_REPORT_SHA256))
+def test_default_report_bytes_are_frozen(tmp_path, command):
+    assert main([command, "--out", str(tmp_path)]) == 0
+    report = tmp_path / f"{command.replace('-', '_')}.json"
+    digest = hashlib.sha256(report.read_bytes())
+    assert digest.hexdigest() == DEFAULT_REPORT_SHA256[command]
 
 
 # -- the frozen two-step example ----------------------------------------
@@ -310,10 +337,13 @@ def test_exact_operators_equal_per_interval_sums(depth, M, d):
     assert list(coeffs) == list(coeff)
     assert all(list(coeffs[a]) == list(c) for a, c in coeff.items())
 
-    sigma = random_sign_sequence(sys_, seed=(173, depth, M + 1))
-    want = _interval_sum(sys_, d, [(prof[a], s * coeff[a])
-                                   for a, s in sigma.signs.items()])
-    assert np.array_equal(martingale_transform(sigma, f).values, want)
+    # the martingale transform: sign s on the key (L, L, L)
+    sigma = random_extremal_shift(sys_, 0, 0, seed=(173, depth, M + 1))
+    want = _interval_sum(sys_, d, [(prof[(lev, i)], s * coeff[(lev, i)])
+                                   for (lev, i, *_), s
+                                   in zip(sigma.keys.tolist(),
+                                          sigma.weights.tolist())])
+    assert np.array_equal(apply_shift(sigma, f).values, want)
 
     for k in range(1, min(depth, 3) + 1):
         sh = random_extremal_shift(sys_, *_shift_blocks(k),
@@ -375,14 +405,41 @@ def test_slice_bilinear_majorant_holds():
             assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
 
 
-# -- martingale transforms ----------------------------------------------
+# -- martingale transforms: the (0, 0) shifts --------------------------
+
+
+def _per_interval_martingale_matrix(sigma):
+    """Dense matrix of a ``(0, 0)`` shift with unit amplitude, summed
+    interval by interval: the sign of ``(L, L, L)`` times
+    ``leaf_width * outer(h_L, h_L)`` on the leaves of ``L``."""
+    assert (sigma.m, sigma.n) == (0, 0) and sigma.amplitude == 1
+    system = sigma.system
+    signs = {(lev, i): s for (lev, i, *_), s
+             in zip(sigma.keys.tolist(), sigma.weights.tolist())}
+    n = system.n_leaves
+    w = float(system.leaf_width)
+    out = np.zeros((n, n))
+    for iv in system.nonleaf_intervals():
+        lo, hi = iv.leaf_span
+        prof = haar_profile(system, iv, exact=False)[lo:hi]
+        out[lo:hi, lo:hi] += signs[iv.address] * w * np.outer(prof, prof)
+    return out
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_martingale_shift_matrix_equals_per_interval_reference(depth):
+    for M in (-1, 0, 2):
+        sys_ = sample_system((185, depth, M + 1), depth, M=M)
+        sigma = random_extremal_shift(sys_, 0, 0, seed=(186, depth, M + 1))
+        assert np.array_equal(shift_matrix(sigma),
+                              _per_interval_martingale_matrix(sigma))
 
 
 def test_transform_involution_exact():
     sys_ = sample_system(91, depth=4)
-    sigma = random_sign_sequence(sys_, seed=92)
+    sigma = random_extremal_shift(sys_, 0, 0, seed=92)
     f = random_step_function(sys_, seed=93, exact=True)
-    twice = martingale_transform(sigma, martingale_transform(sigma, f))
+    twice = apply_shift(sigma, apply_shift(sigma, f))
     mean = sum(f.values[:, 0], Fraction(0)) / sys_.n_leaves
     for i in range(sys_.n_leaves):
         assert f.values[i, 0] - twice.values[i, 0] == mean
@@ -390,10 +447,10 @@ def test_transform_involution_exact():
 
 def test_transform_is_l2_isometry_on_mean_zero():
     sys_ = sample_system(95, depth=6)
-    sigma = random_sign_sequence(sys_, seed=96)
+    sigma = random_extremal_shift(sys_, 0, 0, seed=96)
     f = random_step_function(sys_, seed=97)
     f = f - StepFunction.constant(sys_, float(np.mean(f.values)))
-    out = martingale_transform(sigma, f)
+    out = apply_shift(sigma, f)
     space = SpaceSpec(p=2.0)
     assert lp_norm(out, space) == pytest.approx(lp_norm(f, space), rel=1e-12)
 
@@ -401,45 +458,35 @@ def test_transform_is_l2_isometry_on_mean_zero():
 @pytest.mark.parametrize("depth", [8, 10])
 def test_float_transform_matches_martingale_matrix(depth):
     sys_ = sample_system((181, depth), depth, M=1)
-    sigma = random_sign_sequence(sys_, seed=(182, depth))
+    sigma = random_extremal_shift(sys_, 0, 0, seed=(182, depth))
     f = random_step_function(sys_, seed=(183, depth), d=2)
-    want = martingale_matrix(sigma) @ f.values
-    got = martingale_transform(sigma, f).values
+    want = _per_interval_martingale_matrix(sigma) @ f.values
+    got = apply_shift(sigma, f).values
     assert np.abs(got - want).max() <= MATRIX_REL_TOL * np.abs(want).max()
 
 
 @pytest.mark.parametrize("depth", [1, 3, 6, 9])
 def test_sign_sequence_matches_per_interval_draws(depth):
+    """One fair sign per non-leaf interval, drawn coarse to fine."""
     sys_ = DyadicSystem(depth=depth)
+    addresses = [list(iv.address) for iv in sys_.nonleaf_intervals()]
     for seed in (0, 92, (96, depth)):
         rng = np.random.default_rng(seed)
-        want = {iv.address: 1 if rng.integers(0, 2) else -1
-                for iv in sys_.nonleaf_intervals()}
-        assert list(random_sign_sequence(sys_, seed).signs.items()) \
-            == list(want.items())
+        want = [1 if rng.integers(0, 2) else -1 for _ in addresses]
+        sigma = random_extremal_shift(sys_, 0, 0, seed)
+        assert sigma.amplitude == 1
+        assert sigma.weights.tolist() == want
+        for cols in (slice(0, 2), slice(2, 4), slice(4, 6)):
+            assert sigma.keys[:, cols].tolist() == addresses
 
 
 def test_transform_matrix_route_agrees():
     sys_ = sample_system(98, depth=5)
-    sigma = random_sign_sequence(sys_, seed=99)
+    sigma = random_extremal_shift(sys_, 0, 0, seed=99)
     f = random_step_function(sys_, seed=100)
-    direct = martingale_transform(sigma, f).values
-    via_matrix = martingale_matrix(sigma) @ f.values
+    direct = apply_shift(sigma, f).values
+    via_matrix = _per_interval_martingale_matrix(sigma) @ f.values
     assert np.abs(direct - via_matrix).max() < AGREE_TOL
-
-
-def test_sign_sequence_cover_validation():
-    sys_ = DyadicSystem(depth=2)
-    sigma = random_sign_sequence(sys_, seed=0)
-    bad = dict(sigma.signs)
-    bad.pop((1, 1))
-    from dyadlab.shifts import SignSequence
-    with pytest.raises(DyadicError):
-        SignSequence(sys_, bad)
-    wrong = dict(sigma.signs)
-    wrong[(1, 1)] = 2
-    with pytest.raises(DyadicError):
-        SignSequence(sys_, wrong)
 
 
 # -- paraproducts --------------------------------------------------------
@@ -483,16 +530,18 @@ def test_paraproduct_decomposition_exact():
 def test_shift_json_roundtrip():
     sys_ = sample_system(141, depth=3)
     sh = random_extremal_shift(sys_, 0, 1, seed=142)
-    general = ShiftSpec(sys_, 0, 1, {((0, 0), (0, 0), (1, 0)): Fraction(1, 3),
-                                     ((0, 0), (1, 1), (0, 0)): sqrt2_pow(-3)})
-    floats = ShiftSpec(sys_, 0, 1, {((0, 0), (0, 0), (1, 1)): 0.1})
-    for shift in (sh, symmetrize(sh), general, floats):
+    rational = ShiftSpec(sys_, 0, 1, [[0, 0, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]],
+                         [2, -1], Fraction(1, 3))
+    empty = ShiftSpec(sys_, 0, 1, np.empty((0, 6)), [])
+    for shift in (sh, symmetrize(sh), rational, empty):
         data = json.loads(json.dumps(shift.to_json_dict()))
         back = ShiftSpec.from_json_dict(data)
         assert back.system == sys_
         assert list(back.entries) == list(shift.entries)
         for key, c in shift.entries.items():
             assert back.entries[key] == c
+        assert back.weights.tolist() == shift.weights.tolist()
+        assert back.amplitude == shift.amplitude
 
 
 def test_series_bound_verdicts():

@@ -213,13 +213,3 @@ def test_pointwise_product_scalar_guard():
     prod = pointwise_product(scalar, g)
     assert prod.values[0, 1] == scalar.values[0, 0] * g.values[0, 1]
 
-
-# -- serialization -------------------------------------------------------
-
-
-def test_json_roundtrip_float_function():
-    sys_ = sample_system(5, depth=3, M=1)
-    f = random_step_function(sys_, seed=8, d=2)
-    back = StepFunction.from_json_dict(f.to_json_dict())
-    assert back.system == f.system
-    assert np.array_equal(back.values, f.values)
