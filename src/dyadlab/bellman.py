@@ -51,6 +51,9 @@ MAX_AXIS_POINTS = 65
 _MAX_LAYER_PAIRS = 5_000_000_000
 # Candidate entries per block of the DP sweep (256 KiB of float64).
 _SWEEP_BLOCK = 1 << 15
+# Attempts per block of the concavity check.  The samples do not depend on
+# it; larger blocks only raise peak memory.
+_CHECK_CHUNK = 1024
 
 # Design range of the split ratios produced by quarter-bounded modulations,
 # and the wider range asserted for them downstream.
@@ -338,6 +341,9 @@ class BellmanTable:
         self.steps = (self.fs[1] - self.fs[0], self.Fs[1] - self.Fs[0],
                       self.gs[1] - self.gs[0], self.Gs[1] - self.Gs[0])
         shape = (config.n_f, config.n_F, config.n_g, config.n_G)
+        self._origin = np.array([self.fs[0], self.Fs[0], self.gs[0],
+                                 self.Gs[0]])
+        self._top = np.array(shape) - 1
         self._feasible_f = (np.abs(self.fs)[:, None] ** config.p
                             <= self.Fs[None, :])
         self._feasible_g = (np.abs(self.gs)[:, None] ** config.p_dual
@@ -424,16 +430,22 @@ class BellmanTable:
         nxt[nodes] = out
         return nxt.reshape(B.shape)
 
+    def _snap(self, states):
+        """Grid indices nearest to real states (last axis ``f, F, g, G``):
+        ties go to the even index, and indices are clipped to the grid."""
+        i = np.rint((states - self._origin) / self.steps)
+        return np.minimum(np.maximum(i, 0), self._top).astype(np.intp)
+
     def nearest_index(self, coords):
         """Grid index closest to a real state, with the snap distance."""
-        idx = []
-        dist = 0.0
-        for x, ax in zip(coords, (self.fs, self.Fs, self.gs, self.Gs)):
-            i = int(round((x - ax[0]) / (ax[1] - ax[0])))
-            i = min(max(i, 0), len(ax) - 1)
-            idx.append(i)
-            dist = max(dist, abs(float(ax[i]) - float(x)))
-        return tuple(idx), dist
+        state = np.array(coords, dtype=float)
+        if not np.isfinite(state).all():
+            raise DyadicError(f"state {tuple(coords)} is not finite")
+        idx = tuple(self._snap(state).tolist())
+        dist = max(abs(float(ax[i]) - x) for ax, i, x in
+                   zip((self.fs, self.Fs, self.gs, self.Gs), idx,
+                       state.tolist()))
+        return idx, dist
 
     def evaluate(self, t, point, bump_feasible=True):
         """Table value at the nearest grid node to ``point``.
@@ -499,65 +511,93 @@ def range_check(table, t):
             "ok": bool(lo >= 0.0 and hi <= bound + 1e-9)}
 
 
+def _grid_draws(u, shape):
+    """Offsets ``j`` and centres ``idx`` of on-grid splits from rows of
+    eight uniforms in ``[0, 1)``: ``j_k = floor(u_k (2 h_k + 1)) - h_k``
+    with ``h_k = (n_k - 1) // 2``, then ``idx_k = |j_k| + floor(u_{4+k}
+    (n_k - 2 |j_k|))``, so both ends ``idx +- j`` lie on the grid."""
+    n = np.array(shape)
+    h = (n - 1) // 2
+    # the products are nonnegative, so truncation is the floor
+    j = (u[:, :4] * (2 * h + 1)).astype(np.intp) - h
+    r = np.abs(j)
+    return j, r + (u[:, 4:] * (n - 2 * r)).astype(np.intp)
+
+
 def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
     """Sampled slack of the split inequality between layers ``t+1`` and ``t``.
 
-    On-grid parity pairs recompute exactly the candidates the DP maximised
-    over, so their slack is nonnegative.  Snapped real pairs pick up
+    Each attempt draws one split, and the samples are the first
+    ``n_samples`` accepted attempts among the first ``200 * n_samples``.
+    Attempts are drawn in blocks, but each one reads the next eight
+    uniforms of the stream, so the report does not depend on the block
+    size.
+
+    Grid mode: the offset ``j_k`` is uniform on ``-h_k..h_k`` with
+    ``h_k = (n_k - 1) // 2`` (the DP's split radius) and, given ``j``,
+    the centre ``idx_k`` is uniform on ``|j_k|..n_k - 1 - |j_k|`` (see
+    :func:`_grid_draws`); an attempt is rejected when either end
+    ``idx +- j`` is infeasible.  Every on-grid split can be drawn, not only
+    the ones in the DP's split lists, so a split the DP missed shows as a
+    negative slack.  When the DP maximised over all of them (no
+    ``max_offset``) the slack is nonnegative.
+
+    Snapped mode: ``f0, g0, F0, G0, df, dF, dg, dG`` are uniform, in this
+    order, on the boxes kept two grid steps inside the grid, and the
+    three states ``centre``, ``centre +- step`` are snapped to the nearest
+    grid nodes; an attempt is rejected when a real state is outside the
+    domain or a snapped one is infeasible.  Snapped real pairs pick up
     discretisation error: a sub-grid offset can vanish under snapping while
     its true gain survives (up to ``16 h_f h_g`` for the sampled offsets),
     and the snapped states can straddle one grid step of table variation
     (about ``4 h_f g_max + 4 h_g f_max``).  The report carries this
     ``allowance``; snapped slacks are expected above its negative.
     """
+    if n_samples < 1:
+        raise DyadicError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     upper = table.layer(t + 1)
     lower = table.layer(t)
-    shape = lower.shape
     hf, hF, hg, hG = table.steps
     cfg = table.config
+    if snapped:
+        lo = np.array([-cfg.f_max + 2 * hf, -cfg.g_max + 2 * hg, 0.0, 0.0,
+                       -2 * hf, -2 * hF, -2 * hg, -2 * hG])
+        hi = np.array([cfg.f_max - 2 * hf, cfg.g_max - 2 * hg,
+                       cfg.F_max - 2 * hF, cfg.G_max - 2 * hG,
+                       2 * hf, 2 * hF, 2 * hg, 2 * hG])
     min_slack = math.inf
     n_eval = 0
     attempts = 0
     max_attempts = 200 * n_samples
     while n_eval < n_samples and attempts < max_attempts:
-        attempts += 1
-        if not snapped:
-            j = tuple(int(rng.integers(-(n - 1) // 2, (n - 1) // 2 + 1))
-                      for n in shape)
-            idx = tuple(int(rng.integers(abs(ja), n - abs(ja)))
-                        for n, ja in zip(shape, j))
-            plus = tuple(i + ja for i, ja in zip(idx, j))
-            minus = tuple(i - ja for i, ja in zip(idx, j))
-            vp, vm, vmid = lower[plus], lower[minus], upper[idx]
-            if not (np.isfinite(vp) and np.isfinite(vm)):
-                continue
-            gain = 4.0 * abs(j[0] * hf * j[2] * hg)
-            slack = vmid - (0.5 * (vp + vm) + gain)
+        b = min(_CHECK_CHUNK, max_attempts - attempts)
+        attempts += b
+        if snapped:
+            # columns f0, g0, F0, G0, df, dF, dg, dG; states are (f, F, g, G)
+            u = rng.uniform(lo, hi, size=(b, 8))
+            centre, step = u[:, [0, 2, 1, 3]], u[:, 4:]
+            pts = np.stack([centre, centre + step, centre - step])
+            ok = ((np.abs(pts[..., 0]) ** cfg.p <= pts[..., 1])
+                  & (np.abs(pts[..., 2]) ** cfg.p_dual <= pts[..., 3])
+                  ).all(axis=0)
+            mid, plus, minus = table._snap(pts)
+            gain = 4.0 * np.abs(step[:, 0] * step[:, 2])
         else:
-            f0 = rng.uniform(-cfg.f_max + 2 * hf, cfg.f_max - 2 * hf)
-            g0 = rng.uniform(-cfg.g_max + 2 * hg, cfg.g_max - 2 * hg)
-            F0 = rng.uniform(0.0, cfg.F_max - 2 * hF)
-            G0 = rng.uniform(0.0, cfg.G_max - 2 * hG)
-            df = rng.uniform(-2 * hf, 2 * hf)
-            dF = rng.uniform(-2 * hF, 2 * hF)
-            dg = rng.uniform(-2 * hg, 2 * hg)
-            dG = rng.uniform(-2 * hG, 2 * hG)
-            pts = [(f0, F0, g0, G0), (f0 + df, F0 + dF, g0 + dg, G0 + dG),
-                   (f0 - df, F0 - dF, g0 - dg, G0 - dG)]
-            if any(abs(f) ** cfg.p > F or abs(g) ** cfg.p_dual > G
-                   for f, F, g, G in pts):
-                continue
-            evs = [table.evaluate(t + 1, pts[0], bump_feasible=False),
-                   table.evaluate(t, pts[1], bump_feasible=False),
-                   table.evaluate(t, pts[2], bump_feasible=False)]
-            if not all(np.isfinite(e["value"]) for e in evs):
-                continue
-            gain = 4.0 * abs(df * dg)
-            slack = evs[0]["value"] - (0.5 * (evs[1]["value"]
-                                              + evs[2]["value"]) + gain)
-        min_slack = min(min_slack, float(slack))
-        n_eval += 1
+            j, mid = _grid_draws(rng.random((b, 8)), lower.shape)
+            plus, minus = mid + j, mid - j
+            ok = True
+            gain = 4.0 * np.abs(j[:, 0] * hf * j[:, 2] * hg)
+        vmid = upper[tuple(mid.T)]
+        vp, vm = lower[tuple(plus.T)], lower[tuple(minus.T)]
+        ok = ok & np.isfinite(vp) & np.isfinite(vm)
+        if snapped:
+            ok &= np.isfinite(vmid)
+        rows = np.flatnonzero(ok)[:n_samples - n_eval]
+        if rows.size:
+            slack = vmid[rows] - (0.5 * (vp[rows] + vm[rows]) + gain[rows])
+            min_slack = min(min_slack, float(slack.min()))
+            n_eval += rows.size
     allowance = 0.0
     if snapped:
         allowance = (16.0 * hf * hg

@@ -1,5 +1,6 @@
 """Tests for martingale state trees, reweighting and the grid DP oracle."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -513,6 +514,13 @@ def test_evaluate_bumps_boundary_states():
     assert raw["value"] == -math.inf
 
 
+def test_evaluate_rejects_non_finite_states():
+    table = bellman_oracle(BellmanConfig(), depth=1)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DyadicError):
+            table.evaluate(1, (x, 1.0, 0.0, 1.0))
+
+
 def test_concavity_slack_on_grid_pairs():
     table = bellman_oracle(BellmanConfig(), depth=3)
     for t in (0, 1, 2):
@@ -530,6 +538,130 @@ def test_concavity_slack_snapped_pairs():
     expected = 16.0 * hf * hg + 4.0 * (hf * 2.0 + hg * 2.0)
     assert rep["allowance"] == pytest.approx(expected)
     assert rep["min_slack"] >= -rep["allowance"]
+
+
+def _scalar_snapped_check(table, t, n_samples, seed):
+    """The snapped check as one scalar draw per coordinate and one
+    rounding per axis: the reference for the stream and the snapping."""
+    rng = np.random.default_rng(seed)
+    upper, lower = table.layer(t + 1), table.layer(t)
+    hf, hF, hg, hG = table.steps
+    cfg = table.config
+    axes = (table.fs, table.Fs, table.gs, table.Gs)
+
+    def value(layer, pt):
+        idx = []
+        for x, ax in zip(pt, axes):
+            i = int(round((x - ax[0]) / (ax[1] - ax[0])))
+            idx.append(min(max(i, 0), len(ax) - 1))
+        return float(layer[tuple(idx)])
+
+    min_slack = math.inf
+    n_eval = 0
+    attempts = 0
+    while n_eval < n_samples and attempts < 200 * n_samples:
+        attempts += 1
+        f0 = rng.uniform(-cfg.f_max + 2 * hf, cfg.f_max - 2 * hf)
+        g0 = rng.uniform(-cfg.g_max + 2 * hg, cfg.g_max - 2 * hg)
+        F0 = rng.uniform(0.0, cfg.F_max - 2 * hF)
+        G0 = rng.uniform(0.0, cfg.G_max - 2 * hG)
+        df = rng.uniform(-2 * hf, 2 * hf)
+        dF = rng.uniform(-2 * hF, 2 * hF)
+        dg = rng.uniform(-2 * hg, 2 * hg)
+        dG = rng.uniform(-2 * hG, 2 * hG)
+        pts = [(f0, F0, g0, G0), (f0 + df, F0 + dF, g0 + dg, G0 + dG),
+               (f0 - df, F0 - dF, g0 - dg, G0 - dG)]
+        if any(abs(f) ** cfg.p > F or abs(g) ** cfg.p_dual > G
+               for f, F, g, G in pts):
+            continue
+        vals = [value(upper, pts[0]), value(lower, pts[1]),
+                value(lower, pts[2])]
+        if not all(np.isfinite(vals)):
+            continue
+        slack = vals[0] - (0.5 * (vals[1] + vals[2]) + 4.0 * abs(df * dg))
+        min_slack = min(min_slack, float(slack))
+        n_eval += 1
+    return min_slack, n_eval
+
+
+@pytest.fixture(scope="module")
+def grid_tables():
+    """Depth-3 tables on the 9- and 13-point grids at p = 2, 3, 3/2."""
+    tables = {}
+    for n, p in itertools.product((9, 13), (2.0, 3.0, 1.5)):
+        table = BellmanTable(BellmanConfig(p=p, n_f=n, n_F=n, n_g=n, n_G=n))
+        table.layer(3)
+        tables[n, p] = table
+    return tables
+
+
+@pytest.mark.parametrize("n_samples", [1, 200])
+def test_snapped_check_equals_scalar_reference(grid_tables, n_samples):
+    for (n, p), table in grid_tables.items():
+        for seed in range(3):
+            rep = concavity_gain_check(table, 2, n_samples=n_samples,
+                                       seed=(seed, n), snapped=True)
+            ref = _scalar_snapped_check(table, 2, n_samples, (seed, n))
+            assert (rep["min_slack"], rep["n_evaluated"]) == ref, (n, p, seed)
+
+
+@pytest.mark.parametrize("snapped", [False, True])
+def test_concavity_check_does_not_depend_on_chunk_size(monkeypatch,
+                                                       grid_tables, snapped):
+    tables = [grid_tables[9, 3.0],
+              BellmanTable(BellmanConfig(n_f=9, n_F=4, n_g=9, n_G=6))]
+    reports = []
+    for chunk in (1, 7, bellman._CHECK_CHUNK):
+        monkeypatch.setattr(bellman, "_CHECK_CHUNK", chunk)
+        reports.append([concavity_gain_check(table, 1, n_samples=n,
+                                             seed=(5, n), snapped=snapped)
+                        for table in tables for n in (1, 40)])
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_grid_draws_cover_every_split():
+    """Every offset in ``-h..h`` and, for each offset, both extreme
+    centres are drawn, on odd and even axes."""
+    shape = (9, 4, 9, 6)
+    j, idx = bellman._grid_draws(np.random.default_rng(0).random((20000, 8)),
+                                 shape)
+    for k, n in enumerate(shape):
+        h = (n - 1) // 2
+        assert set(j[:, k].tolist()) == set(range(-h, h + 1))
+        for a in range(-h, h + 1):
+            centres = idx[j[:, k] == a, k]
+            assert centres.min() == abs(a)
+            assert centres.max() == n - 1 - abs(a)
+
+
+def test_concavity_check_on_even_power_axes():
+    table = BellmanTable(BellmanConfig(n_f=9, n_F=4, n_g=9, n_G=6))
+    for seed in range(5):
+        rep = concavity_gain_check(table, 1, n_samples=200, seed=seed)
+        assert rep["n_evaluated"] == 200
+        assert rep["min_slack"] >= 0.0
+
+
+def test_concavity_check_rejects_vacuous_sample_counts():
+    table = BellmanTable(BellmanConfig(n_f=5, n_F=5, n_g=5, n_G=5))
+    for n_samples in (0, -1):
+        for snapped in (False, True):
+            with pytest.raises(DyadicError):
+                concavity_gain_check(table, 0, n_samples=n_samples,
+                                     snapped=snapped)
+
+
+def test_concavity_check_detects_a_step_without_gain():
+    """A copy whose layer ``t+1`` is layer ``t`` gains nothing from a
+    split, so grid mode must report a negative slack."""
+    table = BellmanTable(BellmanConfig(n_f=7, n_F=7, n_g=7, n_G=7))
+    for t in (0, 1):
+        assert concavity_gain_check(table, t, seed=3)["min_slack"] >= 0.0
+        broken = copy.copy(table)
+        broken._layers = table._layers[:t + 1] + [table._layers[t]]
+        rep = concavity_gain_check(broken, t, seed=3)
+        assert rep["n_evaluated"] == 200
+        assert rep["min_slack"] < 0.0
 
 
 # -- end-to-end ----------------------------------------------------------
