@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import DyadicError
 from .schur import (KG_DEFAULT, AlphaSequence, _balanced_vertices, find_alpha,
@@ -48,6 +49,8 @@ __all__ = [
 
 MAX_TABLE_DEPTH = 6
 MAX_AXIS_POINTS = 65
+# Candidate pairs each swept layer (t >= 2) may evaluate; layer 1 has a
+# closed form and sweeps none.
 _MAX_LAYER_PAIRS = 5_000_000_000
 # Candidate entries per block of the DP sweep (256 KiB of float64).
 _SWEEP_BLOCK = 1 << 15
@@ -299,16 +302,25 @@ def _plane_splits(feasible, half0, half1):
     ids = np.full(feasible.size, -1, dtype=np.intp)
     ids[nodes] = np.arange(nodes.size)
     ids = ids.reshape(feasible.shape)
+    # shifted[i, half1 + b, j] = ids[i, j + b], and -1 off the plane, so
+    # an end that leaves the plane fails the same test as an infeasible one
+    padded = np.pad(ids, ((0, 0), (half1, half1)), constant_values=-1)
+    shifted = sliding_window_view(padded, n1, axis=1)
+    bs = range(-half1, half1 + 1)
     splits = []
+    # one pass per first offset coordinate, over every b and centre at once
     for a in range(-half0, half0 + 1):
-        for b in range(-half1, half1 + 1):
-            r0, r1 = abs(a), abs(b)
-            c = ids[r0:n0 - r0, r1:n1 - r1]
-            p = ids[r0 + a:n0 - r0 + a, r1 + b:n1 - r1 + b]
-            m = ids[r0 - a:n0 - r0 - a, r1 - b:n1 - r1 - b]
-            ok = (c >= 0) & (p >= 0) & (m >= 0)
-            if ok.any():
-                splits.append(((a, b), c[ok], p[ok], m[ok]))
+        r = abs(a)
+        c = ids[r:n0 - r]
+        # axes (b, centre row, centre column), so the selections below run
+        # b first and then the centres row-major
+        p = shifted[r + a:n0 - r + a].transpose(1, 0, 2)
+        m = shifted[r - a:n0 - r - a, ::-1].transpose(1, 0, 2)
+        ok = (c >= 0) & (p >= 0) & (m >= 0)
+        ends = np.cumsum(ok.sum(axis=(1, 2))).tolist()
+        c, p, m = np.broadcast_to(c, ok.shape)[ok], p[ok], m[ok]
+        splits += [((a, b), c[s:e], p[s:e], m[s:e])
+                   for b, s, e in zip(bs, [0] + ends, ends) if e > s]
     return nodes, splits
 
 
@@ -357,8 +369,9 @@ class BellmanTable:
         # (0, 0), which pairs only with the positive (g, G) offsets
         self._f_splits = [s for s in f_splits if s[0] >= (0, 0)]
         g_positive = [s for s in g_splits if s[0] > (0, 0)]
-        # candidates one DP layer evaluates: every (f, F) split times every
-        # (g, G) split, the (f, F) offset (0, 0) only with positive ones
+        # candidates one swept layer evaluates: every (f, F) split times
+        # every (g, G) split, the (f, F) offset (0, 0) only with positive
+        # ones
         n_all = sum(s[1].size for s in g_splits)
         n_positive = sum(s[1].size for s in g_positive)
         pairs = sum(s[1].size * (n_positive if s[0] == (0, 0) else n_all)
@@ -370,6 +383,7 @@ class BellmanTable:
         self._g_all = _centre_groups(g_splits)
         self._g_positive = _centre_groups(g_positive)
         self._g_half = half[2]
+        self._nodes = np.ix_(self._f_nodes, self._g_nodes)
         self._mask = (self._feasible_f[:, :, None, None]
                       & self._feasible_g[None, None, :, :])
         self._layers = [np.where(self._mask, 0.0, -np.inf)]
@@ -379,24 +393,58 @@ class BellmanTable:
         return len(self._layers) - 1
 
     def layer(self, t):
+        """Depth-``t`` gain bound on the whole grid, ``-inf`` off the
+        domain.  Layers are built once, in order, and cached: layer 1 in
+        closed form (:meth:`_first_layer`), each later one by sweeping the
+        one before (:meth:`_dp_layer`)."""
         if t < 0:
             raise DyadicError(f"depth {t} is negative")
         if t > MAX_TABLE_DEPTH:
             raise DyadicError(
                 f"depth {t} exceeds the table cap of {MAX_TABLE_DEPTH}")
         while self.depth < t:
-            nxt = self._dp_layer(self._layers[-1])
-            nxt[~self._mask] = -np.inf
+            if self.depth == 0:
+                out = self._first_layer()
+            else:
+                out = self._dp_layer(self._layers[-1])
+            nxt = np.full(self._mask.shape, -np.inf)
+            nxt.reshape(self._feasible_f.size, -1)[self._nodes] = out
             self._layers.append(nxt)
         return self._layers[t]
 
+    def _first_layer(self):
+        """Layer 1 on the compact matrix of feasible nodes, in closed form.
+
+        Layer 0 is 0 on every feasible node, so a sweep from it would give
+        each candidate its gain alone.  The gain is the sweep's scalar
+        expression, which grows with ``|a|`` and ``|c|`` (every rounding
+        step is monotone), so the best split of a node pair pairs the
+        largest ``a`` among the (f, F) splits of its row with the largest
+        ``|c|`` among the (g, G) splits of its column.  The offset (0, 0)
+        has ``a = 0`` and so gains nothing beyond the start value.
+        """
+        amax = np.zeros(self._f_nodes.size, dtype=np.intp)
+        # the offsets run in lexicographic order, so the last write to a
+        # centre is its largest a (and a >= 0)
+        for (a, _), centre, _, _ in self._f_splits:
+            amax[centre] = a
+        # every feasible node centres the zero split, so there is one group
+        # per node, in node order
+        _, _, first, starts, _ = self._g_all
+        cmax = np.maximum.reduceat(np.abs(first), starts)
+        hf, hg = self.steps[0], self.steps[2]
+        gains = np.array([[4.0 * abs(a * hf * c * hg)
+                           for c in range(cmax.max() + 1)]
+                          for a in range(amax.max() + 1)])
+        return gains[amax[:, None], cmax]
+
     def _dp_layer(self, B):
-        """One depth step: maximise over symmetric on-grid splits whose
-        ends are feasible, on the compact matrix of feasible nodes (rows
-        in the (f, F) plane, columns in the (g, G) plane)."""
-        n_f, n_F, n_g, n_G = B.shape
-        nodes = np.ix_(self._f_nodes, self._g_nodes)
-        H = B.reshape(n_f * n_F, n_g * n_G)[nodes]
+        """Layer ``t + 1`` from layer ``t = B`` (used for ``t >= 1``), on
+        the compact matrix of feasible nodes (rows in the (f, F) plane,
+        columns in the (g, G) plane): every node keeps its value or takes
+        the best split of it whose ends are feasible, the mean of the two
+        end values plus the split's gain."""
+        H = B.reshape(self._feasible_f.size, -1)[self._nodes]
         out = H.copy()
         hf, hg = self.steps[0], self.steps[2]
         cs = range(-self._g_half, self._g_half + 1)
@@ -426,9 +474,7 @@ class BellmanTable:
                 best = np.maximum.reduceat(cand, starts, axis=1)
                 cell = np.ix_(centre[s:s + step], cols)
                 out[cell] = np.maximum(out[cell], best)
-        nxt = np.full((n_f * n_F, n_g * n_G), -np.inf)
-        nxt[nodes] = out
-        return nxt.reshape(B.shape)
+        return out
 
     def _snap(self, states):
         """Grid indices nearest to real states (last axis ``f, F, g, G``):
@@ -511,13 +557,16 @@ def range_check(table, t):
             "ok": bool(lo >= 0.0 and hi <= bound + 1e-9)}
 
 
-def _grid_draws(u, shape):
+def _grid_draws(u, shape, max_offset=None):
     """Offsets ``j`` and centres ``idx`` of on-grid splits from rows of
     eight uniforms in ``[0, 1)``: ``j_k = floor(u_k (2 h_k + 1)) - h_k``
-    with ``h_k = (n_k - 1) // 2``, then ``idx_k = |j_k| + floor(u_{4+k}
-    (n_k - 2 |j_k|))``, so both ends ``idx +- j`` lie on the grid."""
+    with ``h_k = (n_k - 1) // 2``, capped at ``max_offset`` when one is
+    given (the DP's split radius), then ``idx_k = |j_k| + floor(u_{4+k} (n_k - 2 |j_k|))``, so both ends
+    ``idx +- j`` lie on the grid."""
     n = np.array(shape)
     h = (n - 1) // 2
+    if max_offset is not None:
+        h = np.minimum(h, max_offset)
     # the products are nonnegative, so truncation is the floor
     j = (u[:, :4] * (2 * h + 1)).astype(np.intp) - h
     r = np.abs(j)
@@ -534,13 +583,14 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
     size.
 
     Grid mode: the offset ``j_k`` is uniform on ``-h_k..h_k`` with
-    ``h_k = (n_k - 1) // 2`` (the DP's split radius) and, given ``j``,
-    the centre ``idx_k`` is uniform on ``|j_k|..n_k - 1 - |j_k|`` (see
+    ``h_k = (n_k - 1) // 2``, capped at the table's ``max_offset`` when it
+    has one (the DP's split radius either way), and, given ``j``, the
+    centre ``idx_k`` is uniform on ``|j_k|..n_k - 1 - |j_k|`` (see
     :func:`_grid_draws`); an attempt is rejected when either end
-    ``idx +- j`` is infeasible.  Every on-grid split can be drawn, not only
-    the ones in the DP's split lists, so a split the DP missed shows as a
-    negative slack.  When the DP maximised over all of them (no
-    ``max_offset``) the slack is nonnegative.
+    ``idx +- j`` is infeasible.  Every on-grid split within that radius
+    can be drawn, not only the ones in the DP's split lists, so a split
+    the DP missed shows as a negative slack; when the DP maximised over
+    all of them the slack is nonnegative.
 
     Snapped mode: ``f0, g0, F0, G0, df, dF, dg, dG`` are uniform, in this
     order, on the boxes kept two grid steps inside the grid, and the
@@ -584,7 +634,8 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
             mid, plus, minus = table._snap(pts)
             gain = 4.0 * np.abs(step[:, 0] * step[:, 2])
         else:
-            j, mid = _grid_draws(rng.random((b, 8)), lower.shape)
+            j, mid = _grid_draws(rng.random((b, 8)), lower.shape,
+                                 cfg.max_offset)
             plus, minus = mid + j, mid - j
             ok = True
             gain = 4.0 * np.abs(j[:, 0] * hf * j[:, 2] * hg)

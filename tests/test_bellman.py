@@ -408,9 +408,13 @@ def reference_layer(B, hf, hg, max_offset):
     dict(n_f=9, n_F=9, n_g=9, n_G=9, max_offset=2),
     dict(p=2.5, f_max=1.5, F_max=3.0, g_max=3.0, G_max=5.0,
          n_f=7, n_F=11, n_g=9, n_G=5),
+    dict(n_f=9, n_F=4, n_g=9, n_G=6),
+    dict(n_f=3, n_F=2, n_g=3, n_G=2),
+    dict(p=4.0, n_f=9, n_F=9, n_g=9, n_G=9),
 ], ids=["p2", "p3", "p1.5", "non-square", "max-offset-1", "max-offset-2",
-        "box"])
+        "box", "even-power-axes", "smallest", "p4"])
 def test_dp_layers_match_reference_loop(kwargs):
+    """Layer 1 (closed form) and layers 2, 3 (swept) against the loop."""
     cfg = BellmanConfig(**kwargs)
     table = BellmanTable(cfg)
     hf, hg = table.steps[0], table.steps[2]
@@ -419,6 +423,46 @@ def test_dp_layers_match_reference_loop(kwargs):
         ref = reference_layer(ref, hf, hg, cfg.max_offset)
         ref[~table._mask] = -np.inf
         assert table.layer(t).tobytes() == ref.tobytes(), t
+
+
+def offset_loop_splits(feasible, half0, half1):
+    """Symmetric splits of one plane, one offset ``(a, b)`` at a time."""
+    n0, n1 = feasible.shape
+    nodes = np.flatnonzero(feasible)
+    ids = np.full(feasible.size, -1, dtype=np.intp)
+    ids[nodes] = np.arange(nodes.size)
+    ids = ids.reshape(feasible.shape)
+    splits = []
+    for a in range(-half0, half0 + 1):
+        for b in range(-half1, half1 + 1):
+            r0, r1 = abs(a), abs(b)
+            c = ids[r0:n0 - r0, r1:n1 - r1]
+            p = ids[r0 + a:n0 - r0 + a, r1 + b:n1 - r1 + b]
+            m = ids[r0 - a:n0 - r0 - a, r1 - b:n1 - r1 - b]
+            ok = (c >= 0) & (p >= 0) & (m >= 0)
+            if ok.any():
+                splits.append(((a, b), c[ok], p[ok], m[ok]))
+    return nodes, splits
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_plane_splits_match_offset_loop(p):
+    """Same offsets in the same order and equal arrays, on odd, even and
+    non-square planes, with full and capped radii."""
+    for n0, n1 in [(9, 9), (13, 13), (9, 4), (7, 11), (5, 2), (3, 6)]:
+        feasible = (np.abs(np.linspace(-2.0, 2.0, n0))[:, None] ** p
+                    <= np.linspace(0.0, 4.0, n1)[None, :])
+        for cap in (None, 0, 1, 2):
+            half = [(n - 1) // 2 for n in (n0, n1)]
+            if cap is not None:
+                half = [min(h, cap) for h in half]
+            nodes, splits = bellman._plane_splits(feasible, *half)
+            ref_nodes, ref = offset_loop_splits(feasible, *half)
+            assert np.array_equal(nodes, ref_nodes)
+            assert [s[0] for s in splits] == [s[0] for s in ref]
+            for got, want in zip(splits, ref):
+                for x, y in zip(got[1:], want[1:]):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_criterion_4_table_bytes_are_frozen():
@@ -595,6 +639,21 @@ def grid_tables():
     return tables
 
 
+def test_benchmark_table_bytes_are_frozen(grid_tables):
+    """sha256 of layers 0..3 of the 13-point tables at p = 2, 3, 3/2 (the
+    largest ones the benchmark builds), recorded with every layer swept."""
+    want = {
+        2.0: "95bd1366352cba9205ec417840a6d543186f38a62a2705493f83f33977f20348",
+        3.0: "7eab36eefd88229725db7701c8ac6e88558b76c79ca8a1b5b6191dd0c9a27889",
+        1.5: "9e458882eb9fb33a5d8af772fe6e7358ca6d5506f95fd205586ea92353897b3b",
+    }
+    for p, hexdigest in want.items():
+        digest = hashlib.sha256()
+        for t in range(4):
+            digest.update(grid_tables[13, p].layer(t).tobytes())
+        assert digest.hexdigest() == hexdigest, p
+
+
 @pytest.mark.parametrize("n_samples", [1, 200])
 def test_snapped_check_equals_scalar_reference(grid_tables, n_samples):
     for (n, p), table in grid_tables.items():
@@ -621,17 +680,19 @@ def test_concavity_check_does_not_depend_on_chunk_size(monkeypatch,
 
 def test_grid_draws_cover_every_split():
     """Every offset in ``-h..h`` and, for each offset, both extreme
-    centres are drawn, on odd and even axes."""
+    centres are drawn, on odd and even axes, with the radius ``h`` capped
+    by ``max_offset`` or not."""
     shape = (9, 4, 9, 6)
-    j, idx = bellman._grid_draws(np.random.default_rng(0).random((20000, 8)),
-                                 shape)
-    for k, n in enumerate(shape):
-        h = (n - 1) // 2
-        assert set(j[:, k].tolist()) == set(range(-h, h + 1))
-        for a in range(-h, h + 1):
-            centres = idx[j[:, k] == a, k]
-            assert centres.min() == abs(a)
-            assert centres.max() == n - 1 - abs(a)
+    u = np.random.default_rng(0).random((20000, 8))
+    for cap in (None, 2):
+        j, idx = bellman._grid_draws(u, shape, cap)
+        for k, n in enumerate(shape):
+            h = (n - 1) // 2 if cap is None else min((n - 1) // 2, cap)
+            assert set(j[:, k].tolist()) == set(range(-h, h + 1))
+            for a in range(-h, h + 1):
+                centres = idx[j[:, k] == a, k]
+                assert centres.min() == abs(a)
+                assert centres.max() == n - 1 - abs(a)
 
 
 def test_concavity_check_on_even_power_axes():
@@ -653,15 +714,31 @@ def test_concavity_check_rejects_vacuous_sample_counts():
 
 def test_concavity_check_detects_a_step_without_gain():
     """A copy whose layer ``t+1`` is layer ``t`` gains nothing from a
-    split, so grid mode must report a negative slack."""
-    table = BellmanTable(BellmanConfig(n_f=7, n_F=7, n_g=7, n_G=7))
-    for t in (0, 1):
-        assert concavity_gain_check(table, t, seed=3)["min_slack"] >= 0.0
-        broken = copy.copy(table)
-        broken._layers = table._layers[:t + 1] + [table._layers[t]]
-        rep = concavity_gain_check(broken, t, seed=3)
-        assert rep["n_evaluated"] == 200
-        assert rep["min_slack"] < 0.0
+    split, so grid mode must report a negative slack, also on tables with
+    a capped split radius."""
+    for kwargs in (dict(n_f=7, n_F=7, n_g=7, n_G=7),
+                   dict(n_f=9, n_F=9, n_g=9, n_G=9, max_offset=1),
+                   dict(n_f=9, n_F=9, n_g=9, n_G=9, max_offset=2)):
+        table = BellmanTable(BellmanConfig(**kwargs))
+        for t in (0, 1, 2):
+            assert concavity_gain_check(table, t, seed=3)["min_slack"] >= 0.0
+            broken = copy.copy(table)
+            broken._layers = table._layers[:t + 1] + [table._layers[t]]
+            rep = concavity_gain_check(broken, t, seed=3)
+            assert rep["n_evaluated"] == 200
+            assert rep["min_slack"] < 0.0, (kwargs, t)
+
+
+def test_concavity_check_on_capped_tables():
+    """Grid mode draws offsets within the table's ``max_offset``, the
+    splits the DP maximised over."""
+    for cap in (1, 2):
+        table = BellmanTable(BellmanConfig(n_f=9, n_F=9, n_g=9, n_G=9,
+                                           max_offset=cap))
+        for t, seed in itertools.product((1, 2), range(3)):
+            rep = concavity_gain_check(table, t, seed=seed)
+            assert rep["n_evaluated"] == 200
+            assert rep["min_slack"] >= 0.0, (cap, t, seed)
 
 
 # -- end-to-end ----------------------------------------------------------
