@@ -18,6 +18,7 @@ output directory defaults to ``$DYADLAB_OUT`` or ``./dyadlab-out``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -449,7 +450,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on the first call and shared by later ones
+    (parsing keeps no state between calls)."""
     parser = _Parser(prog="dyadlab",
                      description="dyadic window experiment driver")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)

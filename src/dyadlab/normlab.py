@@ -7,14 +7,15 @@ so no reweighting is needed.
 
 Lower bounds for ``p``-norms come from a nonlinear power iteration that
 alternates the matrix with the duality maps of the mixed norm
-``L^p(l^q)``; the objective is monotone along the iteration and every
-reported value is attained by an explicit witness vector.
+``L^p(l^q)``, with one pass per vector for its norm and duality map; the
+objective is monotone along the iteration and every reported value is
+attained by an explicit witness vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -58,28 +59,28 @@ class NormEstimate:
         return self.upper - self.lower
 
 
-def _mixed_norm(x, p, q, d):
-    X = np.abs(np.asarray(x, float).reshape(-1, d))
-    cells = (X ** q).sum(axis=1) ** (1.0 / q)
-    return float((cells ** p).sum() ** (1.0 / p))
+def _norm_dual(v, p, q, d):
+    """Mixed norm ``N = |v|_{p,q}`` and the functional attaining it.
 
-
-def _dual_map(y, p, q, d):
-    """Unit-norm functional attaining the mixed norm of ``y``.
-
-    Returns ``w`` with ``<w, y> = |y|_{p,q}`` and ``|w|_{p',q'} = 1``; zero
-    cells map to zero rows.
+    One pass over the cell norms gives ``(N, w)`` with ``<w, v> = N`` and
+    ``|w|_{p',q'} = 1``; zero cells map to zero rows, and ``w = 0`` unless
+    ``0 < N < inf``.
     """
-    Y = np.asarray(y, float).reshape(-1, d)
-    absY = np.abs(Y)
-    u = (absY ** q).sum(axis=1) ** (1.0 / q)
+    if d > 1:
+        v = v.reshape(-1, d)
+    absv = np.abs(v)
+    u = (absv ** q if d == 1 else (absv ** q).sum(axis=1)) ** (1.0 / q)
     N = float((u ** p).sum() ** (1.0 / p))
-    if N == 0.0:
-        return np.zeros(Y.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(u > 0.0, u ** (p - q), 0.0)
-    W = factor[:, None] * absY ** (q - 1.0) * np.sign(Y) / N ** (p - 1.0)
-    return W.ravel()
+    if not 0.0 < N < math.inf:
+        return N, np.zeros(v.size)
+    if p < q:  # u ** (p - q) is infinite on zero cells
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.where(u > 0.0, u ** (p - q), 0.0)
+    else:
+        factor = u ** (p - q)
+    w = ((factor if d == 1 else factor[:, None]) * absv ** (q - 1.0)
+         * np.sign(v) / N ** (p - 1.0))
+    return N, w.ravel()
 
 
 def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None,
@@ -90,49 +91,52 @@ def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None,
     Extra start vectors can be supplied; random restarts fill the rest.  The
     objective ``|A x| / |x|`` never decreases along an iteration (checked up
     to roundoff; a decrease raises ``RuntimeError``) and the best witness is
-    kept across restarts.  At least one start vector and one iteration are
-    needed, or there is no witness.
+    kept across restarts, or the first unit start for the zero operator.
+    Bad shapes, non-finite entries, a zero start, no start vector or no
+    iteration raise ``DyadicError``.
     """
     if restarts + len(starts or []) < 1:
         raise DyadicError("power iteration needs at least one start vector")
     if iters < 1:
         raise DyadicError("power iteration needs at least one step")
     A = np.asarray(A, float)
-    n = A.shape[1]
     d = space.d
-    if n % d:
-        raise DyadicError(f"matrix size {n} is not a multiple of d={d}")
+    if A.ndim != 2 or A.size == 0 or A.shape[0] % d or A.shape[1] % d:
+        raise DyadicError(f"matrix shape {A.shape} does not fit d={d}")
+    n = A.shape[1]
     p, q = float(space.p), float(space.q)
     pd, qd = float(space.p_dual), float(space.q_dual)
     rng = np.random.default_rng(seed)
     inits = [np.asarray(s, float) for s in (starts or [])]
-    while len(inits) < max(restarts, len(inits)):
-        inits.append(rng.standard_normal(n))
+    if any(s.shape != (n,) for s in inits):
+        raise DyadicError(f"start vectors must have shape ({n},)")
+    inits += [rng.standard_normal(n) for _ in range(restarts - len(inits))]
     best_val = 0.0
     best_wit = None
     total_iters = 0
     for x0 in inits:
-        nx = _mixed_norm(x0, p, q, d)
-        if nx == 0.0:
-            continue
+        nx = _norm_dual(x0, p, q, d)[0]
+        if not 0.0 < nx < math.inf:
+            raise DyadicError("a start vector has zero or non-finite norm")
         x = x0 / nx
         prev = -math.inf
         for _ in range(iters):
             total_iters += 1
             y = A @ x
-            obj = _mixed_norm(y, p, q, d)
+            obj, w = _norm_dual(y, p, q, d)
+            if not math.isfinite(obj):
+                raise DyadicError("power-iteration objective is not finite")
             if obj < prev - _MONOTONE_SLACK * max(1.0, abs(prev)):
                 raise RuntimeError("power-iteration objective decreased")
-            if obj > best_val:
+            if obj > best_val or best_wit is None:
                 best_val = obj
                 best_wit = x.copy()
             if obj == 0.0 or obj - prev <= tol * max(1.0, obj):
                 break
             prev = obj
-            z = A.T @ _dual_map(y, p, q, d)
-            if _mixed_norm(z, pd, qd, d) == 0.0:
+            nz, x = _norm_dual(A.T @ w, pd, qd, d)
+            if nz == 0.0:
                 break
-            x = _dual_map(z, pd, qd, d)
     return NormEstimate(lower=best_val, upper=math.inf,
                         method="nonlinear_power_iteration",
                         iterations=total_iters, witness=best_wit)
@@ -168,8 +172,8 @@ def umd_probe(depth=6, p=4.0, q=2.0, d=1, trials=12, seed=0, restarts=4,
         if best is None or est.lower > best[1].lower:
             best = (t, est, M)
     best_trial, best_est, best_matrix = best
-    dual_start = _dual_map(best_matrix @ best_est.witness,
-                           float(p), float(q), d)
+    dual_start = _norm_dual(best_matrix @ best_est.witness,
+                            float(p), float(q), d)[1]
     dual_est = opnorm_lp_lower(best_matrix, space.dual(), restarts=restarts,
                                iters=iters, seed=(seed, best_trial, 2),
                                starts=[dual_start])
@@ -209,13 +213,7 @@ class ScalingReport:
     within_factor_10: bool = False
 
     def to_json_dict(self):
-        return {
-            "p": self.p, "depth": self.depth, "trials": self.trials,
-            "seed": self.seed, "reference": self.reference,
-            "rows": self.rows, "fitted_c": self.fitted_c,
-            "homogeneity_ratio": self.homogeneity_ratio,
-            "within_factor_10": self.within_factor_10,
-        }
+        return asdict(self)
 
     def to_csv(self):
         lines = ["k,m,n,max_lower,implied_c"]

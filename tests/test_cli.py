@@ -137,6 +137,33 @@ def test_missing_config_file_exits_1(tmp_path):
                str(tmp_path / "nope.cfg")) == 1
 
 
+def test_cached_parser_keeps_no_option_between_calls(tmp_path):
+    """``main`` builds its parser once per process; no option of one call
+    may reach a later one."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("depth = 3\ntrials = 2\nseed = 5\n")
+    runs = {"config": ["identities", "--config", str(cfg)],
+            "plain": ["identities", "--trials", "1"]}
+
+    def report(name, argv):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        return (out / "identities.json").read_bytes()
+
+    fresh = {}
+    for key, argv in runs.items():
+        cli._build_parser.cache_clear()
+        fresh[key] = report(f"fresh-{key}", argv)
+    assert report("config-then", runs["config"]) == fresh["config"]
+    assert report("plain-after-config", runs["plain"]) == fresh["plain"]
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", "--bogus", "3"])
+    assert exc.value.code == 1
+    assert report("plain-after-bad-flag", runs["plain"]) == fresh["plain"]
+    assert report("config-after-bad-flag", runs["config"]) == fresh["config"]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 # -- report files --------------------------------------------------------
 
 

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab.dyadic import DyadicError
+from dyadlab.dyadic import DyadicError, sample_system
 from dyadlab.normlab import (NormEstimate, ScalingReport,
                              discrete_hilbert_transform, hilbert_demo,
                              opnorm_lp_lower, shift_scaling_study, umd_probe)
-from dyadlab.normlab import _dual_map, _mixed_norm
+from dyadlab.normlab import _norm_dual
+from dyadlab.shifts import random_extremal_shift, shift_matrix, symmetrize
 from dyadlab.signal import SpaceSpec
 
 # widest residual allowed when the fitted kernel model is declared a match
@@ -17,6 +18,10 @@ DEMO_RESIDUAL_TOL = 0.1
 
 
 # -- mixed norms and duality maps ---------------------------------------
+
+
+def _mixed_norm(x, p, q, d):
+    return _norm_dual(np.asarray(x, float), p, q, d)[0]
 
 
 def test_mixed_norm_reduces_to_vector_norms():
@@ -33,12 +38,100 @@ def test_dual_map_attains_the_norm():
     rng = np.random.default_rng(5)
     for p, q, d in ((2.0, 2.0, 1), (4.0, 2.0, 2), (1.5, 3.0, 3)):
         y = rng.standard_normal(12)
-        w = _dual_map(y, p, q, d)
+        norm, w = _norm_dual(y, p, q, d)
         space = SpaceSpec(p=p, q=q, d=d)
-        assert w @ y == pytest.approx(_mixed_norm(y, p, q, d), rel=1e-12)
+        assert norm == _ref_mixed_norm(y, p, q, d)
+        assert w @ y == pytest.approx(norm, rel=1e-12)
         assert _mixed_norm(w, space.p_dual, space.q_dual, d) == \
             pytest.approx(1.0, rel=1e-12)
-    assert np.all(_dual_map(np.zeros(4), 2.0, 2.0, 1) == 0.0)
+    norm, w = _norm_dual(np.zeros(4), 2.0, 2.0, 1)
+    assert norm == 0.0 and np.all(w == 0.0)
+
+
+# The power iteration as it ran with one mixed-norm pass per norm and per
+# duality map (four norms per step).  The fused loop must reproduce it bit
+# for bit.
+
+def _ref_mixed_norm(x, p, q, d):
+    X = np.abs(np.asarray(x, float).reshape(-1, d))
+    cells = (X ** q).sum(axis=1) ** (1.0 / q)
+    return float((cells ** p).sum() ** (1.0 / p))
+
+
+def _ref_dual_map(y, p, q, d):
+    Y = np.asarray(y, float).reshape(-1, d)
+    absY = np.abs(Y)
+    u = (absY ** q).sum(axis=1) ** (1.0 / q)
+    N = float((u ** p).sum() ** (1.0 / p))
+    if N == 0.0:
+        return np.zeros(Y.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(u > 0.0, u ** (p - q), 0.0)
+    W = factor[:, None] * absY ** (q - 1.0) * np.sign(Y) / N ** (p - 1.0)
+    return W.ravel()
+
+
+def _ref_opnorm_lp_lower(A, space, restarts, iters, seed, tol=1e-11):
+    n, d = A.shape[1], space.d
+    p, q = float(space.p), float(space.q)
+    pd, qd = float(space.p_dual), float(space.q_dual)
+    rng = np.random.default_rng(seed)
+    inits = [rng.standard_normal(n) for _ in range(restarts)]
+    best_val, best_wit, total_iters = 0.0, None, 0
+    for x0 in inits:
+        nx = _ref_mixed_norm(x0, p, q, d)
+        if nx == 0.0:
+            continue
+        x = x0 / nx
+        prev = -math.inf
+        for _ in range(iters):
+            total_iters += 1
+            y = A @ x
+            obj = _ref_mixed_norm(y, p, q, d)
+            if obj > best_val:
+                best_val, best_wit = obj, x.copy()
+            if obj == 0.0 or obj - prev <= tol * max(1.0, obj):
+                break
+            prev = obj
+            z = A.T @ _ref_dual_map(y, p, q, d)
+            if _ref_mixed_norm(z, pd, qd, d) == 0.0:
+                break
+            x = _ref_dual_map(z, pd, qd, d)
+    return best_val, total_iters, best_wit
+
+
+def _fused_loop_matrices():
+    mats = []
+    for depth in (4, 5, 6, 7, 8):
+        k = 1 + depth % 4
+        shift = random_extremal_shift(sample_system((depth, 3), depth),
+                                      k - 1, k - 1, seed=(depth, 4))
+        mats.append(shift_matrix(symmetrize(shift)))
+    rng = np.random.default_rng(41)
+    mats.append(rng.standard_normal((48, 48)))
+    # zero rows and columns give zero cells on both sides of the iteration
+    holes = rng.standard_normal((48, 48))
+    holes[[3, 4, 17], :] = 0.0
+    holes[:, [0, 1, 30]] = 0.0
+    mats.append(holes)
+    return mats
+
+
+@pytest.mark.parametrize("p, q, d", [
+    (4.0, 2.0, 1), (4.0 / 3.0, 2.0, 1), (1.5, 2.0, 1), (2.0, 2.0, 1),
+    (4.0, 1.5, 2), (3.0, 3.0, 2), (3.0, 1.5, 1),
+])
+def test_fused_power_iteration_is_bit_identical(p, q, d):
+    space = SpaceSpec(p=p, q=q, d=d)
+    for i, A in enumerate(_fused_loop_matrices()):
+        for seed in (0, 1):
+            est = opnorm_lp_lower(A, space, restarts=3, iters=60,
+                                  seed=(seed, i))
+            lower, iterations, witness = _ref_opnorm_lp_lower(
+                A, space, restarts=3, iters=60, seed=(seed, i))
+            assert est.lower == lower
+            assert est.iterations == iterations
+            assert est.witness.tobytes() == witness.tobytes()
 
 
 # -- operator norms ------------------------------------------------------
@@ -80,7 +173,8 @@ def test_opnorm_lp_decrease_raises(monkeypatch):
     ``python -O`` keeps the check."""
     import dyadlab.normlab as normlab
     norms = iter([1.0, 2.0, 1.0, 1.0])  # start, step 1, dual, step 2
-    monkeypatch.setattr(normlab, "_mixed_norm", lambda *args: next(norms))
+    monkeypatch.setattr(normlab, "_norm_dual",
+                        lambda v, *args: (next(norms), np.ones(v.size)))
     with pytest.raises(RuntimeError, match="decreased"):
         opnorm_lp_lower(np.eye(2), SpaceSpec(p=2.0), restarts=1, iters=5)
 
@@ -88,6 +182,55 @@ def test_opnorm_lp_decrease_raises(monkeypatch):
 def test_opnorm_lp_dimension_guard():
     with pytest.raises(DyadicError):
         opnorm_lp_lower(np.zeros((5, 5)), SpaceSpec(p=2.0, d=2))
+
+
+def test_opnorm_lp_zero_operator_keeps_its_first_start():
+    est = opnorm_lp_lower(np.zeros((4, 4)), SpaceSpec(p=2.0))
+    assert est.lower == 0.0
+    x0 = np.random.default_rng(0).standard_normal(4)
+    assert est.witness is not None
+    assert est.witness.tobytes() == (x0 / _mixed_norm(x0, 2.0, 2.0, 1)) \
+        .tobytes()
+
+
+def test_opnorm_lp_rejects_nan_matrix():
+    A = np.eye(4)
+    A[1, 2] = math.nan
+    with pytest.raises(DyadicError, match="not finite"):
+        opnorm_lp_lower(A, SpaceSpec(p=4.0), restarts=2, iters=10)
+
+
+def test_opnorm_lp_rejects_inf_entry():
+    A = np.eye(4)
+    A[0, 3] = math.inf
+    with pytest.raises(DyadicError, match="not finite"):
+        opnorm_lp_lower(A, SpaceSpec(p=4.0), restarts=2, iters=10)
+
+
+def test_opnorm_lp_rejects_one_dimensional_matrix():
+    with pytest.raises(DyadicError, match="shape"):
+        opnorm_lp_lower(np.ones(4), SpaceSpec(p=2.0))
+
+
+def test_opnorm_lp_rejects_rows_that_split_a_cell():
+    # 4 columns hold two cells, but 3 rows do not
+    with pytest.raises(DyadicError, match="shape"):
+        opnorm_lp_lower(np.ones((3, 4)), SpaceSpec(p=2.0, d=2))
+
+
+def test_opnorm_lp_rejects_start_of_wrong_length():
+    with pytest.raises(DyadicError, match="start"):
+        opnorm_lp_lower(np.eye(4), SpaceSpec(p=2.0), restarts=1,
+                        starts=[np.ones(3)])
+
+
+@pytest.mark.parametrize("start", [np.zeros(4),
+                                   np.array([1.0, math.inf, 0.0, 0.0])])
+def test_opnorm_lp_rejects_start_without_a_unit_multiple(start):
+    # neither a zero start nor one of infinite norm scales to norm 1
+    with pytest.raises(DyadicError, match="start"):
+        opnorm_lp_lower(np.eye(4), SpaceSpec(p=4.0), restarts=0,
+                        starts=[start])
 
 
 def test_norm_estimate_width():

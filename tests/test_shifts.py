@@ -202,6 +202,16 @@ def test_default_report_bytes_are_frozen(tmp_path, command):
     assert digest.hexdigest() == DEFAULT_REPORT_SHA256[command]
 
 
+def test_vector_umd_probe_report_bytes_are_frozen(tmp_path):
+    # the d > 1, q != 2 branch of the power iteration and of the dual start;
+    # sha256 recorded with one mixed-norm pass per norm and per duality map
+    assert main(["umd-probe", "--depth", "4", "--d", "2", "--q", "1.5",
+                 "--trials", "2", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "umd_probe.json").read_bytes())
+    assert digest.hexdigest() == ("2e4f0e03042c579a640de72203a0c3a6"
+                                  "82bac8c7466b0f7a224dd9174d5b7c16")
+
+
 # -- the frozen two-step example ----------------------------------------
 
 
