@@ -30,8 +30,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import DyadicError
-from .schur import (KG_DEFAULT, AlphaSequence, _balanced_vertices, find_alpha,
-                    lambda_matrix, norm1_lower)
+from .schur import (KG_DEFAULT, AlphaSequence, _balanced_vertices,
+                    _best_quadratic, find_alpha, lambda_matrix, norm1_lower)
 from .signal import _level_means
 
 __all__ = [
@@ -666,9 +666,7 @@ def _quarter_alpha(lam):
     A = lam.as_float()
     n = A.shape[0]
     if n <= 16:
-        vecs = _balanced_vertices(n)
-        vals = np.abs(np.einsum("ij,jk,ik->i", vecs, A, vecs))
-        best = vecs[int(np.argmax(vals))]
+        best = _best_quadratic(_balanced_vertices(n), A)[1]
     else:
         _, rep = norm1_lower(lam)
         best = rep["alpha"]

@@ -63,8 +63,10 @@ def _norm_dual(v, p, q, d):
     """Mixed norm ``N = |v|_{p,q}`` and the functional attaining it.
 
     One pass over the cell norms gives ``(N, w)`` with ``<w, v> = N`` and
-    ``|w|_{p',q'} = 1``; zero cells map to zero rows, and ``w = 0`` unless
-    ``0 < N < inf``.
+    ``|w|_{p',q'} = 1``; zero cells map to zero rows.  When the powers leave
+    the float range (``N`` rounds to 0 or inf) on a finite nonzero ``v``, a
+    second pass on ``v / max|v|`` gives ``w``, and its norm times ``max|v|``
+    gives ``N``; otherwise ``w = 0`` unless ``0 < N < inf``.
     """
     if d > 1:
         v = v.reshape(-1, d)
@@ -72,6 +74,10 @@ def _norm_dual(v, p, q, d):
     u = (absv ** q if d == 1 else (absv ** q).sum(axis=1)) ** (1.0 / q)
     N = float((u ** p).sum() ** (1.0 / p))
     if not 0.0 < N < math.inf:
+        top = float(absv.max())  # nan when v holds a nan
+        if 0.0 < top < math.inf:
+            N, w = _norm_dual(v.ravel() / top, p, q, d)
+            return N * top, w
         return N, np.zeros(v.size)
     if p < q:  # u ** (p - q) is infinite on zero cells
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,7 +13,8 @@ is the ``(0, 0)`` shift with the sign ``sigma_L`` on the key ``(L, L, L)``.
 
 Sums over ``L`` include exactly the intervals whose Haar functions ``h_I`` and
 ``h_J`` exist inside the window, i.e. ``level(L) <= depth - complexity``.
-Operators annihilate the window mean and produce mean-zero output.
+Operators annihilate the window mean and produce mean-zero output.  Shifts
+apply as one scatter in heap order; its key order keeps per-level float sums.
 """
 
 from __future__ import annotations
@@ -303,35 +304,34 @@ def apply_shift(shift, f):
     Exact when the input values are exact.  The entry ``(L, I, J)`` adds
     ``c * sqrt(|I| / |J|) / 2`` times the jump of ``f`` across ``I`` to the
     term of ``J``; one synthesis then turns the terms into leaf values.
+    In heap order (row ``2**level + index``), one sequential ``np.add.at``
+    adds the rows in key order: each ``J`` sums in (L level, I level, I) order.
     """
     if f.system != shift.system:
         raise DyadicError("function and shift live on different systems")
     exact = f.exact
     keys = shift.keys
     jumps = _level_jumps(_level_means(f.values, exact))
-    terms = [_zeros(jump.shape, exact) for jump in jumps]
-    if exact:
-        distinct, inverse = shift._distinct()
+    heap = np.concatenate([_zeros((1, f.d), exact), *jumps])  # row 0 unused
+    gaps = keys[:, 4] - keys[:, 2]  # n - m or m - n, by the two blocks
+    gap_set = sorted({shift.n - shift.m, shift.m - shift.n})
+    distinct, inverse = shift._distinct()
+    # sqrt(|I|) / 2 comes from <f, h_I> and |J|**-0.5 from h_J: together
+    # 2**(gap/2) / 2, joined to each distinct weight once per gap
+    if exact:  # the products are rational for extremal and symmetrized shifts
+        factors = [_rational(shift.amplitude * sqrt2_pow(g - 2))
+                   for g in gap_set]
+        coef = _object_array([_rational(w * c) for c in factors
+                              for w in distinct])
     else:
-        coeffs = shift._float_values()
-    scaled_by_gap = {}  # per row, for one value of J level - I level
-    for rows, _, ilev, jlev in _level_groups(shift):
-        gap = jlev - ilev
-        if gap not in scaled_by_gap:
-            # sqrt(|I|) / 2 comes from <f, h_I> and |J|**-0.5 from h_J:
-            # together 2**(gap/2) / 2
-            factor = sqrt2_pow(gap - 2)
-            if exact:
-                # joins the coefficient once per distinct weight; the
-                # product is rational for extremal and symmetrized shifts
-                factor = _rational(shift.amplitude * factor)
-                scaled_by_gap[gap] = _object_array(
-                    [_rational(w * factor) for w in distinct])[inverse]
-            else:
-                scaled_by_gap[gap] = coeffs * float(factor)
-        np.add.at(terms[jlev], keys[rows, 5],
-                  scaled_by_gap[gap][rows, None] * jumps[ilev][keys[rows, 3]])
-    return StepFunction(shift.system, _synthesize(terms, exact))
+        coef = np.array([float(w * shift.amplitude) * float(sqrt2_pow(g - 2))
+                         for g in gap_set for w in distinct])
+    coef = coef[np.searchsorted(gap_set, gaps) * len(distinct) + inverse]
+    terms = _zeros(heap.shape, exact)
+    np.add.at(terms, (1 << keys[:, 4]) + keys[:, 5],
+              coef[:, None] * heap[(1 << keys[:, 2]) + keys[:, 3]])
+    return StepFunction(shift.system, _synthesize(
+        [terms[1 << lev:2 << lev] for lev in range(len(jumps))], exact))
 
 
 # -- paraproducts --------------------------------------------------------

@@ -233,6 +233,23 @@ def test_opnorm_lp_rejects_start_without_a_unit_multiple(start):
                         starts=[start])
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e-90])
+def test_opnorm_lp_scales_past_the_float_range_of_the_powers(scale):
+    # |x|**4 overflows at 1e80 and underflows at 1e-90; the norm does not
+    with np.errstate(over="ignore"):  # the unscaled first pass overflows
+        est = opnorm_lp_lower(np.eye(4) * scale, SpaceSpec(p=4.0))
+    assert est.lower == pytest.approx(scale, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("value", [1e300, 1e-100])
+def test_opnorm_lp_accepts_starts_past_the_float_range_of_the_powers(value):
+    with np.errstate(over="ignore"):
+        est = opnorm_lp_lower(np.eye(4), SpaceSpec(p=4.0), restarts=0,
+                              starts=[np.full(4, value)])
+    assert est.lower == pytest.approx(1.0, rel=1e-12)
+    assert _mixed_norm(est.witness, 4.0, 4.0, 1) == pytest.approx(1.0)
+
+
 def test_norm_estimate_width():
     est = NormEstimate(lower=1.0, upper=1.5, method="x", iterations=3)
     assert est.width == pytest.approx(0.5)

@@ -314,6 +314,36 @@ def test_float_apply_matches_shift_matrix(depth, k):
         assert np.abs(got - want).max() <= MATRIX_REL_TOL * np.abs(want).max()
 
 
+# sha256 of apply_shift(shift, f).values.tobytes() on float inputs for a
+# random extremal shift and its symmetrization, recorded with the apply that
+# looped over (L level, I level, J level) groups; keys (depth, k, d)
+FLOAT_APPLY_SHA256 = {
+    (8, 3, 2): ("a340b540df2d5038fc07f4add0733232"
+                "a3e5a752236262835ee94f727972676a",
+                "7ba4749d8eeeab9cda6c04dd7768df8e"
+                "a893285616dc75b625596f1775110912"),
+    (10, 5, 1): ("d2abb116842e3c684cfed852112fad2c"
+                 "21c404453d009e37ebc49c21120c8ae4",
+                 "c081feee6d18e9b04d59469ec6d704b3"
+                 "286ecc50feb7366536ff5b214f57eaf3"),
+    (12, 5, 1): ("3bc8aa5f5a35eb48f7f2cda84c5863a0"
+                 "82a45eeee715954c8f5f743100dcd549",
+                 "f37a0190471c033d8fd063d6cfe91a9c"
+                 "2aad96ca6ab2387c08561a835e93869b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_APPLY_SHA256))
+def test_float_apply_bytes_are_frozen(case):
+    depth, k, d = case
+    sys_ = sample_system((181, depth, k), depth)
+    f = random_step_function(sys_, seed=(182, depth, k), d=d)
+    sh = random_extremal_shift(sys_, *_shift_blocks(k), seed=(183, depth, k))
+    digests = tuple(hashlib.sha256(apply_shift(shift, f).values.tobytes())
+                    .hexdigest() for shift in (sh, symmetrize(sh)))
+    assert digests == FLOAT_APPLY_SHA256[case]
+
+
 # -- exact per-interval references --------------------------------------
 
 
@@ -326,6 +356,38 @@ def _interval_sum(system, d, terms):
         lo, hi = interval.leaf_span
         out[lo:hi] += np.outer(profile[lo:hi], vector)
     return out
+
+
+def _edge_shifts():
+    """Tables no other apply test reaches: an empty one, a rational
+    amplitude on rows with gaps +1 and -1, and two on a depth-1 window."""
+    sys3, sys1 = sample_system(141, depth=3), sample_system(143, depth=1)
+    return [ShiftSpec(sys3, 0, 1, np.empty((0, 6)), []),
+            ShiftSpec(sys3, 0, 1, [[0, 0, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0]],
+                      [2, -1], Fraction(1, 3)),
+            random_extremal_shift(sys1, 0, 0, seed=144),
+            ShiftSpec(sys1, 0, 0, np.empty((0, 6)), [])]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("case", range(4))
+def test_apply_edge_tables_in_both_modes(case, d):
+    shift = _edge_shifts()[case]
+    system = shift.system
+    f = random_step_function(system, seed=(145, case, d), d=d, exact=True)
+    want = _interval_sum(system, d, [
+        ((system.interval(*jaddr),
+          haar_profile(system, system.interval(*jaddr), exact=True)),
+         c * haar_coeff(f, system.interval(*iaddr)))
+        for (_, iaddr, jaddr), c in shift.entries.items()])
+    exact_out = apply_shift(shift, f).values
+    assert np.array_equal(exact_out, want)
+    ff = f.as_float()
+    got, naive = apply_shift(shift, ff).values, naive_apply(shift, ff).values
+    assert np.abs(got - naive).max() <= AGREE_TOL * max(1.0,
+                                                        np.abs(naive).max())
+    if not len(shift.keys):
+        assert not got.any() and not exact_out.any()
 
 
 @pytest.mark.parametrize("d", [1, 2])
