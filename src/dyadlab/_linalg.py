@@ -7,7 +7,10 @@ import numpy as np
 __all__ = ["spectral_norm_power"]
 
 
-def spectral_norm_power(A, tol=1e-10, max_iter=5000, seed=0):
+_MAX_ITER = 5000
+
+
+def spectral_norm_power(A, tol=1e-10):
     """Largest singular value via power iteration on the Gram matrix.
 
     Returns ``(value, iterations)``.  The value is a Rayleigh-quotient lower
@@ -19,12 +22,12 @@ def spectral_norm_power(A, tol=1e-10, max_iter=5000, seed=0):
         return 0.0, 0
     gram = A.T @ A
     n = gram.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x = np.ones(n) + 1e-3 * rng.standard_normal(n)
     x /= np.linalg.norm(x)
     prev = 0.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         y = gram @ x
         norm_y = np.linalg.norm(y)
         if norm_y == 0.0:

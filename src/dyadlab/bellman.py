@@ -30,8 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import DyadicError
-from .schur import (KG_DEFAULT, AlphaSequence, _balanced_vertices,
-                    _best_quadratic, find_alpha, lambda_matrix, norm1_lower)
+from .schur import AlphaSequence, find_alpha, lambda_matrix
 from .signal import _level_means
 
 __all__ = [
@@ -525,16 +524,12 @@ _TABLE_CACHE = {}
 _TABLE_CACHE_SIZE = 4
 
 
-def bellman_oracle(config=None, depth=0, **overrides):
+def bellman_oracle(config, depth=0):
     """Shared table for a grid configuration, computed up to ``depth``.
 
     The cache keeps the ``_TABLE_CACHE_SIZE`` most recently used
     configurations and drops the least recently used one.
     """
-    if config is None:
-        config = BellmanConfig(**overrides)
-    elif overrides:
-        raise DyadicError("pass either a config or keyword overrides")
     table = _TABLE_CACHE.pop(config, None)
     if table is None:
         table = BellmanTable(config)
@@ -660,22 +655,22 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
 # -- the cell-decomposition yield check ---------------------------------
 
 
-def _quarter_alpha(lam):
-    """Balanced ``+-1/4`` modulation (exact fractions) maximising the
-    quadratic form; falls back to ranking the ascent witness for large k."""
-    A = lam.as_float()
-    n = A.shape[0]
-    if n <= 16:
-        best = _best_quadratic(_balanced_vertices(n), A)[1]
-    else:
-        _, rep = norm1_lower(lam)
-        best = rep["alpha"]
-    order = np.argsort(best, kind="stable")
-    arr = np.empty(n, dtype=object)
-    arr[:] = Fraction(-1, 4)
-    for i in order[n // 2:]:
-        arr[i] = Fraction(1, 4)
-    return AlphaSequence(arr)
+def _exact_alpha(alpha):
+    """Exact copy of a float modulation.
+
+    ``Fraction`` of a float is exact, so only the balance residual of the
+    float entries is off; it moves onto the entry farthest from ``+-1/4``
+    among those that stay in ``[-1/4, 1/4]`` when they absorb it.
+    """
+    vals = np.empty(alpha.n, dtype=object)
+    vals[:] = [Fraction(x) for x in alpha.values.tolist()]
+    excess = sum(vals)
+    if excess:
+        i = min((i for i, v in enumerate(vals)
+                 if abs(v - excess) <= Fraction(1, 4)),
+                key=lambda i: abs(vals[i]))
+        vals[i] -= excess
+    return AlphaSequence(vals)
 
 
 def _auto_config(tree, space):
@@ -693,25 +688,28 @@ def _auto_config(tree, space):
 
 
 def lemma51_verify(f, g, space, k=1, bellman_depth=None, config=None,
-                   seed=0, kg=KG_DEFAULT, restarts=32, iters=400):
+                   seed=0):
     """End-to-end yield check for one pair of functions at cell depth ``k``.
 
-    Builds the martingale state tree, extracts the depth-``k`` interaction
-    matrix, optimises the balanced modulation and reports ``achieved_c``
-    against the reference threshold; verifies the reweighting invariants
-    (exactly on exact trees); and compares the total interaction weight with
-    the oracle drop between the root state and the mean of its depth-``k``
-    cell states.
+    Builds the martingale state tree and its depth-``k`` interaction matrix
+    ``Lambda``, and picks one balanced modulation ``alpha`` with
+    :func:`find_alpha` (``seed`` steers its ascent above size 8).  That
+    same ``alpha`` gives ``achieved_c`` against the reference threshold and
+    drives the reweighting checks of :func:`modified_points` (split-ratio
+    range, telescoping product, and the pairing identity, exactly on exact
+    trees, where ``alpha`` is made exact first).  For scalar values the
+    total interaction weight is compared with the oracle drop between the
+    root state and the mean of its depth-``k`` cell states.
     """
     tree = tree_from_functions(f, g, space)
     if not 1 <= k <= tree.depth:
         raise DyadicError(f"cell depth {k} outside 1..{tree.depth}")
     lam = lambda_matrix(tree, k)
-    sum_abs = float(lam.abs_sum())
-    _, alpha_report = find_alpha(lam, kg=kg, restarts=restarts, iters=iters,
-                                 seed=seed)
-    quarter = _quarter_alpha(lam)
-    mod = modified_points(tree, quarter, k=k, lam=lam)
+    alpha, alpha_report = find_alpha(lam, seed=seed)
+    sum_abs = alpha_report["sum_abs_lambda"]
+    if tree.exact:
+        alpha = _exact_alpha(alpha)
+    mod = modified_points(tree, alpha, k=k, lam=lam)
 
     report = {
         "k": k,

@@ -138,7 +138,7 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
             sym = symmetrize(shift)
             ok_b = True
             for j in range(sym.complexity):
-                lhs_b, rhs_b = slice_bilinear_sides(shift_slice(sym, j), f, g)
+                lhs_b, rhs_b = slice_bilinear_sides(sym, j, f, g)
                 ok_b = ok_b and lhs_b <= rhs_b + _BILINEAR_TOL * max(
                     1.0, abs(rhs_b))
             results["slice_bilinear_majorant"] = ok_b

@@ -136,11 +136,10 @@ class DyadicSystem:
     def leaves(self):
         return self.intervals(self.depth)
 
-    def nonleaf_intervals(self, max_level=None):
+    def nonleaf_intervals(self):
         """All intervals strictly above the leaf level, coarse to fine."""
-        stop = self.depth if max_level is None else max_level + 1
         out = []
-        for lev in range(min(stop, self.depth)):
+        for lev in range(self.depth):
             out.extend(self.intervals(lev))
         return out
 
@@ -189,10 +188,6 @@ class DyadicInterval:
         return self.left + self.length
 
     @property
-    def midpoint(self):
-        return self.left + self.length / 2
-
-    @property
     def is_leaf(self):
         return self.level == self.system.depth
 
@@ -211,17 +206,6 @@ class DyadicInterval:
         if self.level == 0:
             raise WindowError("window root has no parent inside the window")
         return DyadicInterval(self.system, self.level - 1, self.index // 2)
-
-    def sibling(self):
-        return DyadicInterval(self.system, self.level, self.index ^ 1)
-
-    def contains(self, other):
-        if other.system != self.system or other.level < self.level:
-            return False
-        return other.index >> (other.level - self.level) == self.index
-
-    def __contains__(self, x):
-        return self.left <= x < self.right
 
 
 def children(interval):
@@ -250,26 +234,16 @@ def descendants(interval, n):
             for i in range(1 << n)]
 
 
-def sample_system(seed, depth, M=0, base_origin=0, j_min=None, j_max=None):
-    """Draw translation bits i.i.d. uniform on {0, 1}.
+def sample_system(seed, depth, M=0, base_origin=0):
+    """A window of depth ``depth`` and length ``2**M`` whose ``depth``
+    translation bits are i.i.d. uniform on {0, 1}.
 
-    ``j_min``/``j_max`` select which global levels (length ``2**-j`` at level
-    ``j``) receive random bits; stored levels are ``1-M .. depth-M`` and levels
-    outside the requested range keep bit 0.  Deterministic in ``seed``; a
-    sequence seed such as ``(master, trial)`` gives independent per-trial
-    streams.
+    Deterministic in ``seed``; a sequence seed such as ``(master, trial)``
+    gives independent per-trial streams.
     """
     if depth < 1:
         raise DyadicError("depth must be >= 1")
-    if j_min is not None and j_max is not None and j_min > j_max:
-        raise DyadicError(f"j_min {j_min} > j_max {j_max}")
-    lo = 1 - M if j_min is None else max(j_min, 1 - M)
-    hi = depth - M if j_max is None else min(j_max, depth - M)
     rng = np.random.default_rng(seed)
-    raw = rng.integers(0, 2, size=depth)
-    bits = []
-    for t in range(1, depth + 1):
-        j = t - M
-        bits.append(int(raw[t - 1]) if lo <= j <= hi else 0)
+    bits = tuple(int(b) for b in rng.integers(0, 2, size=depth))
     return DyadicSystem(base_origin=Fraction(base_origin), M=M, depth=depth,
-                        omega=tuple(bits))
+                        omega=bits)

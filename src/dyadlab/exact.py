@@ -38,15 +38,6 @@ class Sqrt2Rational:
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(2.0)
 
-    @property
-    def is_rational(self):
-        return self.b == 0
-
-    def to_fraction(self):
-        if self.b != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return self.a
-
     # -- arithmetic ------------------------------------------------------
 
     @staticmethod

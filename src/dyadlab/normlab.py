@@ -38,6 +38,9 @@ __all__ = [
 # Allowed one-step decrease of the power-iteration objective before the run
 # is considered broken (float roundoff only).
 _MONOTONE_SLACK = 1e-9
+# A start stops once one step raises the objective by at most this much
+# (relative to max(1, objective)).
+_STALL_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +92,7 @@ def _norm_dual(v, p, q, d):
     return N, w.ravel()
 
 
-def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None,
-                    tol=1e-11):
+def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None):
     """Witnessed lower bound for the ``L^p(l^q)`` operator norm of ``A``.
 
     Vectors of length ``n`` are read as ``n / d`` cells of ``d`` components.
@@ -137,7 +139,7 @@ def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None,
             if obj > best_val or best_wit is None:
                 best_val = obj
                 best_wit = x.copy()
-            if obj == 0.0 or obj - prev <= tol * max(1.0, obj):
+            if obj == 0.0 or obj - prev <= _STALL_TOL * max(1.0, obj):
                 break
             prev = obj
             nz, x = _norm_dual(A.T @ w, pd, qd, d)

@@ -153,7 +153,7 @@ def lambda_matrix(tree, k):
     return LambdaMatrix(A + A.T, k)
 
 
-def random_admissible_lambda(k, seed, scale=1.0):
+def random_admissible_lambda(k, seed):
     """Centered random symmetric matrix: admissible and generically full rank.
 
     Needs ``k >= 1``: the only admissible 1 x 1 matrix is zero.
@@ -165,7 +165,7 @@ def random_admissible_lambda(k, seed, scale=1.0):
     G = rng.standard_normal((n, n))
     S = (G + G.T) / 2.0
     H = np.eye(n) - np.full((n, n), 1.0 / n)
-    return LambdaMatrix(scale * (H @ S @ H), k)
+    return LambdaMatrix(H @ S @ H, k)
 
 
 # -- norm2: bilinear sign-box sup ---------------------------------------
@@ -408,7 +408,7 @@ def _candidate_matrices(n, trials, rng):
         yield f"rank_one_{t}", np.outer(u, v)
 
 
-def multiplier_norm_report(A, trials=25, seed=0, tol=1e-10):
+def multiplier_norm_report(A, trials=25, seed=0):
     """Lower bound for the Schur multiplier norm of ``A``.
 
     Probes structured and random test matrices ``M`` and reports the largest
@@ -424,7 +424,7 @@ def multiplier_norm_report(A, trials=25, seed=0, tol=1e-10):
         denom = float(np.linalg.norm(M, 2))
         if denom < 1e-12:
             continue
-        numer, _ = spectral_norm_power(schur_product(A, M), tol=tol)
+        numer, _ = spectral_norm_power(schur_product(A, M))
         ratio = numer / denom
         if ratio > best["value"]:
             best = {"value": float(ratio), "witness": name}
@@ -439,12 +439,13 @@ def multiplier_norm_lower(A, trials=25, seed=0):
 # -- packaged checks ----------------------------------------------------
 
 
-def equivalence_report(lam, restarts=32, iters=400, seed=0, upper_factor=192.0):
+def equivalence_report(lam, restarts=32, iters=400, seed=0):
     """Compare the sign-box norm with the balanced quadratic norm.
 
     The inequality ``norm2 >= 16 * norm1`` holds for every admissible matrix
     (any feasible quadratic witness splits into a bilinear sign pair); the
-    reported upper comparison probes the reverse direction empirically.
+    reported upper comparison ``norm2 <= 192 * norm1`` probes the reverse
+    direction empirically.
     ``restarts`` and ``iters`` reach ``norm1_lower`` and matter only above
     size 8.
     """
@@ -458,7 +459,7 @@ def equivalence_report(lam, restarts=32, iters=400, seed=0, upper_factor=192.0):
         "norm1_method": rep1["method"],
         "ratio": ratio,
         "lower_ok": bool(rep2["value"] >= 16.0 * val1 * (1.0 - 1e-9)),
-        "upper_ok": bool(rep2["value"] <= upper_factor * val1 * (1.0 + 1e-6)),
+        "upper_ok": bool(rep2["value"] <= 192.0 * val1 * (1.0 + 1e-6)),
     }
 
 
@@ -525,37 +526,31 @@ def sign_multiplier_check(k, trials=4, seed=0):
 # -- the modulation pick ------------------------------------------------
 
 
-def find_alpha(lam, kg=KG_DEFAULT, restarts=32, iters=400, seed=0):
+def find_alpha(lam, restarts=32, iters=400, seed=0):
     """Modulation sequence maximising ``|alpha^T Lambda alpha|`` and its yield.
 
     Returns ``(AlphaSequence, report)``.  The report carries
     ``achieved_c = |alpha^T Lambda alpha| * 2**(k/2) / sum|lambda|`` together
-    with the reference threshold ``1 / (192 * kg)``.  Up to size 8 the pick
-    is the exact maximiser; ``restarts`` and ``iters`` apply only above size
-    8 (see ``norm1_lower``).
+    with the reference threshold ``1 / (192 * KG_DEFAULT)``.  Up to size 8
+    the pick is the exact maximiser; ``restarts`` and ``iters`` apply only
+    above size 8 (see ``norm1_lower``).
     """
-    value, inner = norm1_lower(lam, restarts=restarts, iters=iters, seed=seed)
-    sum_abs = lam.abs_sum() if isinstance(lam, LambdaMatrix) \
-        else float(np.abs(np.asarray(lam, float)).sum())
-    sum_abs_f = float(sum_abs)
-    k = lam.k if isinstance(lam, LambdaMatrix) else None
-    if k is None:
+    if not isinstance(lam, LambdaMatrix):
         raise ValueError("find_alpha needs a LambdaMatrix with its depth tag")
-    threshold = 1.0 / (192.0 * kg)
-    if sum_abs_f <= 0.0:
-        report = {"achieved_c": math.inf, "degenerate": True,
-                  "sum_abs_lambda": 0.0, "threshold": threshold,
-                  "quad_value": value, "method": inner["method"],
-                  "meets_threshold": True}
-        return AlphaSequence(np.zeros(2 ** k)), report
-    achieved = value * 2.0 ** (k / 2.0) / sum_abs_f
+    value, inner = norm1_lower(lam, restarts=restarts, iters=iters, seed=seed)
+    sum_abs = float(lam.abs_sum())
+    degenerate = sum_abs <= 0.0
+    achieved = (math.inf if degenerate
+                else value * 2.0 ** (lam.k / 2.0) / sum_abs)
+    threshold = 1.0 / (192.0 * KG_DEFAULT)
     report = {
         "achieved_c": achieved,
-        "degenerate": False,
-        "sum_abs_lambda": sum_abs_f,
+        "degenerate": degenerate,
+        "sum_abs_lambda": sum_abs,
         "quad_value": value,
         "threshold": threshold,
         "meets_threshold": bool(achieved >= threshold),
         "method": inner["method"],
     }
-    return AlphaSequence(inner["alpha"]), report
+    alpha = np.zeros(lam.n) if degenerate else inner["alpha"]
+    return AlphaSequence(alpha), report

@@ -384,11 +384,12 @@ def slice_levels(M, depth, j, k):
     return [lev for lev in range(depth + 1) if (M - lev - j) % k == 0]
 
 
-def shift_slice(shift, j, k=None):
-    """Restrict a shift to base intervals L with ``|L| = 2**(j + k*t)``."""
-    k = shift.complexity if k is None else k
+def shift_slice(shift, j):
+    """Restrict a shift to base intervals L with ``|L| = 2**(j + k*t)``,
+    where ``k`` is the complexity of the shift."""
     keep = np.isin(shift.keys[:, 0],
-                   slice_levels(shift.system.M, shift.system.depth, j, k))
+                   slice_levels(shift.system.M, shift.system.depth, j,
+                                shift.complexity))
     return ShiftSpec._from_arrays(shift.system, shift.m, shift.n,
                                   shift.keys[keep], shift.weights[keep],
                                   shift.amplitude)
@@ -415,21 +416,23 @@ def is_self_adjoint(shift, tol=0.0):
     return not bool(np.any(np.abs(gaps) > tol))
 
 
-def slice_bilinear_sides(slice_shift_, f, g):
-    """Both sides of the averaged bound for one slice of a self-adjoint shift.
+def slice_bilinear_sides(shift, j, f, g):
+    """Both sides of the averaged bound for slice ``j`` of a self-adjoint
+    shift of complexity ``k``.
 
-    Returns ``(lhs, rhs)`` where ``lhs = 2 |<S_j f, g>|`` and ``rhs`` sums,
-    over every base interval L of the slice whose complexity subtree fits,
+    Returns ``(lhs, rhs)`` where ``lhs = 2 |<S_j f, g>|`` for the slice
+    ``S_j = shift_slice(shift, j)`` and ``rhs`` sums, over every base
+    interval L of slice ``j`` whose complexity subtree fits,
 
         |L| * sum over P, Q of | <u_P, v_Q> + <u_Q, v_P> |
 
     with ``u_P = (mean_P f - mean_L f) / 2**k`` over the ``2**k`` cells
     ``P`` of L at depth ``k``, and ``v_Q`` likewise for ``g``.  For slices of
-    self-adjoint shifts ``lhs <= rhs``.
+    self-adjoint shifts ``lhs <= rhs``; an empty slice gives ``(0, 0)``.
     """
-    k = slice_shift_.complexity
+    k = shift.complexity
     ff, gg = f.as_float(), g.as_float()
-    out = apply_shift(slice_shift_, ff)
+    out = apply_shift(shift_slice(shift, j), ff)
     w = float(f.system.leaf_width)
     lhs = 2.0 * abs(float((out.values * gg.values).sum() * w))
 
@@ -437,8 +440,7 @@ def slice_bilinear_sides(slice_shift_, f, g):
     means_f = _level_means(ff.values, False)
     means_g = _level_means(gg.values, False)
     rhs = 0.0
-    for lev in slice_levels(system.M, system.depth,
-                            _slice_index(slice_shift_, k), k):
+    for lev in slice_levels(system.M, system.depth, j, k):
         if lev + k > system.depth:
             continue
         # one (2**k, d) block per base interval L of the level
@@ -449,14 +451,6 @@ def slice_bilinear_sides(slice_shift_, f, g):
         rhs += 2.0 ** (system.M - lev) * float(
             np.abs(A + A.transpose(0, 2, 1)).sum())
     return lhs, rhs
-
-
-def _slice_index(shift, k):
-    """Recover the slice index j from the populated base levels."""
-    js = {(shift.system.M - lev) % k for lev in set(shift.keys[:, 0].tolist())}
-    if len(js) > 1:
-        raise DyadicError("entries span more than one slice")
-    return js.pop() if js else 0
 
 
 # -- matrices ------------------------------------------------------------

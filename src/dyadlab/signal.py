@@ -124,10 +124,6 @@ class StepFunction:
     def exact(self):
         return self.values.dtype == object
 
-    @property
-    def n_cells(self):
-        return self.values.shape[0]
-
     def copy(self):
         return StepFunction(self.system, self.values.copy())
 
@@ -332,18 +328,16 @@ def pointwise_product(phi, f):
 # -- test signals --------------------------------------------------------
 
 
-def random_step_function(system, seed, d=1, exact=False, vmax=4, denom_exp=3):
-    """Random leaf values; dyadic rationals in exact mode, uniform otherwise."""
+def random_step_function(system, seed, d=1, exact=False):
+    """Random leaf values in ``[-4, 4]``: multiples of 1/8 in exact mode,
+    uniform otherwise."""
     rng = np.random.default_rng(seed)
     if exact:
-        den = 2 ** denom_exp
-        nums = rng.integers(-vmax * den, vmax * den + 1,
-                            size=(system.n_leaves, d))
+        nums = rng.integers(-32, 33, size=(system.n_leaves, d))
         vals = np.empty((system.n_leaves, d), dtype=object)
         for i in range(system.n_leaves):
             for j in range(d):
-                vals[i, j] = Fraction(int(nums[i, j]), den)
+                vals[i, j] = Fraction(int(nums[i, j]), 8)
         return StepFunction(system, vals)
-    vals = rng.uniform(-vmax, vmax, size=(system.n_leaves, d))
+    vals = rng.uniform(-4, 4, size=(system.n_leaves, d))
     return StepFunction(system, vals)
-

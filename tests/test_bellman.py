@@ -16,7 +16,7 @@ from dyadlab.bellman import (BellmanConfig, BellmanTable, MartingalePoint,
                              tree_from_functions)
 from dyadlab.dyadic import DyadicError, DyadicSystem, sample_system
 from dyadlab.schur import (AlphaSequence, _project_balanced_box,
-                           lambda_matrix)
+                           find_alpha, lambda_matrix)
 from dyadlab.signal import SpaceSpec, StepFunction, random_step_function
 
 ROOT2_OVER_16 = math.sqrt(2.0) / 16.0
@@ -346,14 +346,12 @@ def test_table_depth_cap():
         table.layer(-1)
 
 
-def test_oracle_cache_and_override_guard():
+def test_oracle_cache_shares_one_table_per_config():
     cfg = BellmanConfig(n_f=5, n_F=5, n_g=5, n_G=5)
     a = bellman_oracle(cfg, depth=1)
     b = bellman_oracle(cfg, depth=2)
     assert a is b
     assert b.depth >= 2
-    with pytest.raises(DyadicError):
-        bellman_oracle(cfg, depth=1, p=2.0)
 
 
 def test_oracle_cache_keeps_most_recent_configs(monkeypatch):
@@ -766,6 +764,38 @@ def test_lemma51_verify_k2():
     assert report["identity_exact"]
     if not report["degenerate"]:
         assert report["c_emp"] > 0.0
+
+
+def test_lemma51_checks_run_on_the_find_alpha_witness():
+    """One modulation: the reweighting checks read the witness whose yield
+    is reported, on non-vertex witnesses and on a degenerate pair."""
+    space = SpaceSpec(p=2.0)
+    system = sample_system((0, 0), 4)
+    pairs = [(random_step_function(system, seed=(0, 1), exact=True),
+              random_step_function(system, seed=(0, 2), exact=True), (0, 3))]
+    # seed 8 has an interior witness, seeds 11 and 12 a +-1/4 vertex
+    pairs += [(*exact_pair(seed, depth=3), seed) for seed in (8, 11, 12)]
+    flat = DyadicSystem(depth=3)
+    pairs.append((StepFunction.constant(flat, Fraction(1), exact=True),
+                  StepFunction.constant(flat, Fraction(2), exact=True), 0))
+    interior = 0
+    for f, g, seed in pairs:
+        report = lemma51_verify(f, g, space, k=2, bellman_depth=3, seed=seed)
+        tree = tree_from_functions(f, g, space)
+        lam = lambda_matrix(tree, 2)
+        alpha, found = find_alpha(lam, seed=seed)
+        mod = modified_points(tree, alpha, k=2, lam=lam)
+        assert report["quad_value"] == found["quad_value"]
+        assert report["identity_exact"]
+        assert report["theta_min"] == pytest.approx(mod["theta_min"],
+                                                    rel=1e-15)
+        assert report["theta_max"] == pytest.approx(mod["theta_max"],
+                                                    rel=1e-15)
+        assert 2.0 * abs(mod["pairing_value"]) == pytest.approx(
+            report["quad_value"], rel=1e-12)
+        interior += report["theta_min"] > 0.375
+    assert report["sum_abs_lambda"] == 0.0  # the constant pair
+    assert interior >= 2  # witnesses off the +-1/4 vertices are covered
 
 
 def test_lemma51_verify_skips_oracle_for_vectors():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab.exact import ROOT2, Sqrt2Rational, as_exact, sqrt2_pow
+from dyadlab.exact import ROOT2, Sqrt2Rational, sqrt2_pow
 
 N_FUZZ = 200
 
@@ -53,14 +53,6 @@ def test_abs_and_negation():
     assert abs(x) == -x
     assert abs(-x) == abs(x)
     assert abs(Sqrt2Rational(0)) == 0
-
-
-def test_to_fraction():
-    assert Sqrt2Rational(Fraction(3, 4)).to_fraction() == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        ROOT2.to_fraction()
-    assert ROOT2.is_rational is False
-    assert as_exact(Fraction(1, 3)).is_rational is True
 
 
 def test_hash_matches_rational_embedding():

@@ -1,8 +1,10 @@
 """Every exported name resolves, so a deleted function leaves no stale
-entry in an ``__all__`` behind."""
+entry in an ``__all__`` behind; and every exported name has a caller."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,11 @@ import dyadlab
 
 MODULES = ["dyadlab"] + [f"dyadlab.{info.name}"
                          for info in pkgutil.iter_modules(dyadlab.__path__)]
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLER_DIRS = ("src", "demos", "perfbench")
+# Exported for the test suite, which is their only reader.
+TEST_REFERENCES = {"paraproduct_matrix", "lp_norm", "descendants", "ROOT2"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,3 +26,37 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), "repeated names"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing
+
+
+def _used_names():
+    """Names read (``name`` or ``obj.name``) anywhere in the caller
+    directories, except inside a definition of the same name; imports,
+    ``__all__`` strings, definitions and assignments are not reads."""
+    used = set()
+    for top in CALLER_DIRS:
+        for path in (ROOT / top).rglob("*.py"):
+            used |= _reads(ast.parse(path.read_text()), frozenset())
+    return used
+
+
+def _reads(node, owners):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        owners = owners | {node.name}
+    found = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        found.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        found |= _reads(child, owners)
+    return found - owners
+
+
+def test_every_export_has_a_caller():
+    used = _used_names()
+    unused = sorted(
+        f"{name}.{attr}" for name in MODULES
+        for attr in getattr(importlib.import_module(name), "__all__", [])
+        if attr not in used and attr not in TEST_REFERENCES)
+    assert not unused

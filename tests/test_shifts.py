@@ -473,8 +473,21 @@ def test_slice_bilinear_majorant_holds():
     for m in (0, 1):
         sym = symmetrize(random_extremal_shift(sys_, m, m + 1, seed=(84, m)))
         for j in range(sym.complexity):
-            lhs, rhs = slice_bilinear_sides(shift_slice(sym, j), f, g)
+            lhs, rhs = slice_bilinear_sides(sym, j, f, g)
             assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
+
+
+def test_slice_bilinear_sides_of_an_empty_slice():
+    # complexity 2 at depth 2: only the root is a base interval, so slice
+    # 1 (levels 1, 3, ...) has no rows and both sides vanish
+    sys_ = DyadicSystem(M=0, depth=2)
+    sym = symmetrize(random_extremal_shift(sys_, 0, 1, seed=3))
+    f = StepFunction(sys_, [1.0, -2.0, 3.0, 0.5])
+    g = StepFunction(sys_, [-1.0, 2.0, 2.0, -0.5])
+    assert shift_slice(sym, 1).keys.shape[0] == 0
+    assert slice_bilinear_sides(sym, 1, f, g) == (0.0, 0.0)
+    lhs, rhs = slice_bilinear_sides(sym, 0, f, g)
+    assert 0.0 < lhs <= rhs
 
 
 # -- martingale transforms: the (0, 0) shifts --------------------------

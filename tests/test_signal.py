@@ -55,7 +55,7 @@ def test_stepfunction_shape_checks():
     sys_ = DyadicSystem(depth=2)
     f = StepFunction(sys_, [1.0, 2.0, 3.0, 4.0])
     assert f.values.shape == (4, 1)
-    assert f.d == 1 and f.n_cells == 4 and not f.exact
+    assert f.d == 1 and not f.exact
     with pytest.raises(DyadicError):
         StepFunction(sys_, [1.0, 2.0])
     with pytest.raises(DyadicError):
