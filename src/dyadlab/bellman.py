@@ -49,7 +49,8 @@ __all__ = [
 MAX_TABLE_DEPTH = 6
 MAX_AXIS_POINTS = 65
 # Candidate pairs each swept layer (t >= 2) may evaluate; layer 1 has a
-# closed form and sweeps none.
+# closed form and sweeps none.  The count is that of a full sweep over every
+# centre, also where a mirror-symmetric plane sweeps only half of them.
 _MAX_LAYER_PAIRS = 5_000_000_000
 # Candidate entries per block of the DP sweep (256 KiB of float64).
 _SWEEP_BLOCK = 1 << 15
@@ -340,8 +341,43 @@ def _centre_groups(splits):
     return plus, minus, first, starts, centre[starts]
 
 
+def _mirror_sources(feasible, nodes):
+    """Mirror map of a plane's compact ids under the first coordinate's
+    sign flip, row ``i`` to row ``n0 - 1 - i``.
+
+    When the feasibility mask equals its own mirror image, returns for
+    each node below the middle row (these are the first compact ids, as
+    ``nodes`` runs row-major) the compact id of its mirror image; when it
+    does not, returns an empty array.
+    """
+    n0, n1 = feasible.shape
+    if not np.array_equal(feasible, feasible[::-1]):
+        return nodes[:0]
+    rows, cols = np.divmod(nodes[nodes < n0 // 2 * n1], n1)
+    return np.searchsorted(nodes, (n0 - 1 - rows) * n1 + cols)
+
+
+def _swept(splits, first):
+    """The splits whose centre has compact id ``first`` or above (each
+    split's centres ascend, so these are a suffix of it)."""
+    cut = [s[1].searchsorted(first) for s in splits]
+    return [(offset, centre[k:], plus[k:], minus[k:])
+            for (offset, centre, plus, minus), k in zip(splits, cut)
+            if k < centre.size]
+
+
 class BellmanTable:
-    """Cached DP layers; ``layer(t)`` is the depth-``t`` gain bound."""
+    """Cached DP layers; ``layer(t)`` is the depth-``t`` gain bound.
+
+    A plane whose feasibility mask equals its own mirror image (``f -> -f``
+    for the (f, F) plane, ``g -> -g`` for the (g, G) plane) has every layer
+    mirror-symmetric: the gain is even in each mean offset, and a mirrored
+    node's candidates are the same end values added in the other order.
+    Such a plane keeps only the splits centred on its nonnegative half, and
+    one copy along the mirror map of its compact ids completes each layer;
+    a plane with an asymmetric mask keeps every centre.  Either way every
+    layer is bit-identical to the full sweep.
+    """
 
     def __init__(self, config):
         self.config = config
@@ -366,21 +402,29 @@ class BellmanTable:
         self._g_nodes, g_splits = _plane_splits(self._feasible_g, *half[2:])
         # j and -j give the same candidate, so the (f, F) offsets stop at
         # (0, 0), which pairs only with the positive (g, G) offsets
-        self._f_splits = [s for s in f_splits if s[0] >= (0, 0)]
+        f_splits = [s for s in f_splits if s[0] >= (0, 0)]
         g_positive = [s for s in g_splits if s[0] > (0, 0)]
-        # candidates one swept layer evaluates: every (f, F) split times
-        # every (g, G) split, the (f, F) offset (0, 0) only with positive
-        # ones
+        # candidates a full sweep evaluates: every (f, F) split times every
+        # (g, G) split, the (f, F) offset (0, 0) only with positive ones;
+        # the cap counts them even where a mirror halves the sweep, so the
+        # same grids build or are refused
         n_all = sum(s[1].size for s in g_splits)
         n_positive = sum(s[1].size for s in g_positive)
         pairs = sum(s[1].size * (n_positive if s[0] == (0, 0) else n_all)
-                    for s in self._f_splits)
+                    for s in f_splits)
         if pairs > _MAX_LAYER_PAIRS:
             raise DyadicError(
                 f"grid needs {pairs:.2e} candidate pairs per layer; shrink "
                 "the axes or set max_offset")
-        self._g_all = _centre_groups(g_splits)
-        self._g_positive = _centre_groups(g_positive)
+        # on a mirror-symmetric plane the ids below the middle row are the
+        # first ones and are copied from their mirror images, so the sweep
+        # keeps the centres from id ``mirror.size`` on (all when it is 0)
+        self._f_mirror = _mirror_sources(self._feasible_f, self._f_nodes)
+        self._g_mirror = _mirror_sources(self._feasible_g, self._g_nodes)
+        self._f_splits = _swept(f_splits, self._f_mirror.size)
+        self._g_all = _centre_groups(_swept(g_splits, self._g_mirror.size))
+        self._g_positive = _centre_groups(
+            _swept(g_positive, self._g_mirror.size))
         self._g_half = half[2]
         self._nodes = np.ix_(self._f_nodes, self._g_nodes)
         self._mask = (self._feasible_f[:, :, None, None]
@@ -395,7 +439,8 @@ class BellmanTable:
         """Depth-``t`` gain bound on the whole grid, ``-inf`` off the
         domain.  Layers are built once, in order, and cached: layer 1 in
         closed form (:meth:`_first_layer`), each later one by sweeping the
-        one before (:meth:`_dp_layer`)."""
+        one before (:meth:`_dp_layer`), and the nodes left unswept on a
+        mirror-symmetric plane copied from their mirror images."""
         if t < 0:
             raise DyadicError(f"depth {t} is negative")
         if t > MAX_TABLE_DEPTH:
@@ -406,6 +451,8 @@ class BellmanTable:
                 out = self._first_layer()
             else:
                 out = self._dp_layer(self._layers[-1])
+            out[:self._f_mirror.size] = out[self._f_mirror]
+            out[:, :self._g_mirror.size] = out[:, self._g_mirror]
             nxt = np.full(self._mask.shape, -np.inf)
             nxt.reshape(self._feasible_f.size, -1)[self._nodes] = out
             self._layers.append(nxt)
@@ -420,7 +467,9 @@ class BellmanTable:
         step is monotone), so the best split of a node pair pairs the
         largest ``a`` among the (f, F) splits of its row with the largest
         ``|c|`` among the (g, G) splits of its column.  The offset (0, 0)
-        has ``a = 0`` and so gains nothing beyond the start value.
+        has ``a = 0`` and so gains nothing beyond the start value.  Only the
+        swept centres (the nonnegative half of a mirror-symmetric plane)
+        are filled; :meth:`layer` copies the rest.
         """
         amax = np.zeros(self._f_nodes.size, dtype=np.intp)
         # the offsets run in lexicographic order, so the last write to a
@@ -428,9 +477,10 @@ class BellmanTable:
         for (a, _), centre, _, _ in self._f_splits:
             amax[centre] = a
         # every feasible node centres the zero split, so there is one group
-        # per node, in node order
-        _, _, first, starts, _ = self._g_all
-        cmax = np.maximum.reduceat(np.abs(first), starts)
+        # per swept node
+        _, _, first, starts, cols = self._g_all
+        cmax = np.zeros(self._g_nodes.size, dtype=np.intp)
+        cmax[cols] = np.maximum.reduceat(np.abs(first), starts)
         hf, hg = self.steps[0], self.steps[2]
         gains = np.array([[4.0 * abs(a * hf * c * hg)
                            for c in range(cmax.max() + 1)]
@@ -442,7 +492,9 @@ class BellmanTable:
         the compact matrix of feasible nodes (rows in the (f, F) plane,
         columns in the (g, G) plane): every node keeps its value or takes
         the best split of it whose ends are feasible, the mean of the two
-        end values plus the split's gain."""
+        end values plus the split's gain.  Only the swept centres (the
+        nonnegative half of a mirror-symmetric plane, every centre of an
+        asymmetric one) are updated; :meth:`layer` copies the rest."""
         H = B.reshape(self._feasible_f.size, -1)[self._nodes]
         out = H.copy()
         hf, hg = self.steps[0], self.steps[2]

@@ -52,6 +52,7 @@ KG_DEFAULT = 1.783
 
 _ENUM_MAX = 16  # largest size handled by exact vertex enumeration
 _FACE_MAX = 8  # largest size whose norm1 is found by face enumeration
+_NORM2_RESTARTS = 64  # local-search starts above _ENUM_MAX
 
 
 @dataclass
@@ -180,11 +181,12 @@ def _sign_vectors(n):
     return np.hstack([np.ones((count, 1)), body])
 
 
-def norm2_report(lam, restarts=64, seed=0):
+def norm2_report(lam, seed=0):
     """Bilinear sup over the product of unit sign boxes.
 
     Exact by vertex enumeration for sizes up to 16; beyond that a local
-    alternating search with restarts reports a certified lower bound.
+    alternating search from ``_NORM2_RESTARTS`` random sign vectors reports
+    a certified lower bound.
     """
     A = lam.as_float() if isinstance(lam, LambdaMatrix) else np.asarray(lam, float)
     n = A.shape[0]
@@ -199,7 +201,7 @@ def norm2_report(lam, restarts=64, seed=0):
                 "alpha": alpha, "beta": beta}
     rng = np.random.default_rng(seed)
     best_val, best_alpha, best_beta = 0.0, None, None
-    for _ in range(restarts):
+    for _ in range(_NORM2_RESTARTS):
         alpha = rng.choice([-1.0, 1.0], size=n)
         for _ in range(200):
             beta = np.sign(A @ alpha)
@@ -216,8 +218,8 @@ def norm2_report(lam, restarts=64, seed=0):
             "alpha": best_alpha, "beta": best_beta}
 
 
-def norm2(lam, **kwargs):
-    return norm2_report(lam, **kwargs)["value"]
+def norm2(lam):
+    return norm2_report(lam)["value"]
 
 
 # -- norm1: balanced quadratic sup --------------------------------------
@@ -424,7 +426,7 @@ def multiplier_norm_report(A, trials=25, seed=0):
         denom = float(np.linalg.norm(M, 2))
         if denom < 1e-12:
             continue
-        numer, _ = spectral_norm_power(schur_product(A, M))
+        numer = spectral_norm_power(schur_product(A, M))
         ratio = numer / denom
         if ratio > best["value"]:
             best = {"value": float(ratio), "witness": name}

@@ -143,15 +143,16 @@ class ShiftSpec:
 
     # -- coefficients ------------------------------------------------------
 
+    @cached_property
     def _distinct(self):
         """Distinct weights, and the position of each row's weight among
-        them, so exact work is done once per value."""
+        them, so exact work is done once per value; built once per shift."""
         distinct = _sorted_set(self.weights)
         return distinct, np.searchsorted(distinct, self.weights)
 
     def _float_values(self):
         """``float(coefficient)`` per row."""
-        distinct, inverse = self._distinct()
+        distinct, inverse = self._distinct
         values = np.array([float(w * self.amplitude) for w in distinct],
                           dtype=float)
         return values[inverse]
@@ -162,7 +163,7 @@ class ShiftSpec:
 
         Built on first use, in key order; not for hot paths.
         """
-        distinct, inverse = self._distinct()
+        distinct, inverse = self._distinct
         coeffs = [w * self.amplitude for w in distinct]
         return {((a, b), (c, d), (e, f)): coeffs[i]
                 for (a, b, c, d, e, f), i in zip(self.keys.tolist(),
@@ -315,7 +316,7 @@ def apply_shift(shift, f):
     heap = np.concatenate([_zeros((1, f.d), exact), *jumps])  # row 0 unused
     gaps = keys[:, 4] - keys[:, 2]  # n - m or m - n, by the two blocks
     gap_set = sorted({shift.n - shift.m, shift.m - shift.n})
-    distinct, inverse = shift._distinct()
+    distinct, inverse = shift._distinct
     # sqrt(|I|) / 2 comes from <f, h_I> and |J|**-0.5 from h_J: together
     # 2**(gap/2) / 2, joined to each distinct weight once per gap
     if exact:  # the products are rational for extremal and symmetrized shifts

@@ -397,7 +397,7 @@ def reference_layer(B, hf, hg, max_offset):
     return out
 
 
-@pytest.mark.parametrize("kwargs", [
+REFERENCE_CONFIGS = [
     dict(n_f=9, n_F=9, n_g=9, n_G=9),
     dict(p=3.0, n_f=9, n_F=9, n_g=9, n_G=9),
     dict(p=1.5, n_f=9, n_F=9, n_g=9, n_G=9),
@@ -409,8 +409,15 @@ def reference_layer(B, hf, hg, max_offset):
     dict(n_f=9, n_F=4, n_g=9, n_G=6),
     dict(n_f=3, n_F=2, n_g=3, n_G=2),
     dict(p=4.0, n_f=9, n_F=9, n_g=9, n_G=9),
-], ids=["p2", "p3", "p1.5", "non-square", "max-offset-1", "max-offset-2",
-        "box", "even-power-axes", "smallest", "p4"])
+    # the (f, F) mask is not its own mirror image, the (g, G) one is
+    dict(p=2.0, f_max=0.3, F_max=0.09, n_f=7, n_F=10, n_g=7, n_G=7),
+]
+REFERENCE_IDS = ["p2", "p3", "p1.5", "non-square", "max-offset-1",
+                 "max-offset-2", "box", "even-power-axes", "smallest", "p4",
+                 "asymmetric-f-mask"]
+
+
+@pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS, ids=REFERENCE_IDS)
 def test_dp_layers_match_reference_loop(kwargs):
     """Layer 1 (closed form) and layers 2, 3 (swept) against the loop."""
     cfg = BellmanConfig(**kwargs)
@@ -421,6 +428,45 @@ def test_dp_layers_match_reference_loop(kwargs):
         ref = reference_layer(ref, hf, hg, cfg.max_offset)
         ref[~table._mask] = -np.inf
         assert table.layer(t).tobytes() == ref.tobytes(), t
+
+
+def mirror_flips(table):
+    """Index expressions that flip f and that flip g, one for each plane
+    whose mask equals its own mirror image."""
+    flips = []
+    if np.array_equal(table._feasible_f, table._feasible_f[::-1]):
+        flips.append(np.s_[::-1])
+    if np.array_equal(table._feasible_g, table._feasible_g[::-1]):
+        flips.append(np.s_[:, :, ::-1])
+    return flips
+
+
+@pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS, ids=REFERENCE_IDS)
+def test_reference_layers_are_mirror_symmetric(kwargs):
+    """The loop's layers 0..3 equal their flip byte for byte on every
+    symmetric plane: the premise of sweeping half of its centres and
+    copying the rest."""
+    cfg = BellmanConfig(**kwargs)
+    table = BellmanTable(cfg)
+    hf, hg = table.steps[0], table.steps[2]
+    flips = mirror_flips(table)
+    assert flips
+    ref = table.layer(0)
+    for t in range(4):
+        if t:
+            ref = reference_layer(ref, hf, hg, cfg.max_offset)
+            ref[~table._mask] = -np.inf
+        for flip in flips:
+            assert ref.tobytes() == ref[flip].tobytes(), (t, flip)
+
+
+def test_asymmetric_mask_breaks_the_f_mirror():
+    """With an (f, F) mask that is not its own mirror image, layer 3 is not
+    f-mirror symmetric, so that plane must be swept in full."""
+    table = BellmanTable(BellmanConfig(**REFERENCE_CONFIGS[-1]))
+    assert mirror_flips(table) == [np.s_[:, :, ::-1]]
+    layer = table.layer(3)
+    assert layer.tobytes() != layer[::-1].tobytes()
 
 
 def offset_loop_splits(feasible, half0, half1):
@@ -650,6 +696,18 @@ def test_benchmark_table_bytes_are_frozen(grid_tables):
         for t in range(4):
             digest.update(grid_tables[13, p].layer(t).tobytes())
         assert digest.hexdigest() == hexdigest, p
+
+
+def test_benchmark_tables_are_mirror_symmetric(grid_tables):
+    """Layers 0..3 of the 13-point tables (pinned to the full sweep by the
+    digests above) are mirror-symmetric in f and in g."""
+    for p in (2.0, 3.0, 1.5):
+        table = grid_tables[13, p]
+        flips = mirror_flips(table)
+        assert len(flips) == 2, p
+        for t, flip in itertools.product(range(4), flips):
+            layer = table.layer(t)
+            assert layer.tobytes() == layer[flip].tobytes(), (p, t, flip)
 
 
 @pytest.mark.parametrize("n_samples", [1, 200])
