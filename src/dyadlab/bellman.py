@@ -49,8 +49,8 @@ __all__ = [
 MAX_TABLE_DEPTH = 6
 MAX_AXIS_POINTS = 65
 # Candidate pairs each swept layer (t >= 2) may evaluate; layer 1 has a
-# closed form and sweeps none.  The count is that of a full sweep over every
-# centre, also where a mirror-symmetric plane sweeps only half of them.
+# closed form and sweeps none.  The count is that of a sweep over every
+# centre, although each plane sweeps only its nonnegative half.
 _MAX_LAYER_PAIRS = 5_000_000_000
 # Candidate entries per block of the DP sweep (256 KiB of float64).
 _SWEEP_BLOCK = 1 << 15
@@ -267,11 +267,11 @@ class BellmanConfig:
     max_offset: int | None = None
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise DyadicError(f"exponent must exceed 1, got {self.p}")
+        if not 1.0 < self.p < math.inf:
+            raise DyadicError(f"exponent must lie in (1, inf), got {self.p}")
         for name in ("f_max", "F_max", "g_max", "G_max"):
-            if not getattr(self, name) > 0:
-                raise DyadicError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DyadicError(f"{name} must be finite and positive")
         for name in ("n_f", "n_g"):
             n = getattr(self, name)
             if n < 3 or n % 2 == 0:
@@ -289,25 +289,44 @@ class BellmanConfig:
         return self.p / (self.p - 1.0)
 
 
-def _plane_splits(feasible, half0, half1):
-    """Symmetric on-grid splits of one plane with all three nodes feasible.
+def _mirror_axis(top, n):
+    """``np.linspace(-top, top, n)`` for odd ``n``, with the middle set to 0
+    and the upper half overwritten by the negated lower half, so that
+    ``x[i] == -x[n - 1 - i]`` holds exactly."""
+    x = np.linspace(-top, top, n)
+    x[n // 2] = 0.0
+    x[n // 2 + 1:] = -x[n // 2 - 1::-1]
+    return x
 
-    Returns the flat indices of the feasible nodes (their compact ids are
-    positions in this array) and, for every offset ``(a, b)`` in
-    lexicographic order that has at least one such split, the tuple
-    ``((a, b), centre, plus, minus)`` of compact-id arrays.
+
+def _plane(feasible, half0, half1):
+    """One plane of the grid, whose mask is its own mirror image under row
+    ``i -> n0 - 1 - i``: the flat indices of its feasible nodes (their
+    compact ids are positions in this array, so the rows below the middle
+    come first), the compact id of the mirror image of each node below the
+    middle row, the splits and their counts.
+
+    The splits are symmetric, on the grid and with all three nodes
+    feasible: for every offset ``(a, b)`` in lexicographic order that has
+    one centred on the middle row or above it, the tuple ``((a, b), centre,
+    plus, minus)`` of compact-id arrays over those centres.  The counts are
+    the number of such splits per offset over every centre, one per offset
+    in the same order, empty ones included.
     """
     n0, n1 = feasible.shape
+    mid = n0 // 2
     nodes = np.flatnonzero(feasible)
     ids = np.full(feasible.size, -1, dtype=np.intp)
     ids[nodes] = np.arange(nodes.size)
     ids = ids.reshape(feasible.shape)
+    rows, cols = np.divmod(nodes[nodes < mid * n1], n1)
+    mirror = ids[n0 - 1 - rows, cols]
     # shifted[i, half1 + b, j] = ids[i, j + b], and -1 off the plane, so
     # an end that leaves the plane fails the same test as an infeasible one
     padded = np.pad(ids, ((0, 0), (half1, half1)), constant_values=-1)
     shifted = sliding_window_view(padded, n1, axis=1)
     bs = range(-half1, half1 + 1)
-    splits = []
+    splits, counts = [], []
     # one pass per first offset coordinate, over every b and centre at once
     for a in range(-half0, half0 + 1):
         r = abs(a)
@@ -317,11 +336,17 @@ def _plane_splits(feasible, half0, half1):
         p = shifted[r + a:n0 - r + a].transpose(1, 0, 2)
         m = shifted[r - a:n0 - r - a, ::-1].transpose(1, 0, 2)
         ok = (c >= 0) & (p >= 0) & (m >= 0)
-        ends = np.cumsum(ok.sum(axis=(1, 2))).tolist()
-        c, p, m = np.broadcast_to(c, ok.shape)[ok], p[ok], m[ok]
+        per_row = ok.sum(axis=2)
+        counts += per_row.sum(axis=1).tolist()
+        # the centre rows from the middle on; the mirror copies the rest
+        k = mid - r
+        ends = np.cumsum(per_row[:, k:].sum(axis=1)).tolist()
+        ok = ok[:, k:]
+        c = np.broadcast_to(c[k:], ok.shape)[ok]
+        p, m = p[:, k:][ok], m[:, k:][ok]
         splits += [((a, b), c[s:e], p[s:e], m[s:e])
                    for b, s, e in zip(bs, [0] + ends, ends) if e > s]
-    return nodes, splits
+    return nodes, mirror, splits, counts
 
 
 def _centre_groups(splits):
@@ -341,49 +366,25 @@ def _centre_groups(splits):
     return plus, minus, first, starts, centre[starts]
 
 
-def _mirror_sources(feasible, nodes):
-    """Mirror map of a plane's compact ids under the first coordinate's
-    sign flip, row ``i`` to row ``n0 - 1 - i``.
-
-    When the feasibility mask equals its own mirror image, returns for
-    each node below the middle row (these are the first compact ids, as
-    ``nodes`` runs row-major) the compact id of its mirror image; when it
-    does not, returns an empty array.
-    """
-    n0, n1 = feasible.shape
-    if not np.array_equal(feasible, feasible[::-1]):
-        return nodes[:0]
-    rows, cols = np.divmod(nodes[nodes < n0 // 2 * n1], n1)
-    return np.searchsorted(nodes, (n0 - 1 - rows) * n1 + cols)
-
-
-def _swept(splits, first):
-    """The splits whose centre has compact id ``first`` or above (each
-    split's centres ascend, so these are a suffix of it)."""
-    cut = [s[1].searchsorted(first) for s in splits]
-    return [(offset, centre[k:], plus[k:], minus[k:])
-            for (offset, centre, plus, minus), k in zip(splits, cut)
-            if k < centre.size]
-
-
 class BellmanTable:
     """Cached DP layers; ``layer(t)`` is the depth-``t`` gain bound.
 
-    A plane whose feasibility mask equals its own mirror image (``f -> -f``
-    for the (f, F) plane, ``g -> -g`` for the (g, G) plane) has every layer
-    mirror-symmetric: the gain is even in each mean offset, and a mirrored
-    node's candidates are the same end values added in the other order.
-    Such a plane keeps only the splits centred on its nonnegative half, and
-    one copy along the mirror map of its compact ids completes each layer;
-    a plane with an asymmetric mask keeps every centre.  Either way every
-    layer is bit-identical to the full sweep.
+    The mean axes are exact mirror images of themselves (``fs == -fs[::-1]``
+    and ``gs == -gs[::-1]``), so each feasibility mask is its own mirror
+    image under ``f -> -f`` for the (f, F) plane and ``g -> -g`` for the
+    (g, G) plane, and every layer is mirror-symmetric in f and in g: the
+    gain is even in each mean offset, and a mirrored node's candidates are
+    the same end values added in the other order.  Each plane therefore
+    keeps only the splits centred on its nonnegative half, and one copy
+    along the mirror map of its compact ids completes each layer, bit for
+    bit as a sweep over every centre would.
     """
 
     def __init__(self, config):
         self.config = config
-        self.fs = np.linspace(-config.f_max, config.f_max, config.n_f)
+        self.fs = _mirror_axis(config.f_max, config.n_f)
         self.Fs = np.linspace(0.0, config.F_max, config.n_F)
-        self.gs = np.linspace(-config.g_max, config.g_max, config.n_g)
+        self.gs = _mirror_axis(config.g_max, config.n_g)
         self.Gs = np.linspace(0.0, config.G_max, config.n_G)
         self.steps = (self.fs[1] - self.fs[0], self.Fs[1] - self.Fs[0],
                       self.gs[1] - self.gs[0], self.Gs[1] - self.Gs[0])
@@ -398,33 +399,24 @@ class BellmanTable:
         half = [(n - 1) // 2 for n in shape]
         if config.max_offset is not None:
             half = [min(h, config.max_offset) for h in half]
-        self._f_nodes, f_splits = _plane_splits(self._feasible_f, *half[:2])
-        self._g_nodes, g_splits = _plane_splits(self._feasible_g, *half[2:])
-        # j and -j give the same candidate, so the (f, F) offsets stop at
-        # (0, 0), which pairs only with the positive (g, G) offsets
-        f_splits = [s for s in f_splits if s[0] >= (0, 0)]
-        g_positive = [s for s in g_splits if s[0] > (0, 0)]
-        # candidates a full sweep evaluates: every (f, F) split times every
-        # (g, G) split, the (f, F) offset (0, 0) only with positive ones;
-        # the cap counts them even where a mirror halves the sweep, so the
-        # same grids build or are refused
-        n_all = sum(s[1].size for s in g_splits)
-        n_positive = sum(s[1].size for s in g_positive)
-        pairs = sum(s[1].size * (n_positive if s[0] == (0, 0) else n_all)
-                    for s in f_splits)
+        self._f_nodes, self._f_mirror, f_splits, f_counts = _plane(
+            self._feasible_f, *half[:2])
+        self._g_nodes, self._g_mirror, g_splits, g_counts = _plane(
+            self._feasible_g, *half[2:])
+        # candidates of a sweep over every centre: j and -j give the same
+        # candidate, so the (f, F) offsets stop at (0, 0), the middle of the
+        # lexicographic order, which pairs only with the positive (g, G) ones
+        zf, zg = len(f_counts) // 2, len(g_counts) // 2
+        pairs = (f_counts[zf] * sum(g_counts[zg + 1:])
+                 + sum(f_counts[zf + 1:]) * sum(g_counts))
         if pairs > _MAX_LAYER_PAIRS:
             raise DyadicError(
                 f"grid needs {pairs:.2e} candidate pairs per layer; shrink "
                 "the axes or set max_offset")
-        # on a mirror-symmetric plane the ids below the middle row are the
-        # first ones and are copied from their mirror images, so the sweep
-        # keeps the centres from id ``mirror.size`` on (all when it is 0)
-        self._f_mirror = _mirror_sources(self._feasible_f, self._f_nodes)
-        self._g_mirror = _mirror_sources(self._feasible_g, self._g_nodes)
-        self._f_splits = _swept(f_splits, self._f_mirror.size)
-        self._g_all = _centre_groups(_swept(g_splits, self._g_mirror.size))
+        self._f_splits = [s for s in f_splits if s[0] >= (0, 0)]
+        self._g_all = _centre_groups(g_splits)
         self._g_positive = _centre_groups(
-            _swept(g_positive, self._g_mirror.size))
+            [s for s in g_splits if s[0] > (0, 0)])
         self._g_half = half[2]
         self._nodes = np.ix_(self._f_nodes, self._g_nodes)
         self._mask = (self._feasible_f[:, :, None, None]
@@ -439,8 +431,8 @@ class BellmanTable:
         """Depth-``t`` gain bound on the whole grid, ``-inf`` off the
         domain.  Layers are built once, in order, and cached: layer 1 in
         closed form (:meth:`_first_layer`), each later one by sweeping the
-        one before (:meth:`_dp_layer`), and the nodes left unswept on a
-        mirror-symmetric plane copied from their mirror images."""
+        one before (:meth:`_dp_layer`), and the nodes below the middle row of
+        each plane copied from their mirror images."""
         if t < 0:
             raise DyadicError(f"depth {t} is negative")
         if t > MAX_TABLE_DEPTH:
@@ -468,8 +460,8 @@ class BellmanTable:
         largest ``a`` among the (f, F) splits of its row with the largest
         ``|c|`` among the (g, G) splits of its column.  The offset (0, 0)
         has ``a = 0`` and so gains nothing beyond the start value.  Only the
-        swept centres (the nonnegative half of a mirror-symmetric plane)
-        are filled; :meth:`layer` copies the rest.
+        swept centres (the nonnegative half of each plane) are filled;
+        :meth:`layer` copies the rest.
         """
         amax = np.zeros(self._f_nodes.size, dtype=np.intp)
         # the offsets run in lexicographic order, so the last write to a
@@ -493,8 +485,8 @@ class BellmanTable:
         columns in the (g, G) plane): every node keeps its value or takes
         the best split of it whose ends are feasible, the mean of the two
         end values plus the split's gain.  Only the swept centres (the
-        nonnegative half of a mirror-symmetric plane, every centre of an
-        asymmetric one) are updated; :meth:`layer` copies the rest."""
+        nonnegative half of each plane) are updated; :meth:`layer` copies
+        the rest."""
         H = B.reshape(self._feasible_f.size, -1)[self._nodes]
         out = H.copy()
         hf, hg = self.steps[0], self.steps[2]
@@ -608,7 +600,8 @@ def _grid_draws(u, shape, max_offset=None):
     """Offsets ``j`` and centres ``idx`` of on-grid splits from rows of
     eight uniforms in ``[0, 1)``: ``j_k = floor(u_k (2 h_k + 1)) - h_k``
     with ``h_k = (n_k - 1) // 2``, capped at ``max_offset`` when one is
-    given (the DP's split radius), then ``idx_k = |j_k| + floor(u_{4+k} (n_k - 2 |j_k|))``, so both ends
+    given (the DP's split radius), then
+    ``idx_k = |j_k| + floor(u_{4+k} (n_k - 2 |j_k|))``, so both ends
     ``idx +- j`` lie on the grid."""
     n = np.array(shape)
     h = (n - 1) // 2

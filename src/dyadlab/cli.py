@@ -29,17 +29,18 @@ from pathlib import Path
 import numpy as np
 
 from .bellman import (MAX_TABLE_DEPTH, BellmanConfig, bellman_oracle,
-                      concavity_gain_check, lemma51_verify, range_check)
-from .dyadic import DyadicError, sample_system
-from .schur import (equivalence_report, random_admissible_lambda,
-                    rank_one_multiplier_check, sign_multiplier_check)
+                      concavity_gain_check, lemma51_verify, range_check,
+                      tree_from_functions)
+from .dyadic import DyadicError, children, sample_system
+from .schur import (equivalence_report, lambda_matrix,
+                    random_admissible_lambda, rank_one_multiplier_check,
+                    sign_multiplier_check)
 from .shifts import (apply_shift, paraproduct, paraproduct_adjoint,
                      random_extremal_shift, series_bound, shift_slice,
                      slice_bilinear_sides, symmetrize)
 from .signal import (SpaceSpec, average, haar_coeff, haar_expand,
                      haar_reconstruct, pairing_integral, pointwise_product,
                      random_step_function)
-from .dyadic import children
 from .normlab import hilbert_demo, shift_scaling_study, umd_probe
 
 __all__ = ["main", "identity_battery"]
@@ -188,8 +189,6 @@ def _cmd_lambda_equivalence(opts, outdir):
         rows.append({"source": "random", "trial": t, **rep})
         ok = ok and rep["lower_ok"] and rep["upper_ok"]
         ratios.append(rep["ratio"])
-    from .bellman import tree_from_functions
-    from .schur import lambda_matrix
     for t in range(opts["martingale_trials"]):
         system = sample_system((opts["seed"], 500 + t), opts["k"])
         f = random_step_function(system, seed=(opts["seed"], 600 + t),
@@ -337,9 +336,11 @@ def _cmd_hilbert_demo(opts, outdir):
 
 
 def _cmd_series_bound(opts, outdir):
+    tol = opts["tol"]
+    if not 0 <= tol < math.inf:
+        raise UsageError(f"tol must lie in [0, inf), got {tol}")
     report = series_bound(opts["delta"], poly_degree=opts["poly_degree"],
                           k_max=opts["k_max"])
-    tol = opts["tol"]
     stabilized = (report["last_term"] <= tol
                   and report["tail_bound"] <= tol)
     report["tolerance"] = tol

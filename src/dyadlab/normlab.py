@@ -309,6 +309,9 @@ def hilbert_demo(checkpoints=(250, 500, 1000, 2000), seed=6, M=5, depth=10,
     residuals decrease monotonically; individual seeds can show a small
     Monte Carlo uptick between early checkpoints.
     """
+    if not 0 <= residual_tol < math.inf:
+        raise DyadicError(f"residual_tol must lie in [0, inf), got "
+                          f"{residual_tol}")
     checkpoints = sorted({int(c) for c in checkpoints})
     if not checkpoints or checkpoints[0] < 1:
         raise DyadicError("checkpoints must be positive sample counts")

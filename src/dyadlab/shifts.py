@@ -546,6 +546,8 @@ def series_bound(delta, poly_degree=2, k_max=60):
     at most ``((k_max+2)/(k_max+1))**(poly_degree+1) * 2**(1/2-delta)`` beyond
     ``k_max``.
     """
+    if not math.isfinite(delta):
+        raise DyadicError(f"delta must be finite, got {delta}")
     if poly_degree < 0:
         raise DyadicError("poly_degree must be >= 0")
     if not 0 <= k_max <= 100_000:

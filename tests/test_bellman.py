@@ -409,12 +409,13 @@ REFERENCE_CONFIGS = [
     dict(n_f=9, n_F=4, n_g=9, n_G=6),
     dict(n_f=3, n_F=2, n_g=3, n_G=2),
     dict(p=4.0, n_f=9, n_F=9, n_g=9, n_G=9),
-    # the (f, F) mask is not its own mirror image, the (g, G) one is
+    # np.linspace(-0.3, 0.3, 7) puts 0.2 one ulp below the negation of
+    # -0.2, enough to make a linspace (f, F) mask asymmetric
     dict(p=2.0, f_max=0.3, F_max=0.09, n_f=7, n_F=10, n_g=7, n_G=7),
 ]
 REFERENCE_IDS = ["p2", "p3", "p1.5", "non-square", "max-offset-1",
                  "max-offset-2", "box", "even-power-axes", "smallest", "p4",
-                 "asymmetric-f-mask"]
+                 "linspace-ulp-f-axis"]
 
 
 @pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS, ids=REFERENCE_IDS)
@@ -430,43 +431,42 @@ def test_dp_layers_match_reference_loop(kwargs):
         assert table.layer(t).tobytes() == ref.tobytes(), t
 
 
-def mirror_flips(table):
-    """Index expressions that flip f and that flip g, one for each plane
-    whose mask equals its own mirror image."""
-    flips = []
-    if np.array_equal(table._feasible_f, table._feasible_f[::-1]):
-        flips.append(np.s_[::-1])
-    if np.array_equal(table._feasible_g, table._feasible_g[::-1]):
-        flips.append(np.s_[:, :, ::-1])
-    return flips
+# index expressions that flip f and that flip g
+MIRROR_FLIPS = [np.s_[::-1], np.s_[:, :, ::-1]]
 
 
 @pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS, ids=REFERENCE_IDS)
 def test_reference_layers_are_mirror_symmetric(kwargs):
-    """The loop's layers 0..3 equal their flip byte for byte on every
-    symmetric plane: the premise of sweeping half of its centres and
-    copying the rest."""
+    """The mean axes and both masks are their own mirror images, and the
+    loop's layers 0..3 equal their flips in f and in g byte for byte: the
+    premise of sweeping half of each plane's centres and copying the
+    rest."""
     cfg = BellmanConfig(**kwargs)
     table = BellmanTable(cfg)
+    for axis in (table.fs, table.gs):
+        assert np.array_equal(axis, -axis[::-1])
+    for mask in (table._feasible_f, table._feasible_g):
+        assert np.array_equal(mask, mask[::-1])
     hf, hg = table.steps[0], table.steps[2]
-    flips = mirror_flips(table)
-    assert flips
     ref = table.layer(0)
     for t in range(4):
         if t:
             ref = reference_layer(ref, hf, hg, cfg.max_offset)
             ref[~table._mask] = -np.inf
-        for flip in flips:
+        for flip in MIRROR_FLIPS:
             assert ref.tobytes() == ref[flip].tobytes(), (t, flip)
 
 
-def test_asymmetric_mask_breaks_the_f_mirror():
-    """With an (f, F) mask that is not its own mirror image, layer 3 is not
-    f-mirror symmetric, so that plane must be swept in full."""
+def test_mirror_states_read_the_same():
+    """(-0.2, 0.04) and (0.2, 0.04) both lie on the domain's boundary; on
+    a plain linspace f axis, one ulp off at 0.2, the table reads -inf at
+    the first and 0 at the second."""
     table = BellmanTable(BellmanConfig(**REFERENCE_CONFIGS[-1]))
-    assert mirror_flips(table) == [np.s_[:, :, ::-1]]
-    layer = table.layer(3)
-    assert layer.tobytes() != layer[::-1].tobytes()
+    G = table.Gs[-1]
+    low, high = (table.evaluate(3, (f, 0.04, 0.0, G), bump_feasible=False)
+                 for f in (-0.2, 0.2))
+    assert low["snap_distance"] == high["snap_distance"] == 0.0
+    assert low["value"] == high["value"]
 
 
 def offset_loop_splits(feasible, half0, half1):
@@ -491,20 +491,39 @@ def offset_loop_splits(feasible, half0, half1):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_plane_splits_match_offset_loop(p):
-    """Same offsets in the same order and equal arrays, on odd, even and
-    non-square planes, with full and capped radii."""
+    """Same offsets in the same order and equal arrays over the centres
+    from the middle row on, counts over every centre and the mirror map, on
+    odd, even and non-square planes, with full and capped radii."""
     for n0, n1 in [(9, 9), (13, 13), (9, 4), (7, 11), (5, 2), (3, 6)]:
-        feasible = (np.abs(np.linspace(-2.0, 2.0, n0))[:, None] ** p
+        feasible = (np.abs(bellman._mirror_axis(2.0, n0))[:, None] ** p
                     <= np.linspace(0.0, 4.0, n1)[None, :])
         for cap in (None, 0, 1, 2):
             half = [(n - 1) // 2 for n in (n0, n1)]
             if cap is not None:
                 half = [min(h, cap) for h in half]
-            nodes, splits = bellman._plane_splits(feasible, *half)
+            nodes, mirror, splits, counts = bellman._plane(feasible, *half)
             ref_nodes, ref = offset_loop_splits(feasible, *half)
             assert np.array_equal(nodes, ref_nodes)
-            assert [s[0] for s in splits] == [s[0] for s in ref]
-            for got, want in zip(splits, ref):
+            # the mirror map sends each node below the middle row to the
+            # node with the same column in row n0 - 1 - i
+            rows, cols = np.divmod(nodes, n1)
+            below = rows < n0 // 2
+            assert mirror.size == below.sum()
+            assert np.array_equal(rows[mirror], n0 - 1 - rows[below])
+            assert np.array_equal(cols[mirror], cols[below])
+            offsets = list(itertools.product(range(-half[0], half[0] + 1),
+                                             range(-half[1], half[1] + 1)))
+            sizes = {s[0]: s[1].size for s in ref}
+            assert counts == [sizes.get(o, 0) for o in offsets]
+            # the reference restricted to centres from the middle row on
+            first = np.count_nonzero(below)
+            swept = []
+            for offset, c, pl, mi in ref:
+                keep = c >= first
+                if keep.any():
+                    swept.append((offset, c[keep], pl[keep], mi[keep]))
+            assert [s[0] for s in splits] == [s[0] for s in swept]
+            for got, want in zip(splits, swept):
                 for x, y in zip(got[1:], want[1:]):
                     assert x.dtype == y.dtype and np.array_equal(x, y)
 
@@ -703,9 +722,7 @@ def test_benchmark_tables_are_mirror_symmetric(grid_tables):
     digests above) are mirror-symmetric in f and in g."""
     for p in (2.0, 3.0, 1.5):
         table = grid_tables[13, p]
-        flips = mirror_flips(table)
-        assert len(flips) == 2, p
-        for t, flip in itertools.product(range(4), flips):
+        for t, flip in itertools.product(range(4), MIRROR_FLIPS):
             layer = table.layer(t)
             assert layer.tobytes() == layer[flip].tobytes(), (p, t, flip)
 

@@ -75,6 +75,17 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("lambda-equivalence", "--k", "-1"),
     ("lambda-equivalence", "--k", "0", "--martingale-trials", "0"),
     ("lemma51", "--depth", "-1"),
+    ("bellman-check", "--f-max", "inf"),
+    ("bellman-check", "--g-max", "inf"),
+    ("bellman-check", "--F-max", "inf"),
+    ("bellman-check", "--p", "inf"),
+    ("series-bound", "--delta", "nan"),
+    ("series-bound", "--delta", "inf"),
+    ("series-bound", "--tol", "inf"),
+    ("series-bound", "--tol", "-1", "--delta", "1.0"),
+    ("hilbert-demo", "--tol", "nan"),
+    ("hilbert-demo", "--tol", "-1"),
+    ("hilbert-demo", "--tol", "inf"),
 ])
 def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1
