@@ -311,7 +311,9 @@ def _plane(feasible, half0, half1):
     one centred on the middle row or above it, the tuple ``((a, b), centre,
     plus, minus)`` of compact-id arrays over those centres.  The counts are
     the number of such splits per offset over every centre, one per offset
-    in the same order, empty ones included.
+    in the same order, empty ones included.  Only the offsets with
+    ``a >= 0`` are extracted: ``(-a, -b)`` has the centres and counts of
+    ``(a, b)``, with the two ends swapped, so its tuple shares their arrays.
     """
     n0, n1 = feasible.shape
     mid = n0 // 2
@@ -328,25 +330,27 @@ def _plane(feasible, half0, half1):
     bs = range(-half1, half1 + 1)
     splits, counts = [], []
     # one pass per first offset coordinate, over every b and centre at once
-    for a in range(-half0, half0 + 1):
-        r = abs(a)
-        c = ids[r:n0 - r]
+    for a in range(half0 + 1):
+        c = ids[a:n0 - a]
         # axes (b, centre row, centre column), so the selections below run
         # b first and then the centres row-major
-        p = shifted[r + a:n0 - r + a].transpose(1, 0, 2)
-        m = shifted[r - a:n0 - r - a, ::-1].transpose(1, 0, 2)
+        p = shifted[2 * a:].transpose(1, 0, 2)
+        m = shifted[:n0 - 2 * a, ::-1].transpose(1, 0, 2)
         ok = (c >= 0) & (p >= 0) & (m >= 0)
         per_row = ok.sum(axis=2)
         counts += per_row.sum(axis=1).tolist()
         # the centre rows from the middle on; the mirror copies the rest
-        k = mid - r
+        k = mid - a
         ends = np.cumsum(per_row[:, k:].sum(axis=1)).tolist()
         ok = ok[:, k:]
         c = np.broadcast_to(c[k:], ok.shape)[ok]
         p, m = p[:, k:][ok], m[:, k:][ok]
         splits += [((a, b), c[s:e], p[s:e], m[s:e])
                    for b, s, e in zip(bs, [0] + ends, ends) if e > s]
-    return nodes, mirror, splits, counts
+    # the offsets with a < 0, read backwards from those with a > 0
+    flipped = [((-a, -b), c, m, p)
+               for (a, b), c, p, m in reversed(splits) if a > 0]
+    return nodes, mirror, flipped + splits, counts[len(bs):][::-1] + counts
 
 
 def _centre_groups(splits):

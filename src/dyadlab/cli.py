@@ -245,7 +245,13 @@ def _cmd_bellman_check(opts, outdir):
         probe = table.evaluate(1, (0.0, 1.0, 0.0, 1.0), bump_feasible=False)
         if probe["snap_distance"] == 0.0:
             frozen["depth1_value"] = probe["value"]
-            checks["depth1_frozen"] = bool(probe["value"] == 4.0)
+            # 4.0 is the split to (-1, 1) and (1, 1) on both planes; a grid
+            # without +-1 on a mean axis only stays below it
+            if all(np.isin((-1.0, 1.0), axis).all()
+                   for axis in (table.fs, table.gs)):
+                checks["depth1_frozen"] = bool(probe["value"] == 4.0)
+            else:
+                checks["depth1_bounded"] = bool(probe["value"] <= 4.0)
         dirac = table.evaluate(depth, (1.0, 1.0, 0.0, config.G_max),
                                bump_feasible=False)
         if dirac["snap_distance"] == 0.0:

@@ -6,6 +6,15 @@ irrational for odd ``j``.  Numbers of the form ``a + b*sqrt(2)`` with rational
 the exact identity checks (averages, Haar coefficients, extremal shift
 coefficients), so identities can be asserted with literal ``==`` instead of a
 floating tolerance.
+
+Representation: both parts ``a`` and ``b`` of a :class:`Sqrt2Rational` are
+always ``Fraction`` instances.  The public constructor coerces its arguments;
+arithmetic builds its results from parts that are Fractions already.
+Equality is componentwise (``a == a'`` and ``b == b'``, or ``b == 0`` and
+``a == r`` against a rational ``r``), which is exact because sqrt(2) is
+irrational, and ``hash`` agrees with ``Fraction`` and ``int`` when ``b == 0``.
+Numbers are never mutated after they are built: :func:`sqrt2_pow` returns
+shared instances.
 """
 
 from __future__ import annotations
@@ -28,6 +37,14 @@ class Sqrt2Rational:
         self.a = Fraction(a)
         self.b = Fraction(b)
 
+    @staticmethod
+    def _new(a, b):
+        """``a + b*sqrt(2)`` from parts that are already Fractions."""
+        x = object.__new__(Sqrt2Rational)
+        x.a = a
+        x.b = b
+        return x
+
     # -- representation -------------------------------------------------
 
     def __repr__(self):
@@ -39,6 +56,9 @@ class Sqrt2Rational:
         return float(self.a) + float(self.b) * math.sqrt(2.0)
 
     # -- arithmetic ------------------------------------------------------
+    # A rational operand (int or Fraction) meets the parts directly, and a
+    # zero part is passed on without a product: every result part is then
+    # a Fraction, as Fraction op int and Fraction op Fraction both are.
 
     @staticmethod
     def _coerce(other):
@@ -49,44 +69,57 @@ class Sqrt2Rational:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Sqrt2Rational(self.a + o.a, self.b + o.b)
+        if isinstance(other, Sqrt2Rational):
+            return self._new(self.a + other.a, self.b + other.b)
+        if isinstance(other, _RationalTypes):
+            return self._new(self.a + other, self.b)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Sqrt2Rational(self.a - o.a, self.b - o.b)
+        if isinstance(other, Sqrt2Rational):
+            return self._new(self.a - other.a, self.b - other.b)
+        if isinstance(other, _RationalTypes):
+            return self._new(self.a - other, self.b)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Sqrt2Rational(o.a - self.a, o.b - self.b)
+        if isinstance(other, _RationalTypes):
+            return self._new(other - self.a, -self.b)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        a, b = self.a, self.b
+        if isinstance(other, Sqrt2Rational):
+            if not b:
+                return other * a
+            c, d = other.a, other.b
+            if d:
+                return self._new(a * c + 2 * b * d, a * d + b * c)
+            other = c
+        elif not isinstance(other, _RationalTypes):
             return NotImplemented
-        return Sqrt2Rational(self.a * o.a + 2 * self.b * o.b,
-                             self.a * o.b + self.b * o.a)
+        return self._new(a * other if a else a, b * other if b else b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        a, b = self.a, self.b
+        if isinstance(other, Sqrt2Rational):
+            c, d = other.a, other.b
+            if d:
+                # 1/(c + d*r2) = (c - d*r2) / (c^2 - 2 d^2), and the
+                # denominator is not 0 because sqrt(2) is irrational
+                den = c * c - 2 * d * d
+                return self._new((a * c - 2 * b * d) / den,
+                                 (b * c - a * d) / den)
+            other = c
+        elif not isinstance(other, _RationalTypes):
             return NotImplemented
-        den = o.a * o.a - 2 * o.b * o.b
-        if den == 0:
+        if not other:
             raise ZeroDivisionError("division by zero in Q(sqrt(2))")
-        # 1/(a + b*r2) = (a - b*r2) / (a^2 - 2 b^2)
-        return Sqrt2Rational((self.a * o.a - 2 * self.b * o.b) / den,
-                             (self.b * o.a - self.a * o.b) / den)
+        return self._new(a / other if a else a, b / other if b else b)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -95,7 +128,7 @@ class Sqrt2Rational:
         return o / self
 
     def __neg__(self):
-        return Sqrt2Rational(-self.a, -self.b)
+        return self._new(-self.a, -self.b)
 
     def __pos__(self):
         return self
@@ -106,7 +139,7 @@ class Sqrt2Rational:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        out = Sqrt2Rational(1)
+        out = self._new(Fraction(1), Fraction(0))
         base = self
         e = exponent
         while e:
@@ -138,8 +171,13 @@ class Sqrt2Rational:
         return (self - o)._sign()
 
     def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
+        # componentwise: a + b*sqrt(2) == 0 only for a == b == 0, because
+        # sqrt(2) is irrational
+        if isinstance(other, Sqrt2Rational):
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, _RationalTypes):
+            return not self.b and self.a == other
+        return NotImplemented
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -167,15 +205,22 @@ class Sqrt2Rational:
 
 
 ROOT2 = Sqrt2Rational(0, 1)
+_SQRT2_POWS = {}
 
 
 def sqrt2_pow(n):
-    """Exact ``2**(n/2)`` for integer ``n`` (possibly negative)."""
-    half, odd = divmod(n, 2)
-    scale = Fraction(2) ** half
-    if odd:
-        return Sqrt2Rational(0, scale)
-    return Sqrt2Rational(scale)
+    """Exact ``2**(n/2)`` for integer ``n`` (possibly negative).
+
+    Each power is built once and the same instance is returned on every
+    later call, so callers must not mutate it.
+    """
+    x = _SQRT2_POWS.get(n)
+    if x is None:
+        half, odd = divmod(n, 2)
+        scale = Fraction(2) ** half
+        x = Sqrt2Rational(0, scale) if odd else Sqrt2Rational(scale)
+        _SQRT2_POWS[n] = x
+    return x
 
 
 def as_exact(x):

@@ -245,6 +245,18 @@ def test_bellman_check_passes_with_frozen_values(tmp_path):
     assert report["grid_min_slack"] >= 0.0
 
 
+@pytest.mark.parametrize("argv", [("--f-max", "3"),
+                                  ("--f-max", "3", "--n", "5")])
+def test_bellman_check_without_unit_means_is_bounded(tmp_path, argv):
+    """With f_max = 3 the f axis misses +-1 (steps 0.375 and 1.5), so the
+    depth-1 value at (0, 1, 0, 1) is only bounded by 4, not equal to it."""
+    assert run(tmp_path, "bellman-check", *argv) == 0
+    report = load(tmp_path, "bellman_check.json")
+    assert report["checks"]["depth1_bounded"] is True
+    assert "depth1_frozen" not in report["checks"]
+    assert report["frozen"]["depth1_value"] < 4.0
+
+
 def test_lemma51_default_run_passes(tmp_path, capsys):
     assert run(tmp_path, "lemma51") == 0
     report = load(tmp_path, "lemma51.json")

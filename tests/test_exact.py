@@ -1,5 +1,6 @@
 """Tests for exact arithmetic in Q(sqrt(2))."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -103,3 +104,78 @@ def test_power_matches_repeated_product():
 def test_coercion_rejects_floats():
     assert Sqrt2Rational._coerce(0.5) is None
     assert (ROOT2 == "two") is False
+
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": operator.truediv}
+
+
+def parts(x):
+    """``(a, b)`` of an exact number or of a rational read as ``a + 0*r2``."""
+    if isinstance(x, Sqrt2Rational):
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
+
+
+def field_results(x, y):
+    """``x op y`` by the componentwise formulas of Q(sqrt(2)); no "/" when
+    ``y`` is 0."""
+    (a, b), (c, d) = parts(x), parts(y)
+    out = {"+": (a + c, b + d), "-": (a - c, b - d),
+           "*": (a * c + 2 * b * d, a * d + b * c)}
+    den = c * c - 2 * d * d
+    if den:
+        out["/"] = ((a * c - 2 * b * d) / den, (b * c - a * d) / den)
+    return out
+
+
+def random_operand(rng, kind):
+    """Small parts, so that zeros, equal operands and integers are common."""
+    a, b = (Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+            for _ in range(2))
+    return {"root": Sqrt2Rational(a, b), "rational": Sqrt2Rational(a),
+            "fraction": a, "int": int(rng.integers(-3, 4)),
+            "bool": bool(rng.integers(0, 2))}[kind]
+
+
+def test_operators_match_field_formulas_random():
+    """Every operator and its reflected form, over exact, Fraction, int and
+    bool operands: the parts equal the field formulas and are Fractions,
+    ``==`` is componentwise, ``hash`` agrees with Fraction and int, and a
+    zero divisor raises."""
+    rng = np.random.default_rng(1)
+    kinds = ("root", "rational", "fraction", "int", "bool")
+    for _ in range(N_FUZZ):
+        x = random_operand(rng, kinds[int(rng.integers(0, 2))])
+        y = random_operand(rng, kinds[int(rng.integers(0, len(kinds)))])
+        for left, right in ((x, y), (y, x)):
+            want = field_results(left, right)
+            for name, op in OPERATORS.items():
+                if name not in want:
+                    with pytest.raises(ZeroDivisionError):
+                        op(left, right)
+                    continue
+                got = op(left, right)
+                assert isinstance(got, Sqrt2Rational)
+                assert type(got.a) is Fraction and type(got.b) is Fraction
+                assert (got.a, got.b) == want[name], (left, name, right)
+            assert (left == right) is (parts(left) == parts(right))
+            assert (left != right) is (parts(left) != parts(right))
+            if left == right:
+                assert hash(left) == hash(right)
+        for z in (-x, abs(x), x ** 3):
+            assert type(z.a) is Fraction and type(z.b) is Fraction
+        if x.b == 0:
+            assert x == x.a and hash(x) == hash(x.a)
+            if x.a.denominator == 1:
+                assert x == int(x.a) and hash(x) == hash(int(x.a))
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_float_operands_raise(name):
+    op = OPERATORS[name]
+    for x in (ROOT2, Sqrt2Rational(3)):
+        with pytest.raises(TypeError):
+            op(x, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, x)

@@ -11,7 +11,7 @@ import pytest
 from dyadlab.cli import main
 from dyadlab.dyadic import (DepthExhaustedError, DyadicError, DyadicSystem,
                             descendants, sample_system)
-from dyadlab.exact import Sqrt2Rational, sqrt2_pow
+from dyadlab.exact import Sqrt2Rational, sqrt2_pow, to_text
 from dyadlab.shifts import (ShiftSpec, apply_shift, is_self_adjoint,
                             paraproduct, paraproduct_adjoint,
                             paraproduct_matrix, petermichl_shift,
@@ -342,6 +342,46 @@ def test_float_apply_bytes_are_frozen(case):
     digests = tuple(hashlib.sha256(apply_shift(shift, f).values.tobytes())
                     .hexdigest() for shift in (sh, symmetrize(sh)))
     assert digests == FLOAT_APPLY_SHA256[case]
+
+
+# sha256 of the to_text lines of exact outputs at depth 6 (window 2**1, so
+# the Haar scales alternate between rational and sqrt(2) multiples),
+# recorded with the Q(sqrt(2)) arithmetic that coerced every part
+EXACT_TEXT_SHA256 = {
+    "haar_expand": "90dfeff83fcf56cafea6fd8fe66a3936"
+                   "c07ff91c27bf041ba3ce186f5eb486e8",
+    "apply_shift": "2f34cd1094d6c00c16d462f92209461d"
+                   "a81c6bb20eaeadd7b9cf9170c74f1caf",
+    "apply_shift_symmetrized": "b11ac8d6a1bd4496e0c2d42818058bd6"
+                               "11b1dcebc39864e23fc2a68f23e84ca6",
+    "paraproduct": "3dce80d9ec6e3dc49b4b54821af34ef2"
+                   "fa56cfef94bf454b1a4645ea1ad3be3d",
+}
+
+
+def test_exact_values_are_frozen():
+    """Every exact value, not only the identities it passes: the window
+    mean and Haar coefficients (by address), a (1, 2) shift and its
+    symmetrization applied, and a paraproduct."""
+    system = sample_system(61, 6, M=1)
+    f = random_step_function(system, seed=62, d=2, exact=True)
+    phi = random_step_function(system, seed=63, exact=True)
+    mean, coeffs = haar_expand(f)
+    shift = random_extremal_shift(system, 1, 2, seed=64)
+    outputs = {
+        "haar_expand": np.concatenate([mean, *(coeffs[k]
+                                               for k in sorted(coeffs))]),
+        "apply_shift": apply_shift(shift, f).values,
+        "apply_shift_symmetrized": apply_shift(symmetrize(shift), f).values,
+        "paraproduct": paraproduct(phi, f).values,
+    }
+    # two spot values, for a reader of a failure
+    assert to_text(coeffs[(5, 0)][0]) == "-7/64"
+    assert to_text(coeffs[(4, 0)][0]) == "0 + -1/128*sqrt(2)"
+    for name, values in outputs.items():
+        text = "\n".join(to_text(v) for v in np.ravel(values))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == EXACT_TEXT_SHA256[name], name
 
 
 # -- exact per-interval references --------------------------------------
