@@ -164,12 +164,13 @@ def tree_from_functions(f, g, space):
         fv, gv = f.values, g.values
         F, G = (fv * fv).sum(axis=1), (gv * gv).sum(axis=1)
     else:
-        fv, gv = f.as_float().values, g.as_float().values
+        f, g = f.as_float(), g.as_float()
+        fv, gv = f.values, g.values
         F = _powers(fv, space.p, space.q)
         G = _powers(gv, space.p_dual, space.q_dual)
-    return MartingaleTree(f.system, space,
-                          *(_level_means(x, exact) for x in (fv, F, gv, G)),
-                          exact)
+    return MartingaleTree(f.system, space, f.level_means,
+                          _level_means(F, exact), g.level_means,
+                          _level_means(G, exact), exact)
 
 
 def modified_points(tree, alpha, k=None, lam=None):

@@ -31,15 +31,15 @@ import numpy as np
 from .bellman import (MAX_TABLE_DEPTH, BellmanConfig, bellman_oracle,
                       concavity_gain_check, lemma51_verify, range_check,
                       tree_from_functions)
-from .dyadic import DyadicError, children, sample_system
+from .dyadic import DyadicError, sample_system
 from .schur import (equivalence_report, lambda_matrix,
                     random_admissible_lambda, rank_one_multiplier_check,
                     sign_multiplier_check)
 from .shifts import (apply_shift, paraproduct, paraproduct_adjoint,
                      random_extremal_shift, series_bound, shift_slice,
                      slice_bilinear_sides, symmetrize)
-from .signal import (SpaceSpec, average, haar_coeff, haar_expand,
-                     haar_reconstruct, pairing_integral, pointwise_product,
+from .signal import (SpaceSpec, _level_jumps, haar_expand, haar_reconstruct,
+                     pairing_integral, pointwise_product,
                      random_step_function)
 from .normlab import hilbert_demo, shift_scaling_study, umd_probe
 
@@ -104,13 +104,14 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
             for i in range(system.n_leaves) for c in range(d))
 
         ok4 = True
-        for iv in system.nonleaf_intervals():
-            left, right = children(iv)
-            jump_f = average(f, left) - average(f, right)
-            jump_g = average(g, left) - average(g, right)
-            lhs_term = iv.length * abs(_dot(jump_f, jump_g))
-            rhs_term = 4 * abs(_dot(haar_coeff(f, iv), haar_coeff(g, iv)))
-            ok4 = ok4 and lhs_term == rhs_term
+        for lev, (jumps_f, jumps_g) in enumerate(zip(
+                _level_jumps(f.level_means), _level_jumps(g.level_means))):
+            length = Fraction(2) ** (system.M - lev)
+            for i, (jump_f, jump_g) in enumerate(zip(jumps_f, jumps_g)):
+                lhs_term = length * abs(_dot(jump_f, jump_g))
+                rhs_term = 4 * abs(_dot(coeffs_f[(lev, i)],
+                                        coeffs_g[(lev, i)]))
+                ok4 = ok4 and lhs_term == rhs_term
         results["factor4_per_interval"] = ok4
 
         if d == 1:
@@ -119,7 +120,7 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
             total = (paraproduct(phi, f) + paraproduct_adjoint(phi, f)
                      + paraproduct(f, phi))
             rem = pointwise_product(phi, f) - total
-            mean_phi = average(phi, system.root)[0]
+            mean_phi = phi.level_means[0][0, 0]
             results["paraproduct_decomposition"] = all(
                 rem.values[i, 0] == mean_phi * mean_f[0]
                 for i in range(system.n_leaves))

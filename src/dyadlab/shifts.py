@@ -27,8 +27,8 @@ import numpy as np
 
 from .dyadic import DyadicError, DepthExhaustedError, WindowError
 from .exact import Sqrt2Rational, as_exact, from_text, sqrt2_pow, to_text
-from .signal import (StepFunction, _level_jumps, _level_means, _synthesize,
-                     _zeros, haar_coeff, haar_profile)
+from .signal import (StepFunction, _level_jumps, _synthesize, _zeros,
+                     haar_coeff, haar_profile)
 
 __all__ = [
     "ShiftSpec",
@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 MAX_MATRIX_DIM = 4096
+# Bytes a constructor may allocate for one coefficient table: six int64 key
+# columns and one int64 weight per row.  Depth 16 with m = n = 4 takes 59 MB;
+# depth 20 would take 0.94 GB.
+_MAX_TABLE_BYTES = 1 << 27
+_ROW_BYTES = 7 * 8
 
 # Key columns: L level, L index, I level, I index, J level, J index.  This
 # permutation turns a key (L, I, J) into the adjoint key (L, J, I).
@@ -237,14 +242,31 @@ class ShiftSpec:
 # -- constructors --------------------------------------------------------
 
 
+def _block_rows(depth, m, n):
+    """Row count of the block-``(m, n)`` key table at window depth ``depth``:
+    ``2**(m + n)`` rows for each base interval L above level
+    ``depth - max(m, n)``."""
+    return ((1 << max(depth - max(m, n), 0)) - 1) << (m + n)
+
+
 def _block_keys(system, m, n):
     """Key rows of every ``(L, I, J)`` with block depths ``(m, n)`` whose
-    Haar functions exist, in key order (L level, L, I, J ascending)."""
+    Haar functions exist, in key order (L level, L, I, J ascending).
+
+    The row count is checked against the table cap before anything is
+    allocated."""
     _check_blocks(m, n)
-    top = system.depth - max(m, n) - 1
+    rows = _block_rows(system.depth, m, n)
+    if rows * _ROW_BYTES > _MAX_TABLE_BYTES:
+        raise DyadicError(
+            f"a ({m}, {n}) shift at depth {system.depth} has {rows} rows "
+            f"({rows * _ROW_BYTES} bytes), over the table cap of "
+            f"{_MAX_TABLE_BYTES} bytes")
+    if not rows:
+        return np.empty((0, 6), dtype=np.int64)
     i_off, j_off = np.divmod(np.arange(1 << (m + n)), 1 << n)
-    blocks = [np.empty((0, 6), dtype=np.int64)]
-    for lev in range(top + 1):
+    blocks = []
+    for lev in range(system.depth - max(m, n)):
         L = np.repeat(np.arange(1 << lev), 1 << (m + n))
         reps = 1 << lev
         blocks.append(np.column_stack([
@@ -312,7 +334,7 @@ def apply_shift(shift, f):
         raise DyadicError("function and shift live on different systems")
     exact = f.exact
     keys = shift.keys
-    jumps = _level_jumps(_level_means(f.values, exact))
+    jumps = _level_jumps(f.level_means)
     heap = np.concatenate([_zeros((1, f.d), exact), *jumps])  # row 0 unused
     gaps = keys[:, 4] - keys[:, 2]  # n - m or m - n, by the two blocks
     gap_set = sorted({shift.n - shift.m, shift.m - shift.n})
@@ -347,8 +369,7 @@ def _paraproduct_means(phi, f):
     exact = phi.exact and f.exact
     if not exact:
         phi, f = phi.as_float(), f.as_float()
-    return (_level_means(phi.values, exact), _level_means(f.values, exact),
-            exact)
+    return phi.level_means, f.level_means, exact
 
 
 def paraproduct(phi, f):
@@ -438,8 +459,7 @@ def slice_bilinear_sides(shift, j, f, g):
     lhs = 2.0 * abs(float((out.values * gg.values).sum() * w))
 
     system = f.system
-    means_f = _level_means(ff.values, False)
-    means_g = _level_means(gg.values, False)
+    means_f, means_g = ff.level_means, gg.level_means
     rhs = 0.0
     for lev in slice_levels(system.M, system.depth, j, k):
         if lev + k > system.depth:

@@ -15,9 +15,13 @@ Since ``<f, h_I> = sqrt(|I|)/2 * jump``, an operator of the form
 ``sum c * <f, h_I> * h_J`` becomes a map from jumps and means to one term per
 interval, with one normalising factor per level.  Synthesis then spreads the
 terms onto the leaves with ``np.repeat``, adding each term on the left half
-of its interval and subtracting it on the right half.  The per-interval
-:func:`average`, :func:`haar_coeff` and :func:`haar_profile` stay as the
-independent reference.
+of its interval and subtracting it on the right half.
+
+A function's pyramid is built once, on first use, and kept as
+``StepFunction.level_means``; every Haar operator reads it from there.  This
+is sound because a function's values cannot be written after construction.
+The per-interval :func:`average`, :func:`haar_coeff` and :func:`haar_profile`
+stay as the independent reference that the tests compare against.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +89,14 @@ class SpaceSpec:
 
 
 class StepFunction:
-    """A function constant on the leaf cells of a dyadic window."""
+    """A function constant on the leaf cells of a dyadic window.
+
+    ``values`` has one row per leaf cell and is read only: a write through
+    it raises ``ValueError``, while an array passed in stays writable to its
+    owner (who must not change it afterwards).  Derived data is built on
+    first use and kept: ``level_means``, the level-mean pyramid every Haar
+    operator reads, and the float copy returned by :meth:`as_float`.
+    """
 
     def __init__(self, system, values):
         values = np.asarray(values)
@@ -96,6 +108,8 @@ class StepFunction:
                 f"{system.n_leaves} leaves")
         if values.dtype != object:
             values = values.astype(float)
+        values = values.view()
+        values.flags.writeable = False
         self.system = system
         self.values = values
 
@@ -128,10 +142,22 @@ class StepFunction:
         return StepFunction(self.system, self.values.copy())
 
     def as_float(self):
-        if not self.exact:
-            return self
-        return StepFunction(self.system,
-                            np.vectorize(float)(self.values).astype(float))
+        """This function with float values: itself when already float."""
+        return self._float if self.exact else self
+
+    @cached_property
+    def _float(self):
+        return StepFunction(self.system, self.values.astype(float))
+
+    @cached_property
+    def level_means(self):
+        """Means of every interval, built once: ``level_means[lev]`` is a
+        read-only array with one row per interval of level ``lev``, and the
+        last level is ``values`` itself."""
+        means = _level_means(self.values, self.exact)
+        for level in means:
+            level.flags.writeable = False
+        return means
 
     # -- arithmetic ------------------------------------------------------
 
@@ -254,7 +280,7 @@ def _synthesize(terms, exact, signed=True):
 
 def haar_expand(f):
     """Full expansion ``(window mean, {address: coefficient vector})``."""
-    means = _level_means(f.values, f.exact)
+    means = f.level_means
     coeffs = {}
     for lev, jump in enumerate(_level_jumps(means)):
         scale = sqrt2_pow(f.system.M - lev) / 2

@@ -199,6 +199,23 @@ def test_identity_battery_vector_valued():
     assert "paraproduct_decomposition" not in report["checks"][0]
 
 
+def test_factor4_check_fails_on_a_wrong_coefficient(tmp_path, monkeypatch):
+    """The factor-4 check reads the coefficients of ``haar_expand``, so one
+    wrong coefficient falsifies it."""
+    expand = cli.haar_expand
+
+    def doubled_root(f):
+        mean, coeffs = expand(f)
+        coeffs[(0, 0)] = 2 * coeffs[(0, 0)]
+        return mean, coeffs
+
+    assert identity_battery(seed=0, depth=3, trials=1)["all_passed"]
+    monkeypatch.setattr(cli, "haar_expand", doubled_root)
+    report = identity_battery(seed=0, depth=3, trials=1)
+    assert report["checks"][0]["factor4_per_interval"] is False
+    assert run(tmp_path, "identities", "--depth", "3", "--trials", "1") == 2
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

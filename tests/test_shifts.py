@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dyadlab import shifts
 from dyadlab.cli import main
 from dyadlab.dyadic import (DepthExhaustedError, DyadicError, DyadicSystem,
                             descendants, sample_system)
@@ -90,6 +91,30 @@ def test_extremal_flags_and_depth_guard():
         random_extremal_shift(DyadicSystem(depth=1), 1, 1, seed=0)
     with pytest.raises(DepthExhaustedError):
         petermichl_shift(DyadicSystem(depth=1))
+
+
+@pytest.mark.parametrize("depth, m, n", [(4, 1, 1), (5, 0, 2), (6, 3, 1)])
+def test_shift_table_cap_is_checked_before_allocating(monkeypatch, depth, m,
+                                                       n):
+    sys_ = DyadicSystem(depth=depth)
+    rows = len(random_extremal_shift(sys_, m, n, seed=0).keys)
+    assert rows == shifts._block_rows(depth, m, n)
+    monkeypatch.setattr(shifts, "_MAX_TABLE_BYTES",
+                        rows * shifts._ROW_BYTES - 1)
+    with pytest.raises(DyadicError, match="table cap"):
+        random_extremal_shift(sys_, m, n, seed=0)
+
+
+def test_shift_table_cap_admits_depth_16_and_refuses_depth_20():
+    cap, row = shifts._MAX_TABLE_BYTES, shifts._ROW_BYTES
+    assert shifts._block_rows(16, 4, 4) * row <= cap  # 59 MB, not built
+    assert shifts._block_rows(20, 4, 4) == 16_776_960
+    with pytest.raises(DyadicError, match="table cap"):
+        random_extremal_shift(DyadicSystem(depth=20), 4, 4, seed=0)
+    # blocks deeper than the window are refused before their 2**(m + n)
+    # offsets are laid out
+    with pytest.raises(DepthExhaustedError):
+        random_extremal_shift(DyadicSystem(depth=3), 20, 20, seed=0)
 
 
 def test_table_algebra_keeps_exact_coefficients():

@@ -8,10 +8,10 @@ import pytest
 
 from dyadlab.dyadic import DyadicError, DyadicSystem, sample_system
 from dyadlab.exact import ROOT2
-from dyadlab.signal import (SpaceSpec, StepFunction, average, haar_coeff,
-                            haar_expand, haar_profile, haar_reconstruct,
-                            lp_norm, pairing_integral, pointwise_product,
-                            random_step_function)
+from dyadlab.signal import (SpaceSpec, StepFunction, _level_means, average,
+                            haar_coeff, haar_expand, haar_profile,
+                            haar_reconstruct, lp_norm, pairing_integral,
+                            pointwise_product, random_step_function)
 
 FLOAT_TOL = 1e-12
 N_HOLDER_PAIRS = 200
@@ -79,6 +79,49 @@ def test_constant_exact():
     c = StepFunction.constant(sys_, Fraction(1, 3), d=2, exact=True)
     assert c.exact and c.values[1, 1] == Fraction(1, 3)
     assert average(c, sys_.root)[0] == Fraction(1, 3)
+
+
+# -- read-only values and the cached derived data ------------------------
+
+
+@pytest.mark.parametrize("d, exact", [(1, True), (2, True), (1, False)])
+def test_level_means_match_a_fresh_pyramid_and_are_built_once(d, exact):
+    sys_ = sample_system(41, 5, M=-1)
+    f = random_step_function(sys_, seed=(42, d), d=d, exact=exact)
+    means = f.level_means
+    fresh = _level_means(np.array(f.values), exact)
+    assert len(means) == len(fresh) == sys_.depth + 1
+    for got, want in zip(means, fresh):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if exact:
+            assert got.tolist() == want.tolist()
+        else:
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
+    assert f.level_means is means
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_values_are_read_only_and_the_input_stays_writable(exact):
+    sys_ = DyadicSystem(depth=2)
+    vals = np.array([[1], [2], [3], [4]], dtype=object if exact else float)
+    f = StepFunction(sys_, vals)
+    with pytest.raises(ValueError):
+        f.values[0, 0] = 5
+    assert vals.flags.writeable
+    assert f.values.tolist() == [[1], [2], [3], [4]]
+
+
+def test_as_float_is_bit_identical_and_built_once():
+    sys_ = DyadicSystem(depth=2)
+    vals = np.array([Fraction(1, 3), ROOT2 / 3, -ROOT2 * Fraction(5, 7) + 1,
+                     Fraction(-2, 9)], dtype=object)
+    f = StepFunction(sys_, vals)
+    ff = f.as_float()
+    assert not ff.exact
+    assert ff.values.tobytes() == np.array([[float(v)] for v in vals]).tobytes()
+    assert f.as_float() is ff and ff.as_float() is ff
 
 
 # -- Haar calculus: frozen values ---------------------------------------
