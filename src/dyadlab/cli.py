@@ -38,7 +38,7 @@ from .schur import (equivalence_report, lambda_matrix,
 from .shifts import (apply_shift, paraproduct, paraproduct_adjoint,
                      random_extremal_shift, series_bound, shift_slice,
                      slice_bilinear_sides, symmetrize)
-from .signal import (SpaceSpec, _level_jumps, haar_expand, haar_reconstruct,
+from .signal import (SpaceSpec, haar_expand, haar_reconstruct,
                      pairing_integral, pointwise_product,
                      random_step_function)
 from .normlab import hilbert_demo, shift_scaling_study, umd_probe
@@ -105,7 +105,7 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
 
         ok4 = True
         for lev, (jumps_f, jumps_g) in enumerate(zip(
-                _level_jumps(f.level_means), _level_jumps(g.level_means))):
+                f.level_jumps, g.level_jumps)):
             length = Fraction(2) ** (system.M - lev)
             for i, (jump_f, jump_g) in enumerate(zip(jumps_f, jumps_g)):
                 lhs_term = length * abs(_dot(jump_f, jump_g))

@@ -85,7 +85,7 @@ class LambdaMatrix:
     def as_float(self):
         if not self.exact:
             return self.values
-        return np.vectorize(float)(self.values).astype(float)
+        return self.values.astype(float)
 
     def _check_admissible(self):
         vals = self.values
@@ -134,7 +134,7 @@ class AlphaSequence:
 
     def as_float(self):
         if self.values.dtype == object:
-            return np.vectorize(float)(self.values).astype(float)
+            return self.values.astype(float)
         return self.values
 
 

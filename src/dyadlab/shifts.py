@@ -27,8 +27,8 @@ import numpy as np
 
 from .dyadic import DyadicError, DepthExhaustedError, WindowError
 from .exact import Sqrt2Rational, as_exact, from_text, sqrt2_pow, to_text
-from .signal import (StepFunction, _level_jumps, _synthesize, _zeros,
-                     haar_coeff, haar_profile)
+from .signal import (StepFunction, _synthesize, _zeros, haar_coeff,
+                     haar_profile)
 
 __all__ = [
     "ShiftSpec",
@@ -334,7 +334,7 @@ def apply_shift(shift, f):
         raise DyadicError("function and shift live on different systems")
     exact = f.exact
     keys = shift.keys
-    jumps = _level_jumps(f.level_means)
+    jumps = f.level_jumps
     heap = np.concatenate([_zeros((1, f.d), exact), *jumps])  # row 0 unused
     gaps = keys[:, 4] - keys[:, 2]  # n - m or m - n, by the two blocks
     gap_set = sorted({shift.n - shift.m, shift.m - shift.n})
@@ -360,8 +360,8 @@ def apply_shift(shift, f):
 # -- paraproducts --------------------------------------------------------
 
 
-def _paraproduct_means(phi, f):
-    """Level means of the symbol and the function; exact when both are."""
+def _paraproduct_operands(phi, f):
+    """The symbol and the function, as floats unless both are exact."""
     if phi.system != f.system:
         raise DyadicError("symbol and function live on different systems")
     if phi.d != 1:
@@ -369,7 +369,7 @@ def _paraproduct_means(phi, f):
     exact = phi.exact and f.exact
     if not exact:
         phi, f = phi.as_float(), f.as_float()
-    return phi.level_means, f.level_means, exact
+    return phi, f, exact
 
 
 def paraproduct(phi, f):
@@ -377,10 +377,10 @@ def paraproduct(phi, f):
 
     The term of ``I`` is half the jump of ``phi`` times the mean of ``f``.
     """
-    means_phi, means_f, exact = _paraproduct_means(phi, f)
+    phi, f, exact = _paraproduct_operands(phi, f)
     half = Fraction(1, 2) if exact else 0.5
     terms = [jump * half * mean
-             for jump, mean in zip(_level_jumps(means_phi), means_f)]
+             for jump, mean in zip(phi.level_jumps, f.level_means)]
     return StepFunction(f.system, _synthesize(terms, exact))
 
 
@@ -389,10 +389,10 @@ def paraproduct_adjoint(phi, f):
 
     The term of ``I`` is a quarter of the product of the two jumps.
     """
-    means_phi, means_f, exact = _paraproduct_means(phi, f)
+    phi, f, exact = _paraproduct_operands(phi, f)
     quarter = Fraction(1, 4) if exact else 0.25
     terms = [jump_phi * quarter * jump_f for jump_phi, jump_f
-             in zip(_level_jumps(means_phi), _level_jumps(means_f))]
+             in zip(phi.level_jumps, f.level_jumps)]
     return StepFunction(f.system, _synthesize(terms, exact, signed=False))
 
 

@@ -17,11 +17,12 @@ interval, with one normalising factor per level.  Synthesis then spreads the
 terms onto the leaves with ``np.repeat``, adding each term on the left half
 of its interval and subtracting it on the right half.
 
-A function's pyramid is built once, on first use, and kept as
-``StepFunction.level_means``; every Haar operator reads it from there.  This
-is sound because a function's values cannot be written after construction.
-The per-interval :func:`average`, :func:`haar_coeff` and :func:`haar_profile`
-stay as the independent reference that the tests compare against.
+A function's pyramid and its jumps are built once, on first use, and kept
+as ``StepFunction.level_means`` and ``StepFunction.level_jumps``; every Haar
+operator reads them from there.  This is sound because a function's values
+cannot be written after construction.  The per-interval :func:`average`,
+:func:`haar_coeff` and :func:`haar_profile` stay as the independent
+reference that the tests compare against.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class StepFunction:
     ``values`` has one row per leaf cell and is read only: a write through
     it raises ``ValueError``, while an array passed in stays writable to its
     owner (who must not change it afterwards).  Derived data is built on
-    first use and kept: ``level_means``, the level-mean pyramid every Haar
-    operator reads, and the float copy returned by :meth:`as_float`.
+    first use and kept: the level-mean pyramid ``level_means`` and its jumps
+    ``level_jumps``, which every Haar operator reads, and the float copy
+    returned by :meth:`as_float`.
     """
 
     def __init__(self, system, values):
@@ -158,6 +160,17 @@ class StepFunction:
         for level in means:
             level.flags.writeable = False
         return means
+
+    @cached_property
+    def level_jumps(self):
+        """Jumps of every non-leaf interval, built once from
+        ``level_means``: ``level_jumps[lev]`` is a read-only array of the
+        left-half mean minus the right-half mean of each interval of level
+        ``lev``."""
+        jumps = [finer[0::2] - finer[1::2] for finer in self.level_means[1:]]
+        for level in jumps:
+            level.flags.writeable = False
+        return jumps
 
     # -- arithmetic ------------------------------------------------------
 
@@ -256,11 +269,6 @@ def _level_means(values, exact):
     return means[::-1]
 
 
-def _level_jumps(means):
-    """Left-half mean minus right-half mean of every non-leaf interval."""
-    return [finer[0::2] - finer[1::2] for finer in means[1:]]
-
-
 def _synthesize(terms, exact, signed=True):
     """Leaf values of the per-interval ``terms`` (one array per level).
 
@@ -280,13 +288,12 @@ def _synthesize(terms, exact, signed=True):
 
 def haar_expand(f):
     """Full expansion ``(window mean, {address: coefficient vector})``."""
-    means = f.level_means
     coeffs = {}
-    for lev, jump in enumerate(_level_jumps(means)):
+    for lev, jump in enumerate(f.level_jumps):
         scale = sqrt2_pow(f.system.M - lev) / 2
         level = jump * (scale if f.exact else float(scale))
         coeffs.update(((lev, i), row) for i, row in enumerate(level))
-    return means[0][0], coeffs
+    return f.level_means[0][0], coeffs
 
 
 def haar_reconstruct(system, mean, coeffs, exact=False):

@@ -1,10 +1,15 @@
 """Tests for operator-norm estimation and the averaging experiments."""
 
+import hashlib
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+import dyadlab.normlab as normlab
 from dyadlab.dyadic import DyadicError, sample_system
 from dyadlab.normlab import (NormEstimate, ScalingReport,
                              discrete_hilbert_transform, hilbert_demo,
@@ -71,12 +76,14 @@ def _ref_dual_map(y, p, q, d):
     return W.ravel()
 
 
-def _ref_opnorm_lp_lower(A, space, restarts, iters, seed, tol=1e-11):
+def _ref_opnorm_lp_lower(A, space, restarts, iters, seed, tol=1e-11,
+                         starts=()):
     n, d = A.shape[1], space.d
     p, q = float(space.p), float(space.q)
     pd, qd = float(space.p_dual), float(space.q_dual)
     rng = np.random.default_rng(seed)
-    inits = [rng.standard_normal(n) for _ in range(restarts)]
+    inits = [np.asarray(s, float) for s in starts]
+    inits += [rng.standard_normal(n) for _ in range(restarts - len(inits))]
     best_val, best_wit, total_iters = 0.0, None, 0
     for x0 in inits:
         nx = _ref_mixed_norm(x0, p, q, d)
@@ -132,6 +139,147 @@ def test_fused_power_iteration_is_bit_identical(p, q, d):
             assert est.lower == lower
             assert est.iterations == iterations
             assert est.witness.tobytes() == witness.tobytes()
+
+
+# -- starts on several threads ------------------------------------------
+
+
+def _threaded(monkeypatch, n_threads):
+    """Give the power iteration ``n_threads`` threads for its starts, on
+    any host and BLAS, and record the thread count of every call."""
+    used = []
+    run_starts = normlab._run_starts
+
+    def spy(run, inits, n):
+        used.append(n)
+        return run_starts(run, inits, n)
+
+    monkeypatch.setattr(normlab, "_start_threads", lambda: n_threads)
+    monkeypatch.setattr(normlab, "_run_starts", spy)
+    return used
+
+
+def _symmetrized(depth, k, seed):
+    shift = random_extremal_shift(sample_system((seed, depth), depth),
+                                  k - 1, k - 1, seed=(seed, depth, k))
+    return shift_matrix(symmetrize(shift))
+
+
+@pytest.mark.parametrize("n_threads", [2, 3])
+@pytest.mark.parametrize("depth, k, p, q, d, n_starts", [
+    (9, 2, 4.0, 2.0, 1, 0), (10, 1, 4.0, 2.0, 1, 0),
+    (9, 3, 3.0, 1.5, 2, 0), (10, 2, 1.5, 2.0, 1, 2),
+])
+def test_threaded_starts_are_bit_identical(monkeypatch, n_threads, depth, k,
+                                           p, q, d, n_starts):
+    used = _threaded(monkeypatch, n_threads)
+    A = _symmetrized(depth, k, seed=61)
+    space = SpaceSpec(p=p, q=q, d=d)
+    starts = list(np.random.default_rng(62).standard_normal(
+        (n_starts, A.shape[1])))
+    before = threading.active_count()
+    est = opnorm_lp_lower(A, space, restarts=4, iters=60, seed=(63, depth),
+                          starts=starts or None)
+    assert threading.active_count() == before
+    assert used == [n_threads]
+    lower, iterations, witness = _ref_opnorm_lp_lower(
+        A, space, restarts=4, iters=60, seed=(63, depth), starts=starts)
+    assert est.lower == lower
+    assert est.iterations == iterations
+    assert est.witness.tobytes() == witness.tobytes()
+
+
+def _with_inf(A):
+    A = A.copy()
+    A[5, 300] = math.inf
+    return A
+
+
+@pytest.mark.parametrize("make, zero_at, match", [
+    (lambda A: A, 1, "start"),         # a zero start after a valid one
+    (_with_inf, None, "not finite"),   # every start fails
+    (_with_inf, 1, "not finite"),      # the later zero start fails first
+    (_with_inf, 0, "start"),
+])
+def test_threaded_starts_raise_the_first_error_in_start_order(
+        monkeypatch, make, zero_at, match):
+    used = _threaded(monkeypatch, 2)
+    A = make(_symmetrized(9, 2, seed=64))
+    starts = list(np.random.default_rng(65).standard_normal((3, 512)))
+    if zero_at is not None:
+        starts[zero_at] = np.zeros(512)
+    before = threading.active_count()
+    with pytest.raises(DyadicError, match=match):
+        opnorm_lp_lower(A, SpaceSpec(p=4.0), restarts=0, iters=60,
+                        starts=starts)
+    assert threading.active_count() == before
+    assert used == [2]
+
+
+def test_threaded_starts_keep_the_callers_numpy_error_state(monkeypatch):
+    used = _threaded(monkeypatch, 2)
+    # the unscaled first pass overflows; the caller silences that, and a
+    # warning left loud in a thread would be raised as an error here
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = opnorm_lp_lower(np.eye(512) * 1e80, SpaceSpec(p=4.0),
+                              restarts=3, iters=5)
+    assert est.lower == pytest.approx(1e80, rel=1e-12, abs=0.0)
+    assert used == [2]
+
+
+def test_starts_share_threads_only_on_large_matrices(monkeypatch):
+    used = _threaded(monkeypatch, 2)
+    space = SpaceSpec(p=4.0)
+    opnorm_lp_lower(_symmetrized(8, 2, seed=66), space, restarts=3, iters=5)
+    opnorm_lp_lower(_symmetrized(9, 2, seed=66), space, restarts=1, iters=5)
+    opnorm_lp_lower(_symmetrized(9, 2, seed=66), space, restarts=3, iters=5)
+    assert used == [1, 1, 2]  # 512 KiB, one start, 2 MiB with three
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, "cpus"),
+    ({"OMP_NUM_THREADS": "1"}, "cpus"),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+])
+def test_start_threads_follow_the_blas_thread_setting(monkeypatch, env,
+                                                      threads):
+    for var in normlab._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    if threads == "cpus":
+        threads = len(os.sched_getaffinity(0))
+    assert normlab._start_threads() == threads
+
+
+# (lower, iterations, sha256 of the witness) of the two depth-10 shapes of
+# the shift-norms benchmark at seed 100 (ops 4 and 10), recorded with the
+# serial loop over starts
+SHIFT_NORMS_DEPTH10 = {
+    (4, 1): (2.1971732404631137, 121,
+             "c8db21ec29c19a994eaa687c83de5675"
+             "ab8cdb68452cb181a4ea75f82045278a"),
+    (10, 2): (1.6591508725722446, 79,
+              "4ee2fe16dd8dbf9a0f82c392e520ab28"
+              "b4c5af486e7f4b5dbf796b13169b5c49"),
+}
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(SHIFT_NORMS_DEPTH10))
+def test_depth10_shift_norms_are_frozen(monkeypatch, case, n_threads):
+    _threaded(monkeypatch, n_threads)
+    op, k = case
+    shift = random_extremal_shift(sample_system((100, op), 10), k - 1, k - 1,
+                                  seed=(100, op, 1))
+    est = opnorm_lp_lower(shift_matrix(symmetrize(shift)), SpaceSpec(p=4.0),
+                          restarts=3, iters=60, seed=(100, op, 7))
+    assert (est.lower, est.iterations,
+            hashlib.sha256(est.witness.tobytes()).hexdigest()) == \
+        SHIFT_NORMS_DEPTH10[case]
 
 
 # -- operator norms ------------------------------------------------------

@@ -59,6 +59,20 @@ def test_alpha_sequence_validation():
     assert AlphaSequence(exact).as_float().tolist() == [0.25, -0.25]
 
 
+def test_exact_as_float_rounds_each_entry_once():
+    sys_ = sample_system(71, 6)
+    f = random_step_function(sys_, seed=72, exact=True)
+    g = random_step_function(sys_, seed=73, exact=True)
+    lam = lambda_matrix(tree_from_functions(f, g, SpaceSpec(p=2.0)), 3)
+    want = np.array([[float(v) for v in row] for row in lam.values])
+    assert lam.exact and lam.as_float().tobytes() == want.tobytes()
+    # entries that are not dyadic, so each one rounds
+    vals = np.array([Fraction(1, 7), Fraction(1, 11), -Fraction(18, 77)],
+                    dtype=object)
+    assert AlphaSequence(vals).as_float().tobytes() == \
+        np.array([float(v) for v in vals]).tobytes()
+
+
 def test_random_admissible_lambda_is_admissible():
     for k in (1, 2, 3):
         lam = random_admissible_lambda(k, seed=(5, k))

@@ -102,6 +102,25 @@ def test_level_means_match_a_fresh_pyramid_and_are_built_once(d, exact):
     assert f.level_means is means
 
 
+@pytest.mark.parametrize("d, exact", [(1, True), (2, True), (1, False)])
+def test_level_jumps_match_fresh_jumps_and_are_built_once(d, exact):
+    sys_ = sample_system(43, 5, M=1)
+    f = random_step_function(sys_, seed=(44, d), d=d, exact=exact)
+    jumps = f.level_jumps
+    fresh = _level_means(np.array(f.values), exact)
+    assert len(jumps) == sys_.depth
+    for lev, got in enumerate(jumps):
+        want = fresh[lev + 1][0::2] - fresh[lev + 1][1::2]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if exact:
+            assert got.tolist() == want.tolist()
+        else:
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
+    assert f.level_jumps is jumps
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_values_are_read_only_and_the_input_stays_writable(exact):
     sys_ = DyadicSystem(depth=2)
