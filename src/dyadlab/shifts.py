@@ -14,7 +14,9 @@ is the ``(0, 0)`` shift with the sign ``sigma_L`` on the key ``(L, L, L)``.
 Sums over ``L`` include exactly the intervals whose Haar functions ``h_I`` and
 ``h_J`` exist inside the window, i.e. ``level(L) <= depth - complexity``.
 Operators annihilate the window mean and produce mean-zero output.  Shifts
-apply as one scatter in heap order; its key order keeps per-level float sums.
+apply as one scatter in heap order through an apply plan built once per
+shift; its key order keeps per-level float sums.  Exact mode scatters
+integer numerators (see :mod:`dyadlab.signal`).
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import DyadicError, DepthExhaustedError, WindowError
-from .exact import Sqrt2Rational, as_exact, from_text, sqrt2_pow, to_text
-from .signal import (StepFunction, _synthesize, _zeros, haar_coeff,
-                     haar_profile)
+from .exact import as_exact, from_text, sqrt2_pow, to_text
+from .signal import (StepFunction, _numerators, _product, _synthesize,
+                     _synthesized, haar_coeff, haar_profile)
 
 __all__ = [
     "ShiftSpec",
@@ -48,11 +50,13 @@ __all__ = [
 ]
 
 MAX_MATRIX_DIM = 4096
-# Bytes a constructor may allocate for one coefficient table: six int64 key
-# columns and one int64 weight per row.  Depth 16 with m = n = 4 takes 59 MB;
-# depth 20 would take 0.94 GB.
+# Bytes a constructor may allocate for one coefficient table and its apply
+# plan: six int64 key columns and one int64 weight per row, and the plan's
+# int64 source and target rows, float64 coefficient and int64 exact
+# coefficient index per row.  Depth 16 with m = n = 4 takes 92 MB; depth 20
+# would take 1.5 GB.
 _MAX_TABLE_BYTES = 1 << 27
-_ROW_BYTES = 7 * 8
+_ROW_BYTES = 11 * 8
 
 # Key columns: L level, L index, I level, I index, J level, J index.  This
 # permutation turns a key (L, I, J) into the adjoint key (L, J, I).
@@ -161,6 +165,57 @@ class ShiftSpec:
         values = np.array([float(w * self.amplitude) for w in distinct],
                           dtype=float)
         return values[inverse]
+
+    # -- the apply plan ----------------------------------------------------
+    # Built once per shift, each part on first use: the heap rows
+    # (``2**level + index``) of every row's I and J, and every row's
+    # coefficient joined to the Haar normalisations, as a float (float
+    # mode) or as a position in a table of exact values (exact mode).
+
+    @cached_property
+    def _rows(self):
+        keys = self.keys
+        return (1 << keys[:, 2]) + keys[:, 3], (1 << keys[:, 4]) + keys[:, 5]
+
+    def _gaps(self):
+        """The J level minus the I level: its values (one per block) and
+        each row's position among them."""
+        gap_set = sorted({self.n - self.m, self.m - self.n})
+        return gap_set, np.searchsorted(gap_set,
+                                        self.keys[:, 4] - self.keys[:, 2])
+
+    @cached_property
+    def _float_plan(self):
+        """``float(weight * amplitude) * float(2**(gap/2) / 2)`` per row:
+        ``sqrt(|I|) / 2`` from ``<f, h_I>`` and ``|J|**-0.5`` from ``h_J``."""
+        gap_set, gap = self._gaps()
+        factors = np.array([float(sqrt2_pow(g - 2)) for g in gap_set])
+        return self._float_values() * factors[gap]
+
+    @cached_property
+    def _exact_plan(self):
+        """The exact coefficient of the float plan times ``2**(I level)``,
+        which brings the I jump to the scale of the exact heap: each row's
+        position in a table of the distinct values, and that table in
+        integer form."""
+        distinct, inverse = self._distinct
+        gap_set, gap = self._gaps()
+        base = self.system.depth + 1
+        codes = (gap * base + self.keys[:, 2]) * len(distinct) + inverse
+        table = _sorted_set(codes)
+        # one exact number per gap; a table value is an integer multiple
+        factors = _numerators(_object_array(
+            [self.amplitude * sqrt2_pow(g - 2) for g in gap_set]))
+        entries = [(*divmod(rest, base), distinct[w])
+                   for rest, w in (divmod(code, len(distinct))
+                                   for code in table)]
+
+        def part(nums):
+            return None if nums is None else _object_array(
+                [w * nums[g] << lev for g, lev, w in entries])
+
+        return np.searchsorted(table, codes), factors._replace(
+            a=part(factors.a), b=part(factors.b))
 
     @cached_property
     def entries(self):
@@ -314,11 +369,11 @@ def _level_groups(shift):
         yield (np.flatnonzero(codes == code), llev, *divmod(rest, base))
 
 
-def _rational(x):
-    """A Fraction when ``x`` has no sqrt(2) part (cheaper arithmetic)."""
-    if isinstance(x, Sqrt2Rational) and x.b == 0:
-        return x.a
-    return x
+def _added_at(rows, values, n):
+    """``n`` integer sums: ``values[r]`` added to sum ``rows[r]``."""
+    out = np.zeros((n, values.shape[1]), dtype=object)
+    np.add.at(out, rows, values)
+    return out
 
 
 def apply_shift(shift, f):
@@ -327,34 +382,30 @@ def apply_shift(shift, f):
     Exact when the input values are exact.  The entry ``(L, I, J)`` adds
     ``c * sqrt(|I| / |J|) / 2`` times the jump of ``f`` across ``I`` to the
     term of ``J``; one synthesis then turns the terms into leaf values.
-    In heap order (row ``2**level + index``), one sequential ``np.add.at``
-    adds the rows in key order: each ``J`` sums in (L level, I level, I) order.
+    The rows go in key order, in heap order (row ``2**level + index``), so
+    each ``J`` sums in (L level, I level, I) order: float mode adds each
+    column with one ``np.bincount``, and exact mode adds integer products
+    with one ``np.add.at``.  The shift's apply plan is built on first use.
     """
     if f.system != shift.system:
         raise DyadicError("function and shift live on different systems")
-    exact = f.exact
-    keys = shift.keys
-    jumps = f.level_jumps
-    heap = np.concatenate([_zeros((1, f.d), exact), *jumps])  # row 0 unused
-    gaps = keys[:, 4] - keys[:, 2]  # n - m or m - n, by the two blocks
-    gap_set = sorted({shift.n - shift.m, shift.m - shift.n})
-    distinct, inverse = shift._distinct
-    # sqrt(|I|) / 2 comes from <f, h_I> and |J|**-0.5 from h_J: together
-    # 2**(gap/2) / 2, joined to each distinct weight once per gap
-    if exact:  # the products are rational for extremal and symmetrized shifts
-        factors = [_rational(shift.amplitude * sqrt2_pow(g - 2))
-                   for g in gap_set]
-        coef = _object_array([_rational(w * c) for c in factors
-                              for w in distinct])
-    else:
-        coef = np.array([float(w * shift.amplitude) * float(sqrt2_pow(g - 2))
-                         for g in gap_set for w in distinct])
-    coef = coef[np.searchsorted(gap_set, gaps) * len(distinct) + inverse]
-    terms = _zeros(heap.shape, exact)
-    np.add.at(terms, (1 << keys[:, 4]) + keys[:, 5],
-              coef[:, None] * heap[(1 << keys[:, 2]) + keys[:, 3]])
+    src, dst = shift._rows
+    heap = f._heap
+    n = 1 << f.depth  # heap rows
+    if f.exact:
+        index, table = shift._exact_plan
+        terms = _product(table.map(lambda c: c[index][:, None]),
+                         heap.map(lambda h: h[src]))
+        terms = terms.map(lambda t: _added_at(dst, t, n))
+        return StepFunction._from_numerators(shift.system, _synthesized(
+            [terms.map(lambda t: t[1 << lev:2 << lev])
+             for lev in range(f.depth)]))
+    coef = shift._float_plan
+    terms = np.empty((n, f.d))
+    for c in range(f.d):
+        terms[:, c] = np.bincount(dst, coef * heap[src, c], minlength=n)
     return StepFunction(shift.system, _synthesize(
-        [terms[1 << lev:2 << lev] for lev in range(len(jumps))], exact))
+        [terms[1 << lev:2 << lev] for lev in range(f.depth)]))
 
 
 # -- paraproducts --------------------------------------------------------
@@ -372,16 +423,24 @@ def _paraproduct_operands(phi, f):
     return phi, f, exact
 
 
+def _exact_terms(pairs, factor):
+    """``factor`` times the integer product of each pair."""
+    terms = [_product(x, y) for x, y in pairs]
+    return [t._replace(scale=t.scale * factor) for t in terms]
+
+
 def paraproduct(phi, f):
     """``sum over I of h_I <phi, h_I> (mean of f over I)``.
 
     The term of ``I`` is half the jump of ``phi`` times the mean of ``f``.
     """
     phi, f, exact = _paraproduct_operands(phi, f)
-    half = Fraction(1, 2) if exact else 0.5
-    terms = [jump * half * mean
+    if exact:
+        return StepFunction._from_numerators(f.system, _synthesized(
+            _exact_terms(zip(phi._jumps, f._means), Fraction(1, 2))))
+    terms = [jump * 0.5 * mean
              for jump, mean in zip(phi.level_jumps, f.level_means)]
-    return StepFunction(f.system, _synthesize(terms, exact))
+    return StepFunction(f.system, _synthesize(terms))
 
 
 def paraproduct_adjoint(phi, f):
@@ -390,10 +449,13 @@ def paraproduct_adjoint(phi, f):
     The term of ``I`` is a quarter of the product of the two jumps.
     """
     phi, f, exact = _paraproduct_operands(phi, f)
-    quarter = Fraction(1, 4) if exact else 0.25
-    terms = [jump_phi * quarter * jump_f for jump_phi, jump_f
+    if exact:
+        return StepFunction._from_numerators(f.system, _synthesized(
+            _exact_terms(zip(phi._jumps, f._jumps), Fraction(1, 4)),
+            signed=False))
+    terms = [jump_phi * 0.25 * jump_f for jump_phi, jump_f
              in zip(phi.level_jumps, f.level_jumps)]
-    return StepFunction(f.system, _synthesize(terms, exact, signed=False))
+    return StepFunction(f.system, _synthesize(terms, signed=False))
 
 
 # -- slices and the bilinear majorant ------------------------------------

@@ -86,6 +86,8 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("hilbert-demo", "--tol", "nan"),
     ("hilbert-demo", "--tol", "-1"),
     ("hilbert-demo", "--tol", "inf"),
+    ("identities", "--depth", "40"),
+    ("lemma51", "--depth", "40"),
 ])
 def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1

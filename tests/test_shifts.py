@@ -107,7 +107,7 @@ def test_shift_table_cap_is_checked_before_allocating(monkeypatch, depth, m,
 
 def test_shift_table_cap_admits_depth_16_and_refuses_depth_20():
     cap, row = shifts._MAX_TABLE_BYTES, shifts._ROW_BYTES
-    assert shifts._block_rows(16, 4, 4) * row <= cap  # 59 MB, not built
+    assert shifts._block_rows(16, 4, 4) * row <= cap  # 92 MB, not built
     assert shifts._block_rows(20, 4, 4) == 16_776_960
     with pytest.raises(DyadicError, match="table cap"):
         random_extremal_shift(DyadicSystem(depth=20), 4, 4, seed=0)
@@ -367,6 +367,39 @@ def test_float_apply_bytes_are_frozen(case):
     digests = tuple(hashlib.sha256(apply_shift(shift, f).values.tobytes())
                     .hexdigest() for shift in (sh, symmetrize(sh)))
     assert digests == FLOAT_APPLY_SHA256[case]
+
+
+def test_apply_plan_is_built_once_and_counted_in_the_table_cap():
+    sys_ = sample_system(185, 6, M=1)
+    f = random_step_function(sys_, seed=186, d=2, exact=True)
+    sh = symmetrize(random_extremal_shift(sys_, 2, 1, seed=187))
+    want_exact = apply_shift(sh, f)
+    want_float = apply_shift(sh, f.as_float())
+    plan = (sh._rows, sh._float_plan, sh._exact_plan)
+    # a mode applied after the other reads its own part of the plan
+    assert apply_shift(sh, f) == want_exact
+    assert apply_shift(sh, f.as_float()).values.tobytes() == \
+        want_float.values.tobytes()
+    assert all(a is b for a, b in zip(
+        (sh._rows, sh._float_plan, sh._exact_plan), plan))
+    # every per-row array of the table and of its plan fits _ROW_BYTES
+    index, table = sh._exact_plan
+    per_row = [sh.keys, sh.weights, *sh._rows, sh._float_plan, index]
+    assert all(len(a) == len(sh.keys) for a in per_row)
+    assert sum(a.nbytes for a in per_row) == len(sh.keys) * shifts._ROW_BYTES
+    assert len(table.a) < len(sh.keys)
+    # another shift on the same system and blocks has its own plan
+    other = symmetrize(random_extremal_shift(sys_, 2, 1, seed=188))
+    want = shift_matrix(other) @ f.as_float().values
+    got = apply_shift(other, f.as_float()).values
+    assert np.abs(got - want).max() <= MATRIX_REL_TOL * np.abs(want).max()
+    assert apply_shift(other, f) != want_exact
+    assert apply_shift(other, f) == StepFunction(
+        sys_, _interval_sum(sys_, 2, [
+            ((sys_.interval(*jaddr),
+              haar_profile(sys_, sys_.interval(*jaddr), exact=True)),
+             c * haar_coeff(f, sys_.interval(*iaddr)))
+            for (_, iaddr, jaddr), c in other.entries.items()]))
 
 
 # sha256 of the to_text lines of exact outputs at depth 6 (window 2**1, so

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dyadlab import signal
 from dyadlab.dyadic import DyadicError, DyadicSystem, sample_system
-from dyadlab.exact import ROOT2
+from dyadlab.exact import ROOT2, Sqrt2Rational
 from dyadlab.signal import (SpaceSpec, StepFunction, _level_means, average,
                             haar_coeff, haar_expand, haar_profile,
                             haar_reconstruct, lp_norm, pairing_integral,
@@ -275,3 +276,94 @@ def test_pointwise_product_scalar_guard():
     prod = pointwise_product(scalar, g)
     assert prod.values[0, 1] == scalar.values[0, 0] * g.values[0, 1]
 
+
+
+# -- the integer form of exact values ------------------------------------
+
+
+def _loop_random_step_function(system, seed, d):
+    """The per-entry construction kept as the reference."""
+    rng = np.random.default_rng(seed)
+    nums = rng.integers(-32, 33, size=(system.n_leaves, d))
+    vals = np.empty((system.n_leaves, d), dtype=object)
+    for i in range(system.n_leaves):
+        for j in range(d):
+            vals[i, j] = Fraction(int(nums[i, j]), 8)
+    return vals
+
+
+@pytest.mark.parametrize("depth, d", [(1, 1), (4, 2), (7, 3)])
+def test_exact_random_step_function_matches_the_entry_loop(depth, d):
+    sys_ = sample_system((51, depth), depth)
+    f = random_step_function(sys_, seed=(52, depth, d), d=d, exact=True)
+    want = _loop_random_step_function(sys_, (52, depth, d), d)
+    assert f.values.shape == want.shape
+    assert f.values.tolist() == want.tolist()
+    assert all(type(v) is Fraction and type(v.numerator) is int
+               and type(v.denominator) is int for v in f.values.ravel())
+    # the float draws are untouched by the exact branch
+    g = random_step_function(sys_, seed=(52, depth, d), d=d)
+    rng = np.random.default_rng((52, depth, d))
+    assert g.values.tobytes() == rng.uniform(
+        -4, 4, size=(sys_.n_leaves, d)).tobytes()
+
+
+def test_random_step_function_caps_its_leaf_entries(monkeypatch):
+    # a depth-40 window would need 8 TiB of draws: refused before drawing
+    with pytest.raises(DyadicError, match="leaf entries"):
+        random_step_function(DyadicSystem(depth=40), seed=0)
+    monkeypatch.setattr(signal, "_MAX_LEAF_ENTRIES", 8)
+    sys_ = DyadicSystem(depth=3)
+    assert random_step_function(sys_, seed=0, d=1, exact=True).d == 1
+    for exact in (True, False):
+        with pytest.raises(DyadicError, match="leaf entries"):
+            random_step_function(sys_, seed=0, d=2, exact=exact)
+
+
+def _mixed_function(system, seed, d):
+    """Exact leaves mixing ints, Fractions and Sqrt2Rationals."""
+    rng = np.random.default_rng(seed)
+    pick = [0, Fraction(3, 7), Sqrt2Rational(Fraction(1, 3), -2), 5,
+            Sqrt2Rational(0, Fraction(1, 6)), Fraction(-9, 4)]
+    vals = np.empty((system.n_leaves, d), dtype=object)
+    vals[:] = [[pick[k] for k in row]
+               for row in rng.integers(0, len(pick),
+                                       size=(system.n_leaves, d)).tolist()]
+    return StepFunction(system, vals)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exact_pairing_matches_the_entry_loop(d):
+    sys_ = sample_system(53, 4, M=1)
+    for f, g in [(_mixed_function(sys_, (54, d), d),
+                  _mixed_function(sys_, (55, d), d)),
+                 (random_step_function(sys_, seed=56, d=d, exact=True),
+                  random_step_function(sys_, seed=57, d=d, exact=True))]:
+        total = 0
+        for row_f, row_g in zip(f.values, g.values):
+            for a, b in zip(row_f, row_g):
+                total = total + a * b
+        assert pairing_integral(f, g) == total * Fraction(2) ** (1 - 4)
+
+
+def test_exact_function_arithmetic_matches_the_values():
+    sys_ = sample_system(58, 3)
+    f, g = _mixed_function(sys_, 59, 2), _mixed_function(sys_, 60, 2)
+    phi = _mixed_function(sys_, 61, 1)
+    assert (f + g).values.tolist() == (f.values + g.values).tolist()
+    assert (f - g).values.tolist() == (f.values - g.values).tolist()
+    assert (-f).values.tolist() == (-f.values).tolist()
+    assert pointwise_product(phi, f).values.tolist() == \
+        (phi.values * f.values).tolist()
+    assert f - g + g == f and f + f != f
+    assert f != StepFunction(sys_, f.values[:, :1])
+    same = StepFunction(sys_, np.array([[float(v) for v in row]
+                                        for row in f.values]))
+    assert (f.as_float() == same) and not f.as_float() == f + f
+
+
+def test_exact_values_reject_floats():
+    sys_ = DyadicSystem(depth=1)
+    f = StepFunction(sys_, np.array([[Fraction(1, 2)], [0.5]], dtype=object))
+    with pytest.raises(TypeError, match="Q\\(sqrt\\(2\\)\\)"):
+        f.level_jumps
