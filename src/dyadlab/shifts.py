@@ -29,8 +29,8 @@ import numpy as np
 
 from .dyadic import DyadicError, DepthExhaustedError, WindowError
 from .exact import as_exact, from_text, sqrt2_pow, to_text
-from .signal import (StepFunction, _numerators, _product, _synthesize,
-                     _synthesized, haar_coeff, haar_profile)
+from .signal import (StepFunction, _numerators, _Numerators, _product,
+                     _synthesize, _synthesized, haar_coeff, haar_profile)
 
 __all__ = [
     "ShiftSpec",
@@ -214,8 +214,8 @@ class ShiftSpec:
             return None if nums is None else _object_array(
                 [w * nums[g] << lev for g, lev, w in entries])
 
-        return np.searchsorted(table, codes), factors._replace(
-            a=part(factors.a), b=part(factors.b))
+        return np.searchsorted(table, codes), _Numerators(
+            part(factors.a), part(factors.b), factors.scale)
 
     @cached_property
     def entries(self):
@@ -426,7 +426,7 @@ def _paraproduct_operands(phi, f):
 def _exact_terms(pairs, factor):
     """``factor`` times the integer product of each pair."""
     terms = [_product(x, y) for x, y in pairs]
-    return [t._replace(scale=t.scale * factor) for t in terms]
+    return [_Numerators(t.a, t.b, t.scale * factor) for t in terms]
 
 
 def paraproduct(phi, f):

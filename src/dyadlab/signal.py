@@ -116,7 +116,10 @@ class _Numerators(NamedTuple):
 
     ``a`` and ``b`` are object arrays of Python ints of one shape, ``b`` is
     None when every value is rational, and ``scale`` is a positive
-    ``Fraction`` shared by the whole array.
+    ``Fraction`` shared by the whole array.  New forms are built with the
+    constructor, not ``_replace``: its temporary tuple is resized, and each
+    one freed would stay on the interpreter's free list of 3-tuples until a
+    full collection.
     """
 
     a: np.ndarray
@@ -183,7 +186,7 @@ def _times_sqrt2_pow(num, k):
     half, odd = divmod(k, 2)
     scale = num.scale * Fraction(2) ** half
     if not odd:
-        return num._replace(scale=scale)
+        return _Numerators(num.a, num.b, scale)
     return _Numerators(2 * num.b if num.b is not None else np.zeros_like(num.a),
                        num.a, scale)
 
@@ -191,12 +194,15 @@ def _times_sqrt2_pow(num, k):
 def _common(nums):
     """The arrays of ``nums`` over one scale, the largest that divides
     every scale of ``nums`` to an integer; returns ``(arrays, scale)``."""
-    scale = Fraction(math.gcd(*(x.scale.numerator for x in nums)),
-                     math.lcm(*(x.scale.denominator for x in nums)))
+    # lists, not generators: a tuple built from a generator is resized,
+    # and each one freed would stay on the tuple free list of its length
+    # until a full collection
+    scale = Fraction(math.gcd(*[x.scale.numerator for x in nums]),
+                     math.lcm(*[x.scale.denominator for x in nums]))
     out = []
     for x in nums:
         k = (x.scale / scale).numerator
-        out.append(x._replace(scale=scale) if k == 1
+        out.append(_Numerators(x.a, x.b, scale) if k == 1
                    else x.map(lambda v: v * k, scale))
     return out, scale
 
