@@ -23,15 +23,18 @@ and with nested grid refinement.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import DyadicError
 from .schur import AlphaSequence, find_alpha, lambda_matrix
-from .signal import _level_means
+from .signal import (_abs_max, _combine, _exact_values, _floats,
+                     _level_means, _Numerators, _product, _pyramid)
 
 __all__ = [
     "MartingalePoint",
@@ -92,20 +95,57 @@ class MartingaleTree:
     window root: ``f[k]`` and ``g[k]`` (shape ``(2**k, d)``) hold the means
     of f and g on the depth-``k`` intervals, left to right, and ``F[k]``,
     ``G[k]`` (shape ``(2**k,)``) the means of ``|f|^p`` and ``|g|^p'``.
-    ``exact`` marks trees of exact rationals (possible when ``p = q = 2``
-    and the inputs are exact); the arrays are float64 otherwise.
+    ``exact`` marks trees of exact values (possible when ``p = q = 2`` and
+    the inputs are exact); the arrays are float64 otherwise.
     ``points_at_depth(k)`` views row ``k`` as :class:`MartingalePoint` states.
+
+    An exact tree holds its pyramids as integers over one scale per level
+    (see :mod:`dyadlab.signal`): those of f and g are the functions' own,
+    and F and G are pyramids of the integer row sums of squares of their
+    leaf values, so leaves in Q(sqrt(2)) are held exactly too.  The
+    interaction matrix and the modulation checks read the integers; the
+    public ``f``, ``F``, ``g`` and ``G`` are built on first read, as
+    ``Fraction`` where the sqrt(2) part is 0 and ``Sqrt2Rational``
+    elsewhere.
     """
 
-    def __init__(self, system, space, f, F, g, G, exact):
+    def __init__(self, system, space, f, g, F, G):
+        # f and g are step functions (float copies on float trees); F and G
+        # are pyramids, of integer forms on exact trees
         self.system = system
         self.space = space
-        self.f, self.F, self.g, self.G = f, F, g, G
-        self.exact = bool(exact)
+        self.exact = f.exact
+        self._functions = (f, g)
+        self._powers = (F, G)
+
+    @property
+    def _means(self):
+        """The integer pyramids ``(f, F, g, G)`` of an exact tree."""
+        f, g = self._functions
+        return f._means, self._powers[0], g._means, self._powers[1]
+
+    @property
+    def f(self):
+        return self._functions[0].level_means
+
+    @property
+    def g(self):
+        return self._functions[1].level_means
+
+    @cached_property
+    def F(self):
+        return self._public(self._powers[0])
+
+    @cached_property
+    def G(self):
+        return self._public(self._powers[1])
+
+    def _public(self, levels):
+        return [_exact_values(x) for x in levels] if self.exact else levels
 
     @property
     def depth(self):
-        return len(self.f) - 1
+        return self.system.depth
 
     def root_point(self):
         return self.points_at_depth(0)[0]
@@ -113,11 +153,14 @@ class MartingaleTree:
     def points_at_depth(self, k):
         if not 0 <= k <= self.depth:
             raise DyadicError(f"depth {k} outside 0..{self.depth}")
+        if self.exact:
+            return _points(*[_exact_values(x[k]) for x in self._means])
         return _points(self.f[k], self.F[k], self.g[k], self.G[k])
 
     def validate_dynamics(self):
         """Largest deviation of any parent state from the mean of its
-        children; zero for exactly constructed trees."""
+        children, read from the public levels; zero for exactly
+        constructed trees."""
         worst = 0.0
         for levels in (self.f, self.F, self.g, self.G):
             for parent, below in zip(levels, levels[1:]):
@@ -159,18 +202,21 @@ def tree_from_functions(f, g, space):
         raise DyadicError("functions live on different dyadic systems")
     if f.d != g.d:
         raise DyadicError(f"value dimensions differ: {f.d} vs {g.d}")
-    exact = bool(f.exact and g.exact and space.p == 2.0 and space.q == 2.0)
-    if exact:
-        fv, gv = f.values, g.values
-        F, G = (fv * fv).sum(axis=1), (gv * gv).sum(axis=1)
-    else:
-        f, g = f.as_float(), g.as_float()
-        fv, gv = f.values, g.values
-        F = _powers(fv, space.p, space.q)
-        G = _powers(gv, space.p_dual, space.q_dual)
-    return MartingaleTree(f.system, space, f.level_means,
-                          _level_means(F, exact), g.level_means,
-                          _level_means(G, exact), exact)
+    if f.exact and g.exact and space.p == 2.0 and space.q == 2.0:
+        depth = f.system.depth
+        return MartingaleTree(f.system, space, f, g,
+                              _pyramid(_row_squares(f._num), depth),
+                              _pyramid(_row_squares(g._num), depth))
+    f, g = f.as_float(), g.as_float()
+    F = _powers(f.values, space.p, space.q)
+    G = _powers(g.values, space.p_dual, space.q_dual)
+    return MartingaleTree(f.system, space, f, g, _level_means(F, False),
+                          _level_means(G, False))
+
+
+def _row_squares(num):
+    """Integer form of the sum of squares of each row of ``num``."""
+    return _product(num, num).map(lambda v: v.sum(axis=1))
 
 
 def modified_points(tree, alpha, k=None, lam=None):
@@ -184,7 +230,14 @@ def modified_points(tree, alpha, k=None, lam=None):
 
         <f_mod - f_root, g_mod - g_root> = alpha^T Lambda alpha / 2,
 
-    checked exactly on exact trees.
+    checked exactly when the tree, ``alpha`` and ``lam`` are exact.  That
+    check runs on integers: the weights are integers over one denominator,
+    and so are the masses, the modified states, both sides of the identity
+    and the gap of each path product, which is compared by
+    cross-multiplication; each split ratio is one int/int division, which
+    rounds as ``float`` of the exact ratio does.  Floats are read from the
+    exact values as ``float(Fraction)`` or ``float(a) +
+    float(b)*sqrt(2.0)``.
     """
     if not isinstance(alpha, AlphaSequence):
         alpha = AlphaSequence(np.asarray(alpha))
@@ -195,35 +248,101 @@ def modified_points(tree, alpha, k=None, lam=None):
         raise DyadicError(f"modulation length {n} is not 2**{k}")
     if k > tree.depth:
         raise DyadicError(f"depth {k} outside 0..{tree.depth}")
-    exact = tree.exact and alpha.values.dtype == object
-    values = alpha.values if exact else alpha.as_float()
-    one = Fraction(1) if exact else 1.0
     if lam is None:
         lam = lambda_matrix(tree, k)
+    if tree.exact and alpha.exact and lam.exact:
+        return _exact_modified_points(tree, alpha, k, lam)
+    values = alpha.as_float()
     rhs = values @ lam.values @ values / 2
 
     # row 0 holds the plus weights, row 1 the minus weights
-    weights = (one + np.array([[1], [-1]]) * values) / 2 ** k
+    weights = (1.0 + np.array([[1], [-1]]) * values) / 2 ** k
     f_mod, F_mod = weights @ tree.f[k], weights @ tree.F[k]
     g_mod, G_mod = weights @ tree.g[k], weights @ tree.G[k]
-    plus, minus = _points(f_mod, F_mod, g_mod, G_mod)
 
-    masses = [weights]
-    while masses[-1].shape[1] > 1:
-        finer = masses[-1]
-        masses.append(finer[:, 0::2] + finer[:, 1::2])
-    masses.reverse()
-    thetas = [masses[t + 1][:, 0::2] / masses[t] for t in range(k)]
-    theta_lo = min((float(t.min()) for t in thetas), default=math.inf)
-    theta_hi = max((float(t.max()) for t in thetas), default=-math.inf)
-    # split ratios along each root-to-cell path multiply to the cell mass
-    prod = np.ones((2, 1), dtype=weights.dtype)
+    masses = _masses(weights)
+    prod = np.ones((2, 1))
     for t in range(k):
         prod = np.repeat(prod, 2, axis=1) * (
             masses[t + 1] / np.repeat(masses[t], 2, axis=1))
 
     lhs = ((f_mod - tree.f[0]) * (g_mod - tree.g[0])).sum(axis=1)
+    return _modulation_report(
+        k, _points(f_mod, F_mod, g_mod, G_mod), masses,
+        product_max_error=float(np.abs(prod - weights).max()),
+        product_exact=False,
+        identity_error=float(np.abs(lhs - rhs).max()), identity_exact=False,
+        pairing_value=float(rhs))
 
+
+def _exact_modified_points(tree, alpha, k, lam):
+    """:func:`modified_points` on the integer forms of an exact tree."""
+    f, F, g, G = tree._means
+    num = alpha._num
+    top, den = num.scale.numerator, num.scale.denominator
+    # 1 +- alpha_i = (den +- top * a_i) / den, and the weights are those
+    # over 2**k
+    total = den << k
+    weights = np.empty((2, len(num.a)), dtype=object)
+    weights[0] = den + top * num.a
+    weights[1] = den - top * num.a
+    w = _Numerators(weights, None, Fraction(1, total))
+    f_mod = _product(w, f[k], operator.matmul)
+    g_mod = _product(w, g[k], operator.matmul)
+    points = _points(_exact_values(f_mod),
+                     _exact_values(_product(w, F[k], operator.matmul)),
+                     _exact_values(g_mod),
+                     _exact_values(_product(w, G[k], operator.matmul)))
+
+    # the masses share the scale of the weights, so each split ratio along
+    # a path is a ratio of integers, and so is their product: ups / downs
+    masses = _masses(weights)
+    ups = np.ones((2, 1), dtype=object)
+    downs = np.ones((2, 1), dtype=object)
+    for t in range(k):
+        ups = np.repeat(ups, 2, axis=1) * masses[t + 1]
+        downs = np.repeat(downs * masses[t], 2, axis=1)
+    # ups / downs - weights / total = gap / (downs * total)
+    gap = ups * total - weights * downs
+    product_max_error = max(
+        (abs(x) / (y * total) for x, y in zip(gap.ravel().tolist(),
+                                             downs.ravel().tolist()) if x),
+        default=0.0)
+
+    lhs = _product(_combine(operator.sub, f_mod, f[0]),
+                   _combine(operator.sub, g_mod, g[0]))
+    lhs = lhs.map(lambda v: v.sum(axis=1))
+    row = _Numerators(num.a[None, :], None, num.scale)
+    quad = _product(row, _product(lam._num, num, operator.matmul),
+                    operator.matmul)
+    rhs = _Numerators(quad.a, quad.b, quad.scale / 2)
+    diff = _combine(operator.sub, lhs, rhs)
+    identity_exact = not diff.a.any() and (diff.b is None
+                                           or not diff.b.any())
+    identity_error = 0.0 if identity_exact else float(
+        max(abs(v) for v in _exact_values(diff)))
+    return _modulation_report(
+        k, points, masses, product_max_error=product_max_error,
+        product_exact=not gap.any(), identity_error=identity_error,
+        identity_exact=identity_exact, pairing_value=float(_floats(rhs)[0]))
+
+
+def _masses(weights):
+    """Pairwise sums of the weight rows up to the root, root first."""
+    masses = [weights]
+    while masses[-1].shape[1] > 1:
+        finer = masses[-1]
+        masses.append(finer[:, 0::2] + finer[:, 1::2])
+    return masses[::-1]
+
+
+def _modulation_report(k, points, masses, **checks):
+    """The report of :func:`modified_points`: the two modified states, the
+    range of the split ratios, and the product and identity checks."""
+    plus, minus = points
+    thetas = [masses[t + 1][:, 0::2] / masses[t] for t in range(k)]
+    theta_lo = min((float(t.min()) for t in thetas), default=math.inf)
+    theta_hi = max((float(t.max()) for t in thetas), default=-math.inf)
     lo, hi = THETA_DESIGN_RANGE
     alo, ahi = THETA_ASSERTED_RANGE
     return {
@@ -236,11 +355,7 @@ def modified_points(tree, alpha, k=None, lam=None):
                                       and theta_hi <= hi + 1e-12),
         "theta_in_asserted_range": bool(alo <= theta_lo
                                         and theta_hi <= ahi),
-        "product_max_error": float(np.abs(prod - weights).max()),
-        "product_exact": exact and bool((prod == weights).all()),
-        "identity_error": float(np.abs(lhs - rhs).max()),
-        "identity_exact": exact and bool((lhs == rhs).all()),
-        "pairing_value": float(rhs),
+        **checks,
     }
 
 
@@ -708,26 +823,38 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
 def _exact_alpha(alpha):
     """Exact copy of a float modulation.
 
-    ``Fraction`` of a float is exact, so only the balance residual of the
-    float entries is off; it moves onto the entry farthest from ``+-1/4``
-    among those that stay in ``[-1/4, 1/4]`` when they absorb it.
+    A float is an integer over a power of 2, so the floats are exactly
+    integers over the largest of their denominators, and only the balance
+    residual of the float entries is off; it moves onto the entry farthest
+    from ``+-1/4`` among those that stay in ``[-1/4, 1/4]`` when they
+    absorb it.
     """
-    vals = np.empty(alpha.n, dtype=object)
-    vals[:] = [Fraction(x) for x in alpha.values.tolist()]
-    excess = sum(vals)
+    parts = [x.as_integer_ratio() for x in alpha.values.tolist()]
+    den = max(q for _, q in parts)
+    nums = np.empty(len(parts), dtype=object)
+    nums[:] = [p * (den // q) for p, q in parts]
+    excess = nums.sum()
     if excess:
-        i = min((i for i, v in enumerate(vals)
-                 if abs(v - excess) <= Fraction(1, 4)),
-                key=lambda i: abs(vals[i]))
-        vals[i] -= excess
-    return AlphaSequence(vals)
+        i = min((i for i, v in enumerate(nums.tolist())
+                 if 4 * abs(v - excess) <= den),
+                key=lambda i: abs(nums[i]))
+        nums[i] -= excess
+    return AlphaSequence._from_numerators(
+        _Numerators(nums, None, Fraction(1, den)))
 
 
 def _auto_config(tree, space):
-    f_abs = float(np.abs(tree.f[-1][:, 0]).max())
-    g_abs = float(np.abs(tree.g[-1][:, 0]).max())
-    F_abs = float(tree.F[-1].max())
-    G_abs = float(tree.G[-1].max())
+    if tree.exact:
+        # the leaf maxima, taken on the integers
+        f, F, g, G = [x[-1] for x in tree._means]
+        f, g = f.map(lambda v: v[:, 0]), g.map(lambda v: v[:, 0])
+        f_abs, F_abs, g_abs, G_abs = [float(_floats(_abs_max(x))[0])
+                                      for x in (f, F, g, G)]
+    else:
+        f_abs = float(np.abs(tree.f[-1][:, 0]).max())
+        g_abs = float(np.abs(tree.g[-1][:, 0]).max())
+        F_abs = float(tree.F[-1].max())
+        G_abs = float(tree.G[-1].max())
     return BellmanConfig(
         p=float(space.p),
         f_max=max(2.0, float(math.ceil(f_abs))),

@@ -32,14 +32,15 @@ from .bellman import (MAX_TABLE_DEPTH, BellmanConfig, bellman_oracle,
                       concavity_gain_check, lemma51_verify, range_check,
                       tree_from_functions)
 from .dyadic import DyadicError, sample_system
+from .exact import Sqrt2Rational
 from .schur import (equivalence_report, lambda_matrix,
                     random_admissible_lambda, rank_one_multiplier_check,
                     sign_multiplier_check)
 from .shifts import (apply_shift, paraproduct, paraproduct_adjoint,
                      random_extremal_shift, series_bound, shift_slice,
                      slice_bilinear_sides, symmetrize)
-from .signal import (SpaceSpec, haar_expand, haar_reconstruct,
-                     pairing_integral, pointwise_product,
+from .signal import (SpaceSpec, _common, _numerators, _product, haar_expand,
+                     haar_reconstruct, pairing_integral, pointwise_product,
                      random_step_function)
 from .normlab import hilbert_demo, shift_scaling_study, umd_probe
 
@@ -56,11 +57,37 @@ class UsageError(Exception):
 # -- exact identity battery ---------------------------------------------
 
 
-def _dot(a, b):
-    total = 0
-    for x, y in zip(a, b):
-        total = total + x * y
-    return total
+def _coefficient_levels(mean, coeffs, depth):
+    """Integer forms of what :func:`haar_expand` returned: the window mean
+    as one row, then one array per level with a row per interval."""
+    levels = [_numerators(np.reshape(mean, (1, -1)))]
+    for lev in range(depth):
+        levels.append(_numerators(np.array(
+            [coeffs[(lev, i)] for i in range(1 << lev)], dtype=object)))
+    return levels
+
+
+def _row_dots(x, y, factor):
+    """Integer form of ``factor`` times the dot product of each pair of
+    rows of ``x`` and ``y``."""
+    prod = _product(x, y)
+    return prod.map(lambda v: v.sum(axis=1), prod.scale * factor)
+
+
+def _total(terms):
+    """The sum of every value of the integer forms ``terms``."""
+    terms, scale = _common(terms)
+    a = sum(int(t.a.sum()) for t in terms) * scale
+    b = sum(int(t.b.sum()) for t in terms if t.b is not None) * scale
+    return Sqrt2Rational._new(a, b) if b else a
+
+
+def _equal_magnitudes(x, y):
+    """Whether ``|x| == |y|`` entrywise, that is ``x == +-y``."""
+    (x, y), _ = _common([x, y])
+    xb, yb = x.b_or_zeros(), y.b_or_zeros()
+    return bool((((x.a == y.a) & (xb == yb))
+                 | ((x.a == -y.a) & (xb == -yb))).all())
 
 
 def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
@@ -92,10 +119,14 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
             haar_reconstruct(system, mean_f, coeffs_f, exact=True) == f)
 
         mean_g, coeffs_g = haar_expand(g)
-        rhs = system.window_length * _dot(mean_f, mean_g)
-        for addr, cf in coeffs_f.items():
-            rhs = rhs + _dot(cf, coeffs_g[addr])
-        results["parseval_pairing"] = (pairing_integral(f, g) == rhs)
+        levels_f = _coefficient_levels(mean_f, coeffs_f, depth)
+        levels_g = _coefficient_levels(mean_g, coeffs_g, depth)
+        # |window| <mean_f, mean_g> plus every coefficient pairing
+        terms = [_row_dots(levels_f[0], levels_g[0], system.window_length)]
+        terms += [_row_dots(x, y, 1) for x, y in zip(levels_f[1:],
+                                                     levels_g[1:])]
+        results["parseval_pairing"] = (pairing_integral(f, g)
+                                       == _total(terms))
 
         twice = apply_shift(sigma, apply_shift(sigma, f))
         diff = f - twice
@@ -103,16 +134,13 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
             diff.values[i, c] == mean_f[c]
             for i in range(system.n_leaves) for c in range(d))
 
-        ok4 = True
-        for lev, (jumps_f, jumps_g) in enumerate(zip(
-                f.level_jumps, g.level_jumps)):
-            length = Fraction(2) ** (system.M - lev)
-            for i, (jump_f, jump_g) in enumerate(zip(jumps_f, jumps_g)):
-                lhs_term = length * abs(_dot(jump_f, jump_g))
-                rhs_term = 4 * abs(_dot(coeffs_f[(lev, i)],
-                                        coeffs_g[(lev, i)]))
-                ok4 = ok4 and lhs_term == rhs_term
-        results["factor4_per_interval"] = ok4
+        # |I| |<jump_f, jump_g>| == 4 |<c_f, c_g>| on every interval I
+        results["factor4_per_interval"] = all(
+            _equal_magnitudes(
+                _row_dots(jumps_f, jumps_g, Fraction(2) ** (system.M - lev)),
+                _row_dots(levels_f[lev + 1], levels_g[lev + 1], 4))
+            for lev, (jumps_f, jumps_g) in enumerate(zip(f._jumps,
+                                                         g._jumps)))
 
         if d == 1:
             phi = random_step_function(system, seed=(seed, trial, 4), d=1,

@@ -21,12 +21,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from functools import cached_property
 
 import numpy as np
 
 from ._linalg import spectral_norm_power
 from .dyadic import DyadicError
+from .signal import (_abs_sum, _combine, _exact_values, _floats, _numerators,
+                     _Numerators, _product)
 
 __all__ = [
     "KG_DEFAULT",
@@ -53,48 +56,64 @@ KG_DEFAULT = 1.783
 _ENUM_MAX = 16  # largest size handled by exact vertex enumeration
 _FACE_MAX = 8  # largest size whose norm1 is found by face enumeration
 _NORM2_RESTARTS = 64  # local-search starts above _ENUM_MAX
+# Bytes of one dense float64 matrix that a size exponent may ask for:
+# 2**12 x 2**12.  Larger exponents are refused before anything is drawn.
+_MAX_MATRIX_BYTES = 1 << 27
 
 
-@dataclass
 class LambdaMatrix:
-    """A symmetric matrix with zero row/column sums, tagged by its depth k."""
+    """A symmetric matrix with zero row/column sums, tagged by its depth k.
 
-    values: np.ndarray
-    k: int
+    Exact matrices are held as integers over one scale (see
+    :mod:`dyadlab.signal`): the checks, ``abs_sum`` and ``as_float`` read
+    the integers, and ``values`` is built on first read.
+    """
 
-    def __post_init__(self):
-        vals = np.asarray(self.values)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError(f"expected a square matrix, got {vals.shape}")
-        if vals.shape[0] != 2 ** self.k:
-            raise ValueError(
-                f"size {vals.shape[0]} does not match 2**k = {2 ** self.k}")
-        if vals.dtype != object:
+    def __init__(self, values, k):
+        vals = np.asarray(values)
+        self.exact = vals.dtype == object
+        if self.exact:
+            self._num = _numerators(vals)
+        else:
             vals = vals.astype(float)
         self.values = vals
-        self._check_admissible()
+        self.k = k
+        self._check_admissible(vals.shape)
+
+    @classmethod
+    def _from_numerators(cls, num, k):
+        """The exact matrix with entries ``num`` (an integer form)."""
+        lam = cls.__new__(cls)
+        lam.exact, lam._num, lam.k = True, num, k
+        lam._check_admissible(num.a.shape)
+        return lam
+
+    @cached_property
+    def values(self):
+        # only reached by matrices built from integers
+        return _exact_values(self._num)
 
     @property
     def n(self):
-        return self.values.shape[0]
-
-    @property
-    def exact(self):
-        return self.values.dtype == object
+        return 2 ** self.k
 
     def as_float(self):
-        if not self.exact:
-            return self.values
-        return self.values.astype(float)
+        return _floats(self._num) if self.exact else self.values
 
-    def _check_admissible(self):
-        vals = self.values
+    def _check_admissible(self, shape):
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"expected a square matrix, got {shape}")
+        if shape[0] != 2 ** self.k:
+            raise ValueError(
+                f"size {shape[0]} does not match 2**k = {2 ** self.k}")
         if self.exact:
-            if (vals != vals.T).any():
+            parts = [p for p in (self._num.a, self._num.b) if p is not None]
+            if any((part != part.T).any() for part in parts):
                 raise ValueError("matrix is not symmetric")
-            if (vals.sum(axis=1) != 0).any():
+            if any(part.sum(axis=1).any() for part in parts):
                 raise ValueError("row sums are nonzero")
         else:
+            vals = self.values
             scale = max(1.0, float(np.abs(vals).max()))
             if np.abs(vals - vals.T).max() > 1e-9 * scale:
                 raise ValueError("matrix is not symmetric")
@@ -102,40 +121,64 @@ class LambdaMatrix:
                 raise ValueError("row sums are nonzero")
 
     def abs_sum(self):
-        total = np.abs(self.values).sum()
-        return total if self.exact else float(total)
+        if self.exact:
+            return _exact_values(_abs_sum(self._num))[0]
+        return float(np.abs(self.values).sum())
 
 
-@dataclass
 class AlphaSequence:
-    """A modulation sequence: ``|alpha_i| <= 1/4`` and ``sum(alpha) = 0``."""
+    """A modulation sequence: ``|alpha_i| <= 1/4`` and ``sum(alpha) = 0``.
 
-    values: np.ndarray
+    Exact entries must be rational.  They are held as integers over one
+    denominator, the checks read the integers, and ``values`` is built on
+    first read.
+    """
 
-    def __post_init__(self):
-        vals = np.asarray(self.values)
-        if vals.dtype != object:
+    def __init__(self, values):
+        vals = np.asarray(values)
+        self.exact = vals.dtype == object
+        if self.exact:
+            self._num = _numerators(vals)
+            self._check_exact()
+        else:
             vals = vals.astype(float)
             if np.abs(vals).max() > 0.25 + 1e-12:
                 raise ValueError("entries must lie in [-1/4, 1/4]")
             if abs(vals.sum()) > 1e-10 * max(1.0, np.abs(vals).max()) * vals.size:
                 raise ValueError("entries must sum to zero")
-        else:
-            from fractions import Fraction
-            if any(abs(v) > Fraction(1, 4) for v in vals):
-                raise ValueError("entries must lie in [-1/4, 1/4]")
-            if sum(vals) != 0:
-                raise ValueError("entries must sum to zero")
         self.values = vals
+
+    @classmethod
+    def _from_numerators(cls, num):
+        """The exact sequence with entries ``num`` (a rational integer
+        form)."""
+        alpha = cls.__new__(cls)
+        alpha.exact, alpha._num = True, num
+        alpha._check_exact()
+        return alpha
+
+    @cached_property
+    def values(self):
+        # only reached by sequences built from integers
+        return _exact_values(self._num)
+
+    def _check_exact(self):
+        num = self._num
+        if num.b is not None:
+            raise ValueError("exact entries must be rational")
+        # |a * top / den| <= 1/4
+        top, den = num.scale.numerator, num.scale.denominator
+        if any(4 * top * abs(a) > den for a in num.a.tolist()):
+            raise ValueError("entries must lie in [-1/4, 1/4]")
+        if num.a.sum():
+            raise ValueError("entries must sum to zero")
 
     @property
     def n(self):
-        return self.values.shape[0]
+        return len(self._num.a if self.exact else self.values)
 
     def as_float(self):
-        if self.values.dtype == object:
-            return self.values.astype(float)
-        return self.values
+        return _floats(self._num) if self.exact else self.values
 
 
 def lambda_matrix(tree, k):
@@ -144,29 +187,56 @@ def lambda_matrix(tree, k):
     Entry ``(K, L)`` is ``<x_K, y_L> + <x_L, y_K>`` where ``x_K`` is the
     ``f``-side increment ``(f_K - f_root) / 2**k`` and ``y_L`` the ``g``-side
     one.  Symmetry is structural; zero row sums follow from the martingale
-    dynamics.  Exact trees give exact entries.
+    dynamics.  Exact trees give exact entries, computed on the integer
+    pyramids of the tree: the increments ``X`` and ``Y`` are integer
+    differences over one scale, ``A = X @ Y.T`` takes the sqrt(2) cross
+    terms, and the matrix ``A + A.T`` stays an integer form.
     """
     if not 0 <= k <= tree.depth:
         raise DyadicError(f"depth {k} outside 0..{tree.depth}")
-    X = (tree.f[k] - tree.f[0]) / 2 ** k
-    Y = (tree.g[k] - tree.g[0]) / 2 ** k
-    A = X @ Y.T
-    return LambdaMatrix(A + A.T, k)
+    if not tree.exact:
+        X = (tree.f[k] - tree.f[0]) / 2 ** k
+        Y = (tree.g[k] - tree.g[0]) / 2 ** k
+        A = X @ Y.T
+        return LambdaMatrix(A + A.T, k)
+    f, _, g, _ = tree._means
+    X = _increments(f, k)
+    Y = _increments(g, k)
+    A = _product(X, Y.map(np.transpose), operator.matmul)
+    return LambdaMatrix._from_numerators(A.map(lambda v: v + v.T), k)
+
+
+def _increments(means, k):
+    """Integer form of ``(means[k] - means[0]) / 2**k``."""
+    diff = _combine(operator.sub, means[k], means[0])
+    return _Numerators(diff.a, diff.b, diff.scale / 2 ** k)
 
 
 def random_admissible_lambda(k, seed):
     """Centered random symmetric matrix: admissible and generically full rank.
 
-    Needs ``k >= 1``: the only admissible 1 x 1 matrix is zero.
+    Needs ``k >= 1``: the only admissible 1 x 1 matrix is zero.  Exponents
+    whose matrix would exceed ``_MAX_MATRIX_BYTES`` raise ``DyadicError``.
     """
     if k < 1:
         raise DyadicError(f"cell depth k must be at least 1, got {k}")
-    n = 2 ** k
+    n = _matrix_size(k)
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
     S = (G + G.T) / 2.0
     H = np.eye(n) - np.full((n, n), 1.0 / n)
     return LambdaMatrix(H @ S @ H, k)
+
+
+def _matrix_size(k):
+    """``2**k`` for a dense ``2**k x 2**k`` float matrix, refused with
+    ``DyadicError`` above ``_MAX_MATRIX_BYTES``."""
+    # 8 * 4**k bytes, compared by exponent so that no large int is built
+    if 2 * k + 3 > math.log2(_MAX_MATRIX_BYTES):
+        raise DyadicError(
+            f"a 2**{k} x 2**{k} matrix exceeds the cap of "
+            f"{_MAX_MATRIX_BYTES >> 20} MiB")
+    return 2 ** k
 
 
 # -- norm2: bilinear sign-box sup ---------------------------------------
@@ -504,13 +574,14 @@ def sign_multiplier_check(k, trials=4, seed=0):
     """Sign matrices of size ``2**k`` have multiplier norm at most ``2**(k/2)``.
 
     Probes random ``+-1`` matrices and reports the largest lower bound found
-    relative to the theoretical ceiling.
+    relative to the theoretical ceiling.  Exponents whose matrix would
+    exceed ``_MAX_MATRIX_BYTES`` raise ``DyadicError``.
     """
     if k < 0:
         raise DyadicError(f"sign-matrix size exponent must be >= 0, got {k}")
     if trials < 1:
         raise DyadicError("sign-matrix check needs at least one trial")
-    n = 2 ** k
+    n = _matrix_size(k)
     bound = 2.0 ** (k / 2.0)
     worst = 0.0
     for trial in range(trials):

@@ -125,13 +125,18 @@ class ShiftSpec:
                    amplitude)
 
     @classmethod
-    def _from_arrays(cls, system, m, n, keys, weights, amplitude):
-        """Wrap key rows already in ascending order without repeats."""
+    def _from_arrays(cls, system, m, n, keys, weights, amplitude,
+                     validate=True):
+        """Wrap key rows already in ascending order without repeats.
+
+        ``validate=False`` is for rows derived from a validated table (its
+        adjoint, symmetrization or slices), which keep every invariant.
+        """
         shift = cls.__new__(cls)
-        shift._init(system, m, n, keys, weights, amplitude)
+        shift._init(system, m, n, keys, weights, amplitude, validate)
         return shift
 
-    def _init(self, system, m, n, keys, weights, amplitude):
+    def _init(self, system, m, n, keys, weights, amplitude, validate=True):
         _check_blocks(m, n)
         self.system = system
         self.m = int(m)
@@ -139,7 +144,8 @@ class ShiftSpec:
         self.keys = keys
         self.weights = weights
         self.amplitude = amplitude
-        self._validate()
+        if validate:
+            self._validate()
 
     @property
     def complexity(self):
@@ -272,7 +278,7 @@ class ShiftSpec:
         """The adjoint shift: every entry ``(L, I, J)`` becomes ``(L, J, I)``."""
         keys, weights = _merge(self.keys[:, _ADJOINT], self.weights)
         return ShiftSpec._from_arrays(self.system, self.m, self.n, keys,
-                                      weights, self.amplitude)
+                                      weights, self.amplitude, validate=False)
 
     # -- serialization ---------------------------------------------------
 
@@ -476,7 +482,7 @@ def shift_slice(shift, j):
                                 shift.complexity))
     return ShiftSpec._from_arrays(shift.system, shift.m, shift.n,
                                   shift.keys[keep], shift.weights[keep],
-                                  shift.amplitude)
+                                  shift.amplitude, validate=False)
 
 
 def symmetrize(shift):
@@ -485,7 +491,8 @@ def symmetrize(shift):
         np.concatenate([shift.keys, shift.keys[:, _ADJOINT]]),
         np.concatenate([shift.weights, shift.weights]))
     return ShiftSpec._from_arrays(shift.system, shift.m, shift.n, keys,
-                                  weights, shift.amplitude * Fraction(1, 2))
+                                  weights, shift.amplitude * Fraction(1, 2),
+                                  validate=False)
 
 
 def is_self_adjoint(shift, tol=0.0):

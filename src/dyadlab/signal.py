@@ -180,6 +180,61 @@ def _exact_values(num):
     return out
 
 
+def _floats(num):
+    """The values of ``num`` as float64, converted as their normal forms
+    are: ``float(Fraction)``, which is correctly rounded and so equals the
+    int/int true division of the unreduced parts, and ``float(a) +
+    float(b)*sqrt(2.0)`` where the sqrt(2) part is not 0."""
+    top, den = num.scale.numerator, num.scale.denominator
+    out = (num.a * top / den).astype(float)
+    if num.b is not None:
+        root = num.b != 0
+        out[root] += (num.b[root] * top / den).astype(float) * math.sqrt(2.0)
+    return out
+
+
+def _sign(x, y):
+    """The sign of ``x + y*sqrt(2)`` for ints ``x`` and ``y``: that of
+    ``x + y`` when they do not differ in sign, and else that of the part
+    with the larger square (``x*x != 2*y*y`` unless both are 0)."""
+    s = x + y if x * y >= 0 else x if x * x > 2 * y * y else y
+    return (s > 0) - (s < 0)
+
+
+def _magnitudes(num):
+    """The integer parts of ``|x|`` for every value ``x`` of ``num``, as
+    ``(a, b)`` pairs in flat order."""
+    a = num.a.ravel().tolist()
+    b = [0] * len(a) if num.b is None else num.b.ravel().tolist()
+    return [(-x, -y) if _sign(x, y) < 0 else (x, y) for x, y in zip(a, b)]
+
+
+def _one_value(x, y, like):
+    """The one-entry integer form of ``(x + y*sqrt(2)) * like.scale``,
+    rational when ``like`` is."""
+    out = np.empty(2, dtype=object)
+    out[:] = [x, y]
+    return _Numerators(out[:1], None if like.b is None else out[1:],
+                       like.scale)
+
+
+def _abs_sum(num):
+    """The sum of ``|x|`` over the values of ``num``, as a one-entry
+    integer form."""
+    mags = _magnitudes(num)
+    return _one_value(sum(x for x, _ in mags), sum(y for _, y in mags), num)
+
+
+def _abs_max(num):
+    """The largest ``|x|`` over the values of ``num``, as a one-entry
+    integer form."""
+    best = (0, 0)
+    for x, y in _magnitudes(num):
+        if _sign(x - best[0], y - best[1]) > 0:
+            best = (x, y)
+    return _one_value(*best, num)
+
+
 def _times_sqrt2_pow(num, k):
     """``num`` times ``2**(k/2)``: an odd ``k`` swaps the parts, as
     ``(a + b*sqrt(2)) * sqrt(2) = 2b + a*sqrt(2)``."""
@@ -215,18 +270,19 @@ def _combine(op, x, y):
     return _Numerators(op(x.a, y.a), b, scale)
 
 
-def _product(x, y):
-    """Elementwise product of two integer forms (broadcasting)."""
-    a = x.a * y.a
+def _product(x, y, mul=operator.mul):
+    """Product of two integer forms: elementwise (broadcasting), or
+    ``mul=operator.matmul`` for the matrix product."""
+    a = mul(x.a, y.a)
     if x.b is None and y.b is None:
         b = None
     elif y.b is None:
-        b = x.b * y.a
+        b = mul(x.b, y.a)
     elif x.b is None:
-        b = x.a * y.b
+        b = mul(x.a, y.b)
     else:
-        a = a + 2 * x.b * y.b
-        b = x.a * y.b + x.b * y.a
+        a = a + 2 * mul(x.b, y.b)
+        b = mul(x.a, y.b) + mul(x.b, y.a)
     return _Numerators(a, b, x.scale * y.scale)
 
 

@@ -88,6 +88,8 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("hilbert-demo", "--tol", "inf"),
     ("identities", "--depth", "40"),
     ("lemma51", "--depth", "40"),
+    ("lambda-equivalence", "--k", "40"),
+    ("schur-check", "--k", "40"),
 ])
 def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 1

@@ -15,6 +15,7 @@ from dyadlab.schur import (KG_DEFAULT, AlphaSequence, LambdaMatrix,
                            schur_product, sign_multiplier_check)
 from dyadlab.bellman import tree_from_functions
 from dyadlab.dyadic import DyadicError, sample_system
+from dyadlab.exact import Sqrt2Rational
 from dyadlab.signal import SpaceSpec, random_step_function
 
 EXACT_TOL = 1e-12
@@ -57,6 +58,21 @@ def test_alpha_sequence_validation():
     exact = np.empty(2, dtype=object)
     exact[0], exact[1] = Fraction(1, 4), Fraction(-1, 4)
     assert AlphaSequence(exact).as_float().tolist() == [0.25, -0.25]
+
+
+def test_exact_checks_read_both_parts_in_q_sqrt2():
+    r = Sqrt2Rational(0, Fraction(1, 8))
+    with pytest.raises(ValueError):
+        AlphaSequence(np.array([r, -r], dtype=object))  # not rational
+    # 1 - r > 0 and r - 1 < 0 although their parts differ in sign
+    vals = np.array([[1 - r, r - 1], [r - 1, 1 - r]], dtype=object)
+    lam = LambdaMatrix(vals, 1)
+    assert lam.abs_sum() == 4 - 4 * r
+    assert lam.as_float().tobytes() == vals.astype(float).tobytes()
+    with pytest.raises(ValueError, match="symmetric"):
+        LambdaMatrix(np.array([[r, -r], [-2 * r, 2 * r]], dtype=object), 1)
+    with pytest.raises(ValueError, match="row sums"):
+        LambdaMatrix(np.array([[r, r], [r, r]], dtype=object), 1)
 
 
 def test_exact_as_float_rounds_each_entry_once():

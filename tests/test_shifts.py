@@ -142,6 +142,23 @@ def test_table_algebra_keeps_exact_coefficients():
         < AGREE_TOL
 
 
+@pytest.mark.parametrize("depth", [3, 5, 7])
+def test_derived_tables_keep_every_table_invariant(depth):
+    """Adjoints, symmetrizations and slices skip the table checks, since
+    their rows come from a validated table; the checks pass on them."""
+    rng = np.random.default_rng(depth)
+    for trial in range(4):
+        m, n = (int(v) for v in rng.integers(0, depth - 1, size=2))
+        sh = random_extremal_shift(sample_system((depth, trial), depth), m,
+                                   n, seed=(depth, trial))
+        derived = [sh.adjoint(), symmetrize(sh), symmetrize(sh).adjoint()]
+        derived += [shift_slice(x, j) for x in (sh, derived[1])
+                    for j in range(sh.complexity)]
+        for table in derived:
+            assert len(table.keys) == len(table.weights)
+            table._validate()
+
+
 # -- golden outputs of the array-backed tables --------------------------
 
 
