@@ -210,8 +210,8 @@ def tree_from_functions(f, g, space):
     f, g = f.as_float(), g.as_float()
     F = _powers(f.values, space.p, space.q)
     G = _powers(g.values, space.p_dual, space.q_dual)
-    return MartingaleTree(f.system, space, f, g, _level_means(F, False),
-                          _level_means(G, False))
+    return MartingaleTree(f.system, space, f, g, _level_means(F),
+                          _level_means(G))
 
 
 def _row_squares(num):

@@ -39,9 +39,9 @@ from .schur import (equivalence_report, lambda_matrix,
 from .shifts import (apply_shift, paraproduct, paraproduct_adjoint,
                      random_extremal_shift, series_bound, shift_slice,
                      slice_bilinear_sides, symmetrize)
-from .signal import (SpaceSpec, _common, _numerators, _product, haar_expand,
-                     haar_reconstruct, pairing_integral, pointwise_product,
-                     random_step_function)
+from .signal import (SpaceSpec, _common, _equal, _numerators, _product,
+                     haar_expand, haar_reconstruct, pairing_integral,
+                     pointwise_product, random_step_function)
 from .normlab import hilbert_demo, shift_scaling_study, umd_probe
 
 __all__ = ["main", "identity_battery"]
@@ -129,10 +129,9 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
                                        == _total(terms))
 
         twice = apply_shift(sigma, apply_shift(sigma, f))
-        diff = f - twice
-        results["transform_involution"] = all(
-            diff.values[i, c] == mean_f[c]
-            for i in range(system.n_leaves) for c in range(d))
+        # every leaf of f - twice is the window mean of f
+        results["transform_involution"] = _equal(
+            (f - twice)._num, f._means[0])
 
         # |I| |<jump_f, jump_g>| == 4 |<c_f, c_g>| on every interval I
         results["factor4_per_interval"] = all(
@@ -148,10 +147,9 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
             total = (paraproduct(phi, f) + paraproduct_adjoint(phi, f)
                      + paraproduct(f, phi))
             rem = pointwise_product(phi, f) - total
-            mean_phi = phi.level_means[0][0, 0]
-            results["paraproduct_decomposition"] = all(
-                rem.values[i, 0] == mean_phi * mean_f[0]
-                for i in range(system.n_leaves))
+            # every leaf of rem is the product of the window means
+            results["paraproduct_decomposition"] = _equal(
+                rem._num, _product(phi._means[0], f._means[0]))
 
             shift = random_extremal_shift(system, 0, 1,
                                           seed=(seed, trial, 5))

@@ -13,10 +13,10 @@ is the ``(0, 0)`` shift with the sign ``sigma_L`` on the key ``(L, L, L)``.
 
 Sums over ``L`` include exactly the intervals whose Haar functions ``h_I`` and
 ``h_J`` exist inside the window, i.e. ``level(L) <= depth - complexity``.
-Operators annihilate the window mean and produce mean-zero output.  Shifts
-apply as one scatter in heap order through an apply plan built once per
-shift; its key order keeps per-level float sums.  Exact mode scatters
-integer numerators (see :mod:`dyadlab.signal`).
+Operators annihilate the window mean and produce mean-zero output.  They
+run on the one Haar engine of :mod:`dyadlab.signal`, in float or exact
+arithmetic alike: shifts apply as one scatter in heap order through an
+apply plan built once per shift, whose key order keeps per-level float sums.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ import numpy as np
 
 from .dyadic import DyadicError, DepthExhaustedError, WindowError
 from .exact import as_exact, from_text, sqrt2_pow, to_text
-from .signal import (StepFunction, _numerators, _Numerators, _product,
-                     _synthesize, _synthesized, haar_coeff, haar_profile)
+from .signal import (StepFunction, _form, _numerators, _Numerators, _one_mode,
+                     _product, _stacked, _synthesized, haar_coeff,
+                     haar_profile)
 
 __all__ = [
     "ShiftSpec",
@@ -175,8 +176,8 @@ class ShiftSpec:
     # -- the apply plan ----------------------------------------------------
     # Built once per shift, each part on first use: the heap rows
     # (``2**level + index``) of every row's I and J, and every row's
-    # coefficient joined to the Haar normalisations, as a float (float
-    # mode) or as a position in a table of exact values (exact mode).
+    # coefficient joined to the Haar normalisations, as a float per row or
+    # as a position in a table of exact values.
 
     @cached_property
     def _rows(self):
@@ -200,25 +201,20 @@ class ShiftSpec:
 
     @cached_property
     def _exact_plan(self):
-        """The exact coefficient of the float plan times ``2**(I level)``,
-        which brings the I jump to the scale of the exact heap: each row's
-        position in a table of the distinct values, and that table in
-        integer form."""
+        """The exact coefficient of the float plan: each row's position in
+        a table of the distinct values, and that table in integer form."""
         distinct, inverse = self._distinct
         gap_set, gap = self._gaps()
-        base = self.system.depth + 1
-        codes = (gap * base + self.keys[:, 2]) * len(distinct) + inverse
+        codes = gap * len(distinct) + inverse
         table = _sorted_set(codes)
         # one exact number per gap; a table value is an integer multiple
         factors = _numerators(_object_array(
             [self.amplitude * sqrt2_pow(g - 2) for g in gap_set]))
-        entries = [(*divmod(rest, base), distinct[w])
-                   for rest, w in (divmod(code, len(distinct))
-                                   for code in table)]
+        entries = [divmod(code, len(distinct)) for code in table]
 
         def part(nums):
             return None if nums is None else _object_array(
-                [w * nums[g] << lev for g, lev, w in entries])
+                [distinct[w] * nums[g] for g, w in entries])
 
         return np.searchsorted(table, codes), _Numerators(
             part(factors.a), part(factors.b), factors.scale)
@@ -375,43 +371,44 @@ def _level_groups(shift):
         yield (np.flatnonzero(codes == code), llev, *divmod(rest, base))
 
 
+def _coefficients(shift, exact):
+    """Every row's coefficient from the apply plan, as an ``(N, 1)`` form."""
+    if exact:
+        index, table = shift._exact_plan
+        return table.map(lambda c: c[index][:, None])
+    return _form(shift._float_plan[:, None])
+
+
 def _added_at(rows, values, n):
-    """``n`` integer sums: ``values[r]`` added to sum ``rows[r]``."""
+    """``n`` sums: ``values[r]`` added to sum ``rows[r]``; a float column
+    with one ``np.bincount``, integers with one ``np.add.at``."""
+    if values.dtype != object:
+        return np.column_stack([np.bincount(rows, column, minlength=n)
+                                for column in values.T])
     out = np.zeros((n, values.shape[1]), dtype=object)
     np.add.at(out, rows, values)
     return out
 
 
 def apply_shift(shift, f):
-    """Apply a :class:`ShiftSpec` to a step function.
+    """Apply a :class:`ShiftSpec` to a step function, in the arithmetic of
+    its values (float, or exact when they are exact).
 
-    Exact when the input values are exact.  The entry ``(L, I, J)`` adds
-    ``c * sqrt(|I| / |J|) / 2`` times the jump of ``f`` across ``I`` to the
-    term of ``J``; one synthesis then turns the terms into leaf values.
-    The rows go in key order, in heap order (row ``2**level + index``), so
-    each ``J`` sums in (L level, I level, I) order: float mode adds each
-    column with one ``np.bincount``, and exact mode adds integer products
-    with one ``np.add.at``.  The shift's apply plan is built on first use.
+    The entry ``(L, I, J)`` adds ``c * sqrt(|I| / |J|) / 2`` times the jump
+    of ``f`` across ``I`` to the term of ``J``; one synthesis then turns the
+    terms into leaf values.  The rows go in key order, in heap order (row
+    ``2**level + index``), so each ``J`` sums in (L level, I level, I)
+    order, in one scatter-add.  The shift's apply plan is built on first
+    use.
     """
     if f.system != shift.system:
         raise DyadicError("function and shift live on different systems")
     src, dst = shift._rows
-    heap = f._heap
     n = 1 << f.depth  # heap rows
-    if f.exact:
-        index, table = shift._exact_plan
-        terms = _product(table.map(lambda c: c[index][:, None]),
-                         heap.map(lambda h: h[src]))
-        terms = terms.map(lambda t: _added_at(dst, t, n))
-        return StepFunction._from_numerators(shift.system, _synthesized(
-            [terms.map(lambda t: t[1 << lev:2 << lev])
-             for lev in range(f.depth)]))
-    coef = shift._float_plan
-    terms = np.empty((n, f.d))
-    for c in range(f.d):
-        terms[:, c] = np.bincount(dst, coef * heap[src, c], minlength=n)
-    return StepFunction(shift.system, _synthesize(
-        [terms[1 << lev:2 << lev] for lev in range(f.depth)]))
+    terms = _product(_coefficients(shift, f.exact),
+                     f._heap.map(lambda h: h[src]))
+    return StepFunction._from_numerators(shift.system, _synthesized(
+        terms.map(lambda t: _added_at(dst, t, n))))
 
 
 # -- paraproducts --------------------------------------------------------
@@ -423,16 +420,14 @@ def _paraproduct_operands(phi, f):
         raise DyadicError("symbol and function live on different systems")
     if phi.d != 1:
         raise DyadicError("paraproduct symbol must be scalar valued")
-    exact = phi.exact and f.exact
-    if not exact:
-        phi, f = phi.as_float(), f.as_float()
-    return phi, f, exact
+    return _one_mode(phi, f)
 
 
-def _exact_terms(pairs, factor):
-    """``factor`` times the integer product of each pair."""
-    terms = [_product(x, y) for x, y in pairs]
-    return [_Numerators(t.a, t.b, t.scale * factor) for t in terms]
+def _paraproduct(pairs, factor, signed=True):
+    """The leaf values of the terms ``factor * x * y`` (``factor`` a power
+    of 2) over the pairs of forms ``(x, y)``, one pair per level."""
+    out = _synthesized(_stacked([_product(x, y) for x, y in pairs]), signed)
+    return _Numerators(out.a, out.b, out.scale * factor)
 
 
 def paraproduct(phi, f):
@@ -440,13 +435,9 @@ def paraproduct(phi, f):
 
     The term of ``I`` is half the jump of ``phi`` times the mean of ``f``.
     """
-    phi, f, exact = _paraproduct_operands(phi, f)
-    if exact:
-        return StepFunction._from_numerators(f.system, _synthesized(
-            _exact_terms(zip(phi._jumps, f._means), Fraction(1, 2))))
-    terms = [jump * 0.5 * mean
-             for jump, mean in zip(phi.level_jumps, f.level_means)]
-    return StepFunction(f.system, _synthesize(terms))
+    phi, f = _paraproduct_operands(phi, f)
+    return StepFunction._from_numerators(f.system, _paraproduct(
+        zip(phi._jumps, f._means), Fraction(1, 2)))
 
 
 def paraproduct_adjoint(phi, f):
@@ -454,14 +445,9 @@ def paraproduct_adjoint(phi, f):
 
     The term of ``I`` is a quarter of the product of the two jumps.
     """
-    phi, f, exact = _paraproduct_operands(phi, f)
-    if exact:
-        return StepFunction._from_numerators(f.system, _synthesized(
-            _exact_terms(zip(phi._jumps, f._jumps), Fraction(1, 4)),
-            signed=False))
-    terms = [jump_phi * 0.25 * jump_f for jump_phi, jump_f
-             in zip(phi.level_jumps, f.level_jumps)]
-    return StepFunction(f.system, _synthesize(terms, signed=False))
+    phi, f = _paraproduct_operands(phi, f)
+    return StepFunction._from_numerators(f.system, _paraproduct(
+        zip(phi._jumps, f._jumps), Fraction(1, 4), signed=False))
 
 
 # -- slices and the bilinear majorant ------------------------------------

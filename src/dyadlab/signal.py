@@ -1,34 +1,36 @@
 """Step functions on dyadic windows and their Haar calculus.
 
 Functions are constant on the leaf cells of a :class:`~dyadlab.dyadic.DyadicSystem`
-and take values in ``R^d``.  There are two arithmetic modes: float64 arrays
-for norm work, and exact values (``int``, ``Fraction`` or ``Sqrt2Rational``
-in object arrays) when identities are to be checked with ``==``.
+and take values in ``R^d``: float64 arrays for norm work, or exact values
+(``int``, ``Fraction`` or ``Sqrt2Rational`` in object arrays) when
+identities are to be checked with ``==``.
 
 The Haar function of a non-leaf interval ``I`` is ``|I|**-0.5`` on the left
 half and ``-|I|**-0.5`` on the right half.
 
-Haar operators run on one level-major pyramid.  Analysis takes the means of
-every interval, level by level, as pairwise averages of the next finer
-level, and the jump of ``I``: its left-half mean minus its right-half mean.
-Since ``<f, h_I> = sqrt(|I|)/2 * jump``, an operator of the form
-``sum c * <f, h_I> * h_J`` becomes a map from jumps and means to one term per
-interval, with one normalising factor per level.  Synthesis then spreads the
-terms onto the leaves with ``np.repeat``, adding each term on the left half
-of its interval and subtracting it on the right half.
+There is one Haar engine for both arithmetic modes.  An array is held as
+``(a + b*sqrt(2)) * scale`` with one ``Fraction`` scale, and the dtype of
+``a`` is the mode: Python ints in object arrays (``b`` None when every value
+is rational) for exact values, and float64 (no ``b``, a power of 2 as the
+scale) for floats.  The means of every interval are pairwise sums of the
+next finer level at half its scale, and the jump of ``I`` (left-half mean
+minus right-half mean) is a difference of those sums.  Since ``<f, h_I> =
+sqrt(|I|)/2 * jump``, an operator ``sum c * <f, h_I> * h_J`` maps jumps and
+means to one term per interval; products multiply parts and scales, and the
+terms of all levels are brought to one scale before synthesis spreads them
+onto the leaves with ``np.repeat``, adding each term on the left half of its
+interval and subtracting it on the right half.
 
-Exact mode computes on integers.  An exact array is held as
-``(a + b*sqrt(2)) * scale``: ``a`` and ``b`` are object arrays of Python
-ints (``b`` is None when every value is rational) and ``scale`` is one
-positive ``Fraction`` for the whole array.  The pyramid is then integer
-pairwise sums whose scale halves per level, jumps are differences of those
-sums, products multiply numerators and scales, and terms of several levels
-are brought to one scale before synthesis.  No gcd is taken until a caller
-reads values: ``StepFunction.values``, ``level_means``, ``level_jumps`` and
-the coefficients of :func:`haar_expand` are then built in one normal form,
-a ``Fraction`` where the sqrt(2) part is 0 and a ``Sqrt2Rational``
-elsewhere.  Sums, differences, products and ``==`` of exact functions stay
-on the integers.
+Float results have the bits of a pyramid of pairwise means, as scaling by a
+power of 2 is exact in float64 away from overflow and subnormals; a factor
+that is not a power of 2 (a sqrt(2) power, a shift amplitude such as 1/3)
+multiplies the float numerators at the step where it multiplied the values.
+Sums overflow where means do not, so a finite float leaf above ``float max
+/ 2**depth`` is refused before a pyramid is built.  Exact forms take no gcd
+until a caller reads values (``StepFunction.values``, ``level_means``,
+``level_jumps``, the coefficients of :func:`haar_expand`), which are then
+built in one normal form: a ``Fraction`` where the sqrt(2) part is 0 and a
+``Sqrt2Rational`` elsewhere.
 
 A function's pyramid and its jumps are built once, on first use, and kept
 on the function; every Haar operator reads them from there.  This is sound
@@ -44,7 +46,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -112,11 +114,12 @@ class SpaceSpec:
 
 
 class _Numerators(NamedTuple):
-    """Exact values ``(a + b*sqrt(2)) * scale`` of one array.
+    """The values ``(a + b*sqrt(2)) * scale`` of one array.
 
-    ``a`` and ``b`` are object arrays of Python ints of one shape, ``b`` is
-    None when every value is rational, and ``scale`` is a positive
-    ``Fraction`` shared by the whole array.  New forms are built with the
+    Exact: ``a`` and ``b`` are object arrays of Python ints of one shape and
+    ``b`` is None when every value is rational.  Float: ``a`` is float64 and
+    ``b`` is None.  ``scale`` is a positive ``Fraction`` shared by the whole
+    array, a power of 2 in float forms.  New forms are built with the
     constructor, not ``_replace``: its temporary tuple is resized, and each
     one freed would stay on the interpreter's free list of 3-tuples until a
     full collection.
@@ -127,7 +130,7 @@ class _Numerators(NamedTuple):
     scale: Fraction
 
     def map(self, fn, scale=None):
-        """``fn`` applied to both integer parts (an integer-linear map)."""
+        """``fn`` applied to both parts (a linear map on the integers)."""
         return _Numerators(fn(self.a), None if self.b is None else fn(self.b),
                            self.scale if scale is None else scale)
 
@@ -136,6 +139,8 @@ class _Numerators(NamedTuple):
 
 
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
+_ONE = Fraction(1)
+_FLOAT_MAX = float(np.finfo(float).max)
 _SQRT2_RATIONAL = np.frompyfunc(Sqrt2Rational._new, 2, 1)
 
 
@@ -168,9 +173,23 @@ def _numerators(values):
                        Fraction(1, den))
 
 
+def _array(values, exact):
+    """``values`` as an array of the named mode: exact objects, or float64
+    (exact numbers converted with ``float``)."""
+    return np.asarray(values, dtype=object if exact else float)
+
+
+def _form(values):
+    """The form of an array: float64 as it is at scale 1, and exact values
+    over the least common denominator of their parts."""
+    if values.dtype != object:
+        return _Numerators(values, None, _ONE)
+    return _numerators(values)
+
+
 def _exact_values(num):
-    """The values of ``num`` in normal form: a ``Fraction`` where the
-    sqrt(2) part is 0 and a ``Sqrt2Rational`` elsewhere."""
+    """The values of an exact ``num`` in normal form: a ``Fraction`` where
+    the sqrt(2) part is 0 and a ``Sqrt2Rational`` elsewhere."""
     top, den = num.scale.numerator, num.scale.denominator
     out = _FRACTION(num.a * top if top != 1 else num.a, den)
     if num.b is not None:
@@ -180,10 +199,17 @@ def _exact_values(num):
     return out
 
 
+def _values(num):
+    """The values of ``num``: float64, or exact in normal form."""
+    if num.a.dtype != object:
+        return num.a * float(num.scale)
+    return _exact_values(num)
+
+
 def _floats(num):
-    """The values of ``num`` as float64, converted as their normal forms
-    are: ``float(Fraction)``, which is correctly rounded and so equals the
-    int/int true division of the unreduced parts, and ``float(a) +
+    """The values of an exact ``num`` as float64, converted as their normal
+    forms are: ``float(Fraction)``, which is correctly rounded and so equals
+    the int/int true division of the unreduced parts, and ``float(a) +
     float(b)*sqrt(2.0)`` where the sqrt(2) part is not 0."""
     top, den = num.scale.numerator, num.scale.denominator
     out = (num.a * top / den).astype(float)
@@ -191,6 +217,13 @@ def _floats(num):
         root = num.b != 0
         out[root] += (num.b[root] * top / den).astype(float) * math.sqrt(2.0)
     return out
+
+
+@lru_cache(maxsize=None)
+def _sqrt2_power(k, exact):
+    """``2**(k/2)`` as a one-entry form, exact or its float; shared, so its
+    arrays must not be written."""
+    return _form(_array([sqrt2_pow(k)], exact))
 
 
 def _sign(x, y):
@@ -235,43 +268,41 @@ def _abs_max(num):
     return _one_value(*best, num)
 
 
-def _times_sqrt2_pow(num, k):
-    """``num`` times ``2**(k/2)``: an odd ``k`` swaps the parts, as
-    ``(a + b*sqrt(2)) * sqrt(2) = 2b + a*sqrt(2)``."""
-    half, odd = divmod(k, 2)
-    scale = num.scale * Fraction(2) ** half
-    if not odd:
-        return _Numerators(num.a, num.b, scale)
-    return _Numerators(2 * num.b if num.b is not None else np.zeros_like(num.a),
-                       num.a, scale)
-
-
 def _common(nums):
     """The arrays of ``nums`` over one scale, the largest that divides
     every scale of ``nums`` to an integer; returns ``(arrays, scale)``."""
     # lists, not generators: a tuple built from a generator is resized,
     # and each one freed would stay on the tuple free list of its length
     # until a full collection
-    scale = Fraction(math.gcd(*[x.scale.numerator for x in nums]),
-                     math.lcm(*[x.scale.denominator for x in nums]))
+    top = math.gcd(*[x.scale.numerator for x in nums])
+    den = math.lcm(*[x.scale.denominator for x in nums])
+    scale = Fraction(top, den)
     out = []
     for x in nums:
-        k = (x.scale / scale).numerator
+        # x.scale / scale, on the integers
+        k = x.scale.numerator // top * (den // x.scale.denominator)
         out.append(_Numerators(x.a, x.b, scale) if k == 1
                    else x.map(lambda v: v * k, scale))
     return out, scale
 
 
 def _combine(op, x, y):
-    """``op`` (add or subtract) of two integer forms."""
+    """``op`` (add or subtract) of two forms."""
     (x, y), scale = _common([x, y])
     b = (None if x.b is None and y.b is None
          else op(x.b_or_zeros(), y.b_or_zeros()))
     return _Numerators(op(x.a, y.a), b, scale)
 
 
+def _equal(x, y):
+    """Whether two exact forms hold the same values everywhere (a one-row
+    form against every row of a taller one)."""
+    gap = _combine(operator.sub, x, y)
+    return not gap.a.any() and (gap.b is None or not gap.b.any())
+
+
 def _product(x, y, mul=operator.mul):
-    """Product of two integer forms: elementwise (broadcasting), or
+    """Product of two forms: elementwise (broadcasting), or
     ``mul=operator.matmul`` for the matrix product."""
     a = mul(x.a, y.a)
     if x.b is None and y.b is None:
@@ -287,8 +318,20 @@ def _product(x, y, mul=operator.mul):
 
 
 def _pyramid(num, depth):
-    """Integer means of every interval, ``[level 0, ..., level depth]``:
-    pairwise sums of the next finer level, at half its scale."""
+    """Means of every interval, ``[level 0, ..., level depth]``: pairwise
+    sums of the next finer level, at half its scale.
+
+    Float sums of ``2**depth`` entries can overflow where their mean does
+    not, so a finite float entry above ``float max / 2**depth`` raises
+    ``DyadicError``; inf and nan entries go through as they are."""
+    if num.a.dtype != object:
+        bound = _FLOAT_MAX / 2.0 ** depth
+        top = float(np.abs(num.a[np.isfinite(num.a)]).max(initial=0.0))
+        if top > bound:
+            raise DyadicError(
+                f"float values must lie within float max / 2**{depth} = "
+                f"{bound!r} at depth {depth}, so that their pairwise sums "
+                f"stay finite; got {top!r}")
     means = [num]
     for _ in range(depth):
         finer = means[-1]
@@ -296,13 +339,37 @@ def _pyramid(num, depth):
     return means[::-1]
 
 
-def _synthesized(terms, signed=True):
-    """:func:`_synthesize` on integer forms: the terms are brought to one
-    scale first."""
-    terms, scale = _common(terms)
-    b = (None if all(t.b is None for t in terms)
-         else _synthesize([t.b_or_zeros() for t in terms], signed))
-    return _Numerators(_synthesize([t.a for t in terms], signed), b, scale)
+def _stacked(levels):
+    """Forms of one array per level as one form in heap order (row
+    ``2**level + index``, row 0 zero), over one scale."""
+    levels, scale = _common(levels)
+    zero = [np.zeros((1, levels[0].a.shape[1]), dtype=levels[0].a.dtype)]
+    b = (None if all(x.b is None for x in levels)
+         else np.concatenate(zero + [x.b_or_zeros() for x in levels]))
+    return _Numerators(np.concatenate(zero + [x.a for x in levels]), b, scale)
+
+
+def _synthesized(heap, signed=True):
+    """Leaf values of per-interval terms given in heap order.
+
+    The term of ``I`` is added on the left half of ``I`` and subtracted on
+    its right half, or added on all of ``I`` when ``signed`` is false.
+    """
+    depth = len(heap.a).bit_length() - 1
+
+    def spread(terms):
+        out = np.zeros((1, terms.shape[1]), dtype=terms.dtype)
+        for lev in range(depth):
+            term = terms[1 << lev:2 << lev]
+            out = np.repeat(out, 2, axis=0)
+            out[0::2] += term
+            if signed:
+                out[1::2] -= term
+            else:
+                out[1::2] += term
+        return out
+
+    return heap.map(spread)
 
 
 # -- step functions ------------------------------------------------------
@@ -317,12 +384,12 @@ class StepFunction:
     first use and kept: the level-mean pyramid ``level_means`` and its jumps
     ``level_jumps``, and the float copy returned by :meth:`as_float`.
 
-    An exact function also keeps its values as integers over one scale
-    (see the module docstring), and its pyramid and jumps in that form,
-    which the Haar operators read.  A function that an exact operator
-    returns holds only the integers until ``values`` is read; its values
-    are then ``Fraction`` where the sqrt(2) part is 0 and ``Sqrt2Rational``
-    elsewhere.  ``exact`` and ``d`` do not read ``values``.
+    A function also keeps its values in the form of the module docstring,
+    and its pyramid and jumps in that form, which the Haar operators read.
+    A function that a Haar operator returns holds only the form until
+    ``values`` is read; exact values are then ``Fraction`` where the
+    sqrt(2) part is 0 and ``Sqrt2Rational`` elsewhere.  ``exact`` and ``d``
+    do not read ``values``.
     """
 
     def __init__(self, system, values):
@@ -344,9 +411,10 @@ class StepFunction:
 
     @classmethod
     def _from_numerators(cls, system, num):
-        """The exact function with leaf values ``num`` (an integer form)."""
+        """The function with leaf values ``num`` (a float or exact form)."""
         f = cls.__new__(cls)
-        f.system, f._num, f.exact, f.d = system, num, True, num.a.shape[1]
+        f.system, f._num, f.d = system, num, num.a.shape[1]
+        f.exact = num.a.dtype == object
         return f
 
     # -- construction ----------------------------------------------------
@@ -368,14 +436,14 @@ class StepFunction:
 
     @cached_property
     def values(self):
-        # only reached by functions built from integers
-        values = _exact_values(self._num)
+        # only reached by functions built from a form
+        values = _values(self._num)
         values.flags.writeable = False
         return values
 
     @cached_property
     def _num(self):
-        return _numerators(self.values)
+        return _form(self.values)
 
     def copy(self):
         return StepFunction(self.system, self.values.copy())
@@ -390,12 +458,12 @@ class StepFunction:
 
     @cached_property
     def _means(self):
-        """Integer means of every interval (exact functions)."""
+        """The form of the mean of every interval."""
         return _pyramid(self._num, self.depth)
 
     @cached_property
     def _jumps(self):
-        """Integer jumps of every non-leaf interval (exact functions)."""
+        """The form of the jump of every non-leaf interval."""
         return [finer.map(lambda v: v[0::2] - v[1::2], finer.scale)
                 for finer in self._means[1:]]
 
@@ -404,11 +472,8 @@ class StepFunction:
         """Means of every interval, built once: ``level_means[lev]`` is a
         read-only array with one row per interval of level ``lev``, and the
         last level is ``values`` itself."""
-        if self.exact:
-            means = [_exact_values(m) for m in self._means[:-1]]
-            means.append(self.values)
-        else:
-            means = _level_means(self.values, False)
+        means = [_values(m) for m in self._means[:-1]]
+        means.append(self.values)
         for level in means:
             level.flags.writeable = False
         return means
@@ -418,32 +483,16 @@ class StepFunction:
         """Jumps of every non-leaf interval, built once:
         ``level_jumps[lev]`` is a read-only array of the left-half mean
         minus the right-half mean of each interval of level ``lev``."""
-        if self.exact:
-            jumps = [_exact_values(j) for j in self._jumps]
-        else:
-            jumps = [finer[0::2] - finer[1::2]
-                     for finer in self.level_means[1:]]
+        jumps = [_values(j) for j in self._jumps]
         for level in jumps:
             level.flags.writeable = False
         return jumps
 
     @cached_property
     def _heap(self):
-        """The jumps in heap order (row ``2**level + index``, row 0 zero).
-
-        Float functions give the float jumps.  Exact functions give one
-        integer form at the scale of level 0, whose rows at level ``lev``
-        are to be multiplied by ``2**lev``.
-        """
-        if not self.exact:
-            return np.concatenate([np.zeros((1, self.d)), *self.level_jumps])
-        jumps = self._jumps
-        zero = [np.zeros((1, self.d), dtype=object)]
-        return _Numerators(
-            np.concatenate(zero + [j.a for j in jumps]),
-            None if self._num.b is None
-            else np.concatenate(zero + [j.b for j in jumps]),
-            jumps[0].scale if jumps else self._num.scale)
+        """The jumps in heap order (row ``2**level + index``, row 0 zero),
+        over one scale."""
+        return _stacked(self._jumps)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -477,8 +526,7 @@ class StepFunction:
         if self.system != other.system or self.d != other.d:
             return False
         if self.exact and other.exact:
-            diff = _combine(operator.sub, self._num, other._num)
-            return not diff.a.any() and (diff.b is None or not diff.b.any())
+            return _equal(self._num, other._num)
         return bool(np.all(self.values == other.values))
 
 
@@ -531,55 +579,24 @@ def haar_profile(f_or_system, interval, exact=False):
     return out
 
 
-def _level_means(values, exact):
-    """Means of every interval: ``means[lev]`` has one row per interval of
-    level ``lev``, and ``means[depth]`` is ``values`` itself."""
+def _level_means(values):
+    """Means of every interval of a float array: ``means[lev]`` has one row
+    per interval of level ``lev``, and ``means[depth]`` is ``values``
+    itself."""
     depth = len(values).bit_length() - 1
-    if exact:
-        means = [_exact_values(m) for m in _pyramid(_numerators(values),
-                                                    depth)[:-1]]
-        return means + [values]
-    means = [values]
-    for _ in range(depth):
-        finer = means[-1]
-        means.append((finer[0::2] + finer[1::2]) * 0.5)
-    return means[::-1]
-
-
-def _synthesize(terms, signed=True):
-    """Leaf values of the per-interval ``terms`` (one array per level).
-
-    The term of ``I`` is added on the left half of ``I`` and subtracted on
-    its right half, or added on all of ``I`` when ``signed`` is false.
-    Works on float and on integer object arrays alike.
-    """
-    out = np.zeros((1, terms[0].shape[1]), dtype=terms[0].dtype)
-    for term in terms:
-        out = np.repeat(out, 2, axis=0)
-        out[0::2] += term
-        if signed:
-            out[1::2] -= term
-        else:
-            out[1::2] += term
-    return out
+    return [_values(m) for m in _pyramid(_form(values), depth)[:-1]] + [values]
 
 
 def haar_expand(f):
     """Full expansion ``(window mean, {address: coefficient vector})``."""
-    coeffs = {}
     M = f.system.M
-    if f.exact:
-        # <f, h_I> = sqrt(|I|)/2 * jump = 2**((M - lev - 2)/2) * jump
-        levels = [_exact_values(_times_sqrt2_pow(jump, M - lev - 2))
-                  for lev, jump in enumerate(f._jumps)]
-        mean = _exact_values(f._means[0])[0]
-    else:
-        levels = [jump * float(sqrt2_pow(M - lev) / 2)
-                  for lev, jump in enumerate(f.level_jumps)]
-        mean = f.level_means[0][0]
+    # <f, h_I> = sqrt(|I|)/2 * jump = 2**((M - lev - 2)/2) * jump
+    levels = [_values(_product(jump, _sqrt2_power(M - lev - 2, f.exact)))
+              for lev, jump in enumerate(f._jumps)]
+    coeffs = {}
     for lev, level in enumerate(levels):
         coeffs.update(((lev, i), row) for i, row in enumerate(level))
-    return mean, coeffs
+    return _values(f._means[0])[0], coeffs
 
 
 def haar_reconstruct(system, mean, coeffs, exact=False):
@@ -595,25 +612,17 @@ def haar_reconstruct(system, mean, coeffs, exact=False):
         raise DyadicError(
             f"coefficient cover mismatch: missing {sorted(missing)[:4]}, "
             f"unknown {sorted(extra)[:4]}")
-    dtype = object if exact else float
-    mean = np.asarray(mean, dtype=dtype).reshape(1, -1)
-    rows = np.array([coeffs[(lev, i)] for lev in range(system.depth)
-                     for i in range(2 ** lev)], dtype=dtype)
-    rows = rows.reshape(len(rows), -1)
+    mean = _array(mean, exact).reshape(1, -1)
+    rows = _array([coeffs[(lev, i)] for lev in range(system.depth)
+                   for i in range(2 ** lev)], exact)
+    num = _form(rows.reshape(len(rows), -1))
     # level ``lev`` is rows 2**lev - 1 to 2**(lev+1) - 1, and its Haar
     # functions are 2**((lev - M)/2) on the left half
-    if exact:
-        num = _numerators(rows)
-        terms = [_times_sqrt2_pow(num.map(lambda v: v[(1 << lev) - 1:
-                                                      (2 << lev) - 1]),
-                                  lev - system.M)
-                 for lev in range(system.depth)]
-        return StepFunction._from_numerators(system, _combine(
-            operator.add, _numerators(mean), _synthesized(terms)))
-    terms = [rows[(1 << lev) - 1:(2 << lev) - 1]
-             * float(sqrt2_pow(lev - system.M))
+    terms = [_product(num.map(lambda v: v[(1 << lev) - 1:(2 << lev) - 1]),
+                      _sqrt2_power(lev - system.M, exact))
              for lev in range(system.depth)]
-    return StepFunction(system, mean + _synthesize(terms))
+    return StepFunction._from_numerators(system, _combine(
+        operator.add, _form(mean), _synthesized(_stacked(terms))))
 
 
 # -- norms and pairings --------------------------------------------------
@@ -627,24 +636,25 @@ def lp_norm(f, space):
     return float((w * inner ** space.p).sum() ** (1.0 / space.p))
 
 
-def pairing_integral(f, g):
-    """``integral of <f(t), g(t)> dt`` over the window (exact in exact mode).
+def _one_mode(*functions):
+    """The functions as they are when all are exact, else as floats."""
+    if all(f.exact for f in functions):
+        return functions
+    return [f.as_float() for f in functions]
 
-    On exact inputs: one integer dot product of the numerators, and one
-    number built from it."""
+
+def pairing_integral(f, g):
+    """``integral of <f(t), g(t)> dt`` over the window (exact in exact mode):
+    one dot product of the numerators, and one number read from it."""
     if f.system != g.system:
         raise DyadicError("pairing requires a common system")
     if f.d != g.d:
         raise DyadicError(f"dimension mismatch {f.d} != {g.d}")
-    if f.exact and g.exact:
-        prod = _product(f._num, g._num)
-        scale = prod.scale * Fraction(2) ** (f.system.M - f.system.depth)
-        a = int(prod.a.sum()) * scale
-        b = 0 if prod.b is None else int(prod.b.sum()) * scale
-        return Sqrt2Rational._new(a, b) if b else a
-    ff, gg = f.as_float(), g.as_float()
-    w = float(f.system.leaf_width)
-    return float(w * (ff.values * gg.values).sum())
+    f, g = _one_mode(f, g)
+    prod = _product(f._num, g._num)
+    total = prod.map(lambda v: v.sum(keepdims=True)[0],
+                     prod.scale * f.system.leaf_width)
+    return _values(total).tolist()[0]
 
 
 def pointwise_product(phi, f):
@@ -653,10 +663,8 @@ def pointwise_product(phi, f):
         raise DyadicError("operands live on different systems")
     if phi.d != 1:
         raise DyadicError("left factor must be scalar valued")
-    if phi.exact and f.exact:
-        return StepFunction._from_numerators(f.system,
-                                             _product(phi._num, f._num))
-    return StepFunction(f.system, phi.values * f.values)
+    phi, f = _one_mode(phi, f)
+    return StepFunction._from_numerators(f.system, _product(phi._num, f._num))
 
 
 # -- test signals --------------------------------------------------------
@@ -677,8 +685,7 @@ def random_step_function(system, seed, d=1, exact=False):
     if exact:
         nums = np.array(rng.integers(-32, 33, size=(system.n_leaves, d))
                         .tolist(), dtype=object)
-        f = StepFunction(system, _FRACTION(nums, 8))
-        f._num = _Numerators(nums, None, Fraction(1, 8))
-        return f
+        return StepFunction._from_numerators(
+            system, _Numerators(nums, None, Fraction(1, 8)))
     vals = rng.uniform(-4, 4, size=(system.n_leaves, d))
     return StepFunction(system, vals)

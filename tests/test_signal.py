@@ -9,10 +9,10 @@ import pytest
 from dyadlab import signal
 from dyadlab.dyadic import DyadicError, DyadicSystem, sample_system
 from dyadlab.exact import ROOT2, Sqrt2Rational
-from dyadlab.signal import (SpaceSpec, StepFunction, _level_means, average,
-                            haar_coeff, haar_expand, haar_profile,
-                            haar_reconstruct, lp_norm, pairing_integral,
-                            pointwise_product, random_step_function)
+from dyadlab.signal import (SpaceSpec, StepFunction, average, haar_coeff,
+                            haar_expand, haar_profile, haar_reconstruct,
+                            lp_norm, pairing_integral, pointwise_product,
+                            random_step_function)
 
 FLOAT_TOL = 1e-12
 N_HOLDER_PAIRS = 200
@@ -85,21 +85,31 @@ def test_constant_exact():
 # -- read-only values and the cached derived data ------------------------
 
 
+def _interval_means(f, lev):
+    """The per-interval :func:`average` of every interval of level ``lev``,
+    as one row each: the reference for the engine's pyramid."""
+    return np.array([average(f, f.system.interval(lev, i))
+                     for i in range(2 ** lev)])
+
+
+def _assert_level_matches(got, want, exact):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if exact:
+        assert got.tolist() == want.tolist()
+    else:
+        assert np.abs(got - want).max() <= FLOAT_TOL
+    with pytest.raises(ValueError):
+        got[0, 0] = 0
+
+
 @pytest.mark.parametrize("d, exact", [(1, True), (2, True), (1, False)])
 def test_level_means_match_a_fresh_pyramid_and_are_built_once(d, exact):
     sys_ = sample_system(41, 5, M=-1)
     f = random_step_function(sys_, seed=(42, d), d=d, exact=exact)
     means = f.level_means
-    fresh = _level_means(np.array(f.values), exact)
-    assert len(means) == len(fresh) == sys_.depth + 1
-    for got, want in zip(means, fresh):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        if exact:
-            assert got.tolist() == want.tolist()
-        else:
-            assert got.tobytes() == want.tobytes()
-        with pytest.raises(ValueError):
-            got[0, 0] = 0
+    assert len(means) == sys_.depth + 1
+    for lev, got in enumerate(means):
+        _assert_level_matches(got, _interval_means(f, lev), exact)
     assert f.level_means is means
 
 
@@ -108,17 +118,10 @@ def test_level_jumps_match_fresh_jumps_and_are_built_once(d, exact):
     sys_ = sample_system(43, 5, M=1)
     f = random_step_function(sys_, seed=(44, d), d=d, exact=exact)
     jumps = f.level_jumps
-    fresh = _level_means(np.array(f.values), exact)
     assert len(jumps) == sys_.depth
     for lev, got in enumerate(jumps):
-        want = fresh[lev + 1][0::2] - fresh[lev + 1][1::2]
-        assert got.dtype == want.dtype and got.shape == want.shape
-        if exact:
-            assert got.tolist() == want.tolist()
-        else:
-            assert got.tobytes() == want.tobytes()
-        with pytest.raises(ValueError):
-            got[0, 0] = 0
+        finer = _interval_means(f, lev + 1)
+        _assert_level_matches(got, finer[0::2] - finer[1::2], exact)
     assert f.level_jumps is jumps
 
 
@@ -367,3 +370,26 @@ def test_exact_values_reject_floats():
     f = StepFunction(sys_, np.array([[Fraction(1, 2)], [0.5]], dtype=object))
     with pytest.raises(TypeError, match="Q\\(sqrt\\(2\\)\\)"):
         f.level_jumps
+
+
+def test_float_leaves_whose_sums_overflow_are_refused():
+    """The pyramid holds sums of up to ``2**depth`` leaves, so a finite leaf
+    above ``float max / 2**depth`` is refused before a pyramid is built,
+    while inf and nan leaves give the means they always gave."""
+    big = np.finfo(float).max
+    sys_ = DyadicSystem(depth=2)
+    f = StepFunction(sys_, np.array([1e308, -1e308, 0.5, 0.0]))
+    with pytest.raises(DyadicError, match=r"float max / 2\*\*2 = 4\.49"):
+        f.level_means
+    with pytest.raises(DyadicError, match=r"float max / 2\*\*2"):
+        haar_expand(f)
+    assert "_means" not in vars(f)
+    with pytest.raises(DyadicError, match=r"float max / 2\*\*1"):
+        StepFunction(DyadicSystem(depth=1), np.full(2, 1e308)).level_means
+    # at the bound itself every sum is finite
+    edge = StepFunction(sys_, np.full(4, big / 4))
+    assert edge.level_means[0][0, 0] == big / 4
+    odd = StepFunction(sys_, np.array([np.inf, 1.0, np.nan, -np.inf]))
+    means = odd.level_means
+    assert means[1][0, 0] == np.inf and np.isnan(means[1][1, 0])
+    assert np.isnan(means[0][0, 0])
