@@ -4,6 +4,7 @@ Exit-code contract: 0 when every checked claim held, 2 when a run
 falsified a claim, 1 for usage errors.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -284,6 +285,27 @@ def test_lemma51_default_run_passes(tmp_path, capsys):
     assert report["meets_threshold"] is True
     assert report["identity_ok"] and report["theta_ok"]
     assert "achieved_c" in capsys.readouterr().out
+
+
+# sha256 of the lemma51 report: the default exact tree, and float trees at
+# p = 2, at p = 3, and with two-dimensional values at k = 2; recorded with
+# the separate float and exact tree bodies
+LEMMA51_REPORT_SHA256 = {
+    (): "7e4c6e4133da49bbac5c7e2718e0818c4acf95f519c99035e70d0c7200989629",
+    ("--exact", "false"):
+        "9985eb6fdc35cd9e3ece0573a6e5b397c479588b85cc63a0eba0c07fd38e33bb",
+    ("--exact", "false", "--p", "3"):
+        "75f05a3de12faa2baf300524d7b1da1acf218a3cb0ea42bc0fc62e00b755fc81",
+    ("--exact", "false", "--d", "2", "--k", "2"):
+        "0dfff5c68be6ef70de7d22499ab0097659d40102c9f7fe1d501ee57ae655a810",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LEMMA51_REPORT_SHA256))
+def test_lemma51_report_bytes_are_frozen(tmp_path, argv):
+    assert run(tmp_path, "lemma51", *argv) == 0
+    digest = hashlib.sha256((tmp_path / "lemma51.json").read_bytes())
+    assert digest.hexdigest() == LEMMA51_REPORT_SHA256[argv]
 
 
 def test_umd_probe_passes(tmp_path):
