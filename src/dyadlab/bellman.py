@@ -33,8 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import DyadicError
 from .schur import AlphaSequence, find_alpha, lambda_matrix
-from .signal import (_abs_max, _combine, _exact_values, _floats,
-                     _level_means, _Numerators, _product, _pyramid)
+from .signal import (_abs_max, _combine, _exact_values, _floats, _form,
+                     _Numerators, _product, _pyramid, _values)
 
 __all__ = [
     "MartingalePoint",
@@ -99,19 +99,19 @@ class MartingaleTree:
     the inputs are exact); the arrays are float64 otherwise.
     ``points_at_depth(k)`` views row ``k`` as :class:`MartingalePoint` states.
 
-    An exact tree holds its pyramids as integers over one scale per level
-    (see :mod:`dyadlab.signal`): those of f and g are the functions' own,
-    and F and G are pyramids of the integer row sums of squares of their
-    leaf values, so leaves in Q(sqrt(2)) are held exactly too.  The
-    interaction matrix and the modulation checks read the integers; the
-    public ``f``, ``F``, ``g`` and ``G`` are built on first read, as
-    ``Fraction`` where the sqrt(2) part is 0 and ``Sqrt2Rational``
-    elsewhere.
+    The tree holds its pyramids as forms of :mod:`dyadlab.signal`, in
+    either mode: those of f and g are the functions' own, and F and G are
+    pyramids of the leaf powers, which on an exact tree are the integer row
+    sums of squares, so leaves in Q(sqrt(2)) are held exactly too.  The
+    interaction matrix and the modulation checks read the forms; the
+    public ``f``, ``F``, ``g`` and ``G`` are built on first read, exact
+    values as ``Fraction`` where the sqrt(2) part is 0 and
+    ``Sqrt2Rational`` elsewhere.
     """
 
     def __init__(self, system, space, f, g, F, G):
         # f and g are step functions (float copies on float trees); F and G
-        # are pyramids, of integer forms on exact trees
+        # are form pyramids
         self.system = system
         self.space = space
         self.exact = f.exact
@@ -120,7 +120,7 @@ class MartingaleTree:
 
     @property
     def _means(self):
-        """The integer pyramids ``(f, F, g, G)`` of an exact tree."""
+        """The form pyramids ``(f, F, g, G)``."""
         f, g = self._functions
         return f._means, self._powers[0], g._means, self._powers[1]
 
@@ -141,7 +141,7 @@ class MartingaleTree:
         return self._public(self._powers[1])
 
     def _public(self, levels):
-        return [_exact_values(x) for x in levels] if self.exact else levels
+        return [_values(x) for x in levels]
 
     @property
     def depth(self):
@@ -153,9 +153,7 @@ class MartingaleTree:
     def points_at_depth(self, k):
         if not 0 <= k <= self.depth:
             raise DyadicError(f"depth {k} outside 0..{self.depth}")
-        if self.exact:
-            return _points(*[_exact_values(x[k]) for x in self._means])
-        return _points(self.f[k], self.F[k], self.g[k], self.G[k])
+        return _points(*[_values(x[k]) for x in self._means])
 
     def validate_dynamics(self):
         """Largest deviation of any parent state from the mean of its
@@ -203,15 +201,13 @@ def tree_from_functions(f, g, space):
     if f.d != g.d:
         raise DyadicError(f"value dimensions differ: {f.d} vs {g.d}")
     if f.exact and g.exact and space.p == 2.0 and space.q == 2.0:
-        depth = f.system.depth
-        return MartingaleTree(f.system, space, f, g,
-                              _pyramid(_row_squares(f._num), depth),
-                              _pyramid(_row_squares(g._num), depth))
-    f, g = f.as_float(), g.as_float()
-    F = _powers(f.values, space.p, space.q)
-    G = _powers(g.values, space.p_dual, space.q_dual)
-    return MartingaleTree(f.system, space, f, g, _level_means(F),
-                          _level_means(G))
+        powers = [_row_squares(f._num), _row_squares(g._num)]
+    else:
+        f, g = f.as_float(), g.as_float()
+        powers = [_form(_powers(f.values, space.p, space.q)),
+                  _form(_powers(g.values, space.p_dual, space.q_dual))]
+    F, G = [_pyramid(x, f.depth) for x in powers]
+    return MartingaleTree(f.system, space, f, g, F, G)
 
 
 def _row_squares(num):
@@ -844,17 +840,11 @@ def _exact_alpha(alpha):
 
 
 def _auto_config(tree, space):
-    if tree.exact:
-        # the leaf maxima, taken on the integers
-        f, F, g, G = [x[-1] for x in tree._means]
-        f, g = f.map(lambda v: v[:, 0]), g.map(lambda v: v[:, 0])
-        f_abs, F_abs, g_abs, G_abs = [float(_floats(_abs_max(x))[0])
-                                      for x in (f, F, g, G)]
-    else:
-        f_abs = float(np.abs(tree.f[-1][:, 0]).max())
-        g_abs = float(np.abs(tree.g[-1][:, 0]).max())
-        F_abs = float(tree.F[-1].max())
-        G_abs = float(tree.G[-1].max())
+    # the leaf maxima, taken on the forms
+    f, F, g, G = [x[-1] for x in tree._means]
+    f, g = f.map(lambda v: v[:, 0]), g.map(lambda v: v[:, 0])
+    f_abs, F_abs, g_abs, G_abs = [float(_floats(_abs_max(x))[0])
+                                  for x in (f, F, g, G)]
     return BellmanConfig(
         p=float(space.p),
         f_max=max(2.0, float(math.ceil(f_abs))),

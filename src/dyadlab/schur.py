@@ -28,8 +28,8 @@ import numpy as np
 
 from ._linalg import spectral_norm_power
 from .dyadic import DyadicError
-from .signal import (_abs_sum, _combine, _exact_values, _floats, _numerators,
-                     _Numerators, _product)
+from .signal import (_abs_sum, _array, _combine, _exact_values, _floats,
+                     _form, _product, _values)
 
 __all__ = [
     "KG_DEFAULT",
@@ -64,56 +64,56 @@ _MAX_MATRIX_BYTES = 1 << 27
 class LambdaMatrix:
     """A symmetric matrix with zero row/column sums, tagged by its depth k.
 
-    Exact matrices are held as integers over one scale (see
-    :mod:`dyadlab.signal`): the checks, ``abs_sum`` and ``as_float`` read
-    the integers, and ``values`` is built on first read.
+    The entries are held as a form of :mod:`dyadlab.signal`: float64
+    values, or integers over one scale for exact entries, which ``values``
+    builds on first read.  Exact claims are checked on the integers, float
+    ones to a tolerance; ``abs_sum`` likewise adds exact magnitudes or
+    floats.
     """
 
     def __init__(self, values, k):
-        vals = np.asarray(values)
-        self.exact = vals.dtype == object
-        if self.exact:
-            self._num = _numerators(vals)
-        else:
-            vals = vals.astype(float)
-        self.values = vals
-        self.k = k
-        self._check_admissible(vals.shape)
+        self.values = _mode_array(values)
+        self._init(_form(self.values), k)
 
     @classmethod
     def _from_numerators(cls, num, k):
-        """The exact matrix with entries ``num`` (an integer form)."""
+        """The matrix with entries ``num`` (a float or exact form)."""
         lam = cls.__new__(cls)
-        lam.exact, lam._num, lam.k = True, num, k
-        lam._check_admissible(num.a.shape)
+        lam._init(num, k)
         return lam
+
+    def _init(self, num, k):
+        self._num, self.k = num, k
+        self.exact = num.a.dtype == object
+        self._check_admissible()
 
     @cached_property
     def values(self):
-        # only reached by matrices built from integers
-        return _exact_values(self._num)
+        return _values(self._num)
 
     @property
     def n(self):
         return 2 ** self.k
 
     def as_float(self):
-        return _floats(self._num) if self.exact else self.values
+        return _floats(self._num)
 
-    def _check_admissible(self, shape):
+    def _check_admissible(self):
+        num = self._num
+        shape = num.a.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"expected a square matrix, got {shape}")
         if shape[0] != 2 ** self.k:
             raise ValueError(
                 f"size {shape[0]} does not match 2**k = {2 ** self.k}")
         if self.exact:
-            parts = [p for p in (self._num.a, self._num.b) if p is not None]
+            parts = [p for p in (num.a, num.b) if p is not None]
             if any((part != part.T).any() for part in parts):
                 raise ValueError("matrix is not symmetric")
             if any(part.sum(axis=1).any() for part in parts):
                 raise ValueError("row sums are nonzero")
         else:
-            vals = self.values
+            vals = num.a
             scale = max(1.0, float(np.abs(vals).max()))
             if np.abs(vals - vals.T).max() > 1e-9 * scale:
                 raise ValueError("matrix is not symmetric")
@@ -123,62 +123,69 @@ class LambdaMatrix:
     def abs_sum(self):
         if self.exact:
             return _exact_values(_abs_sum(self._num))[0]
-        return float(np.abs(self.values).sum())
+        return float(np.abs(self._num.a).sum())
 
 
 class AlphaSequence:
     """A modulation sequence: ``|alpha_i| <= 1/4`` and ``sum(alpha) = 0``.
 
-    Exact entries must be rational.  They are held as integers over one
-    denominator, the checks read the integers, and ``values`` is built on
-    first read.
+    The entries are held as a form of :mod:`dyadlab.signal`: float64
+    values, or integers over one denominator for exact entries, which must
+    be rational and which ``values`` builds on first read.  Exact claims
+    are checked on the integers, float ones to a tolerance.
     """
 
     def __init__(self, values):
-        vals = np.asarray(values)
-        self.exact = vals.dtype == object
+        self.values = _mode_array(values)
+        self._init(_form(self.values))
+
+    @classmethod
+    def _from_numerators(cls, num):
+        """The sequence with entries ``num`` (a float or rational exact
+        form)."""
+        alpha = cls.__new__(cls)
+        alpha._init(num)
+        return alpha
+
+    def _init(self, num):
+        self._num = num
+        self.exact = num.a.dtype == object
+        self._check_admissible()
+
+    def _check_admissible(self):
+        num = self._num
         if self.exact:
-            self._num = _numerators(vals)
-            self._check_exact()
+            if num.b is not None:
+                raise ValueError("exact entries must be rational")
+            # |a * top / den| <= 1/4
+            top, den = num.scale.numerator, num.scale.denominator
+            if any(4 * top * abs(a) > den for a in num.a.tolist()):
+                raise ValueError("entries must lie in [-1/4, 1/4]")
+            if num.a.sum():
+                raise ValueError("entries must sum to zero")
         else:
-            vals = vals.astype(float)
+            vals = num.a
             if np.abs(vals).max() > 0.25 + 1e-12:
                 raise ValueError("entries must lie in [-1/4, 1/4]")
             if abs(vals.sum()) > 1e-10 * max(1.0, np.abs(vals).max()) * vals.size:
                 raise ValueError("entries must sum to zero")
-        self.values = vals
-
-    @classmethod
-    def _from_numerators(cls, num):
-        """The exact sequence with entries ``num`` (a rational integer
-        form)."""
-        alpha = cls.__new__(cls)
-        alpha.exact, alpha._num = True, num
-        alpha._check_exact()
-        return alpha
 
     @cached_property
     def values(self):
-        # only reached by sequences built from integers
-        return _exact_values(self._num)
-
-    def _check_exact(self):
-        num = self._num
-        if num.b is not None:
-            raise ValueError("exact entries must be rational")
-        # |a * top / den| <= 1/4
-        top, den = num.scale.numerator, num.scale.denominator
-        if any(4 * top * abs(a) > den for a in num.a.tolist()):
-            raise ValueError("entries must lie in [-1/4, 1/4]")
-        if num.a.sum():
-            raise ValueError("entries must sum to zero")
+        return _values(self._num)
 
     @property
     def n(self):
-        return len(self._num.a if self.exact else self.values)
+        return len(self._num.a)
 
     def as_float(self):
-        return _floats(self._num) if self.exact else self.values
+        return _floats(self._num)
+
+
+def _mode_array(values):
+    """``values`` as an array: exact when they are objects, else float64."""
+    values = np.asarray(values)
+    return _array(values, values.dtype == object)
 
 
 def lambda_matrix(tree, k):
@@ -187,18 +194,13 @@ def lambda_matrix(tree, k):
     Entry ``(K, L)`` is ``<x_K, y_L> + <x_L, y_K>`` where ``x_K`` is the
     ``f``-side increment ``(f_K - f_root) / 2**k`` and ``y_L`` the ``g``-side
     one.  Symmetry is structural; zero row sums follow from the martingale
-    dynamics.  Exact trees give exact entries, computed on the integer
-    pyramids of the tree: the increments ``X`` and ``Y`` are integer
+    dynamics.  The matrix is computed on the form pyramids of the tree, so
+    exact trees give exact entries: the increments ``X`` and ``Y`` are
     differences over one scale, ``A = X @ Y.T`` takes the sqrt(2) cross
-    terms, and the matrix ``A + A.T`` stays an integer form.
+    terms, and the matrix is ``A + A.T``.
     """
     if not 0 <= k <= tree.depth:
         raise DyadicError(f"depth {k} outside 0..{tree.depth}")
-    if not tree.exact:
-        X = (tree.f[k] - tree.f[0]) / 2 ** k
-        Y = (tree.g[k] - tree.g[0]) / 2 ** k
-        A = X @ Y.T
-        return LambdaMatrix(A + A.T, k)
     f, _, g, _ = tree._means
     X = _increments(f, k)
     Y = _increments(g, k)
@@ -207,9 +209,9 @@ def lambda_matrix(tree, k):
 
 
 def _increments(means, k):
-    """Integer form of ``(means[k] - means[0]) / 2**k``."""
+    """The form of ``(means[k] - means[0]) / 2**k``."""
     diff = _combine(operator.sub, means[k], means[0])
-    return _Numerators(diff.a, diff.b, diff.scale / 2 ** k)
+    return diff.map(lambda v: v, diff.scale / 2 ** k)
 
 
 def random_admissible_lambda(k, seed):

@@ -383,8 +383,10 @@ def _added_at(rows, values, n):
     """``n`` sums: ``values[r]`` added to sum ``rows[r]``; a float column
     with one ``np.bincount``, integers with one ``np.add.at``."""
     if values.dtype != object:
+        # astype: np.bincount counts in int64 when there are no rows
         return np.column_stack([np.bincount(rows, column, minlength=n)
-                                for column in values.T])
+                                for column in values.T]).astype(float,
+                                                                copy=False)
     out = np.zeros((n, values.shape[1]), dtype=object)
     np.add.at(out, rows, values)
     return out
@@ -424,10 +426,12 @@ def _paraproduct_operands(phi, f):
 
 
 def _paraproduct(pairs, factor, signed=True):
-    """The leaf values of the terms ``factor * x * y`` (``factor`` a power
-    of 2) over the pairs of forms ``(x, y)``, one pair per level."""
+    """The leaf values of the terms ``factor * x * y`` over the pairs of
+    forms ``(x, y)``, one pair per level.  ``factor``, a power of 2,
+    multiplies the leaves: in float64 the bits of a factor on each term,
+    except where a leaf is subnormal or overflows before the factor."""
     out = _synthesized(_stacked([_product(x, y) for x, y in pairs]), signed)
-    return _Numerators(out.a, out.b, out.scale * factor)
+    return out.map(lambda v: v, out.scale * factor)
 
 
 def paraproduct(phi, f):

@@ -9,28 +9,30 @@ The Haar function of a non-leaf interval ``I`` is ``|I|**-0.5`` on the left
 half and ``-|I|**-0.5`` on the right half.
 
 There is one Haar engine for both arithmetic modes.  An array is held as
-``(a + b*sqrt(2)) * scale`` with one ``Fraction`` scale, and the dtype of
-``a`` is the mode: Python ints in object arrays (``b`` None when every value
-is rational) for exact values, and float64 (no ``b``, a power of 2 as the
-scale) for floats.  The means of every interval are pairwise sums of the
-next finer level at half its scale, and the jump of ``I`` (left-half mean
-minus right-half mean) is a difference of those sums.  Since ``<f, h_I> =
-sqrt(|I|)/2 * jump``, an operator ``sum c * <f, h_I> * h_J`` maps jumps and
-means to one term per interval; products multiply parts and scales, and the
-terms of all levels are brought to one scale before synthesis spreads them
-onto the leaves with ``np.repeat``, adding each term on the left half of its
-interval and subtracting it on the right half.
+``(a + b*sqrt(2)) * scale``, and the dtype of ``a`` is the mode: Python
+ints in object arrays over one ``Fraction`` scale (``b`` None when every
+value is rational) for exact values, and float64 values as they are (no
+``b``, scale 1) for floats.  The means of every interval are pairwise sums
+of the next finer level at half its scale, and the jump of ``I`` (left-half
+mean minus right-half mean) is a difference of those means.  Since ``<f,
+h_I> = sqrt(|I|)/2 * jump``, an operator ``sum c * <f, h_I> * h_J`` maps
+jumps and means to one term per interval; products multiply parts and
+scales, and the terms of all levels are brought to one scale before
+synthesis spreads them onto the leaves with ``np.repeat``, adding each term
+on the left half of its interval and subtracting it on the right half.
 
-Float results have the bits of a pyramid of pairwise means, as scaling by a
-power of 2 is exact in float64 away from overflow and subnormals; a factor
-that is not a power of 2 (a sqrt(2) power, a shift amplitude such as 1/3)
-multiplies the float numerators at the step where it multiplied the values.
-Sums overflow where means do not, so a finite float leaf above ``float max
-/ 2**depth`` is refused before a pyramid is built.  Exact forms take no gcd
-until a caller reads values (``StepFunction.values``, ``level_means``,
-``level_jumps``, the coefficients of :func:`haar_expand`), which are then
-built in one normal form: a ``Fraction`` where the sqrt(2) part is 0 and a
-``Sqrt2Rational`` elsewhere.
+A new scale reaches a form only through :meth:`_Numerators.map`: an exact
+form takes it as its scale, and a float form multiplies its values by it
+and stays at scale 1.  So every float step is a float operation on the
+values themselves: a mean is a pairwise sum times 0.5, and a sqrt(2) power
+or a shift amplitude multiplies the values it always multiplied.  Float
+results overflow only where those value operations do.
+
+Exact forms take no gcd until a caller reads values
+(``StepFunction.values``, ``level_means``, ``level_jumps``, the
+coefficients of :func:`haar_expand`), which are then built in one normal
+form: a ``Fraction`` where the sqrt(2) part is 0 and a ``Sqrt2Rational``
+elsewhere.
 
 A function's pyramid and its jumps are built once, on first use, and kept
 on the function; every Haar operator reads them from there.  This is sound
@@ -110,16 +112,16 @@ class SpaceSpec:
                          beta_ref=self.beta_ref)
 
 
-# -- exact values as integers -------------------------------------------
+# -- array forms ---------------------------------------------------------
 
 
 class _Numerators(NamedTuple):
     """The values ``(a + b*sqrt(2)) * scale`` of one array.
 
-    Exact: ``a`` and ``b`` are object arrays of Python ints of one shape and
-    ``b`` is None when every value is rational.  Float: ``a`` is float64 and
-    ``b`` is None.  ``scale`` is a positive ``Fraction`` shared by the whole
-    array, a power of 2 in float forms.  New forms are built with the
+    Exact: ``a`` and ``b`` are object arrays of Python ints of one shape,
+    ``b`` is None when every value is rational, and ``scale`` is a positive
+    ``Fraction`` shared by the whole array.  Float: ``a`` holds the float64
+    values, ``b`` is None and ``scale`` is 1.  New forms are built with the
     constructor, not ``_replace``: its temporary tuple is resized, and each
     one freed would stay on the interpreter's free list of 3-tuples until a
     full collection.
@@ -130,7 +132,13 @@ class _Numerators(NamedTuple):
     scale: Fraction
 
     def map(self, fn, scale=None):
-        """``fn`` applied to both parts (a linear map on the integers)."""
+        """``fn`` applied to both parts (a linear map on the integers), at
+        ``scale`` when one is given: the new scale of an exact form, and a
+        factor on the values of a float form, which stays at scale 1."""
+        if self.a.dtype != object:
+            a = fn(self.a)
+            return _Numerators(a if scale is None else a * float(scale),
+                               None, _ONE)
         return _Numerators(fn(self.a), None if self.b is None else fn(self.b),
                            self.scale if scale is None else scale)
 
@@ -140,7 +148,6 @@ class _Numerators(NamedTuple):
 
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
 _ONE = Fraction(1)
-_FLOAT_MAX = float(np.finfo(float).max)
 _SQRT2_RATIONAL = np.frompyfunc(Sqrt2Rational._new, 2, 1)
 
 
@@ -201,16 +208,17 @@ def _exact_values(num):
 
 def _values(num):
     """The values of ``num``: float64, or exact in normal form."""
-    if num.a.dtype != object:
-        return num.a * float(num.scale)
-    return _exact_values(num)
+    return _exact_values(num) if num.a.dtype == object else num.a
 
 
 def _floats(num):
-    """The values of an exact ``num`` as float64, converted as their normal
-    forms are: ``float(Fraction)``, which is correctly rounded and so equals
-    the int/int true division of the unreduced parts, and ``float(a) +
-    float(b)*sqrt(2.0)`` where the sqrt(2) part is not 0."""
+    """The values of ``num`` as float64: a float form's own, and exact ones
+    converted as their normal forms are: ``float(Fraction)``, which is
+    correctly rounded and so equals the int/int true division of the
+    unreduced parts, and ``float(a) + float(b)*sqrt(2.0)`` where the sqrt(2)
+    part is not 0."""
+    if num.a.dtype != object:
+        return num.a
     top, den = num.scale.numerator, num.scale.denominator
     out = (num.a * top / den).astype(float)
     if num.b is not None:
@@ -227,25 +235,26 @@ def _sqrt2_power(k, exact):
 
 
 def _sign(x, y):
-    """The sign of ``x + y*sqrt(2)`` for ints ``x`` and ``y``: that of
-    ``x + y`` when they do not differ in sign, and else that of the part
-    with the larger square (``x*x != 2*y*y`` unless both are 0)."""
+    """The sign of ``x + y*sqrt(2)`` for ints ``x`` and ``y`` (or a float
+    ``x`` and ``y = 0``): that of ``x + y`` when they do not differ in
+    sign, and else that of the part with the larger square (``x*x !=
+    2*y*y`` unless both are 0)."""
     s = x + y if x * y >= 0 else x if x * x > 2 * y * y else y
     return (s > 0) - (s < 0)
 
 
 def _magnitudes(num):
-    """The integer parts of ``|x|`` for every value ``x`` of ``num``, as
-    ``(a, b)`` pairs in flat order."""
+    """The parts of ``|x|`` for every value ``x`` of ``num``, as ``(a, b)``
+    pairs in flat order (``b`` is 0 in float forms)."""
     a = num.a.ravel().tolist()
     b = [0] * len(a) if num.b is None else num.b.ravel().tolist()
     return [(-x, -y) if _sign(x, y) < 0 else (x, y) for x, y in zip(a, b)]
 
 
 def _one_value(x, y, like):
-    """The one-entry integer form of ``(x + y*sqrt(2)) * like.scale``,
-    rational when ``like`` is."""
-    out = np.empty(2, dtype=object)
+    """The one-entry form of ``(x + y*sqrt(2)) * like.scale``, of the mode
+    of ``like`` and rational when it is."""
+    out = np.empty(2, dtype=like.a.dtype)
     out[:] = [x, y]
     return _Numerators(out[:1], None if like.b is None else out[1:],
                        like.scale)
@@ -260,7 +269,7 @@ def _abs_sum(num):
 
 def _abs_max(num):
     """The largest ``|x|`` over the values of ``num``, as a one-entry
-    integer form."""
+    form."""
     best = (0, 0)
     for x, y in _magnitudes(num):
         if _sign(x - best[0], y - best[1]) > 0:
@@ -319,19 +328,8 @@ def _product(x, y, mul=operator.mul):
 
 def _pyramid(num, depth):
     """Means of every interval, ``[level 0, ..., level depth]``: pairwise
-    sums of the next finer level, at half its scale.
-
-    Float sums of ``2**depth`` entries can overflow where their mean does
-    not, so a finite float entry above ``float max / 2**depth`` raises
-    ``DyadicError``; inf and nan entries go through as they are."""
-    if num.a.dtype != object:
-        bound = _FLOAT_MAX / 2.0 ** depth
-        top = float(np.abs(num.a[np.isfinite(num.a)]).max(initial=0.0))
-        if top > bound:
-            raise DyadicError(
-                f"float values must lie within float max / 2**{depth} = "
-                f"{bound!r} at depth {depth}, so that their pairwise sums "
-                f"stay finite; got {top!r}")
+    sums of the next finer level, at half its scale (float means are the
+    pairwise sums times 0.5)."""
     means = [num]
     for _ in range(depth):
         finer = means[-1]
@@ -464,7 +462,7 @@ class StepFunction:
     @cached_property
     def _jumps(self):
         """The form of the jump of every non-leaf interval."""
-        return [finer.map(lambda v: v[0::2] - v[1::2], finer.scale)
+        return [finer.map(lambda v: v[0::2] - v[1::2])
                 for finer in self._means[1:]]
 
     @cached_property
@@ -577,14 +575,6 @@ def haar_profile(f_or_system, interval, exact=False):
     lo, hi = right.leaf_span
     out[lo:hi] = -amp
     return out
-
-
-def _level_means(values):
-    """Means of every interval of a float array: ``means[lev]`` has one row
-    per interval of level ``lev``, and ``means[depth]`` is ``values``
-    itself."""
-    depth = len(values).bit_length() - 1
-    return [_values(m) for m in _pyramid(_form(values), depth)[:-1]] + [values]
 
 
 def haar_expand(f):

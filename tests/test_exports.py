@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deleted function leaves no stale
-entry in an ``__all__`` behind; and every exported name has a caller."""
+entry in an ``__all__`` behind; every exported name has a caller; and so
+does every module-level private function and constant of the package."""
 
 import ast
 import importlib
@@ -59,4 +60,30 @@ def test_every_export_has_a_caller():
         f"{name}.{attr}" for name in MODULES
         for attr in getattr(importlib.import_module(name), "__all__", [])
         if attr not in used and attr not in TEST_REFERENCES)
+    assert not unused
+
+
+def _private_definitions():
+    """``(module.name, name)`` of every module-level ``_``-prefixed function
+    and constant in the package source (dunder names excepted)."""
+    for path in sorted((ROOT / "src" / "dyadlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield f"{path.stem}.{name}", name
+
+
+def test_every_private_helper_has_a_caller():
+    used = _used_names()
+    unused = sorted(qualified for qualified, name in _private_definitions()
+                    if name not in used)
     assert not unused

@@ -1,5 +1,6 @@
 """Tests for step functions, Haar calculus and norms."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from dyadlab.signal import (SpaceSpec, StepFunction, average, haar_coeff,
                             haar_expand, haar_profile, haar_reconstruct,
                             lp_norm, pairing_integral, pointwise_product,
                             random_step_function)
+from dyadlab.shifts import paraproduct, paraproduct_adjoint
 
 FLOAT_TOL = 1e-12
 N_HOLDER_PAIRS = 200
@@ -372,24 +374,36 @@ def test_exact_values_reject_floats():
         f.level_jumps
 
 
-def test_float_leaves_whose_sums_overflow_are_refused():
-    """The pyramid holds sums of up to ``2**depth`` leaves, so a finite leaf
-    above ``float max / 2**depth`` is refused before a pyramid is built,
-    while inf and nan leaves give the means they always gave."""
-    big = np.finfo(float).max
-    sys_ = DyadicSystem(depth=2)
-    f = StepFunction(sys_, np.array([1e308, -1e308, 0.5, 0.0]))
-    with pytest.raises(DyadicError, match=r"float max / 2\*\*2 = 4\.49"):
-        f.level_means
-    with pytest.raises(DyadicError, match=r"float max / 2\*\*2"):
-        haar_expand(f)
-    assert "_means" not in vars(f)
-    with pytest.raises(DyadicError, match=r"float max / 2\*\*1"):
-        StepFunction(DyadicSystem(depth=1), np.full(2, 1e308)).level_means
-    # at the bound itself every sum is finite
-    edge = StepFunction(sys_, np.full(4, big / 4))
-    assert edge.level_means[0][0, 0] == big / 4
-    odd = StepFunction(sys_, np.array([np.inf, 1.0, np.nan, -np.inf]))
-    means = odd.level_means
+def test_float_level_means_are_pairwise_means_at_any_magnitude():
+    """Float means are the pairwise means of the values themselves, bit for
+    bit, from subnormal leaves to leaves whose sums overflow; inf and nan
+    leaves give the means they always gave; and the paraproducts of leaves
+    near sqrt(float max) / 2**depth stay finite (their terms are products of
+    means and jumps, not of sums)."""
+    rng = np.random.default_rng(62)
+    for magnitude, depth in itertools.product([1e-310, 1e153, 1.7e308],
+                                              [2, 6]):
+        leaves = magnitude * rng.choice([-1.0, 1.0], size=(2 ** depth, 2))
+        leaves *= rng.uniform(0.5, 1.0, size=leaves.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [leaves]
+            for _ in range(depth):
+                v = want[-1]
+                want.append((v[0::2] + v[1::2]) / 2)
+            got = StepFunction(DyadicSystem(depth=depth), leaves).level_means
+        assert [m.tobytes() for m in got] == \
+            [m.tobytes() for m in want[::-1]]
+
+    odd = StepFunction(DyadicSystem(depth=2),
+                       np.array([np.inf, 1.0, np.nan, -np.inf]))
+    with np.errstate(invalid="ignore"):
+        means = odd.level_means
     assert means[1][0, 0] == np.inf and np.isnan(means[1][1, 0])
     assert np.isnan(means[0][0, 0])
+
+    sys_ = DyadicSystem(depth=6)
+    phi = StepFunction(sys_, 1e153 * rng.uniform(-1.0, 1.0, size=64))
+    f = StepFunction(sys_, 1e153 * rng.uniform(-1.0, 1.0, size=64))
+    with np.errstate(over="raise", invalid="raise"):
+        for out in (paraproduct(phi, f), paraproduct_adjoint(phi, f)):
+            assert np.isfinite(out.values).all()
