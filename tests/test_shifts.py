@@ -244,6 +244,31 @@ def test_default_report_bytes_are_frozen(tmp_path, command):
     assert digest.hexdigest() == DEFAULT_REPORT_SHA256[command]
 
 
+# exit code and sha256 of four more default reports, recorded while each
+# command set its own verdict and hilbert-demo summed its window
+# translations by hand; series-bound fails by design (criterion 7)
+DEFAULT_EXIT_REPORT_SHA256 = {
+    "bellman-check": (0, "f14900bf6e6a0a4be9d8564caef5e07c"
+                         "cf038459ebdc9d073cede61b115d6e2e"),
+    "hilbert-demo": (0, "ad61436859c76806eb874ec419fc1e4b"
+                        "3d1a5c281c41ab8fd8116417a7fa5f03"),
+    "lambda-equivalence": (0, "66eb6c840536b2a19476157bdadf2523"
+                              "184faa45ed81db0d7f26712d9800dc55"),
+    "series-bound": (2, "cd9a7398cfe4f95e5339d580ec0087a4"
+                        "66fc727ceb14cfe0daa03fe3c6a4384b"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_EXIT_REPORT_SHA256))
+def test_default_report_bytes_and_exit_are_frozen(tmp_path, monkeypatch,
+                                                  command):
+    code, sha = DEFAULT_EXIT_REPORT_SHA256[command]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--out", "out"]) == code
+    report = tmp_path / "out" / f"{command.replace('-', '_')}.json"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == sha
+
+
 def test_vector_umd_probe_report_bytes_are_frozen(tmp_path):
     # the d > 1, q != 2 branch of the power iteration and of the dual start;
     # sha256 recorded with one mixed-norm pass per norm and per duality map
