@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dyadic import DyadicError
 from .schur import AlphaSequence, find_alpha, lambda_matrix
 from .signal import (_abs_max, _combine, _exact_values, _floats, _form,
-                     _Numerators, _product, _pyramid, _values)
+                     _Numerators, _product, _pyramid, _row_dots, _values)
 
 __all__ = [
     "MartingalePoint",
@@ -201,18 +201,13 @@ def tree_from_functions(f, g, space):
     if f.d != g.d:
         raise DyadicError(f"value dimensions differ: {f.d} vs {g.d}")
     if f.exact and g.exact and space.p == 2.0 and space.q == 2.0:
-        powers = [_row_squares(f._num), _row_squares(g._num)]
+        powers = [_row_dots(x._num, x._num, 1) for x in (f, g)]
     else:
         f, g = f.as_float(), g.as_float()
         powers = [_form(_powers(f.values, space.p, space.q)),
                   _form(_powers(g.values, space.p_dual, space.q_dual))]
     F, G = [_pyramid(x, f.depth) for x in powers]
     return MartingaleTree(f.system, space, f, g, F, G)
-
-
-def _row_squares(num):
-    """Integer form of the sum of squares of each row of ``num``."""
-    return _product(num, num).map(lambda v: v.sum(axis=1))
 
 
 def modified_points(tree, alpha, k=None, lam=None):

@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bellman import (MAX_TABLE_DEPTH, BellmanConfig, bellman_oracle,
-                      concavity_gain_check, lemma51_verify, range_check,
-                      tree_from_functions)
+from .bellman import (MAX_TABLE_DEPTH, THETA_ASSERTED_RANGE, BellmanConfig,
+                      bellman_oracle, concavity_gain_check, lemma51_verify,
+                      range_check, tree_from_functions)
 from .dyadic import DyadicError, sample_system
 from .exact import Sqrt2Rational
 from .schur import (equivalence_report, lambda_matrix,
@@ -40,8 +40,9 @@ from .shifts import (apply_shift, paraproduct, paraproduct_adjoint,
                      random_extremal_shift, series_bound, shift_slice,
                      slice_bilinear_sides, symmetrize)
 from .signal import (SpaceSpec, _common, _equal, _numerators, _product,
-                     haar_expand, haar_reconstruct, pairing_integral,
-                     pointwise_product, random_step_function)
+                     _row_dots, haar_expand, haar_reconstruct,
+                     pairing_integral, pointwise_product,
+                     random_step_function)
 from .normlab import hilbert_demo, shift_scaling_study, umd_probe
 
 __all__ = ["main", "identity_battery"]
@@ -65,13 +66,6 @@ def _coefficient_levels(mean, coeffs, depth):
         levels.append(_numerators(np.array(
             [coeffs[(lev, i)] for i in range(1 << lev)], dtype=object)))
     return levels
-
-
-def _row_dots(x, y, factor):
-    """Integer form of ``factor`` times the dot product of each pair of
-    rows of ``x`` and ``y``."""
-    prod = _product(x, y)
-    return prod.map(lambda v: v.sum(axis=1), prod.scale * factor)
 
 
 def _total(terms):
@@ -180,15 +174,17 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
 
 
 # -- command implementations --------------------------------------------
+# Each returns ``(ok, report, summary)``; ``main`` records ``ok`` as the
+# report's ``all_passed`` and maps it to the exit code.
 
 
 def _cmd_identities(opts, outdir):
     report = identity_battery(seed=opts["seed"], depth=opts["depth"],
                               window_exp=opts["window_exp"],
                               trials=opts["trials"], d=opts["d"])
-    code = 0 if report["all_passed"] else 2
-    return code, report, f"{opts['trials']} trials, all identities hold: " \
-                         f"{report['all_passed']}"
+    return report["all_passed"], report, (
+        f"{opts['trials']} trials, all identities hold: "
+        f"{report['all_passed']}")
 
 
 def _cmd_schur_check(opts, outdir):
@@ -197,9 +193,8 @@ def _cmd_schur_check(opts, outdir):
     signs = sign_multiplier_check(opts["k"], trials=opts["sign_trials"],
                                   seed=opts["seed"])
     ok = rank_one["ok"] and signs["ok"]
-    report = {"rank_one": rank_one, "sign_matrices": signs,
-              "all_passed": bool(ok)}
-    return (0 if ok else 2), report, (
+    report = {"rank_one": rank_one, "sign_matrices": signs}
+    return ok, report, (
         f"rank-one ok: {rank_one['ok']}, sign-matrix ceiling ok: "
         f"{signs['ok']}")
 
@@ -234,9 +229,8 @@ def _cmd_lambda_equivalence(opts, outdir):
     if not ratios:
         raise UsageError("no non-degenerate matrix was drawn; raise --trials")
     report = {"k": opts["k"], "rows": rows,
-              "ratio_min": min(ratios), "ratio_max": max(ratios),
-              "all_passed": bool(ok)}
-    return (0 if ok else 2), report, (
+              "ratio_min": min(ratios), "ratio_max": max(ratios)}
+    return ok, report, (
         f"ratios in [{report['ratio_min']:.3f}, {report['ratio_max']:.3f}], "
         f"16 <= ratio <= 192 everywhere: {ok}")
 
@@ -290,10 +284,8 @@ def _cmd_bellman_check(opts, outdir):
                          "G_max": config.G_max, "n": opts["n"]},
               "depth": depth, "checks": checks, "frozen": frozen,
               "grid_min_slack": grid["min_slack"],
-              "snapped_min_slack": snapped["min_slack"],
-              "all_passed": bool(ok)}
-    return (0 if ok else 2), report, (
-        f"checks {checks}")
+              "snapped_min_slack": snapped["min_slack"]}
+    return ok, report, f"checks {checks}"
 
 
 def _cmd_lemma51(opts, outdir):
@@ -309,14 +301,14 @@ def _cmd_lemma51(opts, outdir):
                             seed=(opts["seed"], 3))
     identity_ok = (report["identity_exact"] if report["tree_exact"]
                    else report["identity_error"] <= _IDENTITY_TOL)
-    theta_ok = report["theta_min"] >= 0.3 and report["theta_max"] <= 5.0 / 6.0
-    ok = bool(identity_ok and theta_ok and report["meets_threshold"])
+    lo, hi = THETA_ASSERTED_RANGE
+    theta_ok = lo <= report["theta_min"] and report["theta_max"] <= hi
     report["identity_ok"] = bool(identity_ok)
     report["theta_ok"] = bool(theta_ok)
-    report["all_passed"] = ok
+    ok = identity_ok and theta_ok and report["meets_threshold"]
     c_emp = report.get("c_emp")
     c_msg = "degenerate" if c_emp is None else f"{c_emp:.4g}"
-    return (0 if ok else 2), report, (
+    return ok, report, (
         f"achieved_c={report['achieved_c']:.4g} "
         f"(threshold {report['threshold']:.4g}), empirical drop constant: "
         f"{c_msg}")
@@ -327,11 +319,9 @@ def _cmd_umd_probe(opts, outdir):
                        d=opts["d"], trials=opts["trials"],
                        seed=opts["seed"], restarts=opts["restarts"],
                        iters=opts["iters"])
-    ok = report["within_reference"] is not False
-    report["all_passed"] = bool(ok)
     ref = report["beta_ref"]
     ref_msg = "none" if ref is None else f"{ref:.3f}"
-    return (0 if ok else 2), report, (
+    return report["within_reference"] is not False, report, (
         f"best lower {report['best_lower']:.6f}, reference {ref_msg}, "
         f"duality gap {report['duality_gap']:.2e}")
 
@@ -345,9 +335,7 @@ def _cmd_scaling_study(opts, outdir):
     csv_path.write_text(study.to_csv())
     report = study.to_json_dict()
     report["csv"] = str(csv_path)
-    report["all_passed"] = study.within_factor_10
-    code = 0 if study.within_factor_10 else 2
-    return code, report, (
+    return study.within_factor_10, report, (
         f"fitted_c={study.fitted_c:.4g}, homogeneity ratio "
         f"{study.homogeneity_ratio:.2f} (within 10x: "
         f"{study.within_factor_10})")
@@ -361,9 +349,7 @@ def _cmd_hilbert_demo(opts, outdir):
     report = hilbert_demo(checkpoints=checkpoints, seed=opts["seed"],
                           M=opts["window_exp"], depth=opts["depth"],
                           residual_tol=opts["tol"])
-    report["all_passed"] = report["accepted"]
-    code = 0 if report["accepted"] else 2
-    return code, report, (
+    return report["accepted"], report, (
         f"fitted scale {report['c_star']:.6f}, final residual "
         f"{report['final_residual']:.4f} (tol {opts['tol']})")
 
@@ -379,8 +365,7 @@ def _cmd_series_bound(opts, outdir):
     report["tolerance"] = tol
     report["stabilized"] = bool(stabilized)
     ok = report["verdict"] == "divergent" or stabilized
-    report["all_passed"] = bool(ok)
-    return (0 if ok else 2), report, (
+    return ok, report, (
         f"verdict {report['verdict']} (ratio {report['limit_ratio']:.4f}), "
         f"stabilized within {tol:g}: {stabilized}")
 
@@ -585,17 +570,17 @@ def main(argv=None):
         outdir = Path(args.out or os.environ.get("DYADLAB_OUT")
                       or "dyadlab-out")
         outdir.mkdir(parents=True, exist_ok=True)
-        code, report, summary = args._func(opts, outdir)
+        ok, report, summary = args._func(opts, outdir)
+        report["all_passed"] = bool(ok)
         path = _write_report(outdir, args._name, report)
     except (UsageError, DyadicError) as exc:
         # bad options or parameters; any other exception is a bug and
         # surfaces with its traceback
         print(f"dyadlab: error: {exc}", file=sys.stderr)
         return 1
-    status = "PASS" if code == 0 else "FAIL"
-    print(f"{args._name}: {status} ({summary})")
+    print(f"{args._name}: {'PASS' if ok else 'FAIL'} ({summary})")
     print(f"report: {path}")
-    return code
+    return 0 if ok else 2
 
 
 if __name__ == "__main__":

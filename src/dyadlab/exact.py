@@ -134,7 +134,7 @@ class Sqrt2Rational:
         return self
 
     def __abs__(self):
-        return -self if self._sign() < 0 else self
+        return -self if _sign(self.a, self.b) < 0 else self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -151,24 +151,12 @@ class Sqrt2Rational:
 
     # -- ordering --------------------------------------------------------
 
-    def _sign(self):
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare a^2 with 2 b^2
-        if a > 0:  # b < 0: positive iff a^2 > 2 b^2
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if 2 * b * b > a * a else -1
-
     def _cmp(self, other):
         o = self._coerce(other)
         if o is None:
             return None
-        return (self - o)._sign()
+        diff = self - o
+        return _sign(diff.a, diff.b)
 
     def __eq__(self, other):
         # componentwise: a + b*sqrt(2) == 0 only for a == b == 0, because
@@ -202,6 +190,16 @@ class Sqrt2Rational:
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
+
+
+def _sign(a, b):
+    """The sign of ``a + b*sqrt(2)`` for rationals ``a`` and ``b`` (or a
+    float ``a`` and ``b = 0``): that of ``a + b`` when they do not differ in
+    sign, and else that of the part with the larger square (``a*a !=
+    2*b*b`` unless both are 0)."""
+    s = (a + b if (a >= 0) == (b >= 0)
+         else a if a * a > 2 * b * b else b)
+    return (s > 0) - (s < 0)
 
 
 ROOT2 = Sqrt2Rational(0, 1)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import DyadicError, DyadicSystem
+from .dyadic import DyadicError, DyadicSystem, sample_system
 from .signal import SpaceSpec
 from .shifts import (petermichl_shift, random_extremal_shift, shift_matrix,
                      symmetrize)
@@ -443,12 +443,9 @@ def hilbert_demo(checkpoints=(250, 500, 1000, 2000), seed=6, M=5, depth=10,
     stream = 0
     results = []
     while n_acc < n_samples:
-        rng = np.random.default_rng((seed, stream))
+        origin = sample_system((seed, stream), depth, M=M,
+                               base_origin=base.base_origin).origin
         stream += 1
-        bits = rng.integers(0, 2, size=depth)
-        translation = sum(Fraction(2) ** (M - t) for t in range(1, depth + 1)
-                          if bits[t - 1])
-        origin = base.base_origin + translation
         # accept only windows containing the full bump support
         if origin > -1 or origin + 2 * half_window < 1:
             n_rejected += 1

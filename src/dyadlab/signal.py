@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dyadic import DyadicError, children
-from .exact import Sqrt2Rational, sqrt2_pow
+from .exact import Sqrt2Rational, _sign, sqrt2_pow
 
 __all__ = [
     "SpaceSpec",
@@ -76,18 +76,11 @@ _MAX_LEAF_ENTRIES = 1 << 20
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Exponents and target-space data for L^p(R; l^q(R^d)) norms.
-
-    ``beta_ref`` is the reference unconditionality constant used by norm
-    experiments; for scalar targets (``d == 1``) it defaults to
-    ``max(p, p/(p-1)) - 1`` and for ``d > 1`` it must be supplied explicitly
-    or left ``None`` (raw norms are then reported without a reference line).
-    """
+    """Exponents and target-space data for L^p(R; l^q(R^d)) norms."""
 
     p: float
     q: float = 2.0
     d: int = 1
-    beta_ref: float | None = None
 
     def __post_init__(self):
         if not (1.0 < self.p < math.inf):
@@ -96,8 +89,6 @@ class SpaceSpec:
             raise DyadicError(f"q must lie in (1, inf), got {self.q}")
         if self.d < 1:
             raise DyadicError("d must be a positive integer")
-        if self.beta_ref is None and self.d == 1:
-            object.__setattr__(self, "beta_ref", max(self.p, self.p_dual) - 1.0)
 
     @property
     def p_dual(self):
@@ -107,9 +98,16 @@ class SpaceSpec:
     def q_dual(self):
         return self.q / (self.q - 1.0)
 
+    @property
+    def beta_ref(self):
+        """The reference unconditionality constant of norm experiments:
+        ``max(p, p/(p-1)) - 1`` for scalar targets (``d == 1``), and
+        ``None`` for ``d > 1``, whose raw norms are reported without a
+        reference line."""
+        return max(self.p, self.p_dual) - 1.0 if self.d == 1 else None
+
     def dual(self):
-        return SpaceSpec(p=self.p_dual, q=self.q_dual, d=self.d,
-                         beta_ref=self.beta_ref)
+        return SpaceSpec(p=self.p_dual, q=self.q_dual, d=self.d)
 
 
 # -- array forms ---------------------------------------------------------
@@ -234,15 +232,6 @@ def _sqrt2_power(k, exact):
     return _form(_array([sqrt2_pow(k)], exact))
 
 
-def _sign(x, y):
-    """The sign of ``x + y*sqrt(2)`` for ints ``x`` and ``y`` (or a float
-    ``x`` and ``y = 0``): that of ``x + y`` when they do not differ in
-    sign, and else that of the part with the larger square (``x*x !=
-    2*y*y`` unless both are 0)."""
-    s = x + y if x * y >= 0 else x if x * x > 2 * y * y else y
-    return (s > 0) - (s < 0)
-
-
 def _magnitudes(num):
     """The parts of ``|x|`` for every value ``x`` of ``num``, as ``(a, b)``
     pairs in flat order (``b`` is 0 in float forms)."""
@@ -324,6 +313,13 @@ def _product(x, y, mul=operator.mul):
         a = a + 2 * mul(x.b, y.b)
         b = mul(x.a, y.b) + mul(x.b, y.a)
     return _Numerators(a, b, x.scale * y.scale)
+
+
+def _row_dots(x, y, factor):
+    """The form of ``factor`` times the dot product of each pair of rows
+    of ``x`` and ``y``."""
+    prod = _product(x, y)
+    return prod.map(lambda v: v.sum(axis=1), prod.scale * factor)
 
 
 def _pyramid(num, depth):
@@ -494,15 +490,23 @@ class StepFunction:
 
     # -- arithmetic ------------------------------------------------------
 
+    # A result is exact only when every operand is: an exact function, or
+    # a rational or Sqrt2Rational scalar.
+
     def _binary(self, other, op):
-        if isinstance(other, StepFunction):
-            if other.system != self.system:
-                raise DyadicError("operands live on different systems")
-            if self.exact and other.exact:
-                return StepFunction._from_numerators(
-                    self.system, _combine(op, self._num, other._num))
-            return StepFunction(self.system, op(self.values, other.values))
-        return StepFunction(self.system, op(self.values, other))
+        if not isinstance(other, StepFunction):
+            return self._scalar(other, op)
+        if other.system != self.system:
+            raise DyadicError("operands live on different systems")
+        f, g = _one_mode(self, other)
+        return StepFunction._from_numerators(self.system,
+                                             _combine(op, f._num, g._num))
+
+    def _scalar(self, scalar, op):
+        exact = self.exact and isinstance(scalar, (numbers.Rational,
+                                                   Sqrt2Rational))
+        f = self if exact else self.as_float()
+        return StepFunction(self.system, _array(op(f.values, scalar), exact))
 
     def __add__(self, other):
         return self._binary(other, operator.add)
@@ -511,7 +515,7 @@ class StepFunction:
         return self._binary(other, operator.sub)
 
     def __mul__(self, scalar):
-        return StepFunction(self.system, self.values * scalar)
+        return self._scalar(scalar, operator.mul)
 
     __rmul__ = __mul__
 

@@ -60,6 +60,24 @@ def test_alpha_sequence_validation():
     assert AlphaSequence(exact).as_float().tolist() == [0.25, -0.25]
 
 
+NON_FINITE_LAMBDAS = [np.full((2, 2), np.nan),
+                      np.array([[np.inf, -np.inf], [-np.inf, np.inf]]),
+                      np.array([[0.0, np.nan], [np.nan, 0.0]])]
+
+
+@pytest.mark.parametrize("vals", NON_FINITE_LAMBDAS)
+def test_lambda_matrix_refuses_non_finite_entries(vals):
+    with pytest.raises(ValueError, match="finite"):
+        LambdaMatrix(vals, 1)
+
+
+@pytest.mark.parametrize("vals", [[np.nan, np.nan], [np.inf, -np.inf],
+                                  [0.25, np.nan]])
+def test_alpha_sequence_refuses_non_finite_entries(vals):
+    with pytest.raises(ValueError, match="finite"):
+        AlphaSequence(np.array(vals))
+
+
 def test_exact_checks_read_both_parts_in_q_sqrt2():
     r = Sqrt2Rational(0, Fraction(1, 8))
     with pytest.raises(ValueError):
@@ -297,6 +315,14 @@ def test_schur_product_shape_guard():
 def test_all_ones_multiplier_norm_is_one():
     best = multiplier_norm_lower(np.ones((6, 6)), trials=8, seed=0)
     assert best == pytest.approx(1.0, abs=1e-6)
+
+
+def test_diagonal_multiplier_norm_is_attained_exactly():
+    # the identity candidate gives A o I = A, whose SVD norm is max|d|
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        d = rng.standard_normal(8)
+        assert multiplier_norm_lower(np.diag(d)) == np.abs(d).max()
 
 
 def test_rank_one_multiplier_check_passes():

@@ -244,12 +244,15 @@ def test_default_report_bytes_are_frozen(tmp_path, command):
     assert digest.hexdigest() == DEFAULT_REPORT_SHA256[command]
 
 
-# exit code and sha256 of four more default reports, recorded while each
-# command set its own verdict and hilbert-demo summed its window
-# translations by hand; series-bound fails by design (criterion 7)
+# exit code and sha256 of more default reports, recorded while each command
+# set its own verdict and hilbert-demo summed its window translations by
+# hand; series-bound fails by design (criterion 7); schur-check recorded
+# with SVD norms on both sides of each multiplier ratio
 DEFAULT_EXIT_REPORT_SHA256 = {
     "bellman-check": (0, "f14900bf6e6a0a4be9d8564caef5e07c"
                          "cf038459ebdc9d073cede61b115d6e2e"),
+    "schur-check": (0, "01536ccff3f679da58a48643e23fbb47"
+                       "cfca8a0dd11550d8f3b7a95c1f655d19"),
     "hilbert-demo": (0, "ad61436859c76806eb874ec419fc1e4b"
                         "3d1a5c281c41ab8fd8116417a7fa5f03"),
     "lambda-equivalence": (0, "66eb6c840536b2a19476157bdadf2523"

@@ -14,7 +14,8 @@ from dyadlab.signal import (SpaceSpec, StepFunction, average, haar_coeff,
                             haar_expand, haar_profile, haar_reconstruct,
                             lp_norm, pairing_integral, pointwise_product,
                             random_step_function)
-from dyadlab.shifts import paraproduct, paraproduct_adjoint
+from dyadlab.shifts import (apply_shift, paraproduct, paraproduct_adjoint,
+                            random_extremal_shift)
 
 FLOAT_TOL = 1e-12
 N_HOLDER_PAIRS = 200
@@ -365,6 +366,21 @@ def test_exact_function_arithmetic_matches_the_values():
     same = StepFunction(sys_, np.array([[float(v) for v in row]
                                         for row in f.values]))
     assert (f.as_float() == same) and not f.as_float() == f + f
+
+
+def test_mixed_mode_arithmetic_gives_float_functions():
+    sys_ = sample_system(62, 4)
+    f = random_step_function(sys_, 1, exact=True)
+    g = random_step_function(sys_, 2)
+    floats = f.values.astype(float)
+    shift = random_extremal_shift(sys_, 0, 1, seed=3)
+    for h, expected in ((f + g, floats + g.values), (f * 0.5, floats * 0.5),
+                        (f + 1.5, floats + 1.5)):
+        assert not h.exact and h.values.dtype == float
+        assert np.array_equal(h.values, expected)
+        haar_expand(h)
+        apply_shift(shift, h)
+    assert (f + 1).exact and (f * Fraction(1, 3)).exact
 
 
 def test_exact_values_reject_floats():
