@@ -418,6 +418,38 @@ REFERENCE_IDS = ["p2", "p3", "p1.5", "non-square", "max-offset-1",
                  "linspace-ulp-f-axis"]
 
 
+# sha256 of layers 0..3 of each reference table, recorded with the
+# offset-by-offset sweep
+REFERENCE_SHA256 = [
+    "4be1629d15b5a7b19d078d903603c3ffcb42df71388b0a740470322486118ade",
+    "3eb385571fce62fdac8a56eaada26f9145510d6be73e3f1948f438208b0e0238",
+    "1b43e22f6fabcdbe0dda493dc8ec5f7445b4931d03edc75cd137c196a209d7cd",
+    "d2383b900825f605eecfa733305ec7e5e59349df5db56d2f1a7b853e982397f7",
+    "1a1d2449bd44109ec6b915f13777c89b41de6dca5c5c11793fa6a12fd79e58f0",
+    "553f0bc61394d8a69bf8e0d6e8abbe37e8c25da4cd78cdc165fb71f6b0bb22e9",
+    "6111d66e00ccb8f495bdd01e8d4293468740dac7feadb5f273da661f77ffb2fe",
+    "9a9c3d331992a0e612124dd4fa289e6132d1d0effe8ce54e7cf4cca47a9df8b9",
+    "594cdeb9a114708fb8c841a79042c5b5b8650b923db606f702b8599e39eca081",
+    "394dc751b917ac9e73594502eef9ac9d82f9e1dd3f339ee15b01e44dbdadd343",
+    "b74eacfc0bc61acf6f6beb5ab748f0a7eef5b736972bcb68ca51da66778d48fa",
+]
+
+
+def layer_digest(table):
+    """sha256 of the bytes of layers 0..3."""
+    digest = hashlib.sha256()
+    for t in range(4):
+        digest.update(table.layer(t).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kwargs, hexdigest",
+                         zip(REFERENCE_CONFIGS, REFERENCE_SHA256),
+                         ids=REFERENCE_IDS)
+def test_reference_table_bytes_are_frozen(kwargs, hexdigest):
+    assert layer_digest(BellmanTable(BellmanConfig(**kwargs))) == hexdigest
+
+
 @pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS, ids=REFERENCE_IDS)
 def test_dp_layers_match_reference_loop(kwargs):
     """Layer 1 (closed form) and layers 2, 3 (swept) against the loop."""
@@ -533,10 +565,7 @@ def test_criterion_4_table_bytes_are_frozen():
     offset-by-offset DP (the loop in ``reference_layer``)."""
     table = bellman_oracle(BellmanConfig(p=2.0, f_max=4.0, F_max=16.0,
                                          g_max=4.0, G_max=16.0), depth=3)
-    digest = hashlib.sha256()
-    for t in range(4):
-        digest.update(table.layer(t).tobytes())
-    assert digest.hexdigest() == (
+    assert layer_digest(table) == (
         "7c075d44227a242dfc97cd1c10076691328059e5fa686b7ce4f061e634aca563")
 
 
@@ -711,10 +740,26 @@ def test_benchmark_table_bytes_are_frozen(grid_tables):
         1.5: "9e458882eb9fb33a5d8af772fe6e7358ca6d5506f95fd205586ea92353897b3b",
     }
     for p, hexdigest in want.items():
-        digest = hashlib.sha256()
-        for t in range(4):
-            digest.update(grid_tables[13, p].layer(t).tobytes())
-        assert digest.hexdigest() == hexdigest, p
+        assert layer_digest(grid_tables[13, p]) == hexdigest, p
+
+
+# sha256 of layers 0..3 of the 9- and 11-point tables at p = 2, 3, 3/2,
+# the smaller ones the benchmark builds, recorded with the offset-by-offset
+# sweep
+SMALL_GRID_SHA256 = {
+    (9, 2.0): "4be1629d15b5a7b19d078d903603c3ffcb42df71388b0a740470322486118ade",
+    (9, 3.0): "3eb385571fce62fdac8a56eaada26f9145510d6be73e3f1948f438208b0e0238",
+    (9, 1.5): "1b43e22f6fabcdbe0dda493dc8ec5f7445b4931d03edc75cd137c196a209d7cd",
+    (11, 2.0): "5b84422f069f3333c76e826094bb8c040e4a19f99e758d4619287152ddd3e293",
+    (11, 3.0): "2c774aac3bba60d37cab55098d1131a4f22aa388c46d90bbec2d51b24c7cb388",
+    (11, 1.5): "789cee476191c442b6932ca7de5d6b368599f1a9900ada812a28bdad356fe944",
+}
+
+
+@pytest.mark.parametrize("n, p", list(SMALL_GRID_SHA256))
+def test_small_benchmark_table_bytes_are_frozen(n, p):
+    table = BellmanTable(BellmanConfig(p=p, n_f=n, n_F=n, n_g=n, n_G=n))
+    assert layer_digest(table) == SMALL_GRID_SHA256[n, p]
 
 
 def test_benchmark_tables_are_mirror_symmetric(grid_tables):
