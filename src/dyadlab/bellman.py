@@ -51,11 +51,10 @@ __all__ = [
 
 MAX_TABLE_DEPTH = 6
 MAX_AXIS_POINTS = 65
-# Candidate pairs each swept layer (t >= 2) may evaluate; layer 1 has a
-# closed form and sweeps none.  The count is that of a sweep over every
-# centre, although each plane sweeps only its nonnegative half.
+# Candidate pairs a swept layer (t >= 2) may evaluate, counted as in a sweep
+# over every centre although each plane sweeps only its nonnegative half.
 _MAX_LAYER_PAIRS = 5_000_000_000
-# Candidate entries per block of the DP sweep (256 KiB of float64).
+# Candidate entries per block of the DP sweep, whole rows (256 KiB of floats).
 _SWEEP_BLOCK = 1 << 15
 # Attempts per block of the concavity check.  The samples do not depend on
 # it; larger blocks only raise peak memory.
@@ -134,14 +133,11 @@ class MartingaleTree:
 
     @cached_property
     def F(self):
-        return self._public(self._powers[0])
+        return [_values(x) for x in self._powers[0]]
 
     @cached_property
     def G(self):
-        return self._public(self._powers[1])
-
-    def _public(self, levels):
-        return [_values(x) for x in levels]
+        return [_values(x) for x in self._powers[1]]
 
     @property
     def depth(self):
@@ -390,6 +386,16 @@ class BellmanConfig:
             if getattr(self, name) > MAX_AXIS_POINTS:
                 raise DyadicError(
                     f"{name} exceeds the cap of {MAX_AXIS_POINTS}")
+        # the DP halves and adds exactly: |f|^p, |g|^p' are finite, and layer
+        # t, in [0, 4 t f_max g_max] and >= 4 h_f h_g / 2**(t-1) where > 0,
+        # stays normal when halved
+        with np.errstate(over="ignore"):
+            top = np.float64([self.f_max, self.g_max]) ** [self.p, self.p_dual]
+        fg = self.f_max * self.g_max
+        low = 16.0 * fg / ((self.n_f - 1) * (self.n_g - 1) << MAX_TABLE_DEPTH)
+        if not (np.isfinite(top).all() and 8 * MAX_TABLE_DEPTH * fg
+                < math.inf and low >= np.finfo(float).tiny):
+            raise DyadicError("grid values leave the normal float range")
 
     @property
     def p_dual(self):
@@ -460,6 +466,13 @@ def _plane(feasible, half0, half1):
     return nodes, mirror, flipped + splits, counts[len(bs):][::-1] + counts
 
 
+def _gains(a, c, hf, hg):
+    """Split gains ``4 |a hf c hg|``, rounded as one product, in place."""
+    gains = a * hf * c
+    gains *= hg
+    return np.multiply(np.abs(gains, out=gains), 4.0, out=gains)
+
+
 def _centre_groups(splits):
     """Concatenate splits sorted by centre: plus ends, minus ends, first
     offset coordinates, the ``reduceat`` start of each centre and the
@@ -471,8 +484,8 @@ def _centre_groups(splits):
     centre = centre[order]
     plus = np.concatenate([s[2] for s in splits])[order]
     minus = np.concatenate([s[3] for s in splits])[order]
-    first = np.concatenate([np.full(s[1].size, s[0][0], dtype=np.intp)
-                            for s in splits])[order]
+    first = np.repeat([s[0][0] for s in splits],
+                      [s[1].size for s in splits])[order]
     starts = np.flatnonzero(np.r_[True, centre[1:] != centre[:-1]])
     return plus, minus, first, starts, centre[starts]
 
@@ -524,11 +537,11 @@ class BellmanTable:
             raise DyadicError(
                 f"grid needs {pairs:.2e} candidate pairs per layer; shrink "
                 "the axes or set max_offset")
-        self._f_splits = [s for s in f_splits if s[0] >= (0, 0)]
+        self._f_positive = _centre_groups(
+            [s for s in f_splits if s[0] > (0, 0)])
         self._g_all = _centre_groups(g_splits)
         self._g_positive = _centre_groups(
             [s for s in g_splits if s[0] > (0, 0)])
-        self._g_half = half[2]
         self._nodes = np.ix_(self._f_nodes, self._g_nodes)
         self._mask = (self._feasible_f[:, :, None, None]
                       & self._feasible_g[None, None, :, :])
@@ -564,70 +577,64 @@ class BellmanTable:
     def _first_layer(self):
         """Layer 1 on the compact matrix of feasible nodes, in closed form.
 
-        Layer 0 is 0 on every feasible node, so a sweep from it would give
-        each candidate its gain alone.  The gain is the sweep's scalar
-        expression, which grows with ``|a|`` and ``|c|`` (every rounding
-        step is monotone), so the best split of a node pair pairs the
-        largest ``a`` among the (f, F) splits of its row with the largest
-        ``|c|`` among the (g, G) splits of its column.  The offset (0, 0)
-        has ``a = 0`` and so gains nothing beyond the start value.  Only the
-        swept centres (the nonnegative half of each plane) are filled;
-        :meth:`layer` copies the rest.
-        """
+        Layer 0 is 0 on every feasible node, so each candidate of a sweep
+        from it is its gain alone, which grows with ``|a|`` and ``|c|``
+        (every rounding step is monotone): the best split of a node pair
+        pairs the largest ``a`` among the (f, F) splits of its row (0 when
+        it has none after (0, 0), all of which have ``a >= 0``) with the
+        largest ``|c|`` among the (g, G) splits of its column."""
         amax = np.zeros(self._f_nodes.size, dtype=np.intp)
-        # the offsets run in lexicographic order, so the last write to a
-        # centre is its largest a (and a >= 0)
-        for (a, _), centre, _, _ in self._f_splits:
-            amax[centre] = a
+        if self._f_positive is not None:
+            _, _, first, starts, rows = self._f_positive
+            amax[rows] = np.maximum.reduceat(first, starts)
         # every feasible node centres the zero split, so there is one group
         # per swept node
         _, _, first, starts, cols = self._g_all
         cmax = np.zeros(self._g_nodes.size, dtype=np.intp)
         cmax[cols] = np.maximum.reduceat(np.abs(first), starts)
-        hf, hg = self.steps[0], self.steps[2]
-        gains = np.array([[4.0 * abs(a * hf * c * hg)
-                           for c in range(cmax.max() + 1)]
-                          for a in range(amax.max() + 1)])
-        return gains[amax[:, None], cmax]
+        return _gains(amax[:, None], cmax, *self.steps[::2])
 
     def _dp_layer(self, B):
-        """Layer ``t + 1`` from layer ``t = B`` (used for ``t >= 1``), on
-        the compact matrix of feasible nodes (rows in the (f, F) plane,
-        columns in the (g, G) plane): every node keeps its value or takes
-        the best split of it whose ends are feasible, the mean of the two
-        end values plus the split's gain.  Only the swept centres (the
-        nonnegative half of each plane) are updated; :meth:`layer` copies
-        the rest."""
-        H = B.reshape(self._feasible_f.size, -1)[self._nodes]
-        out = H.copy()
-        hf, hg = self.steps[0], self.steps[2]
-        cs = range(-self._g_half, self._g_half + 1)
-        gains = {}
-        for (a, b), centre, plus, minus in self._f_splits:
-            if (a, b) == (0, 0):
-                if self._g_positive is None:
-                    continue
-                vp, vm, _, starts, cols = self._g_positive
-            else:
-                vp, vm, vc, starts, cols = self._g_all
-            gain = None
-            if a:
-                # one scalar expression per (a, c), so rounding does not
-                # depend on how the sweep groups the offsets
-                if a not in gains:
-                    row = np.array([4.0 * abs(a * hf * c * hg) for c in cs])
-                    gains[a] = row[vc + self._g_half]
-                gain = gains[a]
+        """Layer ``t + 1`` from layer ``t = B`` (``t >= 1``) on the compact
+        matrix of feasible nodes, rows in the (f, F) plane: each swept node
+        keeps its value or takes its best split with feasible ends, the mean
+        of the end values plus the gain.  The (f, F) offset (0, 0) pairs
+        with the positive (g, G) offsets in blocks of rows; each (f, F)
+        centre takes a column maximum over its other splits against every
+        (g, G) split, then over each (g, G) centre's group, into its row."""
+        out = B.reshape(self._feasible_f.size, -1)[self._nodes]
+        H = out * 0.5  # exact: BellmanConfig keeps the halves normal
+        if self._g_positive is not None:
+            vp, vm, _, starts, cols = self._g_positive
             step = max(1, _SWEEP_BLOCK // vp.size)
-            for s in range(0, centre.size, step):
-                cand = np.take(H[plus[s:s + step]], vp, axis=1)
-                cand += np.take(H[minus[s:s + step]], vm, axis=1)
-                cand *= 0.5
-                if gain is not None:
-                    cand += gain
-                best = np.maximum.reduceat(cand, starts, axis=1)
-                cell = np.ix_(centre[s:s + step], cols)
-                out[cell] = np.maximum(out[cell], best)
+            for s in range(self._f_mirror.size, self._f_nodes.size, step):
+                rows, block = H[s:s + step], out[s:s + step]
+                cand = np.take(rows, vp, axis=1)
+                cand += np.take(rows, vm, axis=1)
+                block[:, cols] = np.maximum(
+                    block[:, cols], np.maximum.reduceat(cand, starts, axis=1))
+        if self._f_positive is None:
+            return out
+        plus, minus, first, fstarts, centres = self._f_positive
+        vp, vm, vc, starts, _ = self._g_all
+        step = max(1, _SWEEP_BLOCK // vp.size)
+        g0, top = self._g_mirror.size, first.max() + 1
+        # the gains of up to `step` values of a (one block) at a time, and
+        # the rows of each centre in that band
+        for a0 in range(0, top, step):
+            a1 = min(a0 + step, top)
+            gains = _gains(np.arange(a0, a1)[:, None], vc, *self.steps[::2])
+            lo, hi = ((fstarts + np.add.reduceat(first < a, fstarts)).tolist()
+                      for a in (a0, a1))
+            for centre, s0, e in zip(centres.tolist(), lo, hi):
+                row = out[centre, g0:]
+                for s in range(s0, e, step):
+                    s1 = min(s + step, e)
+                    cand = np.take(H[plus[s:s1]], vp, axis=1)
+                    cand += np.take(H[minus[s:s1]], vm, axis=1)
+                    cand += gains[first[s:s1] - a0]
+                    best = np.maximum.reduceat(cand.max(axis=0), starts)
+                    np.maximum(row, best, out=row)
         return out
 
     def _snap(self, states):
@@ -660,16 +667,14 @@ class BellmanTable:
             coords = tuple(float(x) for x in point)
         idx, dist = self.nearest_index(coords)
         layer = self.layer(t)
-        bumped = False
         i0, i1, i2, i3 = idx
         if bump_feasible:
             while i1 < len(self.Fs) - 1 and not self._feasible_f[i0, i1]:
                 i1 += 1
-                bumped = True
             while i3 < len(self.Gs) - 1 and not self._feasible_g[i2, i3]:
                 i3 += 1
-                bumped = True
-            idx = (i0, i1, i2, i3)
+        bumped = (i1, i3) != idx[1::2]
+        idx = (i0, i1, i2, i3)
         return {"value": float(layer[idx]), "index": idx,
                 "snap_distance": dist, "bumped": bumped}
 
@@ -733,15 +738,10 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
     uniforms of the stream, so the report does not depend on the block
     size.
 
-    Grid mode: the offset ``j_k`` is uniform on ``-h_k..h_k`` with
-    ``h_k = (n_k - 1) // 2``, capped at the table's ``max_offset`` when it
-    has one (the DP's split radius either way), and, given ``j``, the
-    centre ``idx_k`` is uniform on ``|j_k|..n_k - 1 - |j_k|`` (see
-    :func:`_grid_draws`); an attempt is rejected when either end
-    ``idx +- j`` is infeasible.  Every on-grid split within that radius
-    can be drawn, not only the ones in the DP's split lists, so a split
-    the DP missed shows as a negative slack; when the DP maximised over
-    all of them the slack is nonnegative.
+    Grid mode: a uniform offset within the DP's split radius and a uniform
+    centre that keeps both ends on the grid (:func:`_grid_draws`); attempts
+    with an infeasible end are rejected.  Every on-grid split can be drawn,
+    so a split the DP missed shows as a negative slack, and no other does.
 
     Snapped mode: ``f0, g0, F0, G0, df, dF, dg, dG`` are uniform, in this
     order, on the boxes kept two grid steps inside the grid, and the
@@ -789,7 +789,7 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
                                  cfg.max_offset)
             plus, minus = mid + j, mid - j
             ok = True
-            gain = 4.0 * np.abs(j[:, 0] * hf * j[:, 2] * hg)
+            gain = _gains(j[:, 0], j[:, 2], hf, hg)
         vmid = upper[tuple(mid.T)]
         vp, vm = lower[tuple(plus.T)], lower[tuple(minus.T)]
         ok = ok & np.isfinite(vp) & np.isfinite(vm)

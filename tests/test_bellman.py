@@ -327,6 +327,19 @@ def test_config_validation():
     assert BellmanConfig(p=4.0).p_dual == pytest.approx(4.0 / 3.0)
 
 
+def test_config_refuses_values_outside_the_float_range():
+    """|f|^p overflows; 8 * depth * f_max * g_max overflows; the smallest
+    positive value of a deep layer falls below the normal range."""
+    for kwargs in (dict(f_max=1e200, F_max=1e300, g_max=1.0),
+                   dict(p=1.5, f_max=1e205, g_max=1e102, F_max=1e308,
+                        G_max=1e308),
+                   dict(f_max=1e-200, g_max=1e-200, F_max=1e-300,
+                        G_max=1e-300)):
+        with pytest.raises(DyadicError, match="normal float range"):
+            BellmanConfig(**kwargs)
+    BellmanConfig(f_max=1e-150, g_max=1e-150, F_max=1e-300, G_max=1e-300)
+
+
 def test_layer_ops_guard():
     big = BellmanConfig(n_f=65, n_F=65, n_g=65, n_G=65)
     with pytest.raises(DyadicError):

@@ -97,6 +97,29 @@ def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
     assert "dyadlab: error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [("1e200", "1e300"), ("1e-200", "1e-300")])
+def test_bellman_check_refuses_grids_outside_the_float_range(tmp_path, capsys,
+                                                             scale):
+    """Powers that overflow, or gains that underflow, once passed vacuously
+    (``snapped_min_slack: "inf"``, or a table of zeros)."""
+    means, powers = scale
+    assert run(tmp_path, "bellman-check", "--f-max", means, "--g-max", means,
+               "--F-max", powers, "--G-max", powers) == 1
+    assert "normal float range" in capsys.readouterr().err
+    assert not (tmp_path / "bellman_check.json").exists()
+
+
+def test_schur_check_refuses_large_k_before_any_probe(tmp_path, monkeypatch,
+                                                      capsys):
+    def probe(*args, **kwargs):
+        raise AssertionError("the probe ran")
+
+    monkeypatch.setattr(cli, "rank_one_multiplier_check", probe)
+    monkeypatch.setattr(cli, "sign_multiplier_check", probe)
+    assert run(tmp_path, "schur-check", "--k", "12") == 1
+    assert "k must be at most 10" in capsys.readouterr().err
+
+
 def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch,
                                                    capsys):
     # a ValueError from inside a computation is a bug, not bad input: it

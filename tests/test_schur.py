@@ -339,6 +339,12 @@ def test_sign_multiplier_ceiling():
         assert report["max_probe"] >= 1.0 - 1e-6  # sign matrices reach 1
 
 
+def test_sign_multiplier_check_refuses_matrices_above_the_cap():
+    # the CLI refuses such k before this check runs
+    with pytest.raises(DyadicError):
+        sign_multiplier_check(40)
+
+
 def test_sign_matrix_determinism():
     assert np.array_equal(random_sign_matrix(5, seed=9),
                           random_sign_matrix(5, seed=9))
