@@ -1,5 +1,6 @@
 """Tests for interaction matrices, their two norms and Schur multipliers."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -226,11 +227,11 @@ def _assert_feasible_witness(val, rep, A):
     assert abs(abs(alpha @ A @ alpha) - val) <= 1e-12 * val
 
 
-def _tree_lambdas(seed, k_values=(1, 2, 3)):
+def _tree_lambdas(seed, k_values=(1, 2, 3), exact=False):
     system = sample_system(seed, depth=3)
-    f = random_step_function(system, seed=(seed, 1))
-    g = random_step_function(system, seed=(seed, 2))
-    tree = tree_from_functions(f.as_float(), g.as_float(), SpaceSpec(p=2.0))
+    f = random_step_function(system, seed=(seed, 1), exact=exact)
+    g = random_step_function(system, seed=(seed, 2), exact=exact)
+    tree = tree_from_functions(f, g, SpaceSpec(p=2.0))
     return [lambda_matrix(tree, k) for k in k_values]
 
 
@@ -284,6 +285,27 @@ def test_norm1_singular_faces_raise_nothing():
     val, rep = norm1_lower(lam)
     assert val == pytest.approx(4.0, rel=1e-12)
     _assert_feasible_witness(val, rep, lam.as_float())
+
+
+def test_norm1_face_enumeration_bytes_are_frozen():
+    """sha256 of value, alpha and method of ``norm1_lower`` over exact and
+    float tree matrices, random admissible ones (with the seeds whose
+    maximum sits inside a two-dimensional face) and the singular ones above,
+    recorded with the enumeration that scatters every (face, sign) row."""
+    lams = [lam for t in range(3) for exact in (True, False)
+            for lam in _tree_lambdas((87, t), exact=exact)]
+    lams += [random_admissible_lambda(k, seed=(84, t))
+             for k in (1, 2, 3) for t in (0, 1, 2, 46, 50, 80)]
+    lams += [np.zeros((n, n)) for n in (2, 4, 8)]
+    lams.append(LambdaMatrix(np.outer([1.0, -1.0] * 4, [1.0, -1.0] * 4), 3))
+    digest = hashlib.sha256()
+    for lam in lams:
+        val, rep = norm1_lower(lam)
+        digest.update(np.float64(val).tobytes())
+        digest.update(rep["alpha"].tobytes())
+        digest.update(rep["method"].encode())
+    assert digest.hexdigest() == (
+        "6c341c5724b5c0541ed09a31f44777a311e5ed87ca93a88ae206dddb22ca622c")
 
 
 def test_norm1_above_size_eight_keeps_the_search():
