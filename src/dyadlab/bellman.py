@@ -355,7 +355,8 @@ class BellmanConfig:
 
     The mean axes span symmetric boxes (odd counts keep zero on-grid); the
     power axes span ``[0, max]``.  ``max_offset`` optionally caps the split
-    radius per axis, trading oracle quality for speed.
+    radius per axis, trading oracle quality for speed; it must be at least 0
+    (0 allows no split, so every layer stays zero on the domain).
     """
 
     p: float = 2.0
@@ -386,6 +387,9 @@ class BellmanConfig:
             if getattr(self, name) > MAX_AXIS_POINTS:
                 raise DyadicError(
                     f"{name} exceeds the cap of {MAX_AXIS_POINTS}")
+        if self.max_offset is not None and self.max_offset < 0:
+            raise DyadicError(
+                f"max_offset must be at least 0, got {self.max_offset}")
         # the DP halves and adds exactly: |f|^p, |g|^p' are finite, and layer
         # t, in [0, 4 t f_max g_max] and >= 4 h_f h_g / 2**(t-1) where > 0,
         # stays normal when halved

@@ -316,33 +316,33 @@ def _project_balanced_box(x, cap=0.25):
     return np.clip(x - mu, -cap, cap)
 
 
+@functools.lru_cache(maxsize=_ENUM_MAX + 1)
 def _balanced_vertices(n, cap=0.25):
-    """All vectors with entries +-cap and an equal number of each sign."""
-    out = []
-    for pos in itertools.combinations(range(n), n // 2):
-        v = np.full(n, -cap)
-        v[list(pos)] = cap
-        out.append(v)
-    return np.stack(out)
+    """The balanced +-cap vectors in combinations order; read-only, cached."""
+    pos = np.array(list(itertools.combinations(range(n), n // 2)), np.intp)
+    out = np.full((len(pos), n), -cap)
+    np.put_along_axis(out, pos, cap, axis=1)
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=_FACE_MAX + 1)
 def _face_index(n):
     """Faces of the ``n``-dimensional box, grouped by the number ``m`` of free
     coordinates: per ``m``, the free sets ``S`` and fixed sets ``T`` as rows,
-    and every sign pattern on ``T``.  Read-only; cached per size."""
+    every sign pattern on ``T``, and the flat indices of the blocks ``A_SS``
+    and ``A_ST`` of an ``n x n`` matrix.  Read-only; cached per size."""
     out = []
     for m in range(n + 1):
-        free = np.array(list(itertools.combinations(range(n), m)),
-                        dtype=np.intp).reshape(math.comb(n, m), m)
+        free = np.array(list(itertools.combinations(range(n), m)), np.intp)
         fixed = np.array([[i for i in range(n) if i not in row]
-                          for row in free.tolist()],
-                         dtype=np.intp).reshape(len(free), n - m)
-        signs = np.array(list(itertools.product((1.0, -1.0), repeat=n - m)),
-                         dtype=float).reshape(2 ** (n - m), n - m)
-        for arr in (free, fixed, signs):
+                          for row in free.tolist()], np.intp)
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=n - m)))
+        face = (free, fixed, signs, n * free[:, :, None] + free[:, None, :],
+                n * free[:, :, None] + fixed[:, None, :])
+        for arr in face:
             arr.flags.writeable = False
-        out.append((free, fixed, signs))
+        out.append(face)
     return tuple(out)
 
 
@@ -354,35 +354,35 @@ def _face_candidates(A, cap=0.25):
     points solve the KKT system
     ``[[2 A_SS, -1], [1^T, 0]] [alpha_S; mu] = [-2 A_ST alpha_T; -sum alpha_T]``,
     which is the same for ``A`` and ``-A``.  One pseudo-inverse per free set
-    serves all ``2^|T|`` sign patterns.  A singular face yields a
-    least-squares point or nothing: along a null direction the quadratic is
-    constant, so its optimum also sits on a smaller face.  Points that leave
-    the box by more than rounding, or break the balance, are dropped; the
-    rest are clipped into the box.
+    serves all ``2^|T|`` sign patterns; the vertices (``S`` empty) take no
+    solve.  A singular face yields a least-squares point or nothing: along a
+    null direction the quadratic is constant, so its optimum also sits on a
+    smaller face.  Only points whose free coordinates stay in the box up to
+    rounding (the fixed ones are exactly +-cap) become rows, in (free set,
+    sign) order; they are clipped into the box and dropped when unbalanced.
     """
-    n = A.shape[0]
-    out = []
-    for free, fixed, signs in _face_index(n):
+    n, flat = A.shape[0], A.ravel()
+    faces = _face_index(n)
+    out = [cap * faces[0][2]]  # m = 0: the vertices
+    for free, fixed, signs, ss, st in faces[1:]:
         count, m = free.shape
         alpha_t = cap * signs
         kkt = np.zeros((count, m + 1, m + 1))
-        kkt[:, :m, :m] = 2.0 * A[free[:, :, None], free[:, None, :]]
+        kkt[:, :m, :m] = 2.0 * flat[ss]
         kkt[:, :m, m] = -1.0
         kkt[:, m, :m] = 1.0
         rhs = np.empty((count, m + 1, len(signs)))
-        rhs[:, :m] = -2.0 * A[free[:, :, None], fixed[:, None, :]] @ alpha_t.T
+        rhs[:, :m] = -2.0 * flat[st] @ alpha_t.T
         rhs[:, m] = -alpha_t.sum(axis=1)
-        sol = np.linalg.pinv(kkt) @ rhs
-        vecs = np.empty((count, len(signs), n))
-        rows = np.arange(count)[:, None, None]
-        cols = np.arange(len(signs))[None, :, None]
-        vecs[rows, cols, free[:, None, :]] = sol[:, :m].transpose(0, 2, 1)
-        vecs[rows, cols, fixed[:, None, :]] = alpha_t[None]
-        vecs = vecs.reshape(-1, n)
-        vecs = np.clip(vecs[(np.abs(vecs) <= cap + 1e-13).all(axis=1)],
-                       -cap, cap)
-        out.append(vecs[np.abs(vecs.sum(axis=1)) <= 1e-12])
-    return np.concatenate(out)
+        sol = (np.linalg.pinv(kkt) @ rhs)[:, :m]
+        face, sign = np.nonzero((np.abs(sol) <= cap + 1e-13).all(axis=1))
+        vecs = np.empty((len(face), n))
+        rows = np.arange(len(face))[:, None]
+        vecs[rows, free[face]] = sol[face, :, sign]
+        vecs[rows, fixed[face]] = alpha_t[sign]
+        out.append(vecs)
+    vecs = np.clip(np.concatenate(out), -cap, cap)
+    return vecs[np.abs(vecs.sum(axis=1)) <= 1e-12]
 
 
 def _best_quadratic(vecs, A):

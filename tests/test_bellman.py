@@ -327,6 +327,17 @@ def test_config_validation():
     assert BellmanConfig(p=4.0).p_dual == pytest.approx(4.0 / 3.0)
 
 
+def test_config_refuses_a_negative_max_offset():
+    with pytest.raises(DyadicError, match="max_offset"):
+        BellmanConfig(n_f=5, n_F=5, n_g=5, n_G=5, max_offset=-1)
+    # offset 0 allows no split: every layer keeps layer 0, zero on the domain
+    table = BellmanTable(BellmanConfig(n_f=5, n_F=5, n_g=5, n_G=5,
+                                       max_offset=0))
+    assert np.array_equal(np.unique(table.layer(0)), [-np.inf, 0.0])
+    for t in (1, 2, 3):
+        assert np.array_equal(table.layer(t), table.layer(0))
+
+
 def test_config_refuses_values_outside_the_float_range():
     """|f|^p overflows; 8 * depth * f_max * g_max overflows; the smallest
     positive value of a deep layer falls below the normal range."""

@@ -308,6 +308,22 @@ def test_norm1_face_enumeration_bytes_are_frozen():
         "6c341c5724b5c0541ed09a31f44777a311e5ed87ca93a88ae206dddb22ca622c")
 
 
+def test_balanced_vertices_are_cached_read_only():
+    """One read-only array per size, row for row the combinations build."""
+    from dyadlab.schur import _balanced_vertices
+    for n in (2, 4, 8, 16):
+        verts = _balanced_vertices(n)
+        assert _balanced_vertices(n) is verts
+        assert not verts.flags.writeable
+        want = []
+        for pos in itertools.combinations(range(n), n // 2):
+            v = np.full(n, -0.25)
+            v[list(pos)] = 0.25
+            want.append(v)
+        assert verts.shape == (math.comb(n, n // 2), n)
+        assert verts.tobytes() == np.stack(want).tobytes()
+
+
 def test_norm1_above_size_eight_keeps_the_search():
     lam = random_admissible_lambda(4, seed=85)
     val, rep = norm1_lower(lam, restarts=2, iters=30, seed=86)
