@@ -216,6 +216,87 @@ def test_symmetrized_matrix_bytes_are_frozen(case):
     assert digest.hexdigest() == SYMMETRIZED_MATRIX_SHA256[case]
 
 
+def _shift_norms_table(op, depth, k):
+    """The symmetrized table of op ``op`` of perfbench's ``shift-norms``
+    workload at seed 100."""
+    return symmetrize(random_extremal_shift(
+        sample_system((100, op), depth), k - 1, k - 1, seed=(100, op, 1)))
+
+
+# Tables of every shape the assembly meets: the seven distinct shapes of
+# the shift-norms workload at seed 100, raw tables with m != n, windows of
+# length 2**-1 and 2**2, hilbert-demo's Petermichl shift, the matrix cap
+# (depth 12, n = 4096) and an empty slice.
+MATRIX_TABLES = {
+    "norms-op0": lambda: _shift_norms_table(0, 8, 1),
+    "norms-op1": lambda: _shift_norms_table(1, 8, 3),
+    "norms-op2": lambda: _shift_norms_table(2, 8, 2),
+    "norms-op3": lambda: _shift_norms_table(3, 8, 5),
+    "norms-op4": lambda: _shift_norms_table(4, 10, 1),
+    "norms-op6": lambda: _shift_norms_table(6, 8, 4),
+    "norms-op10": lambda: _shift_norms_table(10, 10, 2),
+    "raw-0-1": lambda: random_extremal_shift(sample_system(231, 7), 0, 1,
+                                             seed=232),
+    "raw-2-0": lambda: random_extremal_shift(sample_system(233, 7), 2, 0,
+                                             seed=234),
+    "raw-1-3": lambda: random_extremal_shift(sample_system(235, 8), 1, 3,
+                                             seed=236),
+    "window-M-1": lambda: symmetrize(random_extremal_shift(
+        sample_system(237, 7, M=-1), 1, 2, seed=238)),
+    "window-M2": lambda: random_extremal_shift(sample_system(239, 6, M=2),
+                                               2, 1, seed=240),
+    "petermichl-hilbert-demo": lambda: petermichl_shift(
+        DyadicSystem(Fraction(-32), 5, 10)),
+    "depth12": lambda: symmetrize(random_extremal_shift(
+        sample_system(241, 12), 1, 1, seed=242)),
+    "empty-slice": lambda: shift_slice(symmetrize(random_extremal_shift(
+        DyadicSystem(M=0, depth=2), 0, 1, seed=3)), 1),
+}
+
+# sha256 of shift_matrix(table).tobytes(), recorded with the assembly that
+# added one Kronecker product per (L level, I level, J level) group
+MATRIX_SHA256 = {
+    "depth12": "4d0269f2bcce3709143b925b8cd3ff2e"
+               "383e0de198d6a68421ee827a944581b7",
+    "empty-slice": "38723a2e5e8a17aa7950dc008209944e"
+                   "898f69a7bd10a23c839d341e935fd5ca",
+    "norms-op0": "cc7b76818690331926fa026cfb992719"
+                 "7622d8c7ea262a4cb9456208e4b8289c",
+    "norms-op1": "9613638e5ec8b005c83f02276753bc34"
+                 "a2377ab6f64df1cdf1e64f5ef501c401",
+    "norms-op10": "56f5902a0499463a4c36f4cedb54ed05"
+                  "86fe163defc6d2b7b1040492b548eba4",
+    "norms-op2": "b182d10f09c9945ca448190bfe2cde07"
+                 "bf40fe42bbb840159bd5e5075a75e6bd",
+    "norms-op3": "241564fbe8db5ab0e6b3f628ebec1e13"
+                 "ca20e737ea185a41e0f6c44f933a452b",
+    "norms-op4": "1a0469f9ae2049d99e034a10d8061c90"
+                 "f4903f6c85e8c3fa81e0b5aec1291b84",
+    "norms-op6": "8e3106f7631d50821f981cefc42cd360"
+                 "b16f1ae0dd3d80c9d20aa4723dbac092",
+    "petermichl-hilbert-demo": "dea402d2b5130fcf5950b7ee73b80932"
+                               "beed3cbde35cde2a1ec6ba94485cf201",
+    "raw-0-1": "2e7305f99e96b6065f436c915be865b9"
+               "3e601b140c4e67d08b36c538a63e9025",
+    "raw-1-3": "d4211645ea67cea030057a3f9fd653fc"
+               "94f33196f1668b0d308cfa5405622d53",
+    "raw-2-0": "9919b3cb019e32ad9eb8c2963473ad88"
+               "ccfdcee6f7696e3d17e055367728a7dc",
+    "window-M-1": "a4ad9fc5e8f9312437cee5bad7d87bb8"
+                  "d2dc02d8fa37da24dfb3746e29cf285a",
+    "window-M2": "0aee9d4163539389883d9c9616e9a873"
+                 "5c7fb036d798d78f1171c4d5c6f28f39",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_TABLES))
+def test_matrix_bytes_are_frozen(case):
+    matrix = shift_matrix(MATRIX_TABLES[case]())
+    if case == "empty-slice":
+        assert not matrix.any()
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == MATRIX_SHA256[case]
+
+
 def test_scaling_study_report_bytes_are_frozen(tmp_path, monkeypatch):
     # relative --out keeps the csv path inside the report fixed
     monkeypatch.chdir(tmp_path)
