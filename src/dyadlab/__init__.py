@@ -22,10 +22,10 @@ from .signal import (SpaceSpec, StepFunction, average, haar_coeff,
                      pairing_integral, pointwise_product,
                      random_step_function)
 from .shifts import (ShiftSpec, apply_shift, paraproduct,
-                     paraproduct_adjoint, paraproduct_matrix,
-                     petermichl_shift, random_extremal_shift, series_bound,
-                     shift_matrix, shift_slice, slice_levels,
-                     slice_bilinear_sides, symmetrize)
+                     paraproduct_adjoint, petermichl_shift,
+                     random_extremal_shift, series_bound, shift_matrix,
+                     shift_slice, slice_levels, slice_bilinear_sides,
+                     symmetrize)
 from .schur import (AlphaSequence, LambdaMatrix, equivalence_report,
                     find_alpha, lambda_matrix, multiplier_norm_lower,
                     norm1_lower, norm2, random_admissible_lambda,
@@ -53,9 +53,9 @@ __all__ = [
     "pointwise_product", "random_step_function",
     # shifts
     "ShiftSpec", "apply_shift", "paraproduct", "paraproduct_adjoint",
-    "paraproduct_matrix", "petermichl_shift", "random_extremal_shift",
-    "series_bound", "shift_matrix", "shift_slice", "slice_levels",
-    "slice_bilinear_sides", "symmetrize",
+    "petermichl_shift", "random_extremal_shift", "series_bound",
+    "shift_matrix", "shift_slice", "slice_levels", "slice_bilinear_sides",
+    "symmetrize",
     # schur
     "AlphaSequence", "LambdaMatrix", "equivalence_report", "find_alpha",
     "lambda_matrix", "multiplier_norm_lower", "norm1_lower", "norm2",

@@ -30,8 +30,7 @@ import numpy as np
 from .dyadic import DyadicError, DepthExhaustedError, WindowError
 from .exact import as_exact, from_text, sqrt2_pow, to_text
 from .signal import (StepFunction, _form, _numerators, _Numerators, _one_mode,
-                     _product, _stacked, _synthesized, haar_coeff,
-                     haar_profile)
+                     _product, _stacked, _synthesized, haar_profile)
 
 __all__ = [
     "ShiftSpec",
@@ -45,7 +44,6 @@ __all__ = [
     "symmetrize",
     "slice_bilinear_sides",
     "shift_matrix",
-    "paraproduct_matrix",
     "series_bound",
     "MAX_MATRIX_DIM",
 ]
@@ -130,8 +128,10 @@ class ShiftSpec:
                      validate=True):
         """Wrap key rows already in ascending order without repeats.
 
-        ``validate=False`` is for rows derived from a validated table (its
-        adjoint, symmetrization or slices), which keep every invariant.
+        ``validate=False`` is for rows valid by construction: those of
+        :func:`random_extremal_shift`, and rows derived from a validated
+        table (its adjoint, symmetrization or slices), which keep every
+        invariant.
         """
         shift = cls.__new__(cls)
         shift._init(system, m, n, keys, weights, amplitude, validate)
@@ -319,18 +319,13 @@ def _block_keys(system, m, n):
             f"a ({m}, {n}) shift at depth {system.depth} has {rows} rows "
             f"({rows * _ROW_BYTES} bytes), over the table cap of "
             f"{_MAX_TABLE_BYTES} bytes")
-    if not rows:
-        return np.empty((0, 6), dtype=np.int64)
-    i_off, j_off = np.divmod(np.arange(1 << (m + n)), 1 << n)
-    blocks = []
-    for lev in range(system.depth - max(m, n)):
-        L = np.repeat(np.arange(1 << lev), 1 << (m + n))
-        reps = 1 << lev
-        blocks.append(np.column_stack([
-            np.full_like(L, lev), L,
-            np.full_like(L, lev + m), (L << m) + np.tile(i_off, reps),
-            np.full_like(L, lev + n), (L << n) + np.tile(j_off, reps)]))
-    return np.concatenate(blocks)
+    r = np.arange(rows)
+    heap = (r >> (m + n)) + 1  # L's heap row, 2**level + index
+    lev = np.frexp(heap)[1].astype(np.int64) - 1
+    L = heap - (1 << lev)
+    i_off, j_off = (r >> n) & ((1 << m) - 1), r & ((1 << n) - 1)
+    return np.column_stack([lev, L, lev + m, (L << m) + i_off,
+                            lev + n, (L << n) + j_off])
 
 
 def random_extremal_shift(system, m, n, seed):
@@ -346,7 +341,7 @@ def random_extremal_shift(system, m, n, seed):
     rng = np.random.default_rng(seed)
     signs = 2 * rng.integers(0, 2, size=len(keys)) - 1
     return ShiftSpec._from_arrays(system, m, n, keys, signs,
-                                  sqrt2_pow(-(m + n)))
+                                  sqrt2_pow(-(m + n)), validate=False)
 
 
 def petermichl_shift(system):
@@ -545,72 +540,82 @@ def _check_matrix_dim(system):
 def shift_matrix(shift):
     """Dense leaf-basis matrix; assembled from the coefficient table.
 
-    This is an independent evaluation route from :func:`apply_shift`: the
-    entry ``(L, I, J)`` adds ``c * leaf_width * outer(h_J, h_I)`` built from
-    Haar profiles instead of the jumps of the level means.  All entries of one
-    (L level, I level, J level) group go in as one Kronecker product of
-    their coefficient blocks with that outer product, added onto the
-    diagonal blocks of the L intervals.  The groups go in ascending order,
-    so each matrix element sums its terms in the key order of the table.
+    This is an evaluation route independent of :func:`apply_shift`'s
+    scatter: the entry ``(L, I, J)`` adds ``c * leaf_width * outer(h_J,
+    h_I)``, built from the Haar amplitudes of ``haar_profile`` instead of
+    the jumps of the level means.  On each L block, the term of one
+    (L level, I level, J level) group is ``kron(table[L], [[A, -A], [-A,
+    A]])`` with ``A = amp_J * amp_I``: constant on cells of half a J by half
+    an I.
+
+    The sum is built coarse to fine, in place.  It is held on the finest
+    cells any group so far has needed, one value per cell on the cell's
+    first leaf, starting from one cell; when a group needs finer cells,
+    each value is copied to the first leaves of its sub-cells.  Each group
+    then goes in on the cells of its diagonal L blocks through one strided
+    view, in ascending group order.  So each matrix element sums the same
+    rounded products ``c * leaf_width * (+-A)`` in the key order of the
+    table as when each group added its dense Kronecker product, and the
+    bytes are the same.
     """
     system = shift.system
     _check_matrix_dim(system)
     n, depth = system.n_leaves, system.depth
-    out = np.zeros((n, n))
     scaled = shift._float_values() * float(system.leaf_width)
+    amps = [haar_profile(system, system.interval(lev, 0))[0]
+            for lev in range(depth)]
     keys = shift.keys
+    # one cell of n x n leaves holding 0; the refinements fill the rest
+    out = np.empty((n, n))
+    out[0, 0] = 0.0
+    row_bits = col_bits = depth  # cells of 2**row_bits x 2**col_bits leaves
     for rows, llev, ilev, jlev in _level_groups(shift):
         n_l = 2 ** llev
         d_i, d_j = ilev - llev, jlev - llev
+        term_r, term_c = depth - jlev - 1, depth - ilev - 1
+        row_bits, col_bits = _refine(out, row_bits, col_bits, term_r,
+                                     term_c)
         L = keys[rows, 1]
         table = np.zeros((n_l, 2 ** d_j, 2 ** d_i))
         table[L, keys[rows, 5] - (L << d_j), keys[rows, 3] - (L << d_i)] = \
             scaled[rows]
-        _add_kronecker(out, table, np.outer(_first_profile(system, jlev),
-                                            _first_profile(system, ilev)))
+        amp = amps[jlev] * amps[ilev]
+        term = table[:, :, None, :, None] * np.array([[amp, -amp],
+                                                      [-amp, amp]])[:, None]
+        # (L block, term row, its cells, term column, its cells)
+        cells = out[::2 ** row_bits, ::2 ** col_bits]
+        rep_r, rep_c = 2 ** (term_r - row_bits), 2 ** (term_c - col_bits)
+        step_r, step_c = cells.strides
+        np.lib.stride_tricks.as_strided(
+            cells, shape=(n_l, 2 ** (d_j + 1), rep_r, 2 ** (d_i + 1), rep_c),
+            strides=(cells.shape[0] // n_l * step_r
+                     + cells.shape[1] // n_l * step_c,
+                     rep_r * step_r, step_r, rep_c * step_c, step_c),
+        )[...] += term.reshape(n_l, 2 ** (d_j + 1), 1, 2 ** (d_i + 1), 1)
+    _refine(out, row_bits, col_bits, 0, 0)
     return out
 
 
-def _add_kronecker(out, table, tile):
-    """``out[L block] += kron(table[L], tile)`` on each diagonal block."""
+def _refine(out, row_bits, col_bits, term_r, term_c):
+    """Copy the value on the first leaf of each ``2**row_bits x
+    2**col_bits`` cell of the square ``out`` to the first leaves of its
+    sub-cells of ``2**term_r x 2**term_c`` leaves, where those are finer:
+    columns, then rows, in place.  Returns the bits of the new cells.
+
+    The copies go through ``np.positive``, which copies each float as it
+    is and moves the data in small buffers; an assignment between these
+    views of one array would first copy the whole source aside."""
     n = out.shape[0]
-    n_l = table.shape[0]
-    span, step = n // n_l, out.itemsize
-    diagonal = np.lib.stride_tricks.as_strided(
-        out, shape=(n_l, span, span),
-        strides=(span * (n + 1) * step, n * step, step))
-    # temporaries stay below n x n beside ``out``: a lone block (the root
-    # at complexity 1) scales the tile in place, others go in by J rows
-    if table.size == 1:
-        tile *= table.item()
-        diagonal += tile
-        return
-    height = tile.shape[0]
-    for a in range(table.shape[1]):
-        diagonal[:, a * height:(a + 1) * height] += (
-            table[:, a, None, :, None] * tile[:, None, :]
-        ).reshape(n_l, height, span)
-
-
-def _first_profile(system, lev):
-    """Haar profile of the first interval of ``lev`` over its own leaves."""
-    width = 2 ** (system.depth - lev)
-    return haar_profile(system, system.interval(lev, 0))[:width]
-
-
-def paraproduct_matrix(phi):
-    system = phi.system
-    _check_matrix_dim(system)
-    src = phi.as_float()
-    n = system.n_leaves
-    out = np.zeros((n, n))
-    for iv in system.nonleaf_intervals():
-        coeff = haar_coeff(src, iv)[0]
-        lo, hi = iv.leaf_span
-        prof = haar_profile(system, iv, exact=False)[lo:hi]
-        out[lo:hi, lo:hi] += coeff * np.outer(prof,
-                                              np.full(hi - lo, 1.0 / (hi - lo)))
-    return out
+    fine_r, fine_c = min(row_bits, term_r), min(col_bits, term_c)
+    if fine_c < col_bits:
+        parts = out.reshape(n >> row_bits, 1 << row_bits, n >> col_bits,
+                            1 << (col_bits - fine_c), 1 << fine_c)
+        np.positive(parts[:, 0, :, :1, 0], out=parts[:, 0, :, 1:, 0])
+    if fine_r < row_bits:
+        parts = out.reshape(n >> row_bits, 1 << (row_bits - fine_r),
+                            1 << fine_r, n >> fine_c, 1 << fine_c)
+        np.positive(parts[:, :1, 0, :, 0], out=parts[:, 1:, 0, :, 0])
+    return fine_r, fine_c
 
 
 # -- the complexity series ----------------------------------------------

@@ -15,10 +15,9 @@ from dyadlab.dyadic import (DepthExhaustedError, DyadicError, DyadicSystem,
 from dyadlab.exact import Sqrt2Rational, sqrt2_pow, to_text
 from dyadlab.shifts import (ShiftSpec, apply_shift, is_self_adjoint,
                             paraproduct, paraproduct_adjoint,
-                            paraproduct_matrix, petermichl_shift,
-                            random_extremal_shift, series_bound,
-                            shift_matrix, shift_slice, slice_bilinear_sides,
-                            slice_levels, symmetrize)
+                            petermichl_shift, random_extremal_shift,
+                            series_bound, shift_matrix, shift_slice,
+                            slice_bilinear_sides, slice_levels, symmetrize)
 from dyadlab.signal import (SpaceSpec, StepFunction, average, haar_coeff,
                             haar_expand, haar_profile, lp_norm,
                             pairing_integral, random_step_function)
@@ -87,8 +86,9 @@ def test_extremal_flags_and_depth_guard():
     for shift in (sh, petermichl_shift(sys_)):
         assert all(abs(c) == shift.coefficient_bound
                    for c in shift.entries.values())
-    with pytest.raises(DepthExhaustedError):
+    with pytest.raises(DepthExhaustedError) as info:
         random_extremal_shift(DyadicSystem(depth=1), 1, 1, seed=0)
+    assert str(info.value) == "window depth 1 cannot host complexity 2"
     with pytest.raises(DepthExhaustedError):
         petermichl_shift(DyadicSystem(depth=1))
 
@@ -99,10 +99,45 @@ def test_shift_table_cap_is_checked_before_allocating(monkeypatch, depth, m,
     sys_ = DyadicSystem(depth=depth)
     rows = len(random_extremal_shift(sys_, m, n, seed=0).keys)
     assert rows == shifts._block_rows(depth, m, n)
-    monkeypatch.setattr(shifts, "_MAX_TABLE_BYTES",
-                        rows * shifts._ROW_BYTES - 1)
-    with pytest.raises(DyadicError, match="table cap"):
+    size = rows * shifts._ROW_BYTES
+    monkeypatch.setattr(shifts, "_MAX_TABLE_BYTES", size - 1)
+    with pytest.raises(DyadicError) as info:
         random_extremal_shift(sys_, m, n, seed=0)
+    assert info.type is DyadicError
+    assert str(info.value) == (
+        f"a ({m}, {n}) shift at depth {depth} has {rows} rows ({size} "
+        f"bytes), over the table cap of {size - 1} bytes")
+
+
+def _per_level_block_keys(system, m, n):
+    """Key rows built one L level at a time, with a ``column_stack`` of
+    tiled offsets per level: the reference for ``_block_keys``."""
+    if not shifts._block_rows(system.depth, m, n):
+        return np.empty((0, 6), dtype=np.int64)
+    i_off, j_off = np.divmod(np.arange(1 << (m + n)), 1 << n)
+    blocks = []
+    for lev in range(system.depth - max(m, n)):
+        L = np.repeat(np.arange(1 << lev), 1 << (m + n))
+        reps = 1 << lev
+        blocks.append(np.column_stack([
+            np.full_like(L, lev), L,
+            np.full_like(L, lev + m), (L << m) + np.tile(i_off, reps),
+            np.full_like(L, lev + n), (L << n) + np.tile(j_off, reps)]))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_block_keys_match_per_level_construction(depth):
+    system = DyadicSystem(depth=depth)
+    for m in range(5):
+        for n in range(5):
+            keys = shifts._block_keys(system, m, n)
+            assert keys.dtype == np.int64
+            assert np.array_equal(keys, _per_level_block_keys(system, m, n))
+            # the table checks that random_extremal_shift skips pass
+            ShiftSpec._from_arrays(system, m, n, keys,
+                                   np.ones(len(keys), dtype=np.int64),
+                                   sqrt2_pow(-(m + n)))._validate()
 
 
 def test_shift_table_cap_admits_depth_16_and_refuses_depth_20():
@@ -799,6 +834,23 @@ def test_transform_matrix_route_agrees():
 
 
 # -- paraproducts --------------------------------------------------------
+
+
+def paraproduct_matrix(phi):
+    """Dense leaf-basis matrix of ``f -> paraproduct(phi, f)``, summed
+    interval by interval: ``<phi, h_I>`` times the outer product of the
+    Haar profile of I with the averaging row of I."""
+    system = phi.system
+    src = phi.as_float()
+    n = system.n_leaves
+    out = np.zeros((n, n))
+    for iv in system.nonleaf_intervals():
+        coeff = haar_coeff(src, iv)[0]
+        lo, hi = iv.leaf_span
+        prof = haar_profile(system, iv, exact=False)[lo:hi]
+        out[lo:hi, lo:hi] += coeff * np.outer(
+            prof, np.full(hi - lo, 1.0 / (hi - lo)))
+    return out
 
 
 def test_paraproduct_matrix_route_agrees():
