@@ -268,18 +268,62 @@ SHIFT_NORMS_DEPTH10 = {
 }
 
 
+# the same for the ten depth-8 shapes (ops 0-3, 5-9 and 11)
+SHIFT_NORMS_DEPTH8 = {
+    (0, 1): (1.9697997648782737, 81,
+             "98125c79cc1228972bf7d83c0e0dc3fd"
+             "b6a9ccd4cca840763c1632f4e6f7c8e9"),
+    (1, 3): (1.0600022669980071, 160,
+             "25b148c3700ca2ca0a6c85ad229caf2e"
+             "8ce4489679ba94c6f77e9c6e6ef4fd1c"),
+    (2, 2): (1.4900184876708402, 146,
+             "08c0be7cc38ff18934733a47f17c5aba"
+             "ae22716260862fc8b3864437c9b5d69b"),
+    (3, 5): (0.5910673376042096, 53,
+             "9920285c73170055df07eaa68462b458"
+             "2ccdd58270106c94d0d13a183bb31151"),
+    (5, 3): (1.162848581854642, 89,
+             "32c0a10a52a8966f62a602cb5fbadebb"
+             "f87646cc489d691b7e8e3205eaffa41d"),
+    (6, 4): (0.803300657185744, 73,
+             "b5da69b685c25e8107cdd74bcbd7df43"
+             "58bfac7a15c5c02715a6d376707fe100"),
+    (7, 3): (1.1040733272526855, 120,
+             "ba7074391943e822345518afebf1bfde"
+             "021d9049f4e6c3a7067a37e7497ee972"),
+    (8, 2): (1.4895010316939536, 177,
+             "550268725fbf5b161c1b00ba91eae79a"
+             "b2ed760ec3d731bafe46b1fca1872ab7"),
+    (9, 5): (0.5661302893370661, 109,
+             "508c00ba2c62e02a7fb4fbbbc933fd1d"
+             "a892d0b7b4247b5f04bcfdb0d6579538"),
+    (11, 3): (1.0862789820711936, 162,
+              "746e188ee63e9595e58ec906e5e4b7be"
+              "dae13a7b443b12399bc6b3d5e9dbd1ae"),
+}
+
+
+def _shift_norms_op(op, depth, k):
+    """(lower, iterations, sha256 of the witness) of one seed-100
+    shift-norms op."""
+    shift = random_extremal_shift(sample_system((100, op), depth), k - 1,
+                                  k - 1, seed=(100, op, 1))
+    est = opnorm_lp_lower(shift_matrix(symmetrize(shift)), SpaceSpec(p=4.0),
+                          restarts=3, iters=60, seed=(100, op, 7))
+    return (est.lower, est.iterations,
+            hashlib.sha256(est.witness.tobytes()).hexdigest())
+
+
 @pytest.mark.parametrize("n_threads", [1, 2])
 @pytest.mark.parametrize("case", sorted(SHIFT_NORMS_DEPTH10))
 def test_depth10_shift_norms_are_frozen(monkeypatch, case, n_threads):
     _threaded(monkeypatch, n_threads)
-    op, k = case
-    shift = random_extremal_shift(sample_system((100, op), 10), k - 1, k - 1,
-                                  seed=(100, op, 1))
-    est = opnorm_lp_lower(shift_matrix(symmetrize(shift)), SpaceSpec(p=4.0),
-                          restarts=3, iters=60, seed=(100, op, 7))
-    assert (est.lower, est.iterations,
-            hashlib.sha256(est.witness.tobytes()).hexdigest()) == \
-        SHIFT_NORMS_DEPTH10[case]
+    assert _shift_norms_op(case[0], 10, case[1]) == SHIFT_NORMS_DEPTH10[case]
+
+
+@pytest.mark.parametrize("case", sorted(SHIFT_NORMS_DEPTH8))
+def test_depth8_shift_norms_are_frozen(case):
+    assert _shift_norms_op(case[0], 8, case[1]) == SHIFT_NORMS_DEPTH8[case]
 
 
 # -- operator norms ------------------------------------------------------
