@@ -7,15 +7,19 @@ so no reweighting is needed.
 
 Lower bounds for ``p``-norms come from a nonlinear power iteration that
 alternates the matrix with the duality maps of the mixed norm
-``L^p(l^q)``, with one pass per vector for its norm and duality map; the
-objective is monotone along the iteration and every reported value is
-attained by an explicit witness vector.
+``L^p(l^q)``; the objective is monotone along the iteration and every
+reported value is attained by an explicit witness vector.
 
-The restarts of one estimate are independent.  On a matrix of 2 MiB or
-more, with a one-thread BLAS and two or more usable CPUs, they run on
-plain threads started and joined within the call (the products release the
-GIL); results and errors are merged in start order, so every estimate,
-witness, step count and error is the one the serial loop gives.
+The restarts of one estimate are independent.  On one thread they run in
+lockstep: each step takes one matrix-vector product per running start and
+then one pass over all of them for their norms and duality maps, which
+costs little more than a pass over one.  On a matrix of 2 MiB or more,
+with a one-thread BLAS and two or more usable CPUs, each plain thread
+started and joined within the call claims one start at a time instead (the
+products release the GIL).  Either way a start gets the bytes it gets when
+run alone, and results and errors are merged in start order, so every
+estimate, witness, step count and error is the one of running the starts
+one after another.
 """
 
 from __future__ import annotations
@@ -79,34 +83,58 @@ class NormEstimate:
         return self.upper - self.lower
 
 
-def _norm_dual(v, p, q, d):
-    """Mixed norm ``N = |v|_{p,q}`` and the functional attaining it.
+def _norm_duals(V, p, q, d):
+    """Mixed norms ``N_j = |V_j|_{p,q}`` of the rows of ``V`` and the
+    functionals attaining them: ``(norms, W)``, a list of floats and an
+    array shaped like ``V``.
 
-    One pass over the cell norms gives ``(N, w)`` with ``<w, v> = N`` and
-    ``|w|_{p',q'} = 1``; zero cells map to zero rows.  When the powers leave
-    the float range (``N`` rounds to 0 or inf) on a finite nonzero ``v``, a
-    second pass on ``v / max|v|`` gives ``w``, and its norm times ``max|v|``
-    gives ``N``; otherwise ``w = 0`` unless ``0 < N < inf``.
+    One pass over the cell norms of all rows gives ``W_j`` with ``<W_j,
+    V_j> = N_j`` and ``|W_j|_{p',q'} = 1``; zero cells map to zero entries.
+    Every row gets the bytes, and the floating-point warnings, of a pass
+    over that row alone.  When the powers leave the float range (``N_j``
+    rounds to 0 or inf) on a finite nonzero row, a second pass on ``V_j /
+    max|V_j|`` gives ``W_j``, and its norm times ``max|V_j|`` gives ``N_j``;
+    otherwise ``W_j = 0`` unless ``0 < N_j < inf``.
     """
-    if d > 1:
-        v = v.reshape(-1, d)
-    absv = np.abs(v)
-    u = (absv ** q if d == 1 else (absv ** q).sum(axis=1)) ** (1.0 / q)
-    N = float((u ** p).sum() ** (1.0 / p))
-    if not 0.0 < N < math.inf:
-        top = float(absv.max())  # nan when v holds a nan
-        if 0.0 < top < math.inf:
-            N, w = _norm_dual(v.ravel() / top, p, q, d)
-            return N * top, w
-        return N, np.zeros(v.size)
+    # cells on the last axis
+    X = V.reshape(len(V), V.shape[1] // d, d) if d > 1 else V
+    absv = X if q == 2.0 else np.abs(X)  # x ** 2 is |x| ** 2
+    u = absv ** q
+    u = (u if d == 1 else u.sum(axis=2)) ** (1.0 / q)
+    norms = [s ** (1.0 / p) for s in (u ** p).sum(axis=1).tolist()]
+    good = [j for j, N in enumerate(norms) if 0.0 < N < math.inf]
+    if len(good) < len(V):  # only finite nonzero norms divide here
+        X, absv, u = X[good], absv[good], u[good]
     if p < q:  # u ** (p - q) is infinite on zero cells
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.where(u > 0.0, u ** (p - q), 0.0)
+        factor = np.power(u, p - q, out=np.zeros(u.shape), where=u > 0.0)
     else:
         factor = u ** (p - q)
-    w = ((factor if d == 1 else factor[:, None]) * absv ** (q - 1.0)
-         * np.sign(v) / N ** (p - 1.0))
-    return N, w.ravel()
+    scale = np.array([norms[j] ** (p - 1.0) for j in good])[:, None]
+    if d > 1:
+        factor, scale = factor[..., None], scale[..., None]
+    if q == 2.0:  # |x| ** 1.0 * sign(x) is x, with +0 for -0
+        w = X + 0.0
+    else:
+        w = absv ** (q - 1.0)
+        w *= np.sign(X)
+    w *= factor
+    w /= scale
+    if len(good) == len(V):
+        return norms, w.reshape(V.shape)
+    W = np.zeros(V.shape)
+    W[good] = w.reshape(len(good), V.shape[1])
+    for j in sorted(set(range(len(V))).difference(good)):
+        top = float(np.abs(V[j]).max())  # nan when the row holds a nan
+        if 0.0 < top < math.inf:
+            (N,), W[j:j + 1] = _norm_duals(V[j:j + 1] / top, p, q, d)
+            norms[j] = N * top
+    return norms, W
+
+
+def _norm_dual(v, p, q, d):
+    """``(N, w)`` of :func:`_norm_duals` for one vector ``v``."""
+    (N,), W = _norm_duals(v.reshape(1, -1), p, q, d)
+    return N, W[0]
 
 
 def _start_threads():
@@ -127,59 +155,114 @@ def _start_threads():
         return os.cpu_count() or 1
 
 
-def _power_start(A, x0, p, q, pd, qd, d, iters):
-    """One start of the power iteration: ``(obj, witness, steps, error)``.
+def _power_starts(A, X0, p, q, pd, qd, d, iters):
+    """Starts of the power iteration in lockstep, one per row of ``X0``.
 
-    ``(obj, witness)`` is the first step whose objective is the largest of
-    this start, ``steps`` counts the products ``A @ x`` taken, and ``error``
-    is the exception that stopped the start, or ``None``.
+    Returns ``[obj, witness, steps, error]`` for each start: ``(obj,
+    witness)`` is the first step whose objective is the largest of the
+    start, ``steps`` counts its products ``A @ x`` and ``error`` is the
+    exception that stopped it, or ``None``.  A step takes one product per
+    running start, then one mixed-norm pass over all of them, for ``A`` and
+    then for ``A.T``, so each start gets the bytes it gets when run alone.
+    A start leaves the block when it stalls, reaches zero or fails; once
+    one fails the later ones leave too, since the caller raises the first
+    error in start order.
     """
-    best_val, best_wit, steps = 0.0, None, 0
-    try:
-        nx = _norm_dual(x0, p, q, d)[0]
+    out = [[0.0, None, 0, None] for _ in X0]
+    prev = [-math.inf] * len(X0)
+    rows = list(range(len(X0)))  # the start of each row of the block
+    left = set()  # the rows that leave the block at the next prune
+
+    def fail(t, error):
+        if t not in left:
+            out[rows[t]][3] = error
+            left.update(range(t, len(rows)))
+
+    def prune(V):
+        if not left:
+            return V
+        keep = [t for t in range(len(rows)) if t not in left]
+        rows[:] = [rows[t] for t in keep]
+        left.clear()
+        return V[keep]
+
+    def products(M, V):
+        P = np.empty((len(V), M.shape[0]))
+        for t, v in enumerate(V):
+            try:
+                np.matmul(M, v, out=P[t])
+            except Exception as error:  # raised by the caller, in start order
+                fail(t, error)
+        return P
+
+    def duals(V, p, q):
+        # a block pass that raises is redone row by row, so that the error
+        # goes to the start that raises it
+        try:
+            return _norm_duals(V, p, q, d)
+        except Exception:
+            pass
+        norms, W = [math.nan] * len(V), np.zeros(V.shape)
+        for t in range(len(V)):
+            try:
+                (norms[t],), W[t:t + 1] = _norm_duals(V[t:t + 1], p, q, d)
+            except Exception as error:
+                fail(t, error)
+        return norms, W
+
+    norms, _ = duals(X0, p, q)
+    for t, nx in enumerate(norms):
         if not 0.0 < nx < math.inf:
-            raise DyadicError("a start vector has zero or non-finite norm")
-        x = x0 / nx
-        prev = -math.inf
-        for _ in range(iters):
-            steps += 1
-            y = A @ x
-            obj, w = _norm_dual(y, p, q, d)
+            fail(t, DyadicError("a start vector has zero or non-finite norm"))
+    X = prune(X0 / [[1.0 if t in left else nx] for t, nx in enumerate(norms)])
+    At = A.T
+    for _ in range(iters):
+        if not rows:
+            break
+        for j in rows:
+            out[j][2] += 1
+        objs, W = duals(products(A, X), p, q)
+        for t, obj in enumerate(objs):
+            if t in left:  # failed in its product or pass
+                continue
+            j = rows[t]
             if not math.isfinite(obj):
-                raise DyadicError("power-iteration objective is not finite")
-            if obj < prev - _MONOTONE_SLACK * max(1.0, abs(prev)):
-                raise RuntimeError("power-iteration objective decreased")
-            if obj > best_val or best_wit is None:
-                best_val = obj
-                best_wit = x.copy()
-            if obj == 0.0 or obj - prev <= _STALL_TOL * max(1.0, obj):
-                break
-            prev = obj
-            nz, x = _norm_dual(A.T @ w, pd, qd, d)
-            if nz == 0.0:
-                break
-    except Exception as error:  # raised by the caller, in start order
-        return best_val, best_wit, steps, error
-    return best_val, best_wit, steps, None
+                fail(t, DyadicError("power-iteration objective is not "
+                                    "finite"))
+            elif obj < prev[j] - _MONOTONE_SLACK * max(1.0, abs(prev[j])):
+                fail(t, RuntimeError("power-iteration objective decreased"))
+            else:
+                if obj > out[j][0] or out[j][1] is None:
+                    out[j][:2] = obj, X[t].copy()
+                if obj == 0.0 or obj - prev[j] <= _STALL_TOL * max(1.0, obj):
+                    left.add(t)
+                prev[j] = obj
+        nzs, X = duals(products(At, prune(W)), pd, qd)
+        left.update(t for t, nz in enumerate(nzs) if nz == 0.0)
+        X = prune(X)
+    return out
 
 
-def _run_starts(run, inits, n_threads):
-    """``run(x0)`` for each start, on the caller's thread and
-    ``n_threads - 1`` more.
+def _run_starts(run, X0, n_threads):
+    """``run`` over the starts ``X0``: the result of each start, in order.
 
-    Each thread takes the next unclaimed start, and none takes another once
-    a start has failed; since starts are claimed in order, every start
-    before a failed one still runs.  Extra threads run in a copy of the
-    caller's context, so numpy error states set by the caller hold there
-    too, and all of them are joined before this returns.
+    With one thread, ``run(X0)`` takes every start in one block.  Otherwise
+    the caller's thread and ``n_threads - 1`` more each take the next
+    unclaimed start and run it alone, and none takes another once a start
+    has failed; since starts are claimed in order, every start before a
+    failed one still runs.  Extra threads run in a copy of the caller's
+    context, so numpy error states set by the caller hold there too, and
+    all of them are joined before this returns.
     """
-    results = [None] * len(inits)
+    if n_threads == 1:
+        return run(X0)
+    results = [None] * len(X0)
     order = itertools.count()  # next() hands out each index once
     failed = threading.Event()
 
     def work():
-        while not failed.is_set() and (i := next(order)) < len(inits):
-            results[i] = run(inits[i])
+        while not failed.is_set() and (i := next(order)) < len(X0):
+            results[i] = run(X0[i:i + 1])[0]
             if results[i][3] is not None:
                 failed.set()
 
@@ -211,10 +294,11 @@ def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None):
     Starts are independent.  For a matrix of at least 2 MiB (``n >= 512``)
     with two or more starts, and with the BLAS told to run one thread
     (``OPENBLAS_NUM_THREADS=1`` or the like) on two or more usable CPUs,
-    they run on up to one thread per CPU.  The results are merged in start
-    order and the first error in start order is raised, so the estimate,
-    its witness, the step count and any error are those of running the
-    starts one after another.
+    they run on up to one thread per CPU; otherwise they run in lockstep on
+    the caller's thread.  The results are merged in start order and the
+    first error in start order is raised, so the estimate, its witness,
+    the step count and any error are those of running the starts one after
+    another.
     """
     if restarts + len(starts or []) < 1:
         raise DyadicError("power iteration needs at least one start vector")
@@ -233,13 +317,13 @@ def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None):
         raise DyadicError(f"start vectors must have shape ({n},)")
     inits += [rng.standard_normal(n) for _ in range(restarts - len(inits))]
 
-    def run(x0):
-        return _power_start(A, x0, p, q, pd, qd, d, iters)
+    def run(X0):
+        return _power_starts(A, X0, p, q, pd, qd, d, iters)
 
     n_threads = 1
     if A.nbytes >= _CONCURRENT_MIN_BYTES and len(inits) > 1:
         n_threads = min(_start_threads(), len(inits))
-    results = _run_starts(run, inits, n_threads)
+    results = _run_starts(run, np.array(inits), n_threads)
     best_val = 0.0
     best_wit = None
     total_iters = 0

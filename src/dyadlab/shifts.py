@@ -30,7 +30,7 @@ import numpy as np
 from .dyadic import DyadicError, DepthExhaustedError, WindowError
 from .exact import as_exact, from_text, sqrt2_pow, to_text
 from .signal import (StepFunction, _form, _numerators, _Numerators, _one_mode,
-                     _product, _stacked, _synthesized, haar_profile)
+                     _product, _stacked, _synthesized)
 
 __all__ = [
     "ShiftSpec",
@@ -542,11 +542,11 @@ def shift_matrix(shift):
 
     This is an evaluation route independent of :func:`apply_shift`'s
     scatter: the entry ``(L, I, J)`` adds ``c * leaf_width * outer(h_J,
-    h_I)``, built from the Haar amplitudes of ``haar_profile`` instead of
-    the jumps of the level means.  On each L block, the term of one
-    (L level, I level, J level) group is ``kron(table[L], [[A, -A], [-A,
-    A]])`` with ``A = amp_J * amp_I``: constant on cells of half a J by half
-    an I.
+    h_I)``, built from the Haar amplitudes ``1 / sqrt(|I|)``, rounded as
+    :func:`haar_profile` rounds them, instead of the jumps of the level
+    means.  On each L block, the term of one (L level, I level, J level)
+    group is ``kron(table[L], [[A, -A], [-A, A]])`` with ``A = amp_J *
+    amp_I``: constant on cells of half a J by half an I.
 
     The sum is built coarse to fine, in place.  It is held on the finest
     cells any group so far has needed, one value per cell on the cell's
@@ -562,7 +562,7 @@ def shift_matrix(shift):
     _check_matrix_dim(system)
     n, depth = system.n_leaves, system.depth
     scaled = shift._float_values() * float(system.leaf_width)
-    amps = [haar_profile(system, system.interval(lev, 0))[0]
+    amps = [1.0 / math.sqrt(float(Fraction(2) ** (system.M - lev)))
             for lev in range(depth)]
     keys = shift.keys
     # one cell of n x n leaves holding 0; the refinements fill the rest

@@ -17,7 +17,8 @@ MODULES = ["dyadlab"] + [f"dyadlab.{info.name}"
 ROOT = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "demos", "perfbench")
 # Exported for the test suite, which is their only reader.
-TEST_REFERENCES = {"haar_coeff", "lp_norm", "descendants", "ROOT2"}
+TEST_REFERENCES = {"haar_coeff", "haar_profile", "lp_norm", "descendants",
+                   "ROOT2"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -53,6 +53,20 @@ def test_dual_map_attains_the_norm():
     assert norm == 0.0 and np.all(w == 0.0)
 
 
+@pytest.mark.parametrize("p, q, d", [
+    (4.0, 2.0, 1), (4.0 / 3.0, 2.0, 1), (4.0, 2.0, 2), (3.0, 1.5, 2),
+    (1.5, 3.0, 1),
+])
+def test_dual_map_bytes_match_the_reference(p, q, d):
+    y = np.random.default_rng(72).standard_normal(24)
+    y[::3] = -0.0   # the reference maps both signed zeros to +0
+    y[1::5] = 0.0
+    y[2] = 1e-170   # its square underflows to a zero cell when d = 1
+    norm, w = _norm_dual(y, p, q, d)
+    assert norm == _ref_mixed_norm(y, p, q, d)
+    assert w.tobytes() == _ref_dual_map(y, p, q, d).tobytes()
+
+
 # The power iteration as it ran with one mixed-norm pass per norm and per
 # duality map (four norms per step).  The fused loop must reproduce it bit
 # for bit.
@@ -195,15 +209,16 @@ def _with_inf(A):
     return A
 
 
-@pytest.mark.parametrize("make, zero_at, match", [
+_FIRST_ERROR_CASES = pytest.mark.parametrize("make, zero_at, match", [
     (lambda A: A, 1, "start"),         # a zero start after a valid one
     (_with_inf, None, "not finite"),   # every start fails
     (_with_inf, 1, "not finite"),      # the later zero start fails first
     (_with_inf, 0, "start"),
 ])
-def test_threaded_starts_raise_the_first_error_in_start_order(
-        monkeypatch, make, zero_at, match):
-    used = _threaded(monkeypatch, 2)
+
+
+def _raises_first_error(monkeypatch, n_threads, make, zero_at, match):
+    used = _threaded(monkeypatch, n_threads)
     A = make(_symmetrized(9, 2, seed=64))
     starts = list(np.random.default_rng(65).standard_normal((3, 512)))
     if zero_at is not None:
@@ -213,19 +228,112 @@ def test_threaded_starts_raise_the_first_error_in_start_order(
         opnorm_lp_lower(A, SpaceSpec(p=4.0), restarts=0, iters=60,
                         starts=starts)
     assert threading.active_count() == before
-    assert used == [2]
+    assert used == [n_threads]
+
+
+@_FIRST_ERROR_CASES
+def test_threaded_starts_raise_the_first_error_in_start_order(
+        monkeypatch, make, zero_at, match):
+    _raises_first_error(monkeypatch, 2, make, zero_at, match)
+
+
+@_FIRST_ERROR_CASES
+def test_lockstep_starts_raise_the_first_error_in_start_order(
+        monkeypatch, make, zero_at, match):
+    _raises_first_error(monkeypatch, 1, make, zero_at, match)
+
+
+@pytest.mark.parametrize("zero_first, error, match", [
+    (True, DyadicError, "start"),
+    (False, RuntimeWarning, "overflow"),
+])
+def test_lockstep_starts_charge_a_raising_pass_to_its_start(zero_first,
+                                                           error, match):
+    # a warning raised as an error in the block's pass belongs to the start
+    # whose own pass raises it, so the first error in start order is the
+    # zero start's or the overflow's
+    starts = [np.zeros(4), np.full(4, 1e300)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            opnorm_lp_lower(np.eye(4), SpaceSpec(p=4.0), restarts=0,
+                            starts=starts if zero_first else starts[::-1])
+
+
+def _keeps_error_state(monkeypatch, n_threads, n, restarts):
+    used = _threaded(monkeypatch, n_threads)
+    # the unscaled first pass overflows; the caller silences that, and a
+    # warning left loud in a thread, or one that a pass over one start
+    # would not give, would be raised as an error here
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = opnorm_lp_lower(np.eye(n) * 1e80, SpaceSpec(p=4.0),
+                              restarts=restarts, iters=5)
+    assert est.lower == pytest.approx(1e80, rel=1e-12, abs=0.0)
+    assert used == [n_threads]
 
 
 def test_threaded_starts_keep_the_callers_numpy_error_state(monkeypatch):
-    used = _threaded(monkeypatch, 2)
-    # the unscaled first pass overflows; the caller silences that, and a
-    # warning left loud in a thread would be raised as an error here
+    _keeps_error_state(monkeypatch, 2, n=512, restarts=3)
+
+
+def test_lockstep_starts_keep_the_callers_numpy_error_state(monkeypatch):
+    _keeps_error_state(monkeypatch, 1, n=4, restarts=8)
+
+
+def test_lockstep_starts_with_mixed_fates_match_one_start_per_thread(
+        monkeypatch):
+    A = _symmetrized(9, 2, seed=67)
+    A[:, :8] = 0.0
+    space = SpaceSpec(p=4.0)
+    rng = np.random.default_rng(68)
+    converged = opnorm_lp_lower(A, space, restarts=1, iters=400,
+                                seed=69).witness
+    killed = np.zeros(512)
+    killed[:8] = 1e300
+    # stalls at once; runs to the step cap; reaches zero after the
+    # float-range fallback; runs to the cap after the fallback
+    starts = [converged, rng.standard_normal(512), killed,
+              rng.standard_normal(512) * 1e300]
     with np.errstate(over="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        est = opnorm_lp_lower(np.eye(512) * 1e80, SpaceSpec(p=4.0),
-                              restarts=3, iters=5)
-    assert est.lower == pytest.approx(1e80, rel=1e-12, abs=0.0)
-    assert used == [2]
+        warnings.simplefilter("error")  # no division of a zero row by 0
+        fates = normlab._power_starts(A, np.array(starts), 4.0, 2.0,
+                                      4.0 / 3.0, 2.0, 1, 12)
+        runs = {}
+        for n_threads in (1, len(starts)):
+            used = _threaded(monkeypatch, n_threads)
+            est = opnorm_lp_lower(A, space, restarts=0, iters=12,
+                                  starts=starts)
+            assert used == [n_threads]
+            runs[n_threads] = (est.lower, est.iterations,
+                               est.witness.tobytes())
+    steps = [fate[2] for fate in fates]
+    assert steps[0] < 12 and steps[1:] == [12, 1, 12]
+    assert all(fate[3] is None for fate in fates)
+    assert fates[2][0] == 0.0
+    assert runs[1] == runs[len(starts)]
+    assert runs[1][1] == sum(steps)
+
+
+@pytest.mark.parametrize("p, q, d", [
+    (4.0, 2.0, 1), (4.0 / 3.0, 2.0, 1), (3.0, 1.5, 2), (1.5, 3.0, 2),
+])
+def test_norm_duals_rows_match_one_row_passes(p, q, d):
+    rng = np.random.default_rng(70)
+    V = rng.standard_normal((7, 16))
+    V[1] = 0.0
+    V[2, ::4] = 0.0  # zero cells, and zeros inside cells when d = 2
+    V[2, 1::4] = -0.0
+    V[3] *= 1e300    # the powers overflow: the float-range fallback
+    V[4] *= 1e-300   # the powers underflow
+    V[5, 3] = math.inf
+    V[6, 5] = math.nan
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        norms, W = normlab._norm_duals(V, p, q, d)
+        for j in range(len(V)):
+            (norm,), row = normlab._norm_duals(V[j:j + 1], p, q, d)
+            assert repr(norm) == repr(norms[j])
+            assert row.tobytes() == W[j:j + 1].tobytes()
 
 
 def test_starts_share_threads_only_on_large_matrices(monkeypatch):
@@ -365,8 +473,9 @@ def test_opnorm_lp_decrease_raises(monkeypatch):
     ``python -O`` keeps the check."""
     import dyadlab.normlab as normlab
     norms = iter([1.0, 2.0, 1.0, 1.0])  # start, step 1, dual, step 2
-    monkeypatch.setattr(normlab, "_norm_dual",
-                        lambda v, *args: (next(norms), np.ones(v.size)))
+    monkeypatch.setattr(normlab, "_norm_duals",
+                        lambda V, *args: ([next(norms) for _ in V],
+                                          np.ones(V.shape)))
     with pytest.raises(RuntimeError, match="decreased"):
         opnorm_lp_lower(np.eye(2), SpaceSpec(p=2.0), restarts=1, iters=5)
 
