@@ -54,8 +54,14 @@ MAX_AXIS_POINTS = 65
 # Candidate pairs a swept layer (t >= 2) may evaluate, counted as in a sweep
 # over every centre although each plane sweeps only its nonnegative half.
 _MAX_LAYER_PAIRS = 5_000_000_000
-# Candidate entries per block of the DP sweep, whole rows (256 KiB of floats).
+# A swept layer gathers its (g, G) split ends once, in bands of whole (g, G)
+# centre groups of at most _GATHER_BLOCK entries per array (512 KiB of
+# floats; the two arrays share one buffer per layer), and sweeps each band
+# in blocks of at most _SWEEP_BLOCK candidate entries, whole rows (256 KiB).
+# Both bound memory only: every candidate adds the same values in the same
+# order whatever the cuts, and maxima are exact, so a layer keeps its bytes.
 _SWEEP_BLOCK = 1 << 15
+_GATHER_BLOCK = 2 * _SWEEP_BLOCK
 # Attempts per block of the concavity check.  The samples do not depend on
 # it; larger blocks only raise peak memory.
 _CHECK_CHUNK = 1024
@@ -479,10 +485,7 @@ def _gains(a, c, hf, hg):
 
 def _centre_groups(splits):
     """Concatenate splits sorted by centre: plus ends, minus ends, first
-    offset coordinates, the ``reduceat`` start of each centre and the
-    centres; None when there are no splits."""
-    if not splits:
-        return None
+    offset coordinates and the ``reduceat`` start of each centre."""
     centre = np.concatenate([s[1] for s in splits])
     order = np.argsort(centre, kind="stable")
     centre = centre[order]
@@ -491,7 +494,19 @@ def _centre_groups(splits):
     first = np.repeat([s[0][0] for s in splits],
                       [s[1].size for s in splits])[order]
     starts = np.flatnonzero(np.r_[True, centre[1:] != centre[:-1]])
-    return plus, minus, first, starts, centre[starts]
+    return plus, minus, first, starts
+
+
+def _bands(edges, width):
+    """Pairs ``(k, j)`` that cut the groups ``edges[i]:edges[i + 1]`` into
+    consecutive runs ``edges[k]:edges[j]`` of at most ``width`` entries, or
+    of one group where that group alone is wider."""
+    k = 0
+    while k < edges.size - 1:
+        j = max(k + 1, int(np.searchsorted(edges, edges[k] + width,
+                                           side="right")) - 1)
+        yield k, j
+        k = j
 
 
 class BellmanTable:
@@ -506,6 +521,13 @@ class BellmanTable:
     keeps only the splits centred on its nonnegative half, and one copy
     along the mirror map of its compact ids completes each layer, bit for
     bit as a sweep over every centre would.
+
+    A swept layer gathers the (g, G) split ends of every (f, F) node once,
+    in bands of whole (g, G) centre groups of at most ``_GATHER_BLOCK``
+    entries per array, and each (f, F) centre reads its rows from them.  The
+    bands bound the memory of the gather (1 MiB at any grid size) and keep
+    every bit: each candidate adds the same values in the same order, and
+    maxima are exact.
     """
 
     def __init__(self, config):
@@ -541,11 +563,9 @@ class BellmanTable:
             raise DyadicError(
                 f"grid needs {pairs:.2e} candidate pairs per layer; shrink "
                 "the axes or set max_offset")
-        self._f_positive = _centre_groups(
-            [s for s in f_splits if s[0] > (0, 0)])
+        self._f_swept = _centre_groups(
+            [s for s in f_splits if s[0] >= (0, 0)])
         self._g_all = _centre_groups(g_splits)
-        self._g_positive = _centre_groups(
-            [s for s in g_splits if s[0] > (0, 0)])
         self._nodes = np.ix_(self._f_nodes, self._g_nodes)
         self._mask = (self._feasible_f[:, :, None, None]
                       & self._feasible_g[None, None, :, :])
@@ -584,60 +604,69 @@ class BellmanTable:
         Layer 0 is 0 on every feasible node, so each candidate of a sweep
         from it is its gain alone, which grows with ``|a|`` and ``|c|``
         (every rounding step is monotone): the best split of a node pair
-        pairs the largest ``a`` among the (f, F) splits of its row (0 when
-        it has none after (0, 0), all of which have ``a >= 0``) with the
-        largest ``|c|`` among the (g, G) splits of its column."""
-        amax = np.zeros(self._f_nodes.size, dtype=np.intp)
-        if self._f_positive is not None:
-            _, _, first, starts, rows = self._f_positive
-            amax[rows] = np.maximum.reduceat(first, starts)
+        pairs the largest ``a`` among the (f, F) splits of its row from
+        (0, 0) on, all of which have ``a >= 0``, with the largest ``|c|``
+        among the (g, G) splits of its column."""
         # every feasible node centres the zero split, so there is one group
         # per swept node
-        _, _, first, starts, cols = self._g_all
+        _, _, first, starts = self._f_swept
+        amax = np.zeros(self._f_nodes.size, dtype=np.intp)
+        amax[self._f_mirror.size:] = np.maximum.reduceat(first, starts)
+        _, _, first, starts = self._g_all
         cmax = np.zeros(self._g_nodes.size, dtype=np.intp)
-        cmax[cols] = np.maximum.reduceat(np.abs(first), starts)
+        cmax[self._g_mirror.size:] = np.maximum.reduceat(np.abs(first), starts)
         return _gains(amax[:, None], cmax, *self.steps[::2])
 
     def _dp_layer(self, B):
         """Layer ``t + 1`` from layer ``t = B`` (``t >= 1``) on the compact
         matrix of feasible nodes, rows in the (f, F) plane: each swept node
         keeps its value or takes its best split with feasible ends, the mean
-        of the end values plus the gain.  The (f, F) offset (0, 0) pairs
-        with the positive (g, G) offsets in blocks of rows; each (f, F)
-        centre takes a column maximum over its other splits against every
-        (g, G) split, then over each (g, G) centre's group, into its row."""
+        of the end values plus the gain.
+
+        Each swept (f, F) centre pairs its splits from the offset (0, 0) on
+        with every (g, G) split: a column maximum over its splits, then one
+        over each (g, G) centre's group, into its row.  The pairs of (0, 0)
+        with (0, 0) and with the negative (g, G) offsets bring nothing new:
+        the first adds a node's half to itself, its own value, and each of
+        the others is the candidate of the mirror offset with the two halves
+        added in the other order.
+
+        The (g, G) split ends ``H[:, vp]`` and ``H[:, vm]`` are gathered once
+        per layer, in bands of whole (g, G) centre groups of at most
+        ``_GATHER_BLOCK`` entries per array, into one buffer that every band
+        reuses, and each centre reads its rows from them.  Every candidate
+        adds the same halves and gain in the same order as a gather per
+        centre would, and maxima are exact, so the bands keep every bit."""
         out = B.reshape(self._feasible_f.size, -1)[self._nodes]
         H = out * 0.5  # exact: BellmanConfig keeps the halves normal
-        if self._g_positive is not None:
-            vp, vm, _, starts, cols = self._g_positive
-            step = max(1, _SWEEP_BLOCK // vp.size)
-            for s in range(self._f_mirror.size, self._f_nodes.size, step):
-                rows, block = H[s:s + step], out[s:s + step]
-                cand = np.take(rows, vp, axis=1)
-                cand += np.take(rows, vm, axis=1)
-                block[:, cols] = np.maximum(
-                    block[:, cols], np.maximum.reduceat(cand, starts, axis=1))
-        if self._f_positive is None:
-            return out
-        plus, minus, first, fstarts, centres = self._f_positive
-        vp, vm, vc, starts, _ = self._g_all
-        step = max(1, _SWEEP_BLOCK // vp.size)
-        g0, top = self._g_mirror.size, first.max() + 1
-        # the gains of up to `step` values of a (one block) at a time, and
-        # the rows of each centre in that band
-        for a0 in range(0, top, step):
-            a1 = min(a0 + step, top)
-            gains = _gains(np.arange(a0, a1)[:, None], vc, *self.steps[::2])
-            lo, hi = ((fstarts + np.add.reduceat(first < a, fstarts)).tolist()
-                      for a in (a0, a1))
-            for centre, s0, e in zip(centres.tolist(), lo, hi):
-                row = out[centre, g0:]
+        n = H.shape[0]
+        plus, minus, first, fstarts = self._f_swept
+        vp, vm, vc, starts = self._g_all
+        g0 = self._g_mirror.size
+        a = np.arange(first.max() + 1)[:, None]
+        spans = list(enumerate(zip(fstarts.tolist(),
+                                   fstarts[1:].tolist() + [plus.size]),
+                               self._f_mirror.size))
+        edges = np.append(starts, vp.size)
+        bands = list(_bands(edges, _GATHER_BLOCK // n))
+        ends = np.empty((2, n * max(edges[j] - edges[k] for k, j in bands)))
+        for k, j in bands:
+            c0, c1 = edges[k], edges[j]
+            Hp, Hm = ends[:, :n * (c1 - c0)].reshape(2, n, -1)
+            # "clip" writes straight into the buffer; every id is in range
+            np.take(H, vp[c0:c1], axis=1, out=Hp, mode="clip")
+            np.take(H, vm[c0:c1], axis=1, out=Hm, mode="clip")
+            gains = _gains(a, vc[c0:c1], *self.steps[::2])
+            groups = starts[k:j] - c0
+            step = max(1, _SWEEP_BLOCK // (c1 - c0))
+            for centre, (s0, e) in spans:
+                row = out[centre, g0 + k:g0 + j]
                 for s in range(s0, e, step):
                     s1 = min(s + step, e)
-                    cand = np.take(H[plus[s:s1]], vp, axis=1)
-                    cand += np.take(H[minus[s:s1]], vm, axis=1)
-                    cand += gains[first[s:s1] - a0]
-                    best = np.maximum.reduceat(cand.max(axis=0), starts)
+                    cand = Hp[plus[s:s1]]
+                    cand += Hm[minus[s:s1]]
+                    cand += gains[first[s:s1]]
+                    best = np.maximum.reduceat(cand.max(axis=0), groups)
                     np.maximum(row, best, out=row)
         return out
 
@@ -748,9 +777,10 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
     so a split the DP missed shows as a negative slack, and no other does.
 
     Snapped mode: ``f0, g0, F0, G0, df, dF, dg, dG`` are uniform, in this
-    order, on the boxes kept two grid steps inside the grid, and the
-    three states ``centre``, ``centre +- step`` are snapped to the nearest
-    grid nodes; an attempt is rejected when a real state is outside the
+    order, on the boxes kept two grid steps inside the grid (a grid with
+    3 points on a mean axis or 2 on a power axis has none, and is refused),
+    and the three states ``centre``, ``centre +- step`` are snapped to the
+    nearest grid nodes; an attempt is rejected when a real state is outside the
     domain or a snapped one is infeasible.  Snapped real pairs pick up
     discretisation error: a sub-grid offset can vanish under snapping while
     its true gain survives (up to ``16 h_f h_g`` for the sampled offsets),
@@ -771,6 +801,11 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
         hi = np.array([cfg.f_max - 2 * hf, cfg.g_max - 2 * hg,
                        cfg.F_max - 2 * hF, cfg.G_max - 2 * hG,
                        2 * hf, 2 * hF, 2 * hg, 2 * hG])
+        for name, low, high in zip(("n_f", "n_g", "n_F", "n_G"), lo, hi):
+            if low > high:
+                raise DyadicError(
+                    f"snapped check: {name} = {getattr(cfg, name)} leaves "
+                    "no centres two grid steps inside the axis")
     min_slack = math.inf
     n_eval = 0
     attempts = 0

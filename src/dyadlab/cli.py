@@ -534,6 +534,8 @@ def _merge_options(args):
         given = getattr(args, name)
         if given is not None:
             merged[name] = given
+    if merged.get("seed", 0) < 0:
+        raise UsageError(f"seed must be at least 0, got {merged['seed']}")
     return merged
 
 

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -459,6 +460,15 @@ REFERENCE_SHA256 = [
 ]
 
 
+# sha256 of layers 0..3 of the 13-point tables at p = 2, 3, 3/2 (the
+# largest ones the benchmark builds), recorded with every layer swept
+BENCHMARK_SHA256 = {
+    2.0: "95bd1366352cba9205ec417840a6d543186f38a62a2705493f83f33977f20348",
+    3.0: "7eab36eefd88229725db7701c8ac6e88558b76c79ca8a1b5b6191dd0c9a27889",
+    1.5: "9e458882eb9fb33a5d8af772fe6e7358ca6d5506f95fd205586ea92353897b3b",
+}
+
+
 def layer_digest(table):
     """sha256 of the bytes of layers 0..3."""
     digest = hashlib.sha256()
@@ -474,17 +484,85 @@ def test_reference_table_bytes_are_frozen(kwargs, hexdigest):
     assert layer_digest(BellmanTable(BellmanConfig(**kwargs))) == hexdigest
 
 
-@pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS, ids=REFERENCE_IDS)
-def test_dp_layers_match_reference_loop(kwargs):
-    """Layer 1 (closed form) and layers 2, 3 (swept) against the loop."""
-    cfg = BellmanConfig(**kwargs)
-    table = BellmanTable(cfg)
+def assert_layers_match_reference_loop(table):
     hf, hg = table.steps[0], table.steps[2]
     ref = table.layer(0)
     for t in (1, 2, 3):
-        ref = reference_layer(ref, hf, hg, cfg.max_offset)
+        ref = reference_layer(ref, hf, hg, table.config.max_offset)
         ref[~table._mask] = -np.inf
         assert table.layer(t).tobytes() == ref.tobytes(), t
+
+
+@pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS, ids=REFERENCE_IDS)
+def test_dp_layers_match_reference_loop(kwargs):
+    """Layer 1 (closed form) and layers 2, 3 (swept) against the loop."""
+    assert_layers_match_reference_loop(BellmanTable(BellmanConfig(**kwargs)))
+
+
+def test_bands_cut_whole_groups_within_the_width():
+    """Consecutive runs of whole groups that cover every group; a run is
+    at most ``width`` entries wide unless it is one wider group."""
+    edges = np.array([0, 3, 4, 9, 10, 11, 19, 20])
+    for width in range(25):
+        bands = list(bellman._bands(edges, width))
+        assert [k for k, _ in bands] == [0] + [j for _, j in bands[:-1]]
+        assert bands[-1][1] == edges.size - 1
+        for k, j in bands:
+            assert j == k + 1 or edges[j] - edges[k] <= width
+            # no room for the next group
+            if j < edges.size - 1:
+                assert edges[j + 1] - edges[k] > width
+
+
+# every table of the reference loop and the 13-point benchmark tables, with
+# the sha256 pins of their layers 0..3
+BAND_CASES = (list(zip(REFERENCE_CONFIGS, REFERENCE_SHA256))
+              + [(dict(p=p, n_f=13, n_F=13, n_g=13, n_G=13), hexdigest)
+                 for p, hexdigest in BENCHMARK_SHA256.items()])
+BAND_IDS = REFERENCE_IDS + [f"13-p{p:g}" for p in BENCHMARK_SHA256]
+
+
+@pytest.mark.parametrize("budget", ["one-group", "widest-group"])
+@pytest.mark.parametrize("kwargs, hexdigest", BAND_CASES, ids=BAND_IDS)
+def test_narrow_gather_bands_keep_every_byte(monkeypatch, kwargs, hexdigest,
+                                             budget):
+    """Layers swept with the (g, G) split ends gathered one centre group
+    per band, or in bands at the smallest budget that holds the widest
+    group, match the pins and the reference loop byte for byte, so the
+    multi-band path is covered on grids that fit in one band."""
+    table = BellmanTable(BellmanConfig(**kwargs))
+    vp, _, _, starts = table._g_all
+    widest = int(np.diff(np.append(starts, vp.size)).max())
+    size = 1 if budget == "one-group" else table._f_nodes.size * widest
+    monkeypatch.setattr(bellman, "_GATHER_BLOCK", size)
+    assert layer_digest(table) == hexdigest
+    if kwargs["n_f"] < 13:
+        assert_layers_match_reference_loop(table)
+
+
+# tracemalloc peaks of the builds below when every (f, F) centre gathered
+# all (g, G) split ends for itself (the sweep before the banded gather)
+PER_CENTRE_GATHER_PEAK_MIB = {"21-points": 6.27, "criterion-4": 3.64}
+
+
+@pytest.mark.parametrize("name, kwargs, depth", [
+    ("21-points", dict(n_f=21, n_F=21, n_g=21, n_G=21), 2),
+    ("criterion-4", dict(p=2.0, f_max=4.0, F_max=16.0, g_max=4.0,
+                         G_max=16.0), 3),
+])
+def test_banded_gather_memory_stays_within_its_budget(name, kwargs, depth):
+    """An unbounded per-layer gather would take 46 MiB more at 21 points
+    and 13 MiB more on the 17-point criterion-4 grid; the bands keep the
+    peak within 1 MiB, the budget of the two gathered arrays, of the old
+    one."""
+    table = BellmanTable(BellmanConfig(**kwargs))
+    tracemalloc.start()
+    try:
+        table.layer(depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (PER_CENTRE_GATHER_PEAK_MIB[name] + 1.0) * 2 ** 20
 
 
 # index expressions that flip f and that flip g
@@ -756,14 +834,7 @@ def grid_tables():
 
 
 def test_benchmark_table_bytes_are_frozen(grid_tables):
-    """sha256 of layers 0..3 of the 13-point tables at p = 2, 3, 3/2 (the
-    largest ones the benchmark builds), recorded with every layer swept."""
-    want = {
-        2.0: "95bd1366352cba9205ec417840a6d543186f38a62a2705493f83f33977f20348",
-        3.0: "7eab36eefd88229725db7701c8ac6e88558b76c79ca8a1b5b6191dd0c9a27889",
-        1.5: "9e458882eb9fb33a5d8af772fe6e7358ca6d5506f95fd205586ea92353897b3b",
-    }
-    for p, hexdigest in want.items():
+    for p, hexdigest in BENCHMARK_SHA256.items():
         assert layer_digest(grid_tables[13, p]) == hexdigest, p
 
 
@@ -843,6 +914,20 @@ def test_concavity_check_on_even_power_axes():
         rep = concavity_gain_check(table, 1, n_samples=200, seed=seed)
         assert rep["n_evaluated"] == 200
         assert rep["min_slack"] >= 0.0
+
+
+@pytest.mark.parametrize("axis, kwargs", [
+    ("n_f", dict(n_f=3)), ("n_F", dict(n_F=2)), ("n_g", dict(n_g=3)),
+    ("n_G", dict(n_G=2)), ("n_f", dict(n_f=3, n_F=3, n_g=3, n_G=3)),
+])
+def test_snapped_check_refuses_grids_without_inner_centres(axis, kwargs):
+    """Two grid steps inside a 3-point mean axis or a 2-point power axis
+    leave an empty box, whose bounds numpy's ``uniform`` once refused with
+    ``high - low < 0``; grid mode still runs."""
+    table = BellmanTable(BellmanConfig(**kwargs))
+    with pytest.raises(DyadicError, match=f"snapped check: {axis} = "):
+        concavity_gain_check(table, 1, snapped=True)
+    assert concavity_gain_check(table, 1)["min_slack"] >= 0.0
 
 
 def test_concavity_check_rejects_vacuous_sample_counts():

@@ -133,6 +133,25 @@ def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch,
     assert "dyadlab: error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", [
+    name for name, (_, _, options) in cli._COMMANDS.items()
+    if any(option[0] == "seed" for option in options)])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, source):
+    """A negative seed once reached ``SeedSequence``, whose ValueError
+    ended the run with a traceback."""
+    if source == "flag":
+        argv = ("--seed", "-1")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        argv = ("--config", str(cfg))
+    assert run(tmp_path, command, *argv) == 1
+    assert ("dyadlab: error: seed must be at least 0, got -1"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.json"))
+
+
 # -- config files --------------------------------------------------------
 
 
@@ -288,6 +307,16 @@ def test_bellman_check_passes_with_frozen_values(tmp_path):
     assert report["frozen"]["depth1_value"] == 4.0
     assert report["frozen"]["dirac_value"] == 0.0
     assert report["grid_min_slack"] >= 0.0
+
+
+def test_bellman_check_refuses_grids_without_snapped_centres(tmp_path,
+                                                             capsys):
+    """With 3 points per axis the snapped check once died in numpy
+    (``high - low < 0``)."""
+    assert run(tmp_path, "bellman-check", "--n", "3") == 1
+    assert ("dyadlab: error: snapped check: n_f = 3 leaves no centres"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "bellman_check.json").exists()
 
 
 @pytest.mark.parametrize("argv", [("--f-max", "3"),
