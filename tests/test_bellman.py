@@ -555,10 +555,9 @@ def test_banded_gather_memory_stays_within_its_budget(name, kwargs, depth):
     and 13 MiB more on the 17-point criterion-4 grid; the bands keep the
     peak within 1 MiB, the budget of the two gathered arrays, of the old
     one."""
-    table = BellmanTable(BellmanConfig(**kwargs))
     tracemalloc.start()
     try:
-        table.layer(depth)
+        BellmanTable(BellmanConfig(**kwargs)).layer(depth)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
