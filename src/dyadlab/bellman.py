@@ -786,7 +786,9 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
     its true gain survives (up to ``16 h_f h_g`` for the sampled offsets),
     and the snapped states can straddle one grid step of table variation
     (about ``4 h_f g_max + 4 h_g f_max``).  The report carries this
-    ``allowance``; snapped slacks are expected above its negative.
+    ``allowance``; snapped slacks are expected above its negative.  A run
+    in which no attempt is accepted checks nothing and raises
+    ``DyadicError``.
     """
     if n_samples < 1:
         raise DyadicError(f"n_samples must be at least 1, got {n_samples}")
@@ -839,10 +841,14 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
             slack = vmid[rows] - (0.5 * (vp[rows] + vm[rows]) + gain[rows])
             min_slack = min(min_slack, float(slack.min()))
             n_eval += rows.size
+    if not n_eval:
+        raise DyadicError(
+            f"{'snapped' if snapped else 'grid'} check: none of {attempts} "
+            "attempts drew a feasible split")
     allowance = 0.0
     if snapped:
-        allowance = (16.0 * hf * hg
-                     + 4.0 * (hf * cfg.g_max + hg * cfg.f_max))
+        allowance = float(16.0 * hf * hg
+                          + 4.0 * (hf * cfg.g_max + hg * cfg.f_max))
     return {"min_slack": min_slack, "n_evaluated": n_eval,
             "snapped": snapped, "t": t, "allowance": allowance}
 

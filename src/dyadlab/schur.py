@@ -241,6 +241,19 @@ def _matrix_size(k):
     return 2 ** k
 
 
+def _float_matrix(lam):
+    """The float entries of a ``LambdaMatrix``, or a raw array as a square
+    float matrix with finite entries (``ValueError`` otherwise)."""
+    if isinstance(lam, LambdaMatrix):
+        return lam.as_float()
+    A = np.asarray(lam, float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("entries must be finite")
+    return A
+
+
 # -- norm2: bilinear sign-box sup ---------------------------------------
 
 
@@ -260,7 +273,7 @@ def norm2_report(lam, seed=0):
     alternating search from ``_NORM2_RESTARTS`` random sign vectors reports
     a certified lower bound.
     """
-    A = lam.as_float() if isinstance(lam, LambdaMatrix) else np.asarray(lam, float)
+    A = _float_matrix(lam)
     n = A.shape[0]
     if n <= _ENUM_MAX:
         signs = _sign_vectors(n)
@@ -327,28 +340,79 @@ def _balanced_vertices(n, cap=0.25):
 
 
 @functools.lru_cache(maxsize=_FACE_MAX + 1)
+def _triples(n):
+    """The 3-subsets of ``range(n)`` in combinations order, as rows;
+    read-only, cached per size."""
+    out = np.array(list(itertools.combinations(range(n), 3)),
+                   np.intp).reshape(-1, 3)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=_FACE_MAX + 1)
 def _face_index(n):
     """Faces of the ``n``-dimensional box, grouped by the number ``m`` of free
     coordinates: per ``m``, the free sets ``S`` and fixed sets ``T`` as rows,
-    every sign pattern on ``T``, and the flat indices of the blocks ``A_SS``
-    and ``A_ST`` of an ``n x n`` matrix.  Read-only; cached per size."""
+    every sign pattern on ``T``, the flat indices of the blocks ``A_SS`` and
+    ``A_ST`` of an ``n x n`` matrix, and the ids (rows of ``_triples(n)``) of
+    the 3-subsets of each ``S``, none for ``m < 3``.  Read-only; cached per
+    size."""
+    triple_id = {t: i for i, t in enumerate(map(tuple, _triples(n).tolist()))}
     out = []
     for m in range(n + 1):
         free = np.array(list(itertools.combinations(range(n), m)), np.intp)
         fixed = np.array([[i for i in range(n) if i not in row]
                           for row in free.tolist()], np.intp)
         signs = np.array(list(itertools.product((1.0, -1.0), repeat=n - m)))
+        triples = np.array([[triple_id[t] for t in
+                             itertools.combinations(row, 3)]
+                            for row in free.tolist()],
+                           np.intp).reshape(len(free), math.comb(m, 3))
         face = (free, fixed, signs, n * free[:, :, None] + free[:, None, :],
-                n * free[:, :, None] + fixed[:, None, :])
+                n * free[:, :, None] + fixed[:, None, :], triples)
         for arr in face:
             arr.flags.writeable = False
         out.append(face)
     return tuple(out)
 
 
+# above the rounding bound 384 * 2**-53 derived in _indefinite_triples
+_DET_MARGIN = 256 * np.finfo(float).eps
+
+
+def _indefinite_triples(A):
+    """Per row ``(i, j, k)`` of ``_triples(n)``: whether ``alpha^T A alpha``
+    is certified indefinite on ``{z : supp z in {i, j, k}, sum z = 0}``.
+
+    The Gram matrix of the symmetric part ``B`` on the basis ``e_i - e_k,
+    e_j - e_k`` has entries ``a = B_ii - 2 B_ik + B_kk``, ``c = B_jj - 2 B_jk +
+    B_kk`` and ``b = B_ij - B_ik - B_jk + B_kk``, and the plane is indefinite
+    when ``ac - b^2 < 0``.  ``B`` is scaled by ``1 / max|A|``, which keeps the
+    sign and brings every entry to ``|B_ij| <= 1``, so ``|a|, |b|, |c| <= 4``.
+    With ``u = 2**-53`` each scaled entry is off by at most ``2u`` relative,
+    so ``a`` and ``c`` (two additions) by at most ``16u`` and ``b`` (three)
+    by ``20u``; the two products and the difference add
+    ``16u + 16u + 32u``, and ``|ac - b^2|`` picks up ``4 * 16u + 4 * 16u +
+    8 * 20u``: below ``384u`` in all, so a computed determinant under
+    ``-_DET_MARGIN = -512u`` is negative for ``A`` itself.  Underflowed
+    entries are off by at most ``2**-1075``, which the margin also covers.
+    """
+    trip = _triples(A.shape[0])
+    scale = float(np.abs(A).max()) if len(trip) else 0.0
+    if scale == 0.0:
+        return np.zeros(len(trip), bool)
+    B = (A + A.T) / (2.0 * scale)
+    i, j, k = trip.T
+    bkk = B[k, k]
+    a = B[i, i] - 2.0 * B[i, k] + bkk
+    c = B[j, j] - 2.0 * B[j, k] + bkk
+    b = B[i, j] - B[i, k] - B[j, k] + bkk
+    return a * c - b * b < -_DET_MARGIN
+
+
 def _face_candidates(A, cap=0.25):
     """Feasible stationary points of ``alpha^T A alpha`` on every face of the
-    balanced box, as rows.
+    balanced box that can hold its maximum or minimum, as rows.
 
     A face fixes ``alpha_T = +-cap`` and leaves ``S`` free; its stationary
     points solve the KKT system
@@ -360,11 +424,29 @@ def _face_candidates(A, cap=0.25):
     smaller face.  Only points whose free coordinates stay in the box up to
     rounding (the fixed ones are exactly +-cap) become rows, in (free set,
     sign) order; they are clipped into the box and dropped when unbalanced.
+
+    A face whose ``S`` holds a triple on which the quadratic is certified
+    indefinite (:func:`_indefinite_triples`) takes no solve: that plane lies
+    in the face's tangent space ``{z : supp z in S, sum z = 0}``, so every
+    stationary point inside the face is a saddle of ``alpha^T A alpha``,
+    strictly below its maximum and above its minimum.  So in exact
+    arithmetic a maximiser of ``|alpha^T A alpha|`` lies inside a face that
+    is solved, and a skipped row on the boundary of its face is a point of a
+    smaller face, which comes earlier in row order.  The faces that are
+    solved keep their order and arithmetic, so the first maximiser, the pick
+    of ``norm1_lower``, keeps its bytes; the tests compare it bit for bit
+    with the enumeration that solves every face.
     """
     n, flat = A.shape[0], A.ravel()
     faces = _face_index(n)
+    indefinite = _indefinite_triples(A)
     out = [cap * faces[0][2]]  # m = 0: the vertices
-    for free, fixed, signs, ss, st in faces[1:]:
+    for free, fixed, signs, ss, st, triples in faces[1:]:
+        if triples.size:
+            keep = np.flatnonzero(~indefinite[triples].any(axis=1))
+            if not keep.size:
+                break  # every larger S contains one of these
+            free, fixed, ss, st = free[keep], fixed[keep], ss[keep], st[keep]
         count, m = free.shape
         alpha_t = cap * signs
         kkt = np.zeros((count, m + 1, m + 1))
@@ -441,10 +523,16 @@ def norm1_lower(lam, restarts=32, iters=400, seed=0):
     up to 8 it is the maximum itself (up to rounding), found by enumerating
     the stationary points of every face (``method`` ``"face_enumeration"``):
     a quadratic attains its maximum over a polytope at a stationary point
-    inside some face.  ``restarts``, ``iters`` and ``seed`` steer the
-    projected-gradient ascent that is used only above size 8.
+    inside some face.  Faces on which the quadratic is certified indefinite
+    on some triple of free coordinates (a 2 x 2 Gram determinant below
+    ``-_DET_MARGIN`` after scaling to ``max|A| = 1``, beyond what rounding
+    can reach) hold only saddles and take no solve; the pick is the one
+    the full enumeration makes, bit for bit (see ``_face_candidates``).
+    ``restarts``, ``iters`` and ``seed`` steer the projected-gradient ascent
+    that is used only above size 8.  A raw array must be square with finite
+    entries (``ValueError`` otherwise).
     """
-    A = lam.as_float() if isinstance(lam, LambdaMatrix) else np.asarray(lam, float)
+    A = _float_matrix(lam)
     if A.shape[0] > _FACE_MAX:
         return _norm1_search(A, restarts, iters, seed)
     value, alpha = _best_quadratic(_face_candidates(A), A)

@@ -931,6 +931,20 @@ def test_snapped_check_refuses_grids_without_inner_centres(axis, kwargs):
     assert concavity_gain_check(table, 1)["min_slack"] >= 0.0
 
 
+def test_concavity_check_refuses_a_run_that_evaluates_nothing(grid_tables):
+    """A 3-point power axis pins the snapped centre to F0 = 0 and G0 = 0,
+    so one of F0 +- dF is negative and every snapped draw leaves the
+    domain; grid mode still evaluates.  ``allowance`` is a Python float."""
+    table = BellmanTable(BellmanConfig(n_f=5, n_F=3, n_g=5, n_G=3))
+    with pytest.raises(DyadicError,
+                       match="snapped check: none of 1000 attempts"):
+        concavity_gain_check(table, 1, n_samples=5, snapped=True)
+    rep = concavity_gain_check(table, 1, n_samples=5)
+    assert rep["n_evaluated"] == 5 and type(rep["allowance"]) is float
+    rep = concavity_gain_check(grid_tables[9, 2.0], 1, snapped=True)
+    assert rep["n_evaluated"] == 200 and type(rep["allowance"]) is float
+
+
 def test_concavity_check_rejects_vacuous_sample_counts():
     table = BellmanTable(BellmanConfig(n_f=5, n_F=5, n_g=5, n_G=5))
     for n_samples in (0, -1):

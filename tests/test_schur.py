@@ -227,11 +227,11 @@ def _assert_feasible_witness(val, rep, A):
     assert abs(abs(alpha @ A @ alpha) - val) <= 1e-12 * val
 
 
-def _tree_lambdas(seed, k_values=(1, 2, 3), exact=False):
+def _tree_lambdas(seed, k_values=(1, 2, 3), exact=False, d=1):
     system = sample_system(seed, depth=3)
-    f = random_step_function(system, seed=(seed, 1), exact=exact)
-    g = random_step_function(system, seed=(seed, 2), exact=exact)
-    tree = tree_from_functions(f, g, SpaceSpec(p=2.0))
+    f = random_step_function(system, seed=(seed, 1), d=d, exact=exact)
+    g = random_step_function(system, seed=(seed, 2), d=d, exact=exact)
+    tree = tree_from_functions(f, g, SpaceSpec(p=2.0, d=d))
     return [lambda_matrix(tree, k) for k in k_values]
 
 
@@ -322,6 +322,185 @@ def test_balanced_vertices_are_cached_read_only():
             want.append(v)
         assert verts.shape == (math.comb(n, n // 2), n)
         assert verts.tobytes() == np.stack(want).tobytes()
+
+
+def _full_face_rows(A, cap=0.25):
+    """The enumeration that solves every face: the reference for the
+    indefinite-triple skip of ``_face_candidates``.  Returns the candidate
+    rows, built with the same arithmetic, and each row's free set."""
+    n, flat = A.shape[0], A.ravel()
+    out, frees = [], []
+    for m in range(n + 1):
+        free = np.array(list(itertools.combinations(range(n), m)), np.intp)
+        fixed = np.array([[i for i in range(n) if i not in row]
+                          for row in free.tolist()], np.intp)
+        alpha_t = cap * np.array(list(itertools.product((1.0, -1.0),
+                                                        repeat=n - m)))
+        if m == 0:
+            out.append(alpha_t)
+            frees += [()] * len(alpha_t)
+            continue
+        count = len(free)
+        kkt = np.zeros((count, m + 1, m + 1))
+        kkt[:, :m, :m] = 2.0 * flat[n * free[:, :, None] + free[:, None, :]]
+        kkt[:, :m, m] = -1.0
+        kkt[:, m, :m] = 1.0
+        rhs = np.empty((count, m + 1, len(alpha_t)))
+        rhs[:, :m] = -2.0 * flat[n * free[:, :, None]
+                                 + fixed[:, None, :]] @ alpha_t.T
+        rhs[:, m] = -alpha_t.sum(axis=1)
+        sol = (np.linalg.pinv(kkt) @ rhs)[:, :m]
+        face, sign = np.nonzero((np.abs(sol) <= cap + 1e-13).all(axis=1))
+        vecs = np.empty((len(face), n))
+        rows = np.arange(len(face))[:, None]
+        vecs[rows, free[face]] = sol[face, :, sign]
+        vecs[rows, fixed[face]] = alpha_t[sign]
+        out.append(vecs)
+        frees += [tuple(free[f]) for f in face.tolist()]
+    vecs = np.clip(np.concatenate(out), -cap, cap)
+    keep = np.abs(vecs.sum(axis=1)) <= 1e-12
+    return vecs[keep], [s for s, ok in zip(frees, keep) if ok]
+
+
+def _skip_cases():
+    """Exact and float tree matrices (d = 1 and 2), random admissible ones,
+    random symmetric ones of sizes 1, 3, 5, 6, 7, non-contiguous views and
+    the zero and rank-one matrices: 324 in all."""
+    lams = [lam for t in range(20) for exact in (True, False)
+            for lam in _tree_lambdas((88, t), exact=exact)]
+    lams += [lam for t in range(10) for exact in (True, False)
+             for lam in _tree_lambdas((89, t), exact=exact, d=2)]
+    lams += [random_admissible_lambda(k, seed=(90, t))
+             for t in range(40) for k in (1, 2, 3)]
+    rng = np.random.default_rng(91)
+    for n in (1, 3, 5, 6, 7):
+        for _ in range(3):
+            G = rng.standard_normal((n, n))
+            lams.append(G + G.T)
+    G = rng.standard_normal((16, 16))
+    G = G + G.T
+    lams += [np.asfortranarray(G[:8, :8]), G[8:, 8:].T, G[::2, ::2]]
+    lams += [np.zeros((n, n)) for n in (2, 4, 8)]
+    lams += [np.outer(u, u) for u in (np.array([1.0, -1.0] * 2),
+                                      np.array([1.0, -1.0] * 4),
+                                      rng.standard_normal(8))]
+    return lams
+
+
+def test_norm1_skip_keeps_the_full_enumeration_bytes():
+    """Against the enumeration that solves every face: the same value,
+    alpha and method bytes; the same candidate rows, minus those of faces
+    with a certified indefinite triple, in the same order; and each row
+    dropped so is strictly below the maximum of ``|alpha^T A alpha|``."""
+    from dyadlab.schur import (_best_quadratic, _face_candidates,
+                               _indefinite_triples, _triples)
+    lams = _skip_cases()
+    assert len(lams) >= 300
+    n_skipped = 0
+    for lam in lams:
+        A = lam.as_float() if isinstance(lam, LambdaMatrix) else lam
+        rows, frees = _full_face_rows(A)
+        value, alpha = _best_quadratic(rows, A)
+        val, rep = norm1_lower(lam)
+        assert np.float64(val).tobytes() == np.float64(value).tobytes()
+        assert rep["alpha"].tobytes() == alpha.tobytes()
+        assert rep["method"] == "face_enumeration"
+        indefinite = {tuple(t) for t, bad in zip(
+            _triples(A.shape[0]).tolist(), _indefinite_triples(A)) if bad}
+        skipped = np.array([any(t in indefinite
+                                for t in itertools.combinations(s, 3))
+                            for s in frees], bool)
+        assert _face_candidates(A).tobytes() == rows[~skipped].tobytes()
+        if skipped.any():
+            quad = np.einsum("ij,jk,ik->i", rows[skipped], A, rows[skipped])
+            assert np.abs(quad).max() < value
+        n_skipped += int(skipped.sum())
+    assert n_skipped > 0
+
+
+def test_indefinite_triples_are_certified():
+    """A triple is flagged only when its Gram determinant, computed in
+    rationals from the float entries, is negative, and it is flagged
+    whenever that determinant is clearly negative.  Semidefinite integer
+    matrices, whose determinants are 0 or positive while the scaled float
+    ones often come out just below 0, flag nothing."""
+    from dyadlab.schur import _indefinite_triples, _triples
+    rng = np.random.default_rng(92)
+    for t in range(100):
+        u, v = rng.integers(-7, 8, size=(2, 8)).astype(float)
+        A = np.outer(u, u) + (t % 2) * np.outer(v, v)
+        assert not _indefinite_triples(A).any()
+    lams = [lam.as_float() for t in range(4) for exact in (True, False)
+            for lam in _tree_lambdas((93, t), (2, 3), exact=exact)]
+    lams += [random_admissible_lambda(k, seed=(94, t)).as_float()
+             for t in range(6) for k in (2, 3)]
+    n_flagged = 0
+    for A in lams:
+        F = [[Fraction(x) for x in row] for row in A.tolist()]
+        scale = Fraction(np.abs(A).max())
+
+        def sym(p, q):
+            return (F[p][q] + F[q][p]) / (2 * scale)
+
+        flags = _indefinite_triples(A)
+        for (i, j, k), flag in zip(_triples(A.shape[0]).tolist(), flags):
+            a = sym(i, i) - 2 * sym(i, k) + sym(k, k)
+            c = sym(j, j) - 2 * sym(j, k) + sym(k, k)
+            b = sym(i, j) - sym(i, k) - sym(j, k) + sym(k, k)
+            det = a * c - b * b
+            assert flag == (det < 0) or (not flag and det > -1e-12)
+        n_flagged += int(flags.sum())
+    assert n_flagged > 0
+
+
+def test_tree_matrices_solve_no_face_with_four_free_coordinates(monkeypatch):
+    """On the rank-two tree matrices of the frozen-bytes test at k = 3,
+    every face with four or more free coordinates holds an indefinite
+    triple and takes no solve."""
+    shapes = []
+    pinv = np.linalg.pinv
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", recorded)
+    for lam in [lam for t in range(3) for exact in (True, False)
+                for lam in _tree_lambdas((87, t), (3,), exact=exact)]:
+        shapes.clear()
+        norm1_lower(lam)
+        assert shapes and max(shape[1] for shape in shapes) <= 4
+
+
+def test_face_index_arrays_are_cached_read_only():
+    """One read-only index per size; the triple ids of each free set name
+    its 3-subsets in combinations order."""
+    from dyadlab.schur import _face_index, _triples
+    for n in range(1, 9):
+        faces, trip = _face_index(n), _triples(n)
+        assert _face_index(n) is faces and _triples(n) is trip
+        assert not trip.flags.writeable
+        assert trip.tolist() == [list(t) for t in
+                                 itertools.combinations(range(n), 3)]
+        for m, face in enumerate(faces):
+            assert len(face) == 6
+            assert not any(arr.flags.writeable for arr in face)
+            free, triples = face[0], face[5]
+            assert triples.shape == (math.comb(n, m), math.comb(m, 3))
+            for row, ids in zip(free.tolist(), triples.tolist()):
+                assert [tuple(t) for t in trip[ids].tolist()] == \
+                    list(itertools.combinations(row, 3))
+
+
+@pytest.mark.parametrize("raw, match", [
+    (np.ones((3, 5)), "square"), (np.ones(4), "square"),
+    (np.ones((2, 2, 2)), "square"),
+    (np.array([[0.0, np.nan], [np.nan, 0.0]]), "finite"),
+    (np.array([[np.inf, -np.inf], [-np.inf, np.inf]]), "finite"),
+])
+def test_norm1_refuses_raw_arrays_that_are_not_square_and_finite(raw, match):
+    with pytest.raises(ValueError, match=match):
+        norm1_lower(raw)
 
 
 def test_norm1_above_size_eight_keeps_the_search():
