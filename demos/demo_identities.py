@@ -17,10 +17,10 @@ print(f"window: origin {system.origin}, length {system.window_length}, "
       f"depth {system.depth} ({system.n_leaves} cells)")
 
 f = random_step_function(system, seed=(SEED, 1), exact=True)
-mean, coeffs = haar_expand(f)
+mean, levels = haar_expand(f)
 print(f"\nrandom step function: mean {mean[0]}, "
-      f"{len(coeffs)} Haar coefficients, e.g. root coefficient "
-      f"{coeffs[(0, 0)][0]}")
+      f"{sum(len(level) for level in levels)} Haar coefficients in "
+      f"{len(levels)} levels, e.g. root coefficient {levels[0][0, 0]}")
 
 report = identity_battery(seed=SEED, depth=DEPTH, trials=3)
 print(f"\nidentity battery over {report['trials']} random trials:")

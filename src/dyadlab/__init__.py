@@ -13,12 +13,10 @@ The package is organised bottom-up:
 * :mod:`dyadlab.cli` — the ``dyadlab`` command line driver.
 """
 
-from .exact import ROOT2, Sqrt2Rational, as_exact, sqrt2_pow
+from .exact import Sqrt2Rational, as_exact, sqrt2_pow
 from .dyadic import (DepthExhaustedError, DyadicError, DyadicInterval,
-                     DyadicSystem, WindowError, children, descendants,
-                     sample_system)
-from .signal import (SpaceSpec, StepFunction, average, haar_coeff,
-                     haar_expand, haar_profile, haar_reconstruct, lp_norm,
+                     DyadicSystem, WindowError, sample_system)
+from .signal import (SpaceSpec, StepFunction, haar_expand, haar_reconstruct,
                      pairing_integral, pointwise_product,
                      random_step_function)
 from .shifts import (ShiftSpec, apply_shift, paraproduct,
@@ -43,14 +41,13 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # exact
-    "ROOT2", "Sqrt2Rational", "as_exact", "sqrt2_pow",
+    "Sqrt2Rational", "as_exact", "sqrt2_pow",
     # dyadic
     "DepthExhaustedError", "DyadicError", "DyadicInterval", "DyadicSystem",
-    "WindowError", "children", "descendants", "sample_system",
+    "WindowError", "sample_system",
     # signal
-    "SpaceSpec", "StepFunction", "average", "haar_coeff", "haar_expand",
-    "haar_profile", "haar_reconstruct", "lp_norm", "pairing_integral",
-    "pointwise_product", "random_step_function",
+    "SpaceSpec", "StepFunction", "haar_expand", "haar_reconstruct",
+    "pairing_integral", "pointwise_product", "random_step_function",
     # shifts
     "ShiftSpec", "apply_shift", "paraproduct", "paraproduct_adjoint",
     "petermichl_shift", "random_extremal_shift", "series_bound",

@@ -157,32 +157,6 @@ class MartingaleTree:
             raise DyadicError(f"depth {k} outside 0..{self.depth}")
         return _points(*[_values(x[k]) for x in self._means])
 
-    def validate_dynamics(self):
-        """Largest deviation of any parent state from the mean of its
-        children, read from the public levels; zero for exactly
-        constructed trees."""
-        worst = 0.0
-        for levels in (self.f, self.F, self.g, self.G):
-            for parent, below in zip(levels, levels[1:]):
-                dev = parent - (below[0::2] + below[1::2]) / 2
-                worst = max(worst, float(np.abs(dev).max()))
-        return worst
-
-    def validate_domain(self):
-        """Smallest margin ``F - |f|^p`` (and dual) over all nodes.
-
-        Nonnegative by the power-mean inequality; returned as a float so
-        callers can assert it against a tolerance.
-        """
-        s = self.space
-        worst = math.inf
-        for f, F, g, G in zip(self.f, self.F, self.g, self.G):
-            f_margin = F.astype(float) - _powers(f.astype(float), s.p, s.q)
-            g_margin = G.astype(float) - _powers(g.astype(float), s.p_dual,
-                                                 s.q_dual)
-            worst = min(worst, float(f_margin.min()), float(g_margin.min()))
-        return worst
-
 
 def _points(f, F, g, G):
     """Rows of level arrays as states (Python scalars, as stored)."""
@@ -911,6 +885,17 @@ def lemma51_verify(f, g, space, k=1, bellman_depth=None, config=None,
     tree = tree_from_functions(f, g, space)
     if not 1 <= k <= tree.depth:
         raise DyadicError(f"cell depth {k} outside 1..{tree.depth}")
+    if f.d == 1:
+        # refused before the modulation search, which takes seconds at k = 7
+        if bellman_depth is None:
+            bellman_depth = min(max(k, 3), tree.depth, MAX_TABLE_DEPTH)
+            if bellman_depth < k:
+                raise DyadicError(
+                    f"cell depth {k} needs an oracle depth above the table "
+                    f"cap of {MAX_TABLE_DEPTH}")
+        bellman_depth = int(bellman_depth)
+        if bellman_depth < k:
+            raise DyadicError("bellman_depth must be at least the cell depth")
     lam = lambda_matrix(tree, k)
     alpha, alpha_report = find_alpha(lam, seed=seed)
     sum_abs = alpha_report["sum_abs_lambda"]
@@ -940,11 +925,6 @@ def lemma51_verify(f, g, space, k=1, bellman_depth=None, config=None,
                        "drop": None, "c_emp": None, "degenerate": True})
         return report
 
-    if bellman_depth is None:
-        bellman_depth = min(max(k, 3), tree.depth, MAX_TABLE_DEPTH)
-    bellman_depth = int(bellman_depth)
-    if bellman_depth < k:
-        raise DyadicError("bellman_depth must be at least the cell depth")
     if config is None:
         config = _auto_config(tree, space)
     table = bellman_oracle(config, depth=bellman_depth)

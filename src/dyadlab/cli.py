@@ -61,14 +61,11 @@ class UsageError(Exception):
 # -- exact identity battery ---------------------------------------------
 
 
-def _coefficient_levels(mean, coeffs, depth):
+def _coefficient_levels(mean, levels):
     """Integer forms of what :func:`haar_expand` returned: the window mean
-    as one row, then one array per level with a row per interval."""
-    levels = [_numerators(np.reshape(mean, (1, -1)))]
-    for lev in range(depth):
-        levels.append(_numerators(np.array(
-            [coeffs[(lev, i)] for i in range(1 << lev)], dtype=object)))
-    return levels
+    as one row, then each level."""
+    return [_numerators(np.reshape(mean, (1, -1)))] + [_numerators(level)
+                                                      for level in levels]
 
 
 def _total(terms):
@@ -113,11 +110,10 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
 
         mean_f, coeffs_f = haar_expand(f)
         results["haar_roundtrip"] = (
-            haar_reconstruct(system, mean_f, coeffs_f, exact=True) == f)
+            haar_reconstruct(system, mean_f, coeffs_f) == f)
 
-        mean_g, coeffs_g = haar_expand(g)
-        levels_f = _coefficient_levels(mean_f, coeffs_f, depth)
-        levels_g = _coefficient_levels(mean_g, coeffs_g, depth)
+        levels_f = _coefficient_levels(mean_f, coeffs_f)
+        levels_g = _coefficient_levels(*haar_expand(g))
         # |window| <mean_f, mean_g> plus every coefficient pairing
         terms = [_row_dots(levels_f[0], levels_g[0], system.window_length)]
         terms += [_row_dots(x, y, 1) for x, y in zip(levels_f[1:],

@@ -27,8 +27,6 @@ __all__ = [
     "WindowError",
     "DyadicSystem",
     "DyadicInterval",
-    "children",
-    "descendants",
     "sample_system",
 ]
 
@@ -133,9 +131,6 @@ class DyadicSystem:
         """All intervals of one level, left to right."""
         return [self.interval(level, i) for i in range(2 ** level)]
 
-    def leaves(self):
-        return self.intervals(self.depth)
-
     def nonleaf_intervals(self):
         """All intervals strictly above the leaf level, coarse to fine."""
         out = []
@@ -206,32 +201,6 @@ class DyadicInterval:
         if self.level == 0:
             raise WindowError("window root has no parent inside the window")
         return DyadicInterval(self.system, self.level - 1, self.index // 2)
-
-
-def children(interval):
-    """Both halves of ``interval``, as ``(left, right)``.
-
-    Haar functions built on top of this module are positive on the left half.
-    """
-    if interval.is_leaf:
-        raise DepthExhaustedError(
-            f"interval at leaf level {interval.level} has no children")
-    sys_, lev, idx = interval.system, interval.level, interval.index
-    return (DyadicInterval(sys_, lev + 1, 2 * idx),
-            DyadicInterval(sys_, lev + 1, 2 * idx + 1))
-
-
-def descendants(interval, n):
-    """The ``2**n`` subintervals ``n`` levels down, left to right."""
-    if n < 0:
-        raise DyadicError("descendant depth must be >= 0")
-    lev = interval.level + n
-    if lev > interval.system.depth:
-        raise DepthExhaustedError(
-            f"level {lev} exceeds window depth {interval.system.depth}")
-    base = interval.index << n
-    return [DyadicInterval(interval.system, lev, base + i)
-            for i in range(1 << n)]
 
 
 def sample_system(seed, depth, M=0, base_origin=0):

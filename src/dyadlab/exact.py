@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["Sqrt2Rational", "ROOT2", "sqrt2_pow", "as_exact", "to_text",
-           "from_text"]
+__all__ = ["Sqrt2Rational", "sqrt2_pow", "as_exact", "to_text", "from_text"]
 
 _RationalTypes = (int, Fraction)
 
@@ -202,7 +201,6 @@ def _sign(a, b):
     return (s > 0) - (s < 0)
 
 
-ROOT2 = Sqrt2Rational(0, 1)
 _SQRT2_POWS = {}
 
 

@@ -28,9 +28,9 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import DyadicError, DepthExhaustedError, WindowError
-from .exact import as_exact, from_text, sqrt2_pow, to_text
-from .signal import (StepFunction, _form, _numerators, _Numerators, _one_mode,
-                     _product, _stacked, _synthesized)
+from .exact import Sqrt2Rational, as_exact, from_text, sqrt2_pow, to_text
+from .signal import (StepFunction, _as_rational, _form, _numerators,
+                     _one_mode, _product, _stacked, _synthesized)
 
 __all__ = [
     "ShiftSpec",
@@ -51,11 +51,12 @@ __all__ = [
 MAX_MATRIX_DIM = 4096
 # Bytes a constructor may allocate for one coefficient table and its apply
 # plan: six int64 key columns and one int64 weight per row, and the plan's
-# int64 source and target rows, float64 coefficient and int64 exact
-# coefficient index per row.  Depth 16 with m = n = 4 takes 92 MB; depth 20
-# would take 1.5 GB.
+# int64 source and target rows, float64 coefficient and the two pointers of
+# its exact coefficient (the rational and the sqrt(2) integer) per row.
+# Depth 16 with m = n = 4 takes 101 MB; depth 20 would take 1.6 GB.
 _MAX_TABLE_BYTES = 1 << 27
-_ROW_BYTES = 11 * 8
+_ROW_BYTES = 12 * 8
+_INT64 = np.iinfo(np.int64)
 
 # Key columns: L level, L index, I level, I index, J level, J index.  This
 # permutation turns a key (L, I, J) into the adjoint key (L, J, I).
@@ -63,7 +64,8 @@ _ADJOINT = [0, 1, 4, 5, 2, 3]
 
 
 def _merge(keys, weights):
-    """Sort key rows lexicographically and add the weights of repeated rows.
+    """Sort key rows lexicographically and add the weights of repeated
+    rows; an integer sum that leaves int64 raises ``DyadicError``.
 
     The sort is stable, so repeated rows are added in the order given.
     """
@@ -73,6 +75,15 @@ def _merge(keys, weights):
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     if not first.all():
         starts = np.flatnonzero(first)
+        # int64 sums wrap, so they are exact wherever the exact sums fit;
+        # those are summed apart only when the largest |weight| times the
+        # longest run of repeats leaves int64
+        runs = np.diff(starts, append=len(keys))
+        if (max(-int(weights.min()), int(weights.max())) * int(runs.max())
+                > _INT64.max):
+            sums = np.add.reduceat(weights.astype(object), starts)
+            if not all(_INT64.min <= w <= _INT64.max for w in sums):
+                raise DyadicError("a merged weight leaves int64")
         keys, weights = keys[starts], np.add.reduceat(weights, starts)
     return keys, weights
 
@@ -81,6 +92,18 @@ def _object_array(values):
     out = np.empty(len(values), dtype=object)
     out[:] = values
     return out
+
+
+def _exact_amplitude(amplitude):
+    """``amplitude`` as an int, a Fraction with int parts or a
+    Sqrt2Rational; anything else raises ``DyadicError``."""
+    if isinstance(amplitude, Sqrt2Rational):
+        return amplitude
+    try:
+        return _as_rational(amplitude)
+    except TypeError:
+        raise DyadicError(f"amplitude must be an exact number, got "
+                          f"{amplitude!r}") from None
 
 
 def _sorted_set(values):
@@ -105,7 +128,10 @@ class ShiftSpec:
     the coefficient of row ``r`` is the int64 ``weights[r]`` times one exact
     ``amplitude`` (an int, Fraction or Sqrt2Rational), so applications stay
     exact on exact inputs.  Rows are in ascending order without repeats:
-    the constructor sorts them and adds the weights of repeated rows.
+    the constructor sorts them and adds the weights of repeated rows.  It
+    raises ``DyadicError`` for a weight or a sum of weights outside int64,
+    and for an amplitude that is not exact; a ``numbers.Rational``
+    amplitude is stored as an int or Fraction.
 
     ``entries`` gives the table back as a dict that maps
     ``(L_address, I_address, J_address)`` to a coefficient, in key order;
@@ -120,24 +146,24 @@ class ShiftSpec:
         if len(weights) and weights.dtype.kind not in "iu":
             raise DyadicError("weights must be integers; fractions and "
                               "sqrt(2) go in the amplitude")
+        if len(weights) and weights.max() > _INT64.max:
+            raise DyadicError("a weight leaves int64")
         self._init(system, m, n, *_merge(keys, weights.astype(np.int64)),
-                   amplitude)
+                   _exact_amplitude(amplitude))
+        self._validate()
 
     @classmethod
-    def _from_arrays(cls, system, m, n, keys, weights, amplitude,
-                     validate=True):
-        """Wrap key rows already in ascending order without repeats.
-
-        ``validate=False`` is for rows valid by construction: those of
-        :func:`random_extremal_shift`, and rows derived from a validated
-        table (its adjoint, symmetrization or slices), which keep every
-        invariant.
-        """
+    def _from_arrays(cls, system, m, n, keys, weights, amplitude):
+        """Wrap key rows valid by construction, in ascending order without
+        repeats, without the table checks: the rows of
+        :func:`random_extremal_shift` and :func:`petermichl_shift`, and
+        rows derived from a validated table (its adjoint, symmetrization or
+        slices), which keep every invariant."""
         shift = cls.__new__(cls)
-        shift._init(system, m, n, keys, weights, amplitude, validate)
+        shift._init(system, m, n, keys, weights, amplitude)
         return shift
 
-    def _init(self, system, m, n, keys, weights, amplitude, validate=True):
+    def _init(self, system, m, n, keys, weights, amplitude):
         _check_blocks(m, n)
         self.system = system
         self.m = int(m)
@@ -145,8 +171,6 @@ class ShiftSpec:
         self.keys = keys
         self.weights = weights
         self.amplitude = amplitude
-        if validate:
-            self._validate()
 
     @property
     def complexity(self):
@@ -177,7 +201,7 @@ class ShiftSpec:
     # Built once per shift, each part on first use: the heap rows
     # (``2**level + index``) of every row's I and J, and every row's
     # coefficient joined to the Haar normalisations, as a float per row or
-    # as a position in a table of exact values.
+    # as an exact integer form with one integer per row.
 
     @cached_property
     def _rows(self):
@@ -201,23 +225,14 @@ class ShiftSpec:
 
     @cached_property
     def _exact_plan(self):
-        """The exact coefficient of the float plan: each row's position in
-        a table of the distinct values, and that table in integer form."""
-        distinct, inverse = self._distinct
+        """The exact coefficient of the float plan as an ``(N, 1)`` integer
+        form: each row's weight times the integer form of ``amplitude *
+        2**((gap - 2)/2)`` for its gap, over the scale of those forms."""
         gap_set, gap = self._gaps()
-        codes = gap * len(distinct) + inverse
-        table = _sorted_set(codes)
-        # one exact number per gap; a table value is an integer multiple
         factors = _numerators(_object_array(
             [self.amplitude * sqrt2_pow(g - 2) for g in gap_set]))
-        entries = [divmod(code, len(distinct)) for code in table]
-
-        def part(nums):
-            return None if nums is None else _object_array(
-                [distinct[w] * nums[g] for g, w in entries])
-
-        return np.searchsorted(table, codes), _Numerators(
-            part(factors.a), part(factors.b), factors.scale)
+        weights = self.weights.astype(object)
+        return factors.map(lambda nums: (weights * nums[gap])[:, None])
 
     @cached_property
     def entries(self):
@@ -262,7 +277,8 @@ class ShiftSpec:
         if not len(keys):
             return
         # one comparison: the largest |weight| times |amplitude|
-        coeff = int(np.abs(self.weights).max()) * self.amplitude
+        coeff = max(-int(self.weights.min()),
+                    int(self.weights.max())) * self.amplitude
         bound = self.coefficient_bound
         if abs(as_exact(coeff)) > bound:
             raise DyadicError(
@@ -274,7 +290,7 @@ class ShiftSpec:
         """The adjoint shift: every entry ``(L, I, J)`` becomes ``(L, J, I)``."""
         keys, weights = _merge(self.keys[:, _ADJOINT], self.weights)
         return ShiftSpec._from_arrays(self.system, self.m, self.n, keys,
-                                      weights, self.amplitude, validate=False)
+                                      weights, self.amplitude)
 
     # -- serialization ---------------------------------------------------
 
@@ -341,7 +357,7 @@ def random_extremal_shift(system, m, n, seed):
     rng = np.random.default_rng(seed)
     signs = 2 * rng.integers(0, 2, size=len(keys)) - 1
     return ShiftSpec._from_arrays(system, m, n, keys, signs,
-                                  sqrt2_pow(-(m + n)), validate=False)
+                                  sqrt2_pow(-(m + n)))
 
 
 def petermichl_shift(system):
@@ -369,8 +385,7 @@ def _level_groups(shift):
 def _coefficients(shift, exact):
     """Every row's coefficient from the apply plan, as an ``(N, 1)`` form."""
     if exact:
-        index, table = shift._exact_plan
-        return table.map(lambda c: c[index][:, None])
+        return shift._exact_plan
     return _form(shift._float_plan[:, None])
 
 
@@ -467,7 +482,7 @@ def shift_slice(shift, j):
                                 shift.complexity))
     return ShiftSpec._from_arrays(shift.system, shift.m, shift.n,
                                   shift.keys[keep], shift.weights[keep],
-                                  shift.amplitude, validate=False)
+                                  shift.amplitude)
 
 
 def symmetrize(shift):
@@ -476,8 +491,7 @@ def symmetrize(shift):
         np.concatenate([shift.keys, shift.keys[:, _ADJOINT]]),
         np.concatenate([shift.weights, shift.weights]))
     return ShiftSpec._from_arrays(shift.system, shift.m, shift.n, keys,
-                                  weights, shift.amplitude * Fraction(1, 2),
-                                  validate=False)
+                                  weights, shift.amplitude * Fraction(1, 2))
 
 
 def is_self_adjoint(shift, tol=0.0):
@@ -542,9 +556,9 @@ def shift_matrix(shift):
 
     This is an evaluation route independent of :func:`apply_shift`'s
     scatter: the entry ``(L, I, J)`` adds ``c * leaf_width * outer(h_J,
-    h_I)``, built from the Haar amplitudes ``1 / sqrt(|I|)``, rounded as
-    :func:`haar_profile` rounds them, instead of the jumps of the level
-    means.  On each L block, the term of one (L level, I level, J level)
+    h_I)``, built from the Haar amplitudes ``1 / sqrt(|I|)``, each rounded
+    once as ``1.0 / math.sqrt(float(|I|))``, instead of the jumps of the
+    level means.  On each L block, the term of one (L level, I level, J level)
     group is ``kron(table[L], [[A, -A], [-A, A]])`` with ``A = amp_J *
     amp_I``: constant on cells of half a J by half an I.
 

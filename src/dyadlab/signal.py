@@ -37,8 +37,8 @@ elsewhere.
 A function's pyramid and its jumps are built once, on first use, and kept
 on the function; every Haar operator reads them from there.  This is sound
 because a function's values cannot be written after construction.  The
-per-interval :func:`average`, :func:`haar_coeff` and :func:`haar_profile`
-stay as the independent reference that the tests compare against.
+tests compare the operators against per-interval sums of means, Haar
+coefficients and Haar profiles, built one interval at a time.
 """
 
 from __future__ import annotations
@@ -53,17 +53,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import DyadicError, children
+from .dyadic import DyadicError
 from .exact import Sqrt2Rational, _sign, sqrt2_pow
 
 __all__ = [
     "SpaceSpec",
     "StepFunction",
-    "average",
-    "haar_coeff",
     "haar_expand",
     "haar_reconstruct",
-    "lp_norm",
     "pairing_integral",
     "pointwise_product",
     "random_step_function",
@@ -411,17 +408,6 @@ class StepFunction:
         f.exact = num.a.dtype == object
         return f
 
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def constant(cls, system, value, d=1, exact=False):
-        if exact:
-            vals = np.empty((system.n_leaves, d), dtype=object)
-            vals[:] = Fraction(value)
-        else:
-            vals = np.full((system.n_leaves, d), float(value))
-        return cls(system, vals)
-
     # -- basic properties ------------------------------------------------
 
     @property
@@ -438,9 +424,6 @@ class StepFunction:
     @cached_property
     def _num(self):
         return _form(self.values)
-
-    def copy(self):
-        return StepFunction(self.system, self.values.copy())
 
     def as_float(self):
         """This function with float values: itself when already float."""
@@ -535,99 +518,47 @@ class StepFunction:
 # -- Haar calculus -------------------------------------------------------
 
 
-def average(f, interval):
-    """Mean value of ``f`` over ``interval`` (exact in exact mode)."""
-    lo, hi = interval.leaf_span
-    total = f.values[lo:hi].sum(axis=0)
-    count = hi - lo
-    if f.exact:
-        return np.array([v / count for v in total], dtype=object)
-    return total / count
-
-
-def haar_coeff(f, interval):
-    """Inner product of ``f`` with the Haar function of ``interval``.
-
-    Equals ``sqrt(|I|)/2 * (mean over left half - mean over right half)``.
-    """
-    left, right = children(interval)
-    diff = average(f, left) - average(f, right)
-    if f.exact:
-        scale = sqrt2_pow(f.system.M - interval.level) / 2
-        return np.array([scale * v for v in diff], dtype=object)
-    scale = math.sqrt(float(interval.length)) / 2.0
-    return scale * diff
-
-
-def haar_profile(f_or_system, interval, exact=False):
-    """Leaf-cell values of the Haar function of ``interval``.
-
-    Returns a length ``n_leaves`` vector that is ``|I|**-0.5`` on the left
-    half of ``interval``, the negative of that on the right half and zero
-    elsewhere.
-    """
-    system = getattr(f_or_system, "system", f_or_system)
-    left, right = children(interval)
-    if exact:
-        out = np.zeros(system.n_leaves, dtype=object)
-        amp = sqrt2_pow(interval.level - system.M)
-    else:
-        out = np.zeros(system.n_leaves)
-        amp = 1.0 / math.sqrt(float(interval.length))
-    lo, hi = left.leaf_span
-    out[lo:hi] = amp
-    lo, hi = right.leaf_span
-    out[lo:hi] = -amp
-    return out
-
-
 def haar_expand(f):
-    """Full expansion ``(window mean, {address: coefficient vector})``."""
+    """Full expansion ``(window mean, levels)``: ``levels[lev]`` is a
+    ``(2**lev, d)`` array of the Haar coefficients of the intervals of
+    level ``lev``, left to right."""
     M = f.system.M
     # <f, h_I> = sqrt(|I|)/2 * jump = 2**((M - lev - 2)/2) * jump
     levels = [_values(_product(jump, _sqrt2_power(M - lev - 2, f.exact)))
               for lev, jump in enumerate(f._jumps)]
-    coeffs = {}
-    for lev, level in enumerate(levels):
-        coeffs.update(((lev, i), row) for i, row in enumerate(level))
-    return _values(f._means[0])[0], coeffs
+    return _values(f._means[0])[0], levels
 
 
-def haar_reconstruct(system, mean, coeffs, exact=False):
-    """Rebuild a step function from its window mean and Haar coefficients.
+def haar_reconstruct(system, mean, levels):
+    """Rebuild a step function from its window mean and Haar coefficients,
+    given as :func:`haar_expand` returns them.
 
-    ``coeffs`` must cover exactly the non-leaf intervals of the window; a
-    missing or unknown address raises ``DyadicError``.
+    The result is exact when every array given holds exact values (object
+    arrays), and float otherwise.  A level count other than the window
+    depth, or a level not of shape ``(2**lev, d)``, raises ``DyadicError``.
     """
-    expected = {iv.address for iv in system.nonleaf_intervals()}
-    got = set(coeffs)
-    if got != expected:
-        missing, extra = expected - got, got - expected
-        raise DyadicError(
-            f"coefficient cover mismatch: missing {sorted(missing)[:4]}, "
-            f"unknown {sorted(extra)[:4]}")
-    mean = _array(mean, exact).reshape(1, -1)
-    rows = _array([coeffs[(lev, i)] for lev in range(system.depth)
-                   for i in range(2 ** lev)], exact)
-    num = _form(rows.reshape(len(rows), -1))
-    # level ``lev`` is rows 2**lev - 1 to 2**(lev+1) - 1, and its Haar
-    # functions are 2**((lev - M)/2) on the left half
-    terms = [_product(num.map(lambda v: v[(1 << lev) - 1:(2 << lev) - 1]),
+    mean = np.asarray(mean).reshape(1, -1)
+    levels = [np.asarray(level) for level in levels]
+    if len(levels) != system.depth:
+        raise DyadicError(f"{len(levels)} coefficient levels for a window "
+                          f"of depth {system.depth}")
+    d = mean.shape[1]
+    for lev, level in enumerate(levels):
+        if level.shape != (1 << lev, d):
+            raise DyadicError(f"coefficient level {lev} has shape "
+                              f"{level.shape}, not {(1 << lev, d)}")
+    exact = all(x.dtype == object for x in [mean, *levels])
+    # the Haar functions of level ``lev`` are 2**((lev - M)/2) on the left
+    # half of their interval
+    terms = [_product(_form(_array(level, exact)),
                       _sqrt2_power(lev - system.M, exact))
-             for lev in range(system.depth)]
+             for lev, level in enumerate(levels)]
     return StepFunction._from_numerators(system, _combine(
-        operator.add, _form(mean), _synthesized(_stacked(terms))))
+        operator.add, _form(_array(mean, exact)),
+        _synthesized(_stacked(terms))))
 
 
 # -- norms and pairings --------------------------------------------------
-
-
-def lp_norm(f, space):
-    """Mixed norm ``( sum_cells width * |value|_q^p )**(1/p)`` (float)."""
-    vals = np.abs(np.asarray(f.as_float().values, dtype=float))
-    inner = (vals ** space.q).sum(axis=1) ** (1.0 / space.q)
-    w = float(f.system.leaf_width)
-    return float((w * inner ** space.p).sum() ** (1.0 / space.p))
 
 
 def _one_mode(*functions):

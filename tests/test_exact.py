@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadlab.exact import ROOT2, Sqrt2Rational, sqrt2_pow
+from dyadlab.exact import Sqrt2Rational, sqrt2_pow
+
+ROOT2 = Sqrt2Rational(0, 1)
 
 N_FUZZ = 200
 

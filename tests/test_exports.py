@@ -16,9 +16,6 @@ MODULES = ["dyadlab"] + [f"dyadlab.{info.name}"
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "demos", "perfbench")
-# Exported for the test suite, which is their only reader.
-TEST_REFERENCES = {"haar_coeff", "haar_profile", "lp_norm", "descendants",
-                   "ROOT2"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -60,7 +57,7 @@ def test_every_export_has_a_caller():
     unused = sorted(
         f"{name}.{attr}" for name in MODULES
         for attr in getattr(importlib.import_module(name), "__all__", [])
-        if attr not in used and attr not in TEST_REFERENCES)
+        if attr not in used)
     assert not unused
 
 

@@ -40,8 +40,7 @@ def case_outputs(depth, M, d, magnitude):
         "level_means": np.concatenate([m.ravel() for m in f.level_means]),
         "level_jumps": np.concatenate([j.ravel() for j in f.level_jumps]),
         "haar_expand": np.concatenate(
-            [np.ravel(mean_f)] + [np.ravel(coeffs_f[a])
-                                  for a in sorted(coeffs_f)]),
+            [np.ravel(mean_f)] + [np.ravel(level) for level in coeffs_f]),
         # the mean of g under the coefficients of f: not a roundtrip
         "haar_reconstruct": haar_reconstruct(system, mean_g, coeffs_f).values,
         "paraproduct": paraproduct(phi, f).values,

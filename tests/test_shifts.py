@@ -11,16 +11,17 @@ import pytest
 from dyadlab import shifts
 from dyadlab.cli import main
 from dyadlab.dyadic import (DepthExhaustedError, DyadicError, DyadicSystem,
-                            descendants, sample_system)
+                            sample_system)
 from dyadlab.exact import Sqrt2Rational, sqrt2_pow, to_text
 from dyadlab.shifts import (ShiftSpec, apply_shift, is_self_adjoint,
                             paraproduct, paraproduct_adjoint,
                             petermichl_shift, random_extremal_shift,
                             series_bound, shift_matrix, shift_slice,
                             slice_bilinear_sides, slice_levels, symmetrize)
-from dyadlab.signal import (SpaceSpec, StepFunction, average, haar_coeff,
-                            haar_expand, haar_profile, lp_norm,
-                            pairing_integral, random_step_function)
+from dyadlab.signal import (SpaceSpec, StepFunction, _exact_values,
+                            haar_expand, pairing_integral,
+                            random_step_function)
+from haar_oracle import average, haar_coeff, haar_profile, lp_norm
 
 AGREE_TOL = 1e-12
 # relative agreement of the float operators with their dense matrices
@@ -77,6 +78,58 @@ def test_shiftspec_validates_geometry_and_bound():
         ShiftSpec(sys_, 0, 1, [[0, 0, 0, 0, 1, 0]], [0.5])
     with pytest.raises(DyadicError):  # one key row per weight
         ShiftSpec(sys_, 0, 1, [[0, 0, 0, 0, 1, 0]], [1, 1], tenth)
+    with pytest.raises(DyadicError, match="exceeds bound"):
+        # the largest |weight| is that of -2**63, whose np.abs wraps
+        ShiftSpec(sys_, 0, 0, [[0, 0, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0]],
+                  [-2 ** 63, 1], 1)
+
+
+def test_amplitude_is_exact_or_refused_at_construction():
+    sys_ = DyadicSystem(depth=2)
+    keys = [[0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1]]
+    f = random_step_function(sys_, seed=0, exact=True)
+    want = apply_shift(ShiftSpec(sys_, 0, 0, keys, [1, -1]), f)
+    for amplitude in (np.int64(1), np.uint8(1), True, Fraction(2, 2)):
+        shift = ShiftSpec(sys_, 0, 0, keys, [1, -1], amplitude)
+        assert type(shift.amplitude) in (int, Fraction)
+        assert shift.amplitude == 1
+        assert apply_shift(shift, f) == want
+    for amplitude in (0.5, np.float64(1.0), "1/2", None):
+        with pytest.raises(DyadicError, match="amplitude must be an exact"):
+            ShiftSpec(sys_, 0, 0, keys, [1, -1], amplitude)
+
+
+def test_weights_and_their_sums_stay_in_int64():
+    sys_ = DyadicSystem(depth=3)
+    rows = [[0, 0, 0, 0, 0, 0]] * 3
+    # sums that fit are kept, int64's ends included, also where a partial
+    # sum leaves it
+    for weights, total in (([2 ** 62, 2 ** 62 - 1], 2 ** 63 - 1),
+                           ([-2 ** 62, -2 ** 62], -2 ** 63),
+                           ([2 ** 62, 2 ** 62, -2 ** 62], 2 ** 62)):
+        shift = ShiftSpec(sys_, 0, 0, rows[:len(weights)], weights,
+                          Fraction(1, 2 ** 63))
+        assert shift.weights.tolist() == [total]
+    # repeated rows whose sum leaves int64
+    with pytest.raises(DyadicError, match="int64"):
+        ShiftSpec(sys_, 0, 0, rows[:2], [2 ** 62, 2 ** 62],
+                  Fraction(1, 2 ** 70))
+    with pytest.raises(DyadicError, match="int64"):
+        ShiftSpec(sys_, 0, 0, rows, [-2 ** 62, -2 ** 62, -1],
+                  Fraction(1, 2 ** 70))
+    # a uint64 weight above int64
+    with pytest.raises(DyadicError, match="int64"):
+        ShiftSpec(sys_, 0, 0, rows[:1], np.array([2 ** 63], dtype=np.uint64),
+                  Fraction(1, 2 ** 70))
+    # every (L, L, L) row of a (0, 0) table meets its own mirror
+    keys = random_extremal_shift(sys_, 0, 0, seed=0).keys
+    big = ShiftSpec(sys_, 0, 0, keys, np.full(len(keys), 2 ** 62),
+                    Fraction(1, 2 ** 70))
+    with pytest.raises(DyadicError, match="int64"):
+        symmetrize(big)
+    half = ShiftSpec(sys_, 0, 0, keys, np.full(len(keys), 2 ** 61),
+                     Fraction(1, 2 ** 70))
+    assert set(symmetrize(half).entries.values()) == {Fraction(1, 512)}
 
 
 def test_extremal_flags_and_depth_guard():
@@ -142,7 +195,7 @@ def test_block_keys_match_per_level_construction(depth):
 
 def test_shift_table_cap_admits_depth_16_and_refuses_depth_20():
     cap, row = shifts._MAX_TABLE_BYTES, shifts._ROW_BYTES
-    assert shifts._block_rows(16, 4, 4) * row <= cap  # 92 MB, not built
+    assert shifts._block_rows(16, 4, 4) * row <= cap  # 101 MB, not built
     assert shifts._block_rows(20, 4, 4) == 16_776_960
     with pytest.raises(DyadicError, match="table cap"):
         random_extremal_shift(DyadicSystem(depth=20), 4, 4, seed=0)
@@ -203,10 +256,15 @@ def _per_entry_extremal(system, m, n, seed):
     rng = np.random.default_rng(seed)
     amp = sqrt2_pow(-(m + n))
     entries = {}
+
+    def below(L, k):
+        return [system.interval(L.level + k, (L.index << k) + i)
+                for i in range(1 << k)]
+
     for lev in range(system.depth - max(m, n)):
         for L in system.intervals(lev):
-            for I in descendants(L, m):
-                for J in descendants(L, n):
+            for I in below(L, m):
+                for J in below(L, n):
                     sign = 1 if rng.integers(0, 2) else -1
                     entries[(L.address, I.address, J.address)] = sign * amp
     return entries
@@ -455,7 +513,8 @@ def test_apply_matrix_and_naive_summation_agree():
 def test_apply_shift_exact_kills_mean():
     sys_ = sample_system(31, depth=4)
     sh = random_extremal_shift(sys_, 0, 1, seed=13)
-    const = StepFunction.constant(sys_, Fraction(7, 3), exact=True)
+    const = StepFunction(sys_, np.full((sys_.n_leaves, 1), Fraction(7, 3),
+                                       dtype=object))
     out = apply_shift(sh, const)
     assert all(v == 0 for v in out.values.ravel())
     f = random_step_function(sys_, seed=14, exact=True)
@@ -543,12 +602,25 @@ def test_apply_plan_is_built_once_and_counted_in_the_table_cap():
         want_float.values.tobytes()
     assert all(a is b for a, b in zip(
         (sh._rows, sh._float_plan, sh._exact_plan), plan))
-    # every per-row array of the table and of its plan fits _ROW_BYTES
-    index, table = sh._exact_plan
-    per_row = [sh.keys, sh.weights, *sh._rows, sh._float_plan, index]
-    assert all(len(a) == len(sh.keys) for a in per_row)
-    assert sum(a.nbytes for a in per_row) == len(sh.keys) * shifts._ROW_BYTES
-    assert len(table.a) < len(sh.keys)
+    # every per-row array of the table and of its plan fits _ROW_BYTES;
+    # the exact plan holds one rational and one sqrt(2) integer per row
+    # (none when every coefficient is rational), and its values are each
+    # row's coefficient times 2**((gap - 2)/2)
+    keys = random_extremal_shift(sys_, 0, 1, seed=0).keys
+    half = ShiftSpec(sys_, 0, 1, keys, np.resize([1, -2, 0], len(keys)),
+                     Fraction(1, 4))
+    assert sh._exact_plan.b is None and half._exact_plan.b is not None
+    for shift in (sh, half):
+        exact = shift._exact_plan
+        per_row = [shift.keys, shift.weights, *shift._rows,
+                   shift._float_plan, exact.a, exact.b_or_zeros()]
+        assert all(len(a) == len(shift.keys) for a in per_row)
+        assert sum(a.nbytes for a in per_row) == \
+            len(shift.keys) * shifts._ROW_BYTES
+        gaps = (shift.keys[:, 4] - shift.keys[:, 2]).tolist()
+        assert _exact_values(exact)[:, 0].tolist() == [
+            c * sqrt2_pow(g - 2)
+            for c, g in zip(shift.entries.values(), gaps)]
     # another shift on the same system and blocks has its own plan
     other = symmetrize(random_extremal_shift(sys_, 2, 1, seed=188))
     want = shift_matrix(other) @ f.as_float().values
@@ -585,18 +657,18 @@ def test_exact_values_are_frozen():
     system = sample_system(61, 6, M=1)
     f = random_step_function(system, seed=62, d=2, exact=True)
     phi = random_step_function(system, seed=63, exact=True)
-    mean, coeffs = haar_expand(f)
+    mean, levels = haar_expand(f)
     shift = random_extremal_shift(system, 1, 2, seed=64)
     outputs = {
-        "haar_expand": np.concatenate([mean, *(coeffs[k]
-                                               for k in sorted(coeffs))]),
+        "haar_expand": np.concatenate([mean, *(lev.ravel()
+                                               for lev in levels)]),
         "apply_shift": apply_shift(shift, f).values,
         "apply_shift_symmetrized": apply_shift(symmetrize(shift), f).values,
         "paraproduct": paraproduct(phi, f).values,
     }
     # two spot values, for a reader of a failure
-    assert to_text(coeffs[(5, 0)][0]) == "-7/64"
-    assert to_text(coeffs[(4, 0)][0]) == "0 + -1/128*sqrt(2)"
+    assert to_text(levels[5][0, 0]) == "-7/64"
+    assert to_text(levels[4][0, 0]) == "0 + -1/128*sqrt(2)"
     for name, values in outputs.items():
         text = "\n".join(to_text(v) for v in np.ravel(values))
         digest = hashlib.sha256(text.encode()).hexdigest()
@@ -663,10 +735,12 @@ def test_exact_operators_equal_per_interval_sums(depth, M, d):
     prof = {iv.address: (iv, haar_profile(sys_, iv, exact=True))
             for iv in ivs}
 
-    mean, coeffs = haar_expand(f)
+    mean, levels = haar_expand(f)
     assert list(mean) == list(average(f, sys_.root))
-    assert list(coeffs) == list(coeff)
-    assert all(list(coeffs[a]) == list(c) for a, c in coeff.items())
+    assert [len(level) for level in levels] == [2 ** lev
+                                                for lev in range(depth)]
+    assert all(list(levels[lev][i]) == list(c)
+               for (lev, i), c in coeff.items())
 
     # the martingale transform: sign s on the key (L, L, L)
     sigma = random_extremal_shift(sys_, 0, 0, seed=(173, depth, M + 1))
@@ -793,7 +867,7 @@ def test_transform_is_l2_isometry_on_mean_zero():
     sys_ = sample_system(95, depth=6)
     sigma = random_extremal_shift(sys_, 0, 0, seed=96)
     f = random_step_function(sys_, seed=97)
-    f = f - StepFunction.constant(sys_, float(np.mean(f.values)))
+    f = f - StepFunction(sys_, np.full(sys_.n_leaves, np.mean(f.values)))
     out = apply_shift(sigma, f)
     space = SpaceSpec(p=2.0)
     assert lp_norm(out, space) == pytest.approx(lp_norm(f, space), rel=1e-12)

@@ -9,13 +9,15 @@ import pytest
 
 from dyadlab import signal
 from dyadlab.dyadic import DyadicError, DyadicSystem, sample_system
-from dyadlab.exact import ROOT2, Sqrt2Rational
-from dyadlab.signal import (SpaceSpec, StepFunction, average, haar_coeff,
-                            haar_expand, haar_profile, haar_reconstruct,
-                            lp_norm, pairing_integral, pointwise_product,
-                            random_step_function)
+from dyadlab.exact import Sqrt2Rational, sqrt2_pow
+from dyadlab.signal import (SpaceSpec, StepFunction, haar_expand,
+                            haar_reconstruct, pairing_integral,
+                            pointwise_product, random_step_function)
 from dyadlab.shifts import (apply_shift, paraproduct, paraproduct_adjoint,
                             random_extremal_shift)
+from haar_oracle import average, haar_coeff, haar_profile, lp_norm
+
+ROOT2 = sqrt2_pow(1)
 
 FLOAT_TOL = 1e-12
 N_HOLDER_PAIRS = 200
@@ -76,13 +78,6 @@ def test_stepfunction_arithmetic_and_system_guard():
     assert (-f).values[0, 0] == -1.0
     with pytest.raises(DyadicError):
         f + StepFunction(other, [0.0, 0.0, 0.0, 0.0])
-
-
-def test_constant_exact():
-    sys_ = DyadicSystem(depth=1)
-    c = StepFunction.constant(sys_, Fraction(1, 3), d=2, exact=True)
-    assert c.exact and c.values[1, 1] == Fraction(1, 3)
-    assert average(c, sys_.root)[0] == Fraction(1, 3)
 
 
 # -- read-only values and the cached derived data ------------------------
@@ -157,14 +152,15 @@ def test_frozen_haar_coefficients():
     """Hand-computed expansion of (1, 2, 3, 4) on the unit window."""
     sys_ = DyadicSystem(depth=2)  # M = 0
     f = exact_function(sys_, [[1], [2], [3], [4]])
-    mean, coeffs = haar_expand(f)
+    mean, levels = haar_expand(f)
     assert mean[0] == Fraction(5, 2)
+    assert [level.shape for level in levels] == [(1, 1), (2, 1)]
     # root: sqrt(|I|)/2 * (avg_left - avg_right) = (1/2)(3/2 - 7/2) = -1
-    assert coeffs[(0, 0)][0] == -1
+    assert levels[0][0, 0] == -1
     # level-1 intervals have length 1/2: scale sqrt(1/2)/2 = sqrt(2)/4
-    assert coeffs[(1, 0)][0] == -ROOT2 / 4
-    assert coeffs[(1, 1)][0] == -ROOT2 / 4
-    rebuilt = haar_reconstruct(sys_, mean, coeffs, exact=True)
+    assert levels[1][0, 0] == -ROOT2 / 4
+    assert levels[1][1, 0] == -ROOT2 / 4
+    rebuilt = haar_reconstruct(sys_, mean, levels)
     assert rebuilt == f
 
 
@@ -190,30 +186,50 @@ def test_haar_coeff_is_profile_pairing():
 def test_roundtrip_exact_vector_valued():
     sys_ = sample_system(2, depth=4, M=-1)
     f = random_step_function(sys_, seed=3, d=2, exact=True)
-    mean, coeffs = haar_expand(f)
-    assert haar_reconstruct(sys_, mean, coeffs, exact=True) == f
+    mean, levels = haar_expand(f)
+    assert haar_reconstruct(sys_, mean, levels) == f
 
 
 def test_roundtrip_float():
     sys_ = sample_system(4, depth=5)
     f = random_step_function(sys_, seed=6, d=3)
-    mean, coeffs = haar_expand(f)
-    back = haar_reconstruct(sys_, mean, coeffs)
+    mean, levels = haar_expand(f)
+    back = haar_reconstruct(sys_, mean, levels)
     assert np.abs(back.values - f.values).max() < FLOAT_TOL
 
 
-def test_reconstruct_cover_mismatch():
+def test_reconstruct_refuses_wrong_levels():
     sys_ = DyadicSystem(depth=2)
-    f = random_step_function(sys_, seed=0)
-    mean, coeffs = haar_expand(f)
-    missing = dict(coeffs)
-    missing.pop((1, 1))
-    with pytest.raises(DyadicError):
-        haar_reconstruct(sys_, mean, missing)
-    extra = dict(coeffs)
-    extra[(2, 0)] = np.zeros(1)
-    with pytest.raises(DyadicError):
-        haar_reconstruct(sys_, mean, extra)
+    f = random_step_function(sys_, seed=0, d=2)
+    mean, levels = haar_expand(f)
+    for count in (levels[:1], levels + [np.zeros((4, 2))]):
+        with pytest.raises(DyadicError, match="coefficient levels"):
+            haar_reconstruct(sys_, mean, count)
+    for level in (np.zeros((1, 2)), np.zeros((2, 1)), np.zeros(4),
+                  np.zeros((2, 2, 1))):
+        with pytest.raises(DyadicError, match="level 1 has shape"):
+            haar_reconstruct(sys_, mean, [levels[0], level])
+    with pytest.raises(DyadicError, match="level 0 has shape"):
+        haar_reconstruct(sys_, mean[:1], levels)
+
+
+def test_reconstruct_is_exact_only_on_exact_inputs():
+    sys_ = sample_system(8, depth=3, M=1)
+    f = random_step_function(sys_, seed=9, d=2, exact=True)
+    mean, levels = haar_expand(f)
+    back = haar_reconstruct(sys_, mean, levels)
+    assert back.exact and back == f
+    floats = [mean.astype(float)] + [level.astype(float) for level in levels]
+    want = haar_reconstruct(sys_, floats[0], floats[1:])
+    assert not want.exact
+    assert np.abs(want.values - f.as_float().values).max() <= FLOAT_TOL
+    # one float input, the mean or a level, makes the whole result float
+    for pos in range(len(floats)):
+        given = [mean] + levels
+        given[pos] = floats[pos]
+        out = haar_reconstruct(sys_, given[0], given[1:])
+        assert not out.exact
+        assert out.values.tobytes() == want.values.tobytes()
 
 
 def test_parseval_pairing_exact():
@@ -223,8 +239,9 @@ def test_parseval_pairing_exact():
     mean_f, cf = haar_expand(f)
     mean_g, cg = haar_expand(g)
     rhs = sys_.window_length * mean_f[0] * mean_g[0]
-    for addr, c in cf.items():
-        rhs = rhs + c[0] * cg[addr][0]
+    for level_f, level_g in zip(cf, cg):
+        for c_f, c_g in zip(level_f[:, 0], level_g[:, 0]):
+            rhs = rhs + c_f * c_g
     assert pairing_integral(f, g) == rhs
 
 
@@ -233,7 +250,7 @@ def test_parseval_pairing_exact():
 
 def test_lp_norm_frozen_values():
     sys_ = DyadicSystem(depth=3)  # unit window
-    ones = StepFunction.constant(sys_, 1.0)
+    ones = StepFunction(sys_, np.ones(8))
     for p in (1.5, 2.0, 4.0):
         assert lp_norm(ones, SpaceSpec(p=p)) == pytest.approx(1.0)
     alt = StepFunction(sys_, [1.0, -1.0] * 4)
@@ -241,7 +258,7 @@ def test_lp_norm_frozen_values():
     vec = StepFunction(sys_, np.tile([3.0, 4.0], (8, 1)))
     assert lp_norm(vec, SpaceSpec(p=2.0, q=2.0, d=2)) == pytest.approx(5.0)
     # window of length 2: constant 1 has norm 2**(1/p)
-    wide = StepFunction.constant(DyadicSystem(M=1, depth=2), 1.0)
+    wide = StepFunction(DyadicSystem(M=1, depth=2), np.ones(4))
     assert lp_norm(wide, SpaceSpec(p=4.0)) == pytest.approx(2.0 ** 0.25)
 
 
