@@ -886,13 +886,12 @@ def lemma51_verify(f, g, space, k=1, bellman_depth=None, config=None,
     if not 1 <= k <= tree.depth:
         raise DyadicError(f"cell depth {k} outside 1..{tree.depth}")
     if f.d == 1:
-        # refused before the modulation search, which takes seconds at k = 7
+        # checked before the modulation search, which takes seconds at k = 7
+        if bellman_depth is None and k > MAX_TABLE_DEPTH:
+            raise DyadicError(f"cell depth {k} needs an oracle depth above "
+                              f"the table cap of {MAX_TABLE_DEPTH}")
         if bellman_depth is None:
             bellman_depth = min(max(k, 3), tree.depth, MAX_TABLE_DEPTH)
-            if bellman_depth < k:
-                raise DyadicError(
-                    f"cell depth {k} needs an oracle depth above the table "
-                    f"cap of {MAX_TABLE_DEPTH}")
         bellman_depth = int(bellman_depth)
         if bellman_depth < k:
             raise DyadicError("bellman_depth must be at least the cell depth")

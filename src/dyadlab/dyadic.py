@@ -123,10 +123,6 @@ class DyadicSystem:
                 f"index {index} outside [0, {2 ** level}) at level {level}")
         return DyadicInterval(self, level, index)
 
-    @property
-    def root(self):
-        return DyadicInterval(self, 0, 0)
-
     def intervals(self, level):
         """All intervals of one level, left to right."""
         return [self.interval(level, i) for i in range(2 ** level)]
@@ -167,10 +163,6 @@ class DyadicInterval:
     index: int
 
     @property
-    def address(self):
-        return (self.level, self.index)
-
-    @property
     def length(self):
         return Fraction(2) ** (self.system.M - self.level)
 
@@ -183,24 +175,10 @@ class DyadicInterval:
         return self.left + self.length
 
     @property
-    def is_leaf(self):
-        return self.level == self.system.depth
-
-    @property
     def leaf_span(self):
         """Half-open range of leaf indices covered by this interval."""
         width = 2 ** (self.system.depth - self.level)
         return self.index * width, (self.index + 1) * width
-
-    @property
-    def n_leaves(self):
-        lo, hi = self.leaf_span
-        return hi - lo
-
-    def parent(self):
-        if self.level == 0:
-            raise WindowError("window root has no parent inside the window")
-        return DyadicInterval(self.system, self.level - 1, self.index // 2)
 
 
 def sample_system(seed, depth, M=0, base_origin=0):

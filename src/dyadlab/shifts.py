@@ -75,35 +75,16 @@ def _merge(keys, weights):
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     if not first.all():
         starts = np.flatnonzero(first)
-        # int64 sums wrap, so they are exact wherever the exact sums fit;
-        # those are summed apart only when the largest |weight| times the
-        # longest run of repeats leaves int64
-        runs = np.diff(starts, append=len(keys))
-        if (max(-int(weights.min()), int(weights.max())) * int(runs.max())
-                > _INT64.max):
+        # int64 sums wrap, so they are exact where the exact sums fit,
+        # which is sure unless the largest |weight| times the longest run
+        # leaves int64; the sums are then checked in Python ints
+        top = max(-int(weights.min()), int(weights.max()))
+        if top * int(np.diff(starts, append=len(keys)).max()) > _INT64.max:
             sums = np.add.reduceat(weights.astype(object), starts)
             if not all(_INT64.min <= w <= _INT64.max for w in sums):
                 raise DyadicError("a merged weight leaves int64")
         keys, weights = keys[starts], np.add.reduceat(weights, starts)
     return keys, weights
-
-
-def _object_array(values):
-    out = np.empty(len(values), dtype=object)
-    out[:] = values
-    return out
-
-
-def _exact_amplitude(amplitude):
-    """``amplitude`` as an int, a Fraction with int parts or a
-    Sqrt2Rational; anything else raises ``DyadicError``."""
-    if isinstance(amplitude, Sqrt2Rational):
-        return amplitude
-    try:
-        return _as_rational(amplitude)
-    except TypeError:
-        raise DyadicError(f"amplitude must be an exact number, got "
-                          f"{amplitude!r}") from None
 
 
 def _sorted_set(values):
@@ -148,8 +129,14 @@ class ShiftSpec:
                               "sqrt(2) go in the amplitude")
         if len(weights) and weights.max() > _INT64.max:
             raise DyadicError("a weight leaves int64")
+        if not isinstance(amplitude, Sqrt2Rational):
+            try:
+                amplitude = _as_rational(amplitude)
+            except TypeError:
+                raise DyadicError(f"amplitude must be an exact number, got "
+                                  f"{amplitude!r}") from None
         self._init(system, m, n, *_merge(keys, weights.astype(np.int64)),
-                   _exact_amplitude(amplitude))
+                   amplitude)
         self._validate()
 
     @classmethod
@@ -229,8 +216,8 @@ class ShiftSpec:
         form: each row's weight times the integer form of ``amplitude *
         2**((gap - 2)/2)`` for its gap, over the scale of those forms."""
         gap_set, gap = self._gaps()
-        factors = _numerators(_object_array(
-            [self.amplitude * sqrt2_pow(g - 2) for g in gap_set]))
+        factors = _numerators([self.amplitude * sqrt2_pow(g - 2)
+                               for g in gap_set])
         weights = self.weights.astype(object)
         return factors.map(lambda nums: (weights * nums[gap])[:, None])
 

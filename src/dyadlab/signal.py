@@ -539,14 +539,10 @@ def haar_reconstruct(system, mean, levels):
     """
     mean = np.asarray(mean).reshape(1, -1)
     levels = [np.asarray(level) for level in levels]
-    if len(levels) != system.depth:
-        raise DyadicError(f"{len(levels)} coefficient levels for a window "
-                          f"of depth {system.depth}")
-    d = mean.shape[1]
-    for lev, level in enumerate(levels):
-        if level.shape != (1 << lev, d):
-            raise DyadicError(f"coefficient level {lev} has shape "
-                              f"{level.shape}, not {(1 << lev, d)}")
+    shapes = [(1 << lev, mean.shape[1]) for lev in range(system.depth)]
+    if [level.shape for level in levels] != shapes:
+        raise DyadicError(f"coefficient levels of shapes "
+                          f"{[level.shape for level in levels]}, not {shapes}")
     exact = all(x.dtype == object for x in [mean, *levels])
     # the Haar functions of level ``lev`` are 2**((lev - M)/2) on the left
     # half of their interval

@@ -20,7 +20,7 @@ def children(interval):
 
     Haar functions are positive on the left half.
     """
-    if interval.is_leaf:
+    if interval.level == interval.system.depth:
         raise DepthExhaustedError(
             f"interval at leaf level {interval.level} has no children")
     sys_, lev, idx = interval.system, interval.level, interval.index

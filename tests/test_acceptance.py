@@ -89,7 +89,7 @@ def test_criterion_1_exact_identity_suite():
         total = (paraproduct(phi, f) + paraproduct_adjoint(phi, f)
                  + paraproduct(f, phi))
         rem = pointwise_product(phi, f) - total
-        mean_phi = average(phi, system.root)[0]
+        mean_phi = average(phi, system.interval(0, 0))[0]
         assert all(rem.values[j, 0] == mean_phi * mean_f[0]
                    for j in range(system.n_leaves))
 

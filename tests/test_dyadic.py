@@ -41,15 +41,13 @@ def test_translation_folds_into_origin():
 
 def test_interval_geometry():
     sys_ = DyadicSystem(M=2, depth=3)
-    root = sys_.root
+    root = sys_.interval(0, 0)
     assert root.length == 4
     assert root.left == 0 and root.right == 4
     iv = sys_.interval(2, 3)
     assert iv.length == 1
     assert iv.left == 3 and iv.right == 4
     assert iv.leaf_span == (6, 8)
-    assert iv.n_leaves == 2
-    assert iv.parent().address == (1, 1)
 
 
 def test_address_bounds():
@@ -58,14 +56,12 @@ def test_address_bounds():
         sys_.interval(3, 0)
     with pytest.raises(WindowError):
         sys_.interval(1, 2)
-    with pytest.raises(WindowError):
-        sys_.root.parent()
 
 
 def test_children_halve_their_interval():
     sys_ = DyadicSystem(depth=3)
-    left, right = children(sys_.root)
-    assert left.address == (1, 0) and right.address == (1, 1)
+    left, right = children(sys_.interval(0, 0))
+    assert (left.level, left.index, right.level, right.index) == (1, 0, 1, 1)
     assert left.right == right.left
     with pytest.raises(DepthExhaustedError):
         children(sys_.interval(3, 0))

@@ -266,7 +266,8 @@ def _per_entry_extremal(system, m, n, seed):
             for I in below(L, m):
                 for J in below(L, n):
                     sign = 1 if rng.integers(0, 2) else -1
-                    entries[(L.address, I.address, J.address)] = sign * amp
+                    entries[((lev, L.index), (I.level, I.index),
+                             (J.level, J.index))] = sign * amp
     return entries
 
 
@@ -731,12 +732,12 @@ def test_exact_operators_equal_per_interval_sums(depth, M, d):
     f = random_step_function(sys_, seed=(172, depth, M + 1, d), d=d,
                              exact=True)
     ivs = sys_.nonleaf_intervals()
-    coeff = {iv.address: haar_coeff(f, iv) for iv in ivs}
-    prof = {iv.address: (iv, haar_profile(sys_, iv, exact=True))
+    coeff = {(iv.level, iv.index): haar_coeff(f, iv) for iv in ivs}
+    prof = {(iv.level, iv.index): (iv, haar_profile(sys_, iv, exact=True))
             for iv in ivs}
 
     mean, levels = haar_expand(f)
-    assert list(mean) == list(average(f, sys_.root))
+    assert list(mean) == list(average(f, sys_.interval(0, 0)))
     assert [len(level) for level in levels] == [2 ** lev
                                                 for lev in range(depth)]
     assert all(list(levels[lev][i]) == list(c)
@@ -761,10 +762,9 @@ def test_exact_operators_equal_per_interval_sums(depth, M, d):
 
     if d == 1:
         phi = random_step_function(sys_, seed=(175, depth, M + 1), exact=True)
-        c_phi = {iv.address: haar_coeff(phi, iv)[0] for iv in ivs}
-        want = _interval_sum(sys_, 1, [(prof[iv.address],
-                                        c_phi[iv.address] * average(f, iv))
-                                       for iv in ivs])
+        c_phi = {(iv.level, iv.index): haar_coeff(phi, iv)[0] for iv in ivs}
+        want = _interval_sum(sys_, 1, [(prof[a], c_phi[a] * average(f, iv))
+                                       for a, (iv, _) in prof.items()])
         assert np.array_equal(paraproduct(phi, f).values, want)
         # h_I squared is the indicator of I divided by |I|
         want = _interval_sum(sys_, 1, [((iv, p * p), c_phi[a] * coeff[a])
@@ -840,7 +840,8 @@ def _per_interval_martingale_matrix(sigma):
     for iv in system.nonleaf_intervals():
         lo, hi = iv.leaf_span
         prof = haar_profile(system, iv, exact=False)[lo:hi]
-        out[lo:hi, lo:hi] += signs[iv.address] * w * np.outer(prof, prof)
+        out[lo:hi, lo:hi] += (signs[iv.level, iv.index] * w
+                              * np.outer(prof, prof))
     return out
 
 
@@ -887,7 +888,7 @@ def test_float_transform_matches_martingale_matrix(depth):
 def test_sign_sequence_matches_per_interval_draws(depth):
     """One fair sign per non-leaf interval, drawn coarse to fine."""
     sys_ = DyadicSystem(depth=depth)
-    addresses = [list(iv.address) for iv in sys_.nonleaf_intervals()]
+    addresses = [[iv.level, iv.index] for iv in sys_.nonleaf_intervals()]
     for seed in (0, 92, (96, depth)):
         rng = np.random.default_rng(seed)
         want = [1 if rng.integers(0, 2) else -1 for _ in addresses]
