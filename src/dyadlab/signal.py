@@ -539,10 +539,10 @@ def haar_reconstruct(system, mean, levels):
     """
     mean = np.asarray(mean).reshape(1, -1)
     levels = [np.asarray(level) for level in levels]
-    shapes = [(1 << lev, mean.shape[1]) for lev in range(system.depth)]
-    if [level.shape for level in levels] != shapes:
-        raise DyadicError(f"coefficient levels of shapes "
-                          f"{[level.shape for level in levels]}, not {shapes}")
+    shapes = [level.shape for level in levels]
+    want = [(1 << lev, mean.shape[1]) for lev in range(system.depth)]
+    if shapes != want:
+        raise DyadicError(f"coefficient levels of shapes {shapes}, not {want}")
     exact = all(x.dtype == object for x in [mean, *levels])
     # the Haar functions of level ``lev`` are 2**((lev - M)/2) on the left
     # half of their interval
