@@ -396,21 +396,25 @@ def _mirror_axis(top, n):
     return x
 
 
-def _plane(feasible, half0, half1):
-    """One plane of the grid, whose mask is its own mirror image under row
-    ``i -> n0 - 1 - i``: the flat indices of its feasible nodes (their
-    compact ids are positions in this array, so the rows below the middle
-    come first), the compact id of the mirror image of each node below the
-    middle row, the splits and their counts.
+def _plane(feasible, half0, half1, swept=False):
+    """One plane of the grid, with an odd number ``n0`` of rows and a mask
+    that is its own mirror image under row ``i -> n0 - 1 - i``.
 
-    The splits are symmetric, on the grid and with all three nodes
-    feasible: for every offset ``(a, b)`` in lexicographic order that has
-    one centred on the middle row or above it, the tuple ``((a, b), centre,
-    plus, minus)`` of compact-id arrays over those centres.  The counts are
-    the number of such splits per offset over every centre, one per offset
-    in the same order, empty ones included.  Only the offsets with
-    ``a >= 0`` are extracted: ``(-a, -b)`` has the centres and counts of
-    ``(a, b)``, with the two ends swapped, so its tuple shares their arrays.
+    Returns the flat indices of its feasible nodes (their compact ids are
+    positions in this array, so the rows below the middle come first), the
+    compact id of the mirror image of each node below the middle row, the
+    number of splits per offset ``(a, b)`` over every centre, in
+    lexicographic offset order, and a function that extracts the splits
+    centred on the middle row or above it.  Splits are symmetric, on the
+    grid and with all three nodes feasible.  The extraction groups them by
+    centre, in compact-id order, with the offsets in lexicographic order
+    within a group (from ``(0, 0)`` on when ``swept``), and returns their
+    plus ends, minus ends, first offset coordinates and the start of each
+    group; every feasible centre has the zero split.
+
+    The mask is tested at those centres only: a centre below the middle
+    row has the splits of its mirror image at ``(a, -b)``, and ``(-a, -b)``
+    has the count of ``(a, b)``.
     """
     n0, n1 = feasible.shape
     mid = n0 // 2
@@ -420,34 +424,37 @@ def _plane(feasible, half0, half1):
     ids = ids.reshape(feasible.shape)
     rows, cols = np.divmod(nodes[nodes < mid * n1], n1)
     mirror = ids[n0 - 1 - rows, cols]
-    # shifted[i, half1 + b, j] = ids[i, j + b], and -1 off the plane, so
-    # an end that leaves the plane fails the same test as an infeasible one
-    padded = np.pad(ids, ((0, 0), (half1, half1)), constant_values=-1)
-    shifted = sliding_window_view(padded, n1, axis=1)
-    bs = range(-half1, half1 + 1)
-    splits, counts = [], []
-    # one pass per first offset coordinate, over every b and centre at once
-    for a in range(half0 + 1):
-        c = ids[a:n0 - a]
-        # axes (b, centre row, centre column), so the selections below run
-        # b first and then the centres row-major
-        p = shifted[2 * a:].transpose(1, 0, 2)
-        m = shifted[:n0 - 2 * a, ::-1].transpose(1, 0, 2)
-        ok = (c >= 0) & (p >= 0) & (m >= 0)
-        per_row = ok.sum(axis=2)
-        counts += per_row.sum(axis=1).tolist()
-        # the centre rows from the middle on; the mirror copies the rest
-        k = mid - a
-        ends = np.cumsum(per_row[:, k:].sum(axis=1)).tolist()
-        ok = ok[:, k:]
-        c = np.broadcast_to(c[k:], ok.shape)[ok]
-        p, m = p[:, k:][ok], m[:, k:][ok]
-        splits += [((a, b), c[s:e], p[s:e], m[s:e])
-                   for b, s, e in zip(bs, [0] + ends, ends) if e > s]
-    # the offsets with a < 0, read backwards from those with a > 0
-    flipped = [((-a, -b), c, m, p)
-               for (a, b), c, p, m in reversed(splits) if a > 0]
-    return nodes, mirror, flipped + splits, counts[len(bs):][::-1] + counts
+    # padded[i + half0, j + half1] = ids[i, j], and -1 off the plane, so an
+    # end that leaves the plane fails the same test as an infeasible one
+    padded = np.pad(ids, ((half0, half0), (half1, half1)), constant_values=-1)
+    rows, cols = np.divmod(nodes[mirror.size:], n1)
+    # near[k, half0 + a, half1 + b]: node (a, b) away from the k-th centre
+    # from the middle row on is feasible
+    near = sliding_window_view(padded >= 0, (2 * half0 + 1, 2 * half1 + 1))
+    near = near[rows, cols]
+    # ok[k, i, j]: offset (i + lo - half0, j - half1) splits centre k
+    lo = half0 if swept else 0
+    ok = near[:, lo:] & near[:, 2 * half0 - lo::-1, ::-1]
+    # the counts of the offsets with a >= 0, the centres above the middle
+    # row counted again for their mirror images, then those with a < 0
+    pos = ok[:, half0 - lo:]
+    above = pos[np.count_nonzero(rows == mid):].sum(axis=0)
+    counts = pos.sum(axis=0) + above[:, ::-1]
+    counts = np.concatenate([counts[:0:-1, ::-1], counts]).ravel()
+    if swept:
+        ok[:, 0, :half1] = False
+
+    def splits():
+        k, first, b = np.nonzero(ok)
+        first += lo - half0
+        width = padded.shape[1]
+        step = first * width + b - half1
+        centre = ((rows + half0) * width + cols + half1)[k]
+        ends = padded.ravel()
+        starts = np.flatnonzero(np.diff(k, prepend=-1))
+        return ends[centre + step], ends[centre - step], first, starts
+
+    return nodes, mirror, counts, splits
 
 
 def _gains(a, c, hf, hg):
@@ -455,20 +462,6 @@ def _gains(a, c, hf, hg):
     gains = a * hf * c
     gains *= hg
     return np.multiply(np.abs(gains, out=gains), 4.0, out=gains)
-
-
-def _centre_groups(splits):
-    """Concatenate splits sorted by centre: plus ends, minus ends, first
-    offset coordinates and the ``reduceat`` start of each centre."""
-    centre = np.concatenate([s[1] for s in splits])
-    order = np.argsort(centre, kind="stable")
-    centre = centre[order]
-    plus = np.concatenate([s[2] for s in splits])[order]
-    minus = np.concatenate([s[3] for s in splits])[order]
-    first = np.repeat([s[0][0] for s in splits],
-                      [s[1].size for s in splits])[order]
-    starts = np.flatnonzero(np.r_[True, centre[1:] != centre[:-1]])
-    return plus, minus, first, starts
 
 
 def _bands(edges, width):
@@ -496,6 +489,11 @@ class BellmanTable:
     along the mirror map of its compact ids completes each layer, bit for
     bit as a sweep over every centre would.
 
+    Each plane's splits come from one pass of :func:`_plane` over a padded
+    window of its node ids, already grouped by centre.  The per-layer pair
+    cap is checked from both planes' split counts before either plane's
+    splits are extracted, so a refused grid allocates no split arrays.
+
     A swept layer gathers the (g, G) split ends of every (f, F) node once,
     in bands of whole (g, G) centre groups of at most ``_GATHER_BLOCK``
     entries per array, and each (f, F) centre reads its rows from them.  The
@@ -513,9 +511,11 @@ class BellmanTable:
         self.steps = (self.fs[1] - self.fs[0], self.Fs[1] - self.Fs[0],
                       self.gs[1] - self.gs[0], self.Gs[1] - self.Gs[0])
         shape = (config.n_f, config.n_F, config.n_g, config.n_G)
+        # columns for :meth:`_snap`
         self._origin = np.array([self.fs[0], self.Fs[0], self.gs[0],
-                                 self.Gs[0]])
-        self._top = np.array(shape) - 1
+                                 self.Gs[0]])[:, None]
+        self._steps = np.array(self.steps)[:, None]
+        self._top = np.array(shape)[:, None] - 1
         self._feasible_f = (np.abs(self.fs)[:, None] ** config.p
                             <= self.Fs[None, :])
         self._feasible_g = (np.abs(self.gs)[:, None] ** config.p_dual
@@ -523,23 +523,22 @@ class BellmanTable:
         half = [(n - 1) // 2 for n in shape]
         if config.max_offset is not None:
             half = [min(h, config.max_offset) for h in half]
-        self._f_nodes, self._f_mirror, f_splits, f_counts = _plane(
-            self._feasible_f, *half[:2])
-        self._g_nodes, self._g_mirror, g_splits, g_counts = _plane(
+        self._f_nodes, self._f_mirror, f_counts, f_splits = _plane(
+            self._feasible_f, *half[:2], swept=True)
+        self._g_nodes, self._g_mirror, g_counts, g_splits = _plane(
             self._feasible_g, *half[2:])
         # candidates of a sweep over every centre: j and -j give the same
         # candidate, so the (f, F) offsets stop at (0, 0), the middle of the
         # lexicographic order, which pairs only with the positive (g, G) ones
-        zf, zg = len(f_counts) // 2, len(g_counts) // 2
-        pairs = (f_counts[zf] * sum(g_counts[zg + 1:])
-                 + sum(f_counts[zf + 1:]) * sum(g_counts))
+        zf, zg = f_counts.size // 2, g_counts.size // 2
+        pairs = (int(f_counts[zf]) * int(g_counts[zg + 1:].sum())
+                 + int(f_counts[zf + 1:].sum()) * int(g_counts.sum()))
         if pairs > _MAX_LAYER_PAIRS:
             raise DyadicError(
                 f"grid needs {pairs:.2e} candidate pairs per layer; shrink "
                 "the axes or set max_offset")
-        self._f_swept = _centre_groups(
-            [s for s in f_splits if s[0] >= (0, 0)])
-        self._g_all = _centre_groups(g_splits)
+        self._f_swept = f_splits()
+        self._g_all = g_splits()
         self._nodes = np.ix_(self._f_nodes, self._g_nodes)
         self._mask = (self._feasible_f[:, :, None, None]
                       & self._feasible_g[None, None, :, :])
@@ -645,9 +644,10 @@ class BellmanTable:
         return out
 
     def _snap(self, states):
-        """Grid indices nearest to real states (last axis ``f, F, g, G``):
-        ties go to the even index, and indices are clipped to the grid."""
-        i = np.rint((states - self._origin) / self.steps)
+        """Grid indices nearest to real states, one column per state (rows
+        ``f, F, g, G`` on the second-to-last axis): ties go to the even
+        index, and indices are clipped to the grid."""
+        i = np.rint((states - self._origin) / self._steps)
         return np.minimum(np.maximum(i, 0), self._top).astype(np.intp)
 
     def nearest_index(self, coords):
@@ -655,7 +655,7 @@ class BellmanTable:
         state = np.array(coords, dtype=float)
         if not np.isfinite(state).all():
             raise DyadicError(f"state {tuple(coords)} is not finite")
-        idx = tuple(self._snap(state).tolist())
+        idx = tuple(self._snap(state[:, None])[:, 0].tolist())
         dist = max(abs(float(ax[i]) - x) for ax, i, x in
                    zip((self.fs, self.Fs, self.gs, self.Gs), idx,
                        state.tolist()))
@@ -720,20 +720,20 @@ def range_check(table, t):
 
 
 def _grid_draws(u, shape, max_offset=None):
-    """Offsets ``j`` and centres ``idx`` of on-grid splits from rows of
-    eight uniforms in ``[0, 1)``: ``j_k = floor(u_k (2 h_k + 1)) - h_k``
-    with ``h_k = (n_k - 1) // 2``, capped at ``max_offset`` when one is
-    given (the DP's split radius), then
+    """Offsets ``j`` and centres ``idx`` of on-grid splits, one column per
+    split, from columns of eight uniforms in ``[0, 1)``: ``j_k = floor(u_k
+    (2 h_k + 1)) - h_k`` with ``h_k = (n_k - 1) // 2``, capped at
+    ``max_offset`` when one is given (the DP's split radius), then
     ``idx_k = |j_k| + floor(u_{4+k} (n_k - 2 |j_k|))``, so both ends
     ``idx +- j`` lie on the grid."""
-    n = np.array(shape)
+    n = np.array(shape)[:, None]
     h = (n - 1) // 2
     if max_offset is not None:
         h = np.minimum(h, max_offset)
     # the products are nonnegative, so truncation is the floor
-    j = (u[:, :4] * (2 * h + 1)).astype(np.intp) - h
+    j = (u[:4] * (2 * h + 1)).astype(np.intp) - h
     r = np.abs(j)
-    return j, r + (u[:, 4:] * (n - 2 * r)).astype(np.intp)
+    return j, r + (u[4:] * (n - 2 * r)).astype(np.intp)
 
 
 def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
@@ -743,7 +743,8 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
     ``n_samples`` accepted attempts among the first ``200 * n_samples``.
     Attempts are drawn in blocks, but each one reads the next eight
     uniforms of the stream, so the report does not depend on the block
-    size.
+    size.  A block is held axis-major, one row per coordinate (the
+    transpose of the draws), and the layers are read by flat node index.
 
     Grid mode: a uniform offset within the DP's split radius and a uniform
     centre that keeps both ends on the grid (:func:`_grid_draws`); attempts
@@ -782,6 +783,8 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
                 raise DyadicError(
                     f"snapped check: {name} = {getattr(cfg, name)} leaves "
                     "no centres two grid steps inside the axis")
+    # flat index steps of the four axes
+    sizes = np.cumprod((1,) + lower.shape[:0:-1])[::-1]
     min_slack = math.inf
     n_eval = 0
     attempts = 0
@@ -790,23 +793,24 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
         b = min(_CHECK_CHUNK, max_attempts - attempts)
         attempts += b
         if snapped:
-            # columns f0, g0, F0, G0, df, dF, dg, dG; states are (f, F, g, G)
-            u = rng.uniform(lo, hi, size=(b, 8))
-            centre, step = u[:, [0, 2, 1, 3]], u[:, 4:]
+            # rows f0, g0, F0, G0, df, dF, dg, dG; states are (f, F, g, G)
+            u = np.ascontiguousarray(rng.uniform(lo, hi, size=(b, 8)).T)
+            centre, step = u[[0, 2, 1, 3]], u[4:]
             pts = np.stack([centre, centre + step, centre - step])
-            ok = ((np.abs(pts[..., 0]) ** cfg.p <= pts[..., 1])
-                  & (np.abs(pts[..., 2]) ** cfg.p_dual <= pts[..., 3])
+            ok = ((np.abs(pts[:, 0]) ** cfg.p <= pts[:, 1])
+                  & (np.abs(pts[:, 2]) ** cfg.p_dual <= pts[:, 3])
                   ).all(axis=0)
-            mid, plus, minus = table._snap(pts)
-            gain = 4.0 * np.abs(step[:, 0] * step[:, 2])
+            mid, plus, minus = sizes @ table._snap(pts)
+            gain = 4.0 * np.abs(step[0] * step[2])
         else:
-            j, mid = _grid_draws(rng.random((b, 8)), lower.shape,
-                                 cfg.max_offset)
+            j, mid = _grid_draws(np.ascontiguousarray(rng.random((b, 8)).T),
+                                 lower.shape, cfg.max_offset)
+            gain = _gains(j[0], j[2], hf, hg)
+            mid, j = sizes @ mid, sizes @ j
             plus, minus = mid + j, mid - j
             ok = True
-            gain = _gains(j[:, 0], j[:, 2], hf, hg)
-        vmid = upper[tuple(mid.T)]
-        vp, vm = lower[tuple(plus.T)], lower[tuple(minus.T)]
+        vmid = upper.take(mid)
+        vp, vm = lower.take(plus), lower.take(minus)
         ok = ok & np.isfinite(vp) & np.isfinite(vm)
         if snapped:
             ok &= np.isfinite(vmid)
@@ -882,6 +886,12 @@ def lemma51_verify(f, g, space, k=1, bellman_depth=None, config=None,
     total interaction weight is compared with the oracle drop between the
     root state and the mean of its depth-``k`` cell states.
     """
+    if f.d == 1 and bellman_depth is not None and (
+            bellman_depth > MAX_TABLE_DEPTH):
+        # refused before the tree and the modulation search, which take
+        # seconds at k = 7
+        raise DyadicError(f"depth {bellman_depth} exceeds the table cap of "
+                          f"{MAX_TABLE_DEPTH}")
     tree = tree_from_functions(f, g, space)
     if not 1 <= k <= tree.depth:
         raise DyadicError(f"cell depth {k} outside 1..{tree.depth}")

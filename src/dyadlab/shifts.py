@@ -293,7 +293,11 @@ class ShiftSpec:
     @classmethod
     def from_json_dict(cls, data):
         from .dyadic import DyadicSystem
-        rows = np.array(data["entries"], dtype=np.int64).reshape(-1, 7)
+        try:
+            rows = np.array(data["entries"], dtype=np.int64).reshape(-1, 7)
+        except OverflowError:
+            raise DyadicError("an entry row holds an integer outside int64"
+                              ) from None
         return cls(DyadicSystem.from_json_dict(data["system"]), data["m"],
                    data["n"], rows[:, :6], rows[:, 6],
                    from_text(data["amplitude"]))

@@ -595,9 +595,11 @@ def random_step_function(system, seed, d=1, exact=False):
     """Random leaf values in ``[-4, 4]``: multiples of 1/8 in exact mode,
     uniform otherwise.
 
-    At most ``2**20`` leaf entries (cells times ``d``); more raise
-    ``DyadicError`` before anything is drawn.
+    At most ``2**20`` leaf entries (cells times ``d``); more, or ``d``
+    below 1, raise ``DyadicError`` before anything is drawn.
     """
+    if d < 1:
+        raise DyadicError(f"d must be a positive integer, got {d}")
     if system.n_leaves * d > _MAX_LEAF_ENTRIES:
         raise DyadicError(
             f"{system.n_leaves} cells times d = {d} exceed the cap of "

@@ -392,6 +392,25 @@ def test_layer_ops_guard():
     BellmanTable(BellmanConfig(n_f=25, n_F=25, n_g=25, n_G=25))
 
 
+# tracemalloc peak of the 65-point refusal when every split was extracted
+# before the pair cap was checked
+EXTRACT_FIRST_REFUSAL_PEAK_MIB = 25.8
+
+
+def test_refused_grid_extracts_no_splits():
+    """The pair cap reads both planes' counts before any split array is
+    extracted, so the 65-point refusal holds only the two planes' split
+    masks (14.7 MiB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DyadicError, match="candidate pairs per layer"):
+            BellmanTable(BellmanConfig(n_f=65, n_F=65, n_g=65, n_G=65))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20 < EXTRACT_FIRST_REFUSAL_PEAK_MIB * 2 ** 20
+
+
 def test_table_depth_cap():
     table = BellmanTable(BellmanConfig(n_f=5, n_F=5, n_g=5, n_G=5))
     with pytest.raises(DyadicError):
@@ -653,19 +672,40 @@ def offset_loop_splits(feasible, half0, half1):
     return nodes, splits
 
 
+def grouped_reference(splits, first_centre, swept):
+    """The reference splits centred on compact ids from ``first_centre`` on
+    (the middle row and above), and only the offsets from ``(0, 0)`` on when
+    ``swept``, grouped by centre with the offsets in order within each
+    centre: plus ends, minus ends, first offset coordinates and the start
+    of each centre's group."""
+    kept = [s for s in splits if not swept or s[0] >= (0, 0)]
+    centre = np.concatenate([s[1] for s in kept])
+    keep = centre >= first_centre
+    # stable, so each centre keeps the offset order of the loop
+    order = np.argsort(centre[keep], kind="stable")
+    plus, minus, first = [
+        np.concatenate(x)[keep][order]
+        for x in ([s[2] for s in kept], [s[3] for s in kept],
+                  [np.full(s[1].size, s[0][0]) for s in kept])]
+    starts = np.flatnonzero(np.diff(centre[keep][order], prepend=-1))
+    return plus, minus, first, starts
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_plane_splits_match_offset_loop(p):
-    """Same offsets in the same order and equal arrays over the centres
-    from the middle row on, counts over every centre and the mirror map, on
-    odd, even and non-square planes, with full and capped radii."""
+    """Same nodes, mirror map and counts over every centre, and equal
+    grouped arrays (values and dtypes) over the centres from the middle row
+    on, for the swept half and for every offset, on odd, even and
+    non-square planes, with full and capped radii."""
     for n0, n1 in [(9, 9), (13, 13), (9, 4), (7, 11), (5, 2), (3, 6)]:
         feasible = (np.abs(bellman._mirror_axis(2.0, n0))[:, None] ** p
                     <= np.linspace(0.0, 4.0, n1)[None, :])
-        for cap in (None, 0, 1, 2):
+        for cap, swept in itertools.product((None, 0, 1, 2), (True, False)):
             half = [(n - 1) // 2 for n in (n0, n1)]
             if cap is not None:
                 half = [min(h, cap) for h in half]
-            nodes, mirror, splits, counts = bellman._plane(feasible, *half)
+            nodes, mirror, counts, splits = bellman._plane(feasible, *half,
+                                                           swept=swept)
             ref_nodes, ref = offset_loop_splits(feasible, *half)
             assert np.array_equal(nodes, ref_nodes)
             # the mirror map sends each node below the middle row to the
@@ -678,18 +718,10 @@ def test_plane_splits_match_offset_loop(p):
             offsets = list(itertools.product(range(-half[0], half[0] + 1),
                                              range(-half[1], half[1] + 1)))
             sizes = {s[0]: s[1].size for s in ref}
-            assert counts == [sizes.get(o, 0) for o in offsets]
-            # the reference restricted to centres from the middle row on
-            first = np.count_nonzero(below)
-            swept = []
-            for offset, c, pl, mi in ref:
-                keep = c >= first
-                if keep.any():
-                    swept.append((offset, c[keep], pl[keep], mi[keep]))
-            assert [s[0] for s in splits] == [s[0] for s in swept]
-            for got, want in zip(splits, swept):
-                for x, y in zip(got[1:], want[1:]):
-                    assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert counts.tolist() == [sizes.get(o, 0) for o in offsets]
+            want = grouped_reference(ref, np.count_nonzero(below), swept)
+            for x, y in zip(splits(), want):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_criterion_4_table_bytes_are_frozen():
@@ -926,14 +958,14 @@ def test_grid_draws_cover_every_split():
     centres are drawn, on odd and even axes, with the radius ``h`` capped
     by ``max_offset`` or not."""
     shape = (9, 4, 9, 6)
-    u = np.random.default_rng(0).random((20000, 8))
+    u = np.random.default_rng(0).random((20000, 8)).T
     for cap in (None, 2):
         j, idx = bellman._grid_draws(u, shape, cap)
         for k, n in enumerate(shape):
             h = (n - 1) // 2 if cap is None else min((n - 1) // 2, cap)
-            assert set(j[:, k].tolist()) == set(range(-h, h + 1))
+            assert set(j[k].tolist()) == set(range(-h, h + 1))
             for a in range(-h, h + 1):
-                centres = idx[j[:, k] == a, k]
+                centres = idx[k, j[k] == a]
                 assert centres.min() == abs(a)
                 assert centres.max() == n - 1 - abs(a)
 
@@ -1086,6 +1118,20 @@ def test_lemma51_verify_depth_guards():
         lemma51_verify(f, g, SpaceSpec(p=2.0), k=3)
     with pytest.raises(DyadicError):
         lemma51_verify(f, g, SpaceSpec(p=2.0), k=2, bellman_depth=1)
+
+
+def test_lemma51_refuses_an_oracle_depth_above_the_cap_first(monkeypatch):
+    """An explicit ``bellman_depth`` above the table cap is refused before
+    the tree, Lambda and the modulation search (2.7 s at k = 7) run."""
+    def reached(*args, **kwargs):
+        raise AssertionError("the check ran before the refusal")
+
+    for name in ("tree_from_functions", "lambda_matrix", "find_alpha"):
+        monkeypatch.setattr(bellman, name, reached)
+    f, g = exact_pair(10, depth=7)
+    with pytest.raises(DyadicError, match="depth 7 exceeds the table cap"):
+        lemma51_verify(f, g, SpaceSpec(p=2.0), k=7,
+                       bellman_depth=bellman.MAX_TABLE_DEPTH + 1)
 
 
 def test_constant_pair_is_degenerate():

@@ -77,6 +77,7 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("lambda-equivalence", "--k", "-1"),
     ("lambda-equivalence", "--k", "0", "--martingale-trials", "0"),
     ("lemma51", "--depth", "-1"),
+    ("lemma51", "--d", "-1"),
     ("bellman-check", "--f-max", "inf"),
     ("bellman-check", "--g-max", "inf"),
     ("bellman-check", "--F-max", "inf"),

@@ -980,6 +980,20 @@ def test_shift_json_roundtrip():
         assert back.amplitude == shift.amplitude
 
 
+def test_shift_json_refuses_entries_outside_int64():
+    """A replayed entry row is untrusted input: an integer outside int64,
+    in a weight or in a key, is a ``DyadicError``, not numpy's
+    ``OverflowError``."""
+    text = json.dumps(random_extremal_shift(sample_system(143, depth=3), 0, 1,
+                                            seed=144).to_json_dict())
+    for row, col, value in ((0, 6, 2 ** 63), (0, 6, -2 ** 63 - 1),
+                            (-1, 0, 2 ** 63)):
+        data = json.loads(text)
+        data["entries"][row][col] = value
+        with pytest.raises(DyadicError, match="outside int64"):
+            ShiftSpec.from_json_dict(data)
+
+
 def test_series_bound_verdicts():
     for delta, expected in ((0.4, "divergent"), (0.5, "divergent"),
                             (0.6, "convergent"), (0.75, "convergent"),
