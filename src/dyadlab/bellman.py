@@ -445,8 +445,9 @@ def _plane(feasible, half0, half1, swept=False):
         ok[:, 0, :half1] = False
 
     def splits():
-        k, first, b = np.nonzero(ok)
-        first += lo - half0
+        k, i, b = np.nonzero(ok)
+        # a new array: the three from nonzero are views of one buffer
+        first = i + (lo - half0)
         width = padded.shape[1]
         step = first * width + b - half1
         centre = ((rows + half0) * width + cols + half1)[k]
