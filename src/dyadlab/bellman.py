@@ -512,11 +512,9 @@ class BellmanTable:
         self.steps = (self.fs[1] - self.fs[0], self.Fs[1] - self.Fs[0],
                       self.gs[1] - self.gs[0], self.Gs[1] - self.Gs[0])
         shape = (config.n_f, config.n_F, config.n_g, config.n_G)
-        # columns for :meth:`_snap`
         self._origin = np.array([self.fs[0], self.Fs[0], self.gs[0],
-                                 self.Gs[0]])[:, None]
-        self._steps = np.array(self.steps)[:, None]
-        self._top = np.array(shape)[:, None] - 1
+                                 self.Gs[0]])
+        self._top = np.array(shape) - 1
         self._feasible_f = (np.abs(self.fs)[:, None] ** config.p
                             <= self.Fs[None, :])
         self._feasible_g = (np.abs(self.gs)[:, None] ** config.p_dual
@@ -645,10 +643,9 @@ class BellmanTable:
         return out
 
     def _snap(self, states):
-        """Grid indices nearest to real states, one column per state (rows
-        ``f, F, g, G`` on the second-to-last axis): ties go to the even
-        index, and indices are clipped to the grid."""
-        i = np.rint((states - self._origin) / self._steps)
+        """Grid indices nearest to real states (last axis ``f, F, g, G``):
+        ties go to the even index, and indices are clipped to the grid."""
+        i = np.rint((states - self._origin) / self.steps)
         return np.minimum(np.maximum(i, 0), self._top).astype(np.intp)
 
     def nearest_index(self, coords):
@@ -656,7 +653,7 @@ class BellmanTable:
         state = np.array(coords, dtype=float)
         if not np.isfinite(state).all():
             raise DyadicError(f"state {tuple(coords)} is not finite")
-        idx = tuple(self._snap(state[:, None])[:, 0].tolist())
+        idx = tuple(self._snap(state).tolist())
         dist = max(abs(float(ax[i]) - x) for ax, i, x in
                    zip((self.fs, self.Fs, self.gs, self.Gs), idx,
                        state.tolist()))
@@ -801,7 +798,8 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
             ok = ((np.abs(pts[:, 0]) ** cfg.p <= pts[:, 1])
                   & (np.abs(pts[:, 2]) ** cfg.p_dual <= pts[:, 3])
                   ).all(axis=0)
-            mid, plus, minus = sizes @ table._snap(pts)
+            # numpy runs along the draws, the axis of unit stride
+            mid, plus, minus = table._snap(pts.transpose(0, 2, 1)) @ sizes
             gain = 4.0 * np.abs(step[0] * step[2])
         else:
             j, mid = _grid_draws(np.ascontiguousarray(rng.random((b, 8)).T),
