@@ -400,7 +400,7 @@ EXTRACT_FIRST_REFUSAL_PEAK_MIB = 25.8
 def test_refused_grid_extracts_no_splits():
     """The pair cap reads both planes' counts before any split array is
     extracted, so the 65-point refusal holds only the two planes' split
-    masks (14.7 MiB)."""
+    masks (14.8 MiB)."""
     tracemalloc.start()
     try:
         with pytest.raises(DyadicError, match="candidate pairs per layer"):
