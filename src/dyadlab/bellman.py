@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -177,7 +176,7 @@ def tree_from_functions(f, g, space):
     if f.d != g.d:
         raise DyadicError(f"value dimensions differ: {f.d} vs {g.d}")
     if f.exact and g.exact and space.p == 2.0 and space.q == 2.0:
-        powers = [_row_dots(x._num, x._num, 1) for x in (f, g)]
+        powers = [_row_dots(x._num, x._num, (1, 1)) for x in (f, g)]
     else:
         f, g = f.as_float(), g.as_float()
         powers = [_form(_powers(f.values, space.p, space.q)),
@@ -246,14 +245,14 @@ def _exact_modified_points(tree, alpha, k, lam):
     """:func:`modified_points` on the integer forms of an exact tree."""
     f, F, g, G = tree._means
     num = alpha._num
-    top, den = num.scale.numerator, num.scale.denominator
+    top, den = num.scale
     # 1 +- alpha_i = (den +- top * a_i) / den, and the weights are those
     # over 2**k
     total = den << k
     weights = np.empty((2, len(num.a)), dtype=object)
     weights[0] = den + top * num.a
     weights[1] = den - top * num.a
-    w = _Numerators(weights, None, Fraction(1, total))
+    w = _Numerators(weights, None, (1, total))
     f_mod = _product(w, f[k], operator.matmul)
     g_mod = _product(w, g[k], operator.matmul)
     points = _points(_exact_values(f_mod),
@@ -282,7 +281,7 @@ def _exact_modified_points(tree, alpha, k, lam):
     row = _Numerators(num.a[None, :], None, num.scale)
     quad = _product(row, _product(lam._num, num, operator.matmul),
                     operator.matmul)
-    rhs = _Numerators(quad.a, quad.b, quad.scale / 2)
+    rhs = quad.map(lambda v: v, (1, 2))
     diff = _combine(operator.sub, lhs, rhs)
     identity_exact = not diff.a.any() and (diff.b is None
                                            or not diff.b.any())
@@ -853,7 +852,7 @@ def _exact_alpha(alpha):
                 key=lambda i: abs(nums[i]))
         nums[i] -= excess
     return AlphaSequence._from_numerators(
-        _Numerators(nums, None, Fraction(1, den)))
+        _Numerators(nums, None, (1, den)))
 
 
 def _auto_config(tree, space):

@@ -39,8 +39,8 @@ from .schur import (equivalence_report, lambda_matrix,
 from .shifts import (apply_shift, paraproduct, paraproduct_adjoint,
                      random_extremal_shift, series_bound, shift_slice,
                      slice_bilinear_sides, symmetrize)
-from .signal import (SpaceSpec, _common, _equal, _numerators, _product,
-                     _row_dots, haar_expand, haar_reconstruct,
+from .signal import (SpaceSpec, _common, _equal, _numerators, _pow2,
+                     _product, _row_dots, haar_expand, haar_reconstruct,
                      pairing_integral, pointwise_product,
                      random_step_function)
 from .normlab import hilbert_demo, shift_scaling_study, umd_probe
@@ -70,9 +70,10 @@ def _coefficient_levels(mean, levels):
 
 def _total(terms):
     """The sum of every value of the integer forms ``terms``."""
-    terms, scale = _common(terms)
-    a = sum(int(t.a.sum()) for t in terms) * scale
-    b = sum(int(t.b.sum()) for t in terms if t.b is not None) * scale
+    terms, (top, den) = _common(terms)
+    a = Fraction(sum(int(t.a.sum()) for t in terms) * top, den)
+    b = Fraction(sum(int(t.b.sum()) for t in terms if t.b is not None) * top,
+                 den)
     return Sqrt2Rational._new(a, b) if b else a
 
 
@@ -115,8 +116,8 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
         levels_f = _coefficient_levels(mean_f, coeffs_f)
         levels_g = _coefficient_levels(*haar_expand(g))
         # |window| <mean_f, mean_g> plus every coefficient pairing
-        terms = [_row_dots(levels_f[0], levels_g[0], system.window_length)]
-        terms += [_row_dots(x, y, 1) for x, y in zip(levels_f[1:],
+        terms = [_row_dots(levels_f[0], levels_g[0], _pow2(system.M))]
+        terms += [_row_dots(x, y, (1, 1)) for x, y in zip(levels_f[1:],
                                                      levels_g[1:])]
         results["parseval_pairing"] = (pairing_integral(f, g)
                                        == _total(terms))
@@ -129,8 +130,8 @@ def identity_battery(seed=0, depth=4, window_exp=0, trials=3, d=1):
         # |I| |<jump_f, jump_g>| == 4 |<c_f, c_g>| on every interval I
         results["factor4_per_interval"] = all(
             _equal_magnitudes(
-                _row_dots(jumps_f, jumps_g, Fraction(2) ** (system.M - lev)),
-                _row_dots(levels_f[lev + 1], levels_g[lev + 1], 4))
+                _row_dots(jumps_f, jumps_g, _pow2(system.M - lev)),
+                _row_dots(levels_f[lev + 1], levels_g[lev + 1], (4, 1)))
             for lev, (jumps_f, jumps_g) in enumerate(zip(f._jumps,
                                                          g._jumps)))
 

@@ -156,7 +156,7 @@ class AlphaSequence:
             if num.b is not None:
                 raise ValueError("exact entries must be rational")
             # |a * top / den| <= 1/4
-            top, den = num.scale.numerator, num.scale.denominator
+            top, den = num.scale
             if any(4 * top * abs(a) > den for a in num.a.tolist()):
                 raise ValueError("entries must lie in [-1/4, 1/4]")
             if num.a.sum():
@@ -211,7 +211,7 @@ def lambda_matrix(tree, k):
 def _increments(means, k):
     """The form of ``(means[k] - means[0]) / 2**k``."""
     diff = _combine(operator.sub, means[k], means[0])
-    return diff.map(lambda v: v, diff.scale / 2 ** k)
+    return diff.map(lambda v: v, (1, 1 << k))
 
 
 def random_admissible_lambda(k, seed):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -96,6 +96,14 @@ def _sorted_set(values):
     return sorted(set(values.tolist()))
 
 
+@lru_cache(maxsize=64)
+def _plan_factors(amplitude, gap_set):
+    """The integer form of ``amplitude * 2**((gap - 2)/2)`` for each gap of
+    ``gap_set``, over one scale; shared, so its arrays must not be
+    written."""
+    return _numerators([amplitude * sqrt2_pow(g - 2) for g in gap_set])
+
+
 def _check_blocks(m, n):
     if m < 0 or n < 0:
         raise DyadicError("shift parameters must be non-negative")
@@ -150,6 +158,11 @@ class ShiftSpec:
         shift._init(system, m, n, keys, weights, amplitude)
         return shift
 
+    # A slice (:func:`shift_slice`) keeps the shift it restricts and the
+    # mask of the rows it keeps, and reads its apply plan from there.
+    _parent = None
+    _keep = None
+
     def _init(self, system, m, n, keys, weights, amplitude):
         _check_blocks(m, n)
         self.system = system
@@ -188,10 +201,14 @@ class ShiftSpec:
     # Built once per shift, each part on first use: the heap rows
     # (``2**level + index``) of every row's I and J, and every row's
     # coefficient joined to the Haar normalisations, as a float per row or
-    # as an exact integer form with one integer per row.
+    # as an exact integer form with one integer per row.  A slice takes
+    # each part from the shift it restricts, at the rows it keeps.
 
     @cached_property
     def _rows(self):
+        if self._parent is not None:
+            src, dst = self._parent._rows
+            return src[self._keep], dst[self._keep]
         keys = self.keys
         return (1 << keys[:, 2]) + keys[:, 3], (1 << keys[:, 4]) + keys[:, 5]
 
@@ -206,6 +223,8 @@ class ShiftSpec:
     def _float_plan(self):
         """``float(weight * amplitude) * float(2**(gap/2) / 2)`` per row:
         ``sqrt(|I|) / 2`` from ``<f, h_I>`` and ``|J|**-0.5`` from ``h_J``."""
+        if self._parent is not None:
+            return self._parent._float_plan[self._keep]
         gap_set, gap = self._gaps()
         factors = np.array([float(sqrt2_pow(g - 2)) for g in gap_set])
         return self._float_values() * factors[gap]
@@ -215,9 +234,11 @@ class ShiftSpec:
         """The exact coefficient of the float plan as an ``(N, 1)`` integer
         form: each row's weight times the integer form of ``amplitude *
         2**((gap - 2)/2)`` for its gap, over the scale of those forms."""
+        if self._parent is not None:
+            keep = self._keep
+            return self._parent._exact_plan.map(lambda nums: nums[keep])
         gap_set, gap = self._gaps()
-        factors = _numerators([self.amplitude * sqrt2_pow(g - 2)
-                               for g in gap_set])
+        factors = _plan_factors(self.amplitude, tuple(gap_set))
         weights = self.weights.astype(object)
         return factors.map(lambda nums: (weights * nums[gap])[:, None])
 
@@ -428,11 +449,11 @@ def _paraproduct_operands(phi, f):
 
 def _paraproduct(pairs, factor, signed=True):
     """The leaf values of the terms ``factor * x * y`` over the pairs of
-    forms ``(x, y)``, one pair per level.  ``factor``, a power of 2,
-    multiplies the leaves: in float64 the bits of a factor on each term,
+    forms ``(x, y)``, one pair per level.  ``factor``, a power of 2 as a
+    ``(top, den)`` pair, multiplies the leaves: in float64 the bits of a factor on each term,
     except where a leaf is subnormal or overflows before the factor."""
     out = _synthesized(_stacked([_product(x, y) for x, y in pairs]), signed)
-    return out.map(lambda v: v, out.scale * factor)
+    return out.map(lambda v: v, factor)
 
 
 def paraproduct(phi, f):
@@ -442,7 +463,7 @@ def paraproduct(phi, f):
     """
     phi, f = _paraproduct_operands(phi, f)
     return StepFunction._from_numerators(f.system, _paraproduct(
-        zip(phi._jumps, f._means), Fraction(1, 2)))
+        zip(phi._jumps, f._means), (1, 2)))
 
 
 def paraproduct_adjoint(phi, f):
@@ -452,7 +473,7 @@ def paraproduct_adjoint(phi, f):
     """
     phi, f = _paraproduct_operands(phi, f)
     return StepFunction._from_numerators(f.system, _paraproduct(
-        zip(phi._jumps, f._jumps), Fraction(1, 4), signed=False))
+        zip(phi._jumps, f._jumps), (1, 4), signed=False))
 
 
 # -- slices and the bilinear majorant ------------------------------------
@@ -467,13 +488,18 @@ def slice_levels(M, depth, j, k):
 
 def shift_slice(shift, j):
     """Restrict a shift to base intervals L with ``|L| = 2**(j + k*t)``,
-    where ``k`` is the complexity of the shift."""
-    keep = np.isin(shift.keys[:, 0],
-                   slice_levels(shift.system.M, shift.system.depth, j,
-                                shift.complexity))
-    return ShiftSpec._from_arrays(shift.system, shift.m, shift.n,
-                                  shift.keys[keep], shift.weights[keep],
-                                  shift.amplitude)
+    where ``k`` is the complexity of the shift.
+
+    The slice reads its apply plan from ``shift``'s, which is built once,
+    at the rows it keeps."""
+    system = shift.system
+    in_slice = np.zeros(system.depth + 1, dtype=bool)
+    in_slice[slice_levels(system.M, system.depth, j, shift.complexity)] = True
+    keep = in_slice[shift.keys[:, 0]]
+    part = ShiftSpec._from_arrays(system, shift.m, shift.n, shift.keys[keep],
+                                  shift.weights[keep], shift.amplitude)
+    part._parent, part._keep = shift, keep
+    return part
 
 
 def symmetrize(shift):

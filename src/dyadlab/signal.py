@@ -9,10 +9,11 @@ The Haar function of a non-leaf interval ``I`` is ``|I|**-0.5`` on the left
 half and ``-|I|**-0.5`` on the right half.
 
 There is one Haar engine for both arithmetic modes.  An array is held as
-``(a + b*sqrt(2)) * scale``, and the dtype of ``a`` is the mode: Python
-ints in object arrays over one ``Fraction`` scale (``b`` None when every
-value is rational) for exact values, and float64 values as they are (no
-``b``, scale 1) for floats.  The means of every interval are pairwise sums
+``(a + b*sqrt(2)) * top / den``, and the dtype of ``a`` is the mode: Python
+ints in object arrays over one scale ``(top, den)``, a reduced pair of
+positive Python ints (``b`` None when every value is rational), for exact
+values, and float64 values as they are (no ``b``, scale ``(1, 1)``) for
+floats.  The means of every interval are pairwise sums
 of the next finer level at half its scale, and the jump of ``I`` (left-half
 mean minus right-half mean) is a difference of those means.  Since ``<f,
 h_I> = sqrt(|I|)/2 * jump``, an operator ``sum c * <f, h_I> * h_J`` maps
@@ -22,8 +23,9 @@ synthesis spreads them onto the leaves with ``np.repeat``, adding each term
 on the left half of its interval and subtracting it on the right half.
 
 A new scale reaches a form only through :meth:`_Numerators.map`: an exact
-form takes it as its scale, and a float form multiplies its values by it
-and stays at scale 1.  So every float step is a float operation on the
+form multiplies its scale by the factor given, and a float form multiplies
+its values by it and stays at scale ``(1, 1)``, so float forms never compute
+a scale.  So every float step is a float operation on the
 values themselves: a mean is a pairwise sum times 0.5, and a sqrt(2) power
 or a shift amplitude multiplies the values it always multiplied.  Float
 results overflow only where those value operations do.
@@ -111,39 +113,56 @@ class SpaceSpec:
 
 
 class _Numerators(NamedTuple):
-    """The values ``(a + b*sqrt(2)) * scale`` of one array.
+    """The values ``(a + b*sqrt(2)) * top / den`` of one array, where
+    ``scale`` is the pair ``(top, den)``.
 
     Exact: ``a`` and ``b`` are object arrays of Python ints of one shape,
-    ``b`` is None when every value is rational, and ``scale`` is a positive
-    ``Fraction`` shared by the whole array.  Float: ``a`` holds the float64
-    values, ``b`` is None and ``scale`` is 1.  New forms are built with the
-    constructor, not ``_replace``: its temporary tuple is resized, and each
-    one freed would stay on the interpreter's free list of 3-tuples until a
-    full collection.
+    ``b`` is None when every value is rational, and ``scale`` is a reduced
+    pair of positive Python ints shared by the whole array.  Float: ``a``
+    holds the float64 values, ``b`` is None and ``scale`` is ``(1, 1)``.
+    New forms are built with the constructor, not ``_replace``: its
+    temporary tuple is resized, and each one freed would stay on the
+    interpreter's free list of 3-tuples until a full collection.
     """
 
     a: np.ndarray
     b: np.ndarray | None
-    scale: Fraction
+    scale: tuple
 
-    def map(self, fn, scale=None):
-        """``fn`` applied to both parts (a linear map on the integers), at
-        ``scale`` when one is given: the new scale of an exact form, and a
-        factor on the values of a float form, which stays at scale 1."""
+    def map(self, fn, factor=None):
+        """``fn`` applied to both parts (a linear map on the integers), times
+        ``factor`` when one is given, a ``(top, den)`` pair: an exact form
+        multiplies its scale by it, and a float form multiplies its values
+        by ``top / den`` (the correctly rounded quotient) and stays at scale
+        ``(1, 1)``."""
         if self.a.dtype != object:
             a = fn(self.a)
-            return _Numerators(a if scale is None else a * float(scale),
-                               None, _ONE)
+            return _Numerators(a if factor is None
+                               else a * (factor[0] / factor[1]), None, _ONE)
         return _Numerators(fn(self.a), None if self.b is None else fn(self.b),
-                           self.scale if scale is None else scale)
+                           self.scale if factor is None
+                           else _times(self.scale, factor))
 
     def b_or_zeros(self):
         return np.zeros_like(self.a) if self.b is None else self.b
 
 
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
-_ONE = Fraction(1)
+_ONE = (1, 1)
+_HALF = (1, 2)
 _SQRT2_RATIONAL = np.frompyfunc(Sqrt2Rational._new, 2, 1)
+
+
+def _times(x, y):
+    """The product of two scales ``(top, den)``, reduced."""
+    (p, q), (r, s) = x, y
+    g1, g2 = math.gcd(p, s), math.gcd(r, q)
+    return (p // g1) * (r // g2), (q // g2) * (s // g1)
+
+
+def _pow2(e):
+    """``2**e`` as a scale ``(top, den)``."""
+    return (1 << e, 1) if e >= 0 else (1, 1 << -e)
 
 
 def _as_rational(x):
@@ -172,7 +191,7 @@ def _numerators(values):
     a, b = nums[:len(flat)], nums[len(flat):]
     return _Numerators(a.reshape(values.shape),
                        b.reshape(values.shape) if len(b) and b.any() else None,
-                       Fraction(1, den))
+                       (1, den))
 
 
 def _array(values, exact):
@@ -192,7 +211,7 @@ def _form(values):
 def _exact_values(num):
     """The values of an exact ``num`` in normal form: a ``Fraction`` where
     the sqrt(2) part is 0 and a ``Sqrt2Rational`` elsewhere."""
-    top, den = num.scale.numerator, num.scale.denominator
+    top, den = num.scale
     out = _FRACTION(num.a * top if top != 1 else num.a, den)
     if num.b is not None:
         root = num.b != 0
@@ -208,13 +227,14 @@ def _values(num):
 
 def _floats(num):
     """The values of ``num`` as float64: a float form's own, and exact ones
-    converted as their normal forms are: ``float(Fraction)``, which is
-    correctly rounded and so equals the int/int true division of the
-    unreduced parts, and ``float(a) + float(b)*sqrt(2.0)`` where the sqrt(2)
-    part is not 0."""
+    with the bits of ``_values(num).astype(float)``, without building the
+    normal forms: ``float(Fraction)`` is correctly rounded and so equals
+    the int/int true division of the unreduced parts, and
+    ``float(Sqrt2Rational)`` is ``float(a) + float(b)*sqrt(2.0)``, done
+    here where the sqrt(2) part is not 0."""
     if num.a.dtype != object:
         return num.a
-    top, den = num.scale.numerator, num.scale.denominator
+    top, den = num.scale
     out = (num.a * top / den).astype(float)
     if num.b is not None:
         root = num.b != 0
@@ -269,15 +289,15 @@ def _common(nums):
     # lists, not generators: a tuple built from a generator is resized,
     # and each one freed would stay on the tuple free list of its length
     # until a full collection
-    top = math.gcd(*[x.scale.numerator for x in nums])
-    den = math.lcm(*[x.scale.denominator for x in nums])
-    scale = Fraction(top, den)
+    top = math.gcd(*[x.scale[0] for x in nums])
+    den = math.lcm(*[x.scale[1] for x in nums])
+    scale = (top, den)
     out = []
     for x in nums:
         # x.scale / scale, on the integers
-        k = x.scale.numerator // top * (den // x.scale.denominator)
-        out.append(_Numerators(x.a, x.b, scale) if k == 1
-                   else x.map(lambda v: v * k, scale))
+        k = x.scale[0] // top * (den // x.scale[1])
+        out.append(x if k == 1 else _Numerators(
+            x.a * k, None if x.b is None else x.b * k, scale))
     return out, scale
 
 
@@ -309,14 +329,14 @@ def _product(x, y, mul=operator.mul):
     else:
         a = a + 2 * mul(x.b, y.b)
         b = mul(x.a, y.b) + mul(x.b, y.a)
-    return _Numerators(a, b, x.scale * y.scale)
+    return _Numerators(a, b, _ONE if a.dtype != object
+                       else _times(x.scale, y.scale))
 
 
 def _row_dots(x, y, factor):
-    """The form of ``factor`` times the dot product of each pair of rows
-    of ``x`` and ``y``."""
-    prod = _product(x, y)
-    return prod.map(lambda v: v.sum(axis=1), prod.scale * factor)
+    """The form of ``factor`` (a ``(top, den)`` pair) times the dot product
+    of each pair of rows of ``x`` and ``y``."""
+    return _product(x, y).map(lambda v: v.sum(axis=1), factor)
 
 
 def _pyramid(num, depth):
@@ -326,7 +346,7 @@ def _pyramid(num, depth):
     means = [num]
     for _ in range(depth):
         finer = means[-1]
-        means.append(finer.map(lambda v: v[0::2] + v[1::2], finer.scale / 2))
+        means.append(finer.map(lambda v: v[0::2] + v[1::2], _HALF))
     return means[::-1]
 
 
@@ -431,7 +451,8 @@ class StepFunction:
 
     @cached_property
     def _float(self):
-        return StepFunction(self.system, self.values.astype(float))
+        # the bits of values.astype(float), read from the form
+        return StepFunction(self.system, _floats(self._num))
 
     @cached_property
     def _means(self):
@@ -572,9 +593,9 @@ def pairing_integral(f, g):
     if f.d != g.d:
         raise DyadicError(f"dimension mismatch {f.d} != {g.d}")
     f, g = _one_mode(f, g)
-    prod = _product(f._num, g._num)
-    total = prod.map(lambda v: v.sum(keepdims=True)[0],
-                     prod.scale * f.system.leaf_width)
+    system = f.system
+    total = _product(f._num, g._num).map(lambda v: v.sum(keepdims=True)[0],
+                                         _pow2(system.M - system.depth))
     return _values(total).tolist()[0]
 
 
@@ -609,6 +630,6 @@ def random_step_function(system, seed, d=1, exact=False):
         nums = np.array(rng.integers(-32, 33, size=(system.n_leaves, d))
                         .tolist(), dtype=object)
         return StepFunction._from_numerators(
-            system, _Numerators(nums, None, Fraction(1, 8)))
+            system, _Numerators(nums, None, (1, 8)))
     vals = rng.uniform(-4, 4, size=(system.n_leaves, d))
     return StepFunction(system, vals)

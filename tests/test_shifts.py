@@ -799,6 +799,53 @@ def test_slice_partition_reassembles_shift():
     assert np.abs(total - shift_matrix(sh)).max() < AGREE_TOL
 
 
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if want.dtype == object:
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5, 6, 7, 8])
+def test_slice_plans_equal_fresh_plans(depth):
+    """A slice reads its apply plan from the shift it restricts, at the
+    rows it keeps; every part equals the plan of a shift built on the same
+    rows, values and dtypes, and so do applications in both modes."""
+    sys_ = sample_system((193, depth), depth, M=depth % 3 - 1)
+    rng = np.random.default_rng((194, depth))
+    f = random_step_function(sys_, seed=(195, depth), d=2, exact=True)
+    ff = f.as_float()
+    petermichl = petermichl_shift(sys_)
+    # an amplitude of 1/4 gives factors with a sqrt(2) part
+    quarter = ShiftSpec(sys_, 0, 1, petermichl.keys,
+                        np.resize([1, -2, 0], len(petermichl.keys)),
+                        Fraction(1, 4))
+    assert quarter._exact_plan.b is not None
+    shifts_ = [petermichl, quarter]
+    for trial in range(3):
+        m, n = (int(v) for v in rng.integers(0, min(depth - 1, 4), size=2))
+        sh = random_extremal_shift(sys_, m, n, seed=(196, depth, trial))
+        shifts_ += [sh, symmetrize(sh), sh.adjoint()]
+    for shift in shifts_:
+        for j in range(shift.complexity):
+            part = shift_slice(shift, j)
+            fresh = ShiftSpec._from_arrays(sys_, part.m, part.n, part.keys,
+                                           part.weights, part.amplitude)
+            for got, want in zip(part._rows, fresh._rows):
+                _assert_same_array(got, want)
+            _assert_same_array(part._float_plan, fresh._float_plan)
+            got, want = part._exact_plan, fresh._exact_plan
+            assert got.scale == want.scale
+            _assert_same_array(got.a, want.a)
+            assert (got.b is None) == (want.b is None)
+            if want.b is not None:
+                _assert_same_array(got.b, want.b)
+            assert apply_shift(part, f) == apply_shift(fresh, f)
+            assert apply_shift(part, ff).values.tobytes() == \
+                apply_shift(fresh, ff).values.tobytes()
+
+
 def test_slice_bilinear_majorant_holds():
     sys_ = sample_system(81, depth=5)
     f = random_step_function(sys_, seed=82)

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,7 @@ from dyadlab.signal import (SpaceSpec, StepFunction, haar_expand,
                             haar_reconstruct, pairing_integral,
                             pointwise_product, random_step_function)
 from dyadlab.shifts import (apply_shift, paraproduct, paraproduct_adjoint,
-                            random_extremal_shift)
+                            random_extremal_shift, symmetrize)
 from haar_oracle import average, haar_coeff, haar_profile, lp_norm
 
 ROOT2 = sqrt2_pow(1)
@@ -143,6 +145,80 @@ def test_as_float_is_bit_identical_and_built_once():
     assert not ff.exact
     assert ff.values.tobytes() == np.array([[float(v)] for v in vals]).tobytes()
     assert f.as_float() is ff and ff.as_float() is ff
+
+
+def _leaves(values):
+    out = np.empty((len(values), 1), dtype=object)
+    out[:, 0] = values
+    return out
+
+
+AS_FLOAT_LEAVES = {
+    "eighths": [Fraction(k, 8) for k in (-32, -7, -1, 0, 1, 5, 13, 32)],
+    "thirds": [Fraction(k, 3) for k in (-10, -4, -1, 0, 1, 2, 7, 11)],
+    "sqrt2": [Sqrt2Rational(Fraction(a, 3), Fraction(b, 5))
+              for a, b in ((1, 1), (-2, 7), (0, -3), (5, 0), (-1, -1),
+                           (4, 2), (7, -9), (0, 0))],
+    "huge": [Fraction(2 ** 1000, 3) * k for k in (-3, -1, 1, 2, 5, 0, 1, -2)],
+    "tiny": [Fraction(k, 2 ** 1100) for k in (-3, -1, 1, 2, 5, 0, 1, -2)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(AS_FLOAT_LEAVES))
+def test_as_float_bytes_equal_the_values_as_floats(case):
+    """``as_float`` reads the float copy from the integer form; its bytes
+    are those of ``values.astype(float)``, for functions built from values
+    and for Haar operator outputs, whose values are never read first."""
+    sys_ = sample_system(63, 3, M=1)
+    f = StepFunction(sys_, _leaves(AS_FLOAT_LEAVES[case]))
+    g = random_step_function(sys_, seed=64, exact=True)
+    shift = random_extremal_shift(sys_, 0, 1, seed=65)
+    outputs = [apply_shift(shift, f), paraproduct(g, f),
+               paraproduct_adjoint(f, g), f - g]
+    for h in [f, g] + outputs:
+        got = h.as_float().values.tobytes()
+        assert got == h.values.astype(float).tobytes()
+
+
+def _fraction_calls(fn):
+    """Names of the calls into ``fractions.py`` made while ``fn`` runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if (event == "call" and os.path.basename(frame.f_code.co_filename)
+                == "fractions.py"):
+            calls.append(frame.f_code.co_name)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(old)
+    return calls
+
+
+def test_warm_float_haar_ops_make_no_fraction_calls():
+    """Float forms hold the scale (1, 1) and never compute one: once a
+    shift's plan and the sqrt(2) powers are built, the float Haar operators
+    on new functions make no call into ``fractions.py``."""
+    sys_ = sample_system(66, 6, M=-1)
+    rng = np.random.default_rng(67)
+    f_vals, phi_vals = rng.uniform(-4, 4, size=(64, 2)), rng.uniform(-4, 4, 64)
+    shift = symmetrize(random_extremal_shift(sys_, 1, 2, seed=68))
+    mean, levels = haar_expand(StepFunction(sys_, f_vals))
+    ops = {
+        "apply_shift": lambda f, phi: apply_shift(shift, f),
+        "paraproduct": lambda f, phi: paraproduct(phi, f),
+        "paraproduct_adjoint": lambda f, phi: paraproduct_adjoint(phi, f),
+        "haar_expand": lambda f, phi: haar_expand(f),
+        "haar_reconstruct": lambda f, phi: haar_reconstruct(sys_, mean,
+                                                            levels).values,
+    }
+    for name, op in ops.items():
+        op(StepFunction(sys_, f_vals), StepFunction(sys_, phi_vals))  # warm
+        f, phi = StepFunction(sys_, f_vals), StepFunction(sys_, phi_vals)
+        assert _fraction_calls(lambda: op(f, phi)) == [], name
 
 
 # -- Haar calculus: frozen values ---------------------------------------
