@@ -156,6 +156,14 @@ class MartingaleTree:
             raise DyadicError(f"depth {k} outside 0..{self.depth}")
         return _points(*[_values(x[k]) for x in self._means])
 
+    def _states(self, k):
+        """The scalar states of depth ``k`` as a ``(2**k, 4)`` float array:
+        row ``i`` is ``points_at_depth(k)[i].coords()``, read with
+        :func:`~dyadlab.signal._floats`, which gives the bits of ``float``
+        on each value."""
+        f, F, g, G = [_floats(x[k]) for x in self._means]
+        return np.column_stack([f[:, 0], F, g[:, 0], G])
+
 
 def _points(f, F, g, G):
     """Rows of level arrays as states (Python scalars, as stored)."""
@@ -647,17 +655,6 @@ class BellmanTable:
         i = np.rint((states - self._origin) / self.steps)
         return np.minimum(np.maximum(i, 0), self._top).astype(np.intp)
 
-    def nearest_index(self, coords):
-        """Grid index closest to a real state, with the snap distance."""
-        state = np.array(coords, dtype=float)
-        if not np.isfinite(state).all():
-            raise DyadicError(f"state {tuple(coords)} is not finite")
-        idx = tuple(self._snap(state).tolist())
-        dist = max(abs(float(ax[i]) - x) for ax, i, x in
-                   zip((self.fs, self.Fs, self.gs, self.Gs), idx,
-                       state.tolist()))
-        return idx, dist
-
     def evaluate(self, t, point, bump_feasible=True):
         """Table value at the nearest grid node to ``point``.
 
@@ -669,18 +666,37 @@ class BellmanTable:
             coords = point.coords()
         else:
             coords = tuple(float(x) for x in point)
-        idx, dist = self.nearest_index(coords)
+        return self._read(t, np.array([coords], dtype=float),
+                          bump_feasible)[0]
+
+    def _read(self, t, states, bump_feasible=True):
+        """:meth:`evaluate` of every row of the ``(n, 4)`` float array
+        ``states``, with one snap, one distance computation and one
+        feasibility bump: each power index moves to the first feasible one
+        from it on, or to the last index when none before it is."""
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            bad = tuple(states[np.argmin(finite)].tolist())
+            raise DyadicError(f"state {bad} is not finite")
+        idx = self._snap(states)
+        nodes = np.column_stack([ax[i] for ax, i in zip(
+            (self.fs, self.Fs, self.gs, self.Gs), idx.T)])
+        dist = np.abs(nodes - states).max(axis=1)
         layer = self.layer(t)
-        i0, i1, i2, i3 = idx
+        read = idx.copy()
         if bump_feasible:
-            while i1 < len(self.Fs) - 1 and not self._feasible_f[i0, i1]:
-                i1 += 1
-            while i3 < len(self.Gs) - 1 and not self._feasible_g[i2, i3]:
-                i3 += 1
-        bumped = (i1, i3) != idx[1::2]
-        idx = (i0, i1, i2, i3)
-        return {"value": float(layer[idx]), "index": idx,
-                "snap_distance": dist, "bumped": bumped}
+            for col, feasible in ((1, self._feasible_f),
+                                  (3, self._feasible_g)):
+                ok = feasible[idx[:, col - 1]] & (
+                    np.arange(feasible.shape[1]) >= idx[:, col, None])
+                ok[:, -1] = True
+                read[:, col] = ok.argmax(axis=1)
+        bumped = (read[:, 1::2] != idx[:, 1::2]).any(axis=1)
+        values = layer[tuple(read.T)]
+        return [{"value": v, "index": tuple(i), "snap_distance": d,
+                 "bumped": b}
+                for v, i, d, b in zip(values.tolist(), read.tolist(),
+                                      dist.tolist(), bumped.tolist())]
 
 
 # Most recently used tables, oldest first (dicts keep insertion order).
@@ -861,6 +877,9 @@ def _auto_config(tree, space):
     f, g = f.map(lambda v: v[:, 0]), g.map(lambda v: v[:, 0])
     f_abs, F_abs, g_abs, G_abs = [float(_floats(_abs_max(x))[0])
                                   for x in (f, F, g, G)]
+    if not (math.isfinite(F_abs) and math.isfinite(G_abs)):
+        raise DyadicError(f"the leaf powers at p = {space.p} are not finite "
+                          "floats; no oracle grid holds them")
     return BellmanConfig(
         p=float(space.p),
         f_max=max(2.0, float(math.ceil(f_abs))),
@@ -903,6 +922,10 @@ def lemma51_verify(f, g, space, k=1, bellman_depth=None, config=None,
         bellman_depth = int(bellman_depth)
         if bellman_depth < k:
             raise DyadicError("bellman_depth must be at least the cell depth")
+        if config is None:
+            # before the modulation search: leaf powers that overflow are
+            # refused at once
+            config = _auto_config(tree, space)
     lam = lambda_matrix(tree, k)
     alpha, alpha_report = find_alpha(lam, seed=seed)
     sum_abs = alpha_report["sum_abs_lambda"]
@@ -932,12 +955,9 @@ def lemma51_verify(f, g, space, k=1, bellman_depth=None, config=None,
                        "drop": None, "c_emp": None, "degenerate": True})
         return report
 
-    if config is None:
-        config = _auto_config(tree, space)
     table = bellman_oracle(config, depth=bellman_depth)
-    root_eval = table.evaluate(bellman_depth, tree.root_point())
-    cell_evals = [table.evaluate(bellman_depth - k, pt)
-                  for pt in tree.points_at_depth(k)]
+    root_eval, = table._read(bellman_depth, tree._states(0))
+    cell_evals = table._read(bellman_depth - k, tree._states(k))
     values = [e["value"] for e in cell_evals] + [root_eval["value"]]
     snap = max([root_eval["snap_distance"]]
                + [e["snap_distance"] for e in cell_evals])

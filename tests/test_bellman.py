@@ -16,6 +16,7 @@ from dyadlab.bellman import (BellmanConfig, BellmanTable, MartingalePoint,
                              lemma51_verify, modified_points, range_check,
                              tree_from_functions)
 from dyadlab.dyadic import DyadicError, DyadicSystem, sample_system
+from dyadlab.exact import Sqrt2Rational
 from dyadlab.schur import (AlphaSequence, _project_balanced_box,
                            find_alpha, lambda_matrix)
 from dyadlab.signal import SpaceSpec, StepFunction, random_step_function
@@ -812,6 +813,61 @@ def test_evaluate_bumps_boundary_states():
     assert math.isfinite(out["value"])
     raw = table.evaluate(1, (2.0, 3.5, 0.0, 4.0), bump_feasible=False)
     assert raw["value"] == -math.inf
+
+
+def _per_state_read(table, t, coords, bump_feasible):
+    """The oracle read of one state, one coordinate at a time: the nearest
+    node, its snap distance, and the power indices raised step by step
+    until the node is feasible or the index is the last."""
+    state = np.array(coords, dtype=float)
+    idx = tuple(table._snap(state).tolist())
+    dist = max(abs(float(ax[i]) - x) for ax, i, x in
+               zip((table.fs, table.Fs, table.gs, table.Gs), idx,
+                   state.tolist()))
+    i0, i1, i2, i3 = idx
+    if bump_feasible:
+        while i1 < len(table.Fs) - 1 and not table._feasible_f[i0, i1]:
+            i1 += 1
+        while i3 < len(table.Gs) - 1 and not table._feasible_g[i2, i3]:
+            i3 += 1
+    return {"value": float(table.layer(t)[i0, i1, i2, i3]),
+            "index": (i0, i1, i2, i3), "snap_distance": dist,
+            "bumped": (i1, i3) != idx[1::2]}
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_batched_read_matches_the_per_state_read(p):
+    """One snap, distance and bump for many states gives the reports of
+    the per-state read: values, indices, snap distances and bump flags,
+    with their Python types, on and off the domain boundary."""
+    config = BellmanConfig(p=p, n_f=9, n_F=9, n_g=9, n_G=9)
+    table = bellman_oracle(config, depth=2)
+    rng = np.random.default_rng((72, int(p)))
+    states = rng.uniform(-1.2, 1.2, size=(300, 4)) * [
+        config.f_max, config.F_max, config.g_max, config.G_max]
+    states[::3, 1] = np.abs(states[::3, 0]) ** p
+    states[1::3, 3] = np.abs(states[1::3, 2]) ** config.p_dual
+    for bump in (True, False):
+        got = table._read(2, states, bump)
+        want = [_per_state_read(table, 2, s, bump) for s in states.tolist()]
+        # repr tells a numpy scalar from a Python float or int
+        assert repr(got) == repr(want)
+        assert [table.evaluate(2, s, bump) for s in states[:20]] == want[:20]
+    assert any(r["bumped"] for r in table._read(2, states))
+
+
+def test_tree_states_are_the_point_coordinates():
+    """The state array the oracle reads holds the bits of ``coords()`` of
+    every point, on exact trees (leaves in Q(sqrt(2)) too) and float
+    ones."""
+    f, g = exact_pair(73, depth=4, M=1)
+    root2 = StepFunction(f.system, f.values * Sqrt2Rational(1, 1)
+                         + Fraction(1, 3))
+    for x, p in ((f, 2.0), (root2, 2.0), (f, 3.0), (f.as_float(), 2.0)):
+        tree = tree_from_functions(x, g, SpaceSpec(p=p))
+        for k in range(tree.depth + 1):
+            want = np.array([pt.coords() for pt in tree.points_at_depth(k)])
+            assert tree._states(k).tobytes() == want.tobytes()
 
 
 def test_evaluate_rejects_non_finite_states():

@@ -78,6 +78,8 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("lambda-equivalence", "--k", "0", "--martingale-trials", "0"),
     ("lemma51", "--depth", "-1"),
     ("lemma51", "--d", "-1"),
+    ("lemma51", "--p", "1.0000001"),
+    ("lemma51", "--p", "1e308"),
     ("bellman-check", "--f-max", "inf"),
     ("bellman-check", "--g-max", "inf"),
     ("bellman-check", "--F-max", "inf"),
@@ -95,7 +97,10 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("schur-check", "--k", "40"),
 ])
 def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
+    # each is refused before any long computation
+    start = time.perf_counter()
     assert run(tmp_path, *argv) == 1
+    assert time.perf_counter() - start < 1.0
     assert "dyadlab: error" in capsys.readouterr().err
 
 
