@@ -669,34 +669,38 @@ class BellmanTable:
         return self._read(t, np.array([coords], dtype=float),
                           bump_feasible)[0]
 
+    @cached_property
+    def _raised(self):
+        """The power index each node of the (f, F) and of the (g, G) plane
+        is raised to: the first feasible one from it on, or the last index
+        when none before it is."""
+        out = []
+        for feasible in (self._feasible_f, self._feasible_g):
+            last = feasible.shape[1] - 1
+            first = np.where(feasible, np.arange(last + 1), last)
+            out.append(np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1])
+        return out
+
     def _read(self, t, states, bump_feasible=True):
         """:meth:`evaluate` of every row of the ``(n, 4)`` float array
         ``states``, with one snap, one distance computation and one
-        feasibility bump: each power index moves to the first feasible one
-        from it on, or to the last index when none before it is."""
-        finite = np.isfinite(states).all(axis=1)
-        if not finite.all():
-            bad = tuple(states[np.argmin(finite)].tolist())
-            raise DyadicError(f"state {bad} is not finite")
-        idx = self._snap(states)
-        nodes = np.column_stack([ax[i] for ax, i in zip(
-            (self.fs, self.Fs, self.gs, self.Gs), idx.T)])
+        feasibility bump."""
+        if not np.isfinite(states).all():
+            bad = states[~np.isfinite(states).all(axis=1)][0]
+            raise DyadicError(f"state {tuple(bad.tolist())} is not finite")
+        i0, i1, i2, i3 = self._snap(states).T
+        nodes = np.stack([self.fs[i0], self.Fs[i1], self.gs[i2],
+                          self.Gs[i3]], axis=1)
         dist = np.abs(nodes - states).max(axis=1)
-        layer = self.layer(t)
-        read = idx.copy()
+        j1, j3 = i1, i3
         if bump_feasible:
-            for col, feasible in ((1, self._feasible_f),
-                                  (3, self._feasible_g)):
-                ok = feasible[idx[:, col - 1]] & (
-                    np.arange(feasible.shape[1]) >= idx[:, col, None])
-                ok[:, -1] = True
-                read[:, col] = ok.argmax(axis=1)
-        bumped = (read[:, 1::2] != idx[:, 1::2]).any(axis=1)
-        values = layer[tuple(read.T)]
-        return [{"value": v, "index": tuple(i), "snap_distance": d,
-                 "bumped": b}
-                for v, i, d, b in zip(values.tolist(), read.tolist(),
-                                      dist.tolist(), bumped.tolist())]
+            j1, j3 = self._raised[0][i0, i1], self._raised[1][i2, i3]
+        values = self.layer(t)[i0, j1, i2, j3]
+        bumped = (j1 != i1) | (j3 != i3)
+        index = zip(i0.tolist(), j1.tolist(), i2.tolist(), j3.tolist())
+        return [{"value": v, "index": i, "snap_distance": d, "bumped": b}
+                for v, i, d, b in zip(values.tolist(), index, dist.tolist(),
+                                      bumped.tolist())]
 
 
 # Most recently used tables, oldest first (dicts keep insertion order).
