@@ -450,8 +450,9 @@ def _paraproduct_operands(phi, f):
 def _paraproduct(pairs, factor, signed=True):
     """The leaf values of the terms ``factor * x * y`` over the pairs of
     forms ``(x, y)``, one pair per level.  ``factor``, a power of 2 as a
-    ``(top, den)`` pair, multiplies the leaves: in float64 the bits of a factor on each term,
-    except where a leaf is subnormal or overflows before the factor."""
+    ``(top, den)`` pair, multiplies the leaves: in float64 the bits of a
+    factor on each term, except where a leaf is subnormal or overflows
+    before the factor."""
     out = _synthesized(_stacked([_product(x, y) for x, y in pairs]), signed)
     return out.map(lambda v: v, factor)
 
