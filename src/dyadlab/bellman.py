@@ -666,8 +666,11 @@ class BellmanTable:
             coords = point.coords()
         else:
             coords = tuple(float(x) for x in point)
-        return self._read(t, np.array([coords], dtype=float),
-                          bump_feasible)[0]
+        index, dist, bumped = self._nearest(np.array([coords]),
+                                            bump_feasible)
+        idx = tuple(index[0].tolist())
+        return {"value": float(self.layer(t)[idx]), "index": idx,
+                "snap_distance": float(dist[0]), "bumped": bool(bumped[0])}
 
     @cached_property
     def _raised(self):
@@ -681,26 +684,25 @@ class BellmanTable:
             out.append(np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1])
         return out
 
-    def _read(self, t, states, bump_feasible=True):
-        """:meth:`evaluate` of every row of the ``(n, 4)`` float array
-        ``states``, with one snap, one distance computation and one
-        feasibility bump."""
+    def _nearest(self, states, bump_feasible=True):
+        """The grid nodes :meth:`evaluate` reads for the rows of the
+        ``(n, 4)`` float array ``states``, from one snap, one distance
+        computation and one feasibility bump: ``(index, snap distance,
+        bumped)``, one row of each per state."""
         if not np.isfinite(states).all():
             bad = states[~np.isfinite(states).all(axis=1)][0]
             raise DyadicError(f"state {tuple(bad.tolist())} is not finite")
-        i0, i1, i2, i3 = self._snap(states).T
+        idx = self._snap(states)
+        i0, i1, i2, i3 = idx.T
         nodes = np.stack([self.fs[i0], self.Fs[i1], self.gs[i2],
                           self.Gs[i3]], axis=1)
         dist = np.abs(nodes - states).max(axis=1)
-        j1, j3 = i1, i3
-        if bump_feasible:
-            j1, j3 = self._raised[0][i0, i1], self._raised[1][i2, i3]
-        values = self.layer(t)[i0, j1, i2, j3]
-        bumped = (j1 != i1) | (j3 != i3)
-        index = zip(i0.tolist(), j1.tolist(), i2.tolist(), j3.tolist())
-        return [{"value": v, "index": i, "snap_distance": d, "bumped": b}
-                for v, i, d, b in zip(values.tolist(), index, dist.tolist(),
-                                      bumped.tolist())]
+        if not bump_feasible:
+            return idx, dist, np.zeros(len(idx), dtype=bool)
+        index = idx.copy()
+        index[:, 1] = self._raised[0][i0, i1]
+        index[:, 3] = self._raised[1][i2, i3]
+        return index, dist, (index != idx).any(axis=1)
 
 
 # Most recently used tables, oldest first (dicts keep insertion order).
@@ -960,14 +962,14 @@ def lemma51_verify(f, g, space, k=1, bellman_depth=None, config=None,
         return report
 
     table = bellman_oracle(config, depth=bellman_depth)
-    root_eval, = table._read(bellman_depth, tree._states(0))
-    cell_evals = table._read(bellman_depth - k, tree._states(k))
-    values = [e["value"] for e in cell_evals] + [root_eval["value"]]
-    snap = max([root_eval["snap_distance"]]
-               + [e["snap_distance"] for e in cell_evals])
-    if all(np.isfinite(v) for v in values):
-        cell_mean = math.fsum(e["value"] for e in cell_evals) / 2 ** k
-        drop = root_eval["value"] - cell_mean
+    # the root state, then the cell states
+    index, dist, bumped = table._nearest(
+        np.concatenate([tree._states(0), tree._states(k)]))
+    root_value = float(table.layer(bellman_depth)[tuple(index[0])])
+    cell_values = table.layer(bellman_depth - k)[tuple(index[1:].T)].tolist()
+    if all(np.isfinite(v) for v in cell_values + [root_value]):
+        cell_mean = math.fsum(cell_values) / 2 ** k
+        drop = root_value - cell_mean
     else:
         cell_mean = None
         drop = None
@@ -975,13 +977,12 @@ def lemma51_verify(f, g, space, k=1, bellman_depth=None, config=None,
     c_emp = None if degenerate else sum_abs / (2.0 ** (k / 2.0) * drop)
     report.update({
         "bellman_depth": bellman_depth,
-        "root_value": root_eval["value"],
+        "root_value": root_value,
         "cell_mean_value": cell_mean,
         "drop": drop,
         "c_emp": c_emp,
         "degenerate": bool(degenerate),
-        "max_snap_distance": snap,
-        "bumped_any": bool(root_eval["bumped"]
-                           or any(e["bumped"] for e in cell_evals)),
+        "max_snap_distance": float(dist.max()),
+        "bumped_any": bool(bumped.any()),
     })
     return report

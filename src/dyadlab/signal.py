@@ -235,7 +235,7 @@ def _floats(num):
     if num.a.dtype != object:
         return num.a
     top, den = num.scale
-    out = (num.a * top / den).astype(float)
+    out = ((num.a * top if top != 1 else num.a) / den).astype(float)
     if num.b is not None:
         root = num.b != 0
         out[root] += (num.b[root] * top / den).astype(float) * math.sqrt(2.0)

@@ -837,9 +837,9 @@ def _per_state_read(table, t, coords, bump_feasible):
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_batched_read_matches_the_per_state_read(p):
-    """One snap, distance and bump for many states gives the reports of
-    the per-state read: values, indices, snap distances and bump flags,
-    with their Python types, on and off the domain boundary."""
+    """One snap, distance and bump for many states gives the nodes, snap
+    distances and bump flags of the per-state read, and so the same
+    reports, with their Python types, on and off the domain boundary."""
     config = BellmanConfig(p=p, n_f=9, n_F=9, n_g=9, n_G=9)
     table = bellman_oracle(config, depth=2)
     rng = np.random.default_rng((72, int(p)))
@@ -848,12 +848,17 @@ def test_batched_read_matches_the_per_state_read(p):
     states[::3, 1] = np.abs(states[::3, 0]) ** p
     states[1::3, 3] = np.abs(states[1::3, 2]) ** config.p_dual
     for bump in (True, False):
-        got = table._read(2, states, bump)
+        index, dist, bumped = table._nearest(states, bump)
+        got = [{"value": float(table.layer(2)[tuple(i)]), "index": tuple(i),
+                "snap_distance": d, "bumped": b}
+               for i, d, b in zip(index.tolist(), dist.tolist(),
+                                  bumped.tolist())]
         want = [_per_state_read(table, 2, s, bump) for s in states.tolist()]
         # repr tells a numpy scalar from a Python float or int
         assert repr(got) == repr(want)
-        assert [table.evaluate(2, s, bump) for s in states[:20]] == want[:20]
-    assert any(r["bumped"] for r in table._read(2, states))
+        assert repr([table.evaluate(2, s, bump) for s in states[:20]]) == \
+            repr(want[:20])
+    assert table._nearest(states)[2].any()
 
 
 def test_tree_states_are_the_point_coordinates():
