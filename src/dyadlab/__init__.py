@@ -28,10 +28,9 @@ from .schur import (AlphaSequence, LambdaMatrix, equivalence_report,
                     find_alpha, lambda_matrix, multiplier_norm_lower,
                     norm1_lower, norm2, random_admissible_lambda,
                     random_sign_matrix, schur_product)
-from .bellman import (BellmanConfig, BellmanTable, MartingalePoint,
-                      MartingaleTree, bellman_oracle, concavity_gain_check,
-                      lemma51_verify, modified_points, range_check,
-                      tree_from_functions)
+from .bellman import (BellmanConfig, BellmanTable, MartingaleTree,
+                      bellman_oracle, concavity_gain_check, lemma51_verify,
+                      modified_points, range_check, tree_from_functions)
 from .normlab import (NormEstimate, ScalingReport,
                       discrete_hilbert_transform, hilbert_demo,
                       opnorm_lp_lower, shift_scaling_study, umd_probe)
@@ -58,9 +57,9 @@ __all__ = [
     "lambda_matrix", "multiplier_norm_lower", "norm1_lower", "norm2",
     "random_admissible_lambda", "random_sign_matrix", "schur_product",
     # bellman
-    "BellmanConfig", "BellmanTable", "MartingalePoint", "MartingaleTree",
-    "bellman_oracle", "concavity_gain_check", "lemma51_verify",
-    "modified_points", "range_check", "tree_from_functions",
+    "BellmanConfig", "BellmanTable", "MartingaleTree", "bellman_oracle",
+    "concavity_gain_check", "lemma51_verify", "modified_points",
+    "range_check", "tree_from_functions",
     # normlab
     "NormEstimate", "ScalingReport", "discrete_hilbert_transform",
     "hilbert_demo", "opnorm_lp_lower", "shift_scaling_study",

@@ -32,11 +32,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import DyadicError
 from .schur import AlphaSequence, find_alpha, lambda_matrix
-from .signal import (_abs_max, _combine, _exact_values, _floats, _form,
-                     _Numerators, _product, _pyramid, _row_dots, _values)
+from .signal import (_combine, _exact_values, _floats, _form, _Numerators,
+                     _product, _pyramid, _row_dots, _values)
 
 __all__ = [
-    "MartingalePoint",
     "MartingaleTree",
     "tree_from_functions",
     "modified_points",
@@ -71,27 +70,6 @@ THETA_DESIGN_RANGE = (0.375, 0.625)
 THETA_ASSERTED_RANGE = (0.3, 5.0 / 6.0)
 
 
-@dataclass(frozen=True)
-class MartingalePoint:
-    """Four-coordinate state of a node: means of f, |f|^p, g, |g|^p'."""
-
-    f: tuple
-    F: object
-    g: tuple
-    G: object
-
-    @property
-    def d(self):
-        return len(self.f)
-
-    def coords(self):
-        """Scalar state ``(f, F, g, G)``; only for one-dimensional values."""
-        if len(self.f) != 1 or len(self.g) != 1:
-            raise DyadicError("scalar coordinates need one-dimensional values")
-        return (float(self.f[0]), float(self.F), float(self.g[0]),
-                float(self.G))
-
-
 class MartingaleTree:
     """States of all window-tree nodes for a pair of step functions.
 
@@ -100,8 +78,9 @@ class MartingaleTree:
     of f and g on the depth-``k`` intervals, left to right, and ``F[k]``,
     ``G[k]`` (shape ``(2**k,)``) the means of ``|f|^p`` and ``|g|^p'``.
     ``exact`` marks trees of exact values (possible when ``p = q = 2`` and
-    the inputs are exact); the arrays are float64 otherwise.
-    ``points_at_depth(k)`` views row ``k`` as :class:`MartingalePoint` states.
+    the inputs are exact); the arrays are float64 otherwise.  Row ``i`` of
+    the four levels at depth ``k`` is the state ``(f, F, g, G)`` of the
+    ``i``-th depth-``k`` interval.
 
     The tree holds its pyramids as forms of :mod:`dyadlab.signal`, in
     either mode: those of f and g are the functions' own, and F and G are
@@ -148,33 +127,20 @@ class MartingaleTree:
     def depth(self):
         return self.system.depth
 
-    def root_point(self):
-        return self.points_at_depth(0)[0]
-
-    def points_at_depth(self, k):
-        if not 0 <= k <= self.depth:
-            raise DyadicError(f"depth {k} outside 0..{self.depth}")
-        return _points(*[_values(x[k]) for x in self._means])
-
     def _states(self, k):
         """The scalar states of depth ``k`` as a ``(2**k, 4)`` float array:
-        row ``i`` is ``points_at_depth(k)[i].coords()``, read with
-        :func:`~dyadlab.signal._floats`, which gives the bits of ``float``
-        on each value."""
+        row ``i`` is ``(f[k][i, 0], F[k][i], g[k][i, 0], G[k][i])``, read
+        with :func:`~dyadlab.signal._floats`, which gives the bits of
+        ``float`` on each value."""
         f, F, g, G = [_floats(x[k]) for x in self._means]
         return np.column_stack([f[:, 0], F, g[:, 0], G])
 
 
-def _points(f, F, g, G):
-    """Rows of level arrays as states (Python scalars, as stored)."""
-    return [MartingalePoint(tuple(fr), Fr, tuple(gr), Gr)
-            for fr, Fr, gr, Gr in zip(f.tolist(), F.tolist(), g.tolist(),
-                                      G.tolist())]
-
-
 def _powers(rows, p, q):
-    """``|row|_q^p`` of every row of a float array."""
-    return (np.abs(rows) ** q).sum(axis=1) ** (p / q)
+    """``|row|_q^p`` of every row of a float array; a power that overflows
+    is ``inf``, without a warning (:func:`_auto_config` refuses it)."""
+    with np.errstate(over="ignore"):
+        return (np.abs(rows) ** q).sum(axis=1) ** (p / q)
 
 
 def tree_from_functions(f, g, space):
@@ -242,7 +208,7 @@ def modified_points(tree, alpha, k=None, lam=None):
 
     lhs = ((f_mod - tree.f[0]) * (g_mod - tree.g[0])).sum(axis=1)
     return _modulation_report(
-        k, _points(f_mod, F_mod, g_mod, G_mod), masses,
+        k, (f_mod, F_mod, g_mod, G_mod), masses,
         product_max_error=float(np.abs(prod - weights).max()),
         product_exact=False,
         identity_error=float(np.abs(lhs - rhs).max()), identity_exact=False,
@@ -263,10 +229,10 @@ def _exact_modified_points(tree, alpha, k, lam):
     w = _Numerators(weights, None, (1, total))
     f_mod = _product(w, f[k], operator.matmul)
     g_mod = _product(w, g[k], operator.matmul)
-    points = _points(_exact_values(f_mod),
-                     _exact_values(_product(w, F[k], operator.matmul)),
-                     _exact_values(g_mod),
-                     _exact_values(_product(w, G[k], operator.matmul)))
+    states = (_exact_values(f_mod),
+              _exact_values(_product(w, F[k], operator.matmul)),
+              _exact_values(g_mod),
+              _exact_values(_product(w, G[k], operator.matmul)))
 
     # the masses share the scale of the weights, so each split ratio along
     # a path is a ratio of integers, and so is their product: ups / downs
@@ -296,7 +262,7 @@ def _exact_modified_points(tree, alpha, k, lam):
     identity_error = 0.0 if identity_exact else float(
         max(abs(v) for v in _exact_values(diff)))
     return _modulation_report(
-        k, points, masses, product_max_error=product_max_error,
+        k, states, masses, product_max_error=product_max_error,
         product_exact=not gap.any(), identity_error=identity_error,
         identity_exact=identity_exact, pairing_value=float(_floats(rhs)[0]))
 
@@ -310,10 +276,12 @@ def _masses(weights):
     return masses[::-1]
 
 
-def _modulation_report(k, points, masses, **checks):
-    """The report of :func:`modified_points`: the two modified states, the
+def _modulation_report(k, states, masses, **checks):
+    """The report of :func:`modified_points`: rows 0 and 1 of the level
+    arrays ``states`` as the plus and minus ``(f, F, g, G)`` tuples, the
     range of the split ratios, and the product and identity checks."""
-    plus, minus = points
+    f, F, g, G = [x.tolist() for x in states]
+    plus, minus = [(tuple(f[i]), F[i], tuple(g[i]), G[i]) for i in (0, 1)]
     thetas = [masses[t + 1][:, 0::2] / masses[t] for t in range(k)]
     theta_lo = min((float(t.min()) for t in thetas), default=math.inf)
     theta_hi = max((float(t.max()) for t in thetas), default=-math.inf)
@@ -655,18 +623,15 @@ class BellmanTable:
         i = np.rint((states - self._origin) / self.steps)
         return np.minimum(np.maximum(i, 0), self._top).astype(np.intp)
 
-    def evaluate(self, t, point, bump_feasible=True):
-        """Table value at the nearest grid node to ``point``.
+    def evaluate(self, t, state, bump_feasible=True):
+        """Table value at the nearest grid node to the scalar state ``(f,
+        F, g, G)``; each coordinate is read with ``float``.
 
         A state on the domain boundary can snap to an infeasible node; with
         ``bump_feasible`` the power coordinates are raised grid step by grid
         step until the node is feasible again, and the report says so.
         """
-        if isinstance(point, MartingalePoint):
-            coords = point.coords()
-        else:
-            coords = tuple(float(x) for x in point)
-        index, dist, bumped = self._nearest(np.array([coords]),
+        index, dist, bumped = self._nearest(np.array([state], dtype=float),
                                             bump_feasible)
         idx = tuple(index[0].tolist())
         return {"value": float(self.layer(t)[idx]), "index": idx,
@@ -878,11 +843,12 @@ def _exact_alpha(alpha):
 
 
 def _auto_config(tree, space):
-    # the leaf maxima, taken on the forms
-    f, F, g, G = [x[-1] for x in tree._means]
-    f, g = f.map(lambda v: v[:, 0]), g.map(lambda v: v[:, 0])
-    f_abs, F_abs, g_abs, G_abs = [float(_floats(_abs_max(x))[0])
-                                  for x in (f, F, g, G)]
+    """The oracle grid of a scalar tree, from the float leaf states.  A
+    value in Q(sqrt(2)) reads as ``float(a) + float(b)*sqrt(2.0)``, which is
+    not monotone to the last ulp, so the grid can differ from the one of the
+    exact maxima only where one lies within a few ulps of an integer."""
+    f_abs, F_abs, g_abs, G_abs = np.abs(tree._states(tree.depth)).max(
+        axis=0).tolist()
     if not (math.isfinite(F_abs) and math.isfinite(G_abs)):
         raise DyadicError(f"the leaf powers at p = {space.p} are not finite "
                           "floats; no oracle grid holds them")

@@ -131,12 +131,6 @@ def _norm_duals(V, p, q, d):
     return norms, W
 
 
-def _norm_dual(v, p, q, d):
-    """``(N, w)`` of :func:`_norm_duals` for one vector ``v``."""
-    (N,), W = _norm_duals(v.reshape(1, -1), p, q, d)
-    return N, W[0]
-
-
 def _start_threads():
     """Threads to spread independent starts over: one per usable CPU when
     the environment runs the BLAS on one thread, else 1.
@@ -369,8 +363,8 @@ def umd_probe(depth=6, p=4.0, q=2.0, d=1, trials=12, seed=0, restarts=4,
         if best is None or est.lower > best[1].lower:
             best = (t, est, M)
     best_trial, best_est, best_matrix = best
-    dual_start = _norm_dual(best_matrix @ best_est.witness,
-                            float(p), float(q), d)[1]
+    _, (dual_start,) = _norm_duals((best_matrix @ best_est.witness)[None],
+                                   float(p), float(q), d)
     dual_est = opnorm_lp_lower(best_matrix, space.dual(), restarts=restarts,
                                iters=iters, seed=(seed, best_trial, 2),
                                starts=[dual_start])

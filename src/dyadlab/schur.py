@@ -55,6 +55,7 @@ KG_DEFAULT = 1.783
 _ENUM_MAX = 16  # largest size handled by exact vertex enumeration
 _FACE_MAX = 8  # largest size whose norm1 is found by face enumeration
 _NORM2_RESTARTS = 64  # local-search starts above _ENUM_MAX
+_CAP = 0.25  # the balanced box of norm1: |alpha_i| <= _CAP
 
 
 class LambdaMatrix:
@@ -310,31 +311,31 @@ def norm2(lam):
 # -- norm1: balanced quadratic sup --------------------------------------
 
 
-def _project_balanced_box(x, cap=0.25):
-    """Euclidean projection onto ``{|a_i| <= cap, sum a = 0}``.
+def _project_balanced_box(x):
+    """Euclidean projection onto ``{|a_i| <= _CAP, sum a = 0}``.
 
-    The balance residual ``s(mu) = sum clip(x - mu, -cap, cap)`` is piecewise
-    linear and decreasing in the shift ``mu``, from ``+n*cap`` to ``-n*cap``,
-    so its root sits between two of the ``2n`` clip breakpoints and linear
-    interpolation there is exact.
+    The balance residual ``s(mu) = sum clip(x - mu, -_CAP, _CAP)`` is
+    piecewise linear and decreasing in the shift ``mu``, from ``+n*_CAP`` to
+    ``-n*_CAP``, so its root sits between two of the ``2n`` clip breakpoints
+    and linear interpolation there is exact.
     """
-    bp = np.sort(np.concatenate([x - cap, x + cap]))
-    s = np.clip(x[None, :] - bp[:, None], -cap, cap).sum(axis=1)
+    bp = np.sort(np.concatenate([x - _CAP, x + _CAP]))
+    s = np.clip(x[None, :] - bp[:, None], -_CAP, _CAP).sum(axis=1)
     i = int(np.searchsorted(-s, 0.0, side="left"))  # first s[i] <= 0; i >= 1
     denom = s[i - 1] - s[i]
     if denom > 0.0:
         mu = bp[i - 1] + (bp[i] - bp[i - 1]) * s[i - 1] / denom
     else:
         mu = bp[i]
-    return np.clip(x - mu, -cap, cap)
+    return np.clip(x - mu, -_CAP, _CAP)
 
 
 @functools.lru_cache(maxsize=_ENUM_MAX + 1)
-def _balanced_vertices(n, cap=0.25):
-    """The balanced +-cap vectors in combinations order; read-only, cached."""
+def _balanced_vertices(n):
+    """Balanced +-_CAP vectors in combinations order; read-only, cached."""
     pos = np.array(list(itertools.combinations(range(n), n // 2)), np.intp)
-    out = np.full((len(pos), n), -cap)
-    np.put_along_axis(out, pos, cap, axis=1)
+    out = np.full((len(pos), n), -_CAP)
+    np.put_along_axis(out, pos, _CAP, axis=1)
     out.flags.writeable = False
     return out
 
@@ -410,11 +411,11 @@ def _indefinite_triples(A):
     return a * c - b * b < -_DET_MARGIN
 
 
-def _face_candidates(A, cap=0.25):
+def _face_candidates(A):
     """Feasible stationary points of ``alpha^T A alpha`` on every face of the
     balanced box that can hold its maximum or minimum, as rows.
 
-    A face fixes ``alpha_T = +-cap`` and leaves ``S`` free; its stationary
+    A face fixes ``alpha_T = +-_CAP`` and leaves ``S`` free; its stationary
     points solve the KKT system
     ``[[2 A_SS, -1], [1^T, 0]] [alpha_S; mu] = [-2 A_ST alpha_T; -sum alpha_T]``,
     which is the same for ``A`` and ``-A``.  One pseudo-inverse per free set
@@ -422,7 +423,7 @@ def _face_candidates(A, cap=0.25):
     solve.  A singular face yields a least-squares point or nothing: along a
     null direction the quadratic is constant, so its optimum also sits on a
     smaller face.  Only points whose free coordinates stay in the box up to
-    rounding (the fixed ones are exactly +-cap) become rows, in (free set,
+    rounding (the fixed ones are exactly +-_CAP) become rows, in (free set,
     sign) order; they are clipped into the box and dropped when unbalanced.
 
     A face whose ``S`` holds a triple on which the quadratic is certified
@@ -440,7 +441,7 @@ def _face_candidates(A, cap=0.25):
     n, flat = A.shape[0], A.ravel()
     faces = _face_index(n)
     indefinite = _indefinite_triples(A)
-    out = [cap * faces[0][2]]  # m = 0: the vertices
+    out = [_CAP * faces[0][2]]  # m = 0: the vertices
     for free, fixed, signs, ss, st, triples in faces[1:]:
         if triples.size:
             keep = np.flatnonzero(~indefinite[triples].any(axis=1))
@@ -448,7 +449,7 @@ def _face_candidates(A, cap=0.25):
                 break  # every larger S contains one of these
             free, fixed, ss, st = free[keep], fixed[keep], ss[keep], st[keep]
         count, m = free.shape
-        alpha_t = cap * signs
+        alpha_t = _CAP * signs
         kkt = np.zeros((count, m + 1, m + 1))
         kkt[:, :m, :m] = 2.0 * flat[ss]
         kkt[:, :m, m] = -1.0
@@ -457,13 +458,13 @@ def _face_candidates(A, cap=0.25):
         rhs[:, :m] = -2.0 * flat[st] @ alpha_t.T
         rhs[:, m] = -alpha_t.sum(axis=1)
         sol = (np.linalg.pinv(kkt) @ rhs)[:, :m]
-        face, sign = np.nonzero((np.abs(sol) <= cap + 1e-13).all(axis=1))
+        face, sign = np.nonzero((np.abs(sol) <= _CAP + 1e-13).all(axis=1))
         vecs = np.empty((len(face), n))
         rows = np.arange(len(face))[:, None]
         vecs[rows, free[face]] = sol[face, :, sign]
         vecs[rows, fixed[face]] = alpha_t[sign]
         out.append(vecs)
-    vecs = np.clip(np.concatenate(out), -cap, cap)
+    vecs = np.clip(np.concatenate(out), -_CAP, _CAP)
     return vecs[np.abs(vecs.sum(axis=1)) <= 1e-12]
 
 

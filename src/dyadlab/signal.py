@@ -249,38 +249,16 @@ def _sqrt2_power(k, exact):
     return _form(_array([sqrt2_pow(k)], exact))
 
 
-def _magnitudes(num):
-    """The parts of ``|x|`` for every value ``x`` of ``num``, as ``(a, b)``
-    pairs in flat order (``b`` is 0 in float forms)."""
+def _abs_sum(num):
+    """The sum of ``|x|`` over the values of ``num``, as a one-entry form of
+    the mode and scale of ``num``, rational when it is: the parts of each
+    ``|x|`` are those of ``x``, negated where ``x < 0``."""
     a = num.a.ravel().tolist()
     b = [0] * len(a) if num.b is None else num.b.ravel().tolist()
-    return [(-x, -y) if _sign(x, y) < 0 else (x, y) for x, y in zip(a, b)]
-
-
-def _one_value(x, y, like):
-    """The one-entry form of ``(x + y*sqrt(2)) * like.scale``, of the mode
-    of ``like`` and rational when it is."""
-    out = np.empty(2, dtype=like.a.dtype)
-    out[:] = [x, y]
-    return _Numerators(out[:1], None if like.b is None else out[1:],
-                       like.scale)
-
-
-def _abs_sum(num):
-    """The sum of ``|x|`` over the values of ``num``, as a one-entry
-    integer form."""
-    mags = _magnitudes(num)
-    return _one_value(sum(x for x, _ in mags), sum(y for _, y in mags), num)
-
-
-def _abs_max(num):
-    """The largest ``|x|`` over the values of ``num``, as a one-entry
-    form."""
-    best = (0, 0)
-    for x, y in _magnitudes(num):
-        if _sign(x - best[0], y - best[1]) > 0:
-            best = (x, y)
-    return _one_value(*best, num)
+    mags = [(-x, -y) if _sign(x, y) < 0 else (x, y) for x, y in zip(a, b)]
+    out = np.empty(2, dtype=num.a.dtype)
+    out[:] = [sum(x for x, _ in mags), sum(y for _, y in mags)]
+    return _Numerators(out[:1], None if num.b is None else out[1:], num.scale)
 
 
 def _common(nums):

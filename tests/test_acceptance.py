@@ -108,9 +108,9 @@ def test_criterion_1_exact_identity_suite():
         report = modified_points(tree, alpha, k=k, lam=lam)
         quad = sum(alpha.values[a] * lam.values[a, b] * alpha.values[b]
                    for a in range(size) for b in range(size))
-        root = tree.root_point()
-        for pt in (report["plus"], report["minus"]):
-            assert (pt.f[0] - root.f[0]) * (pt.g[0] - root.g[0]) == quad / 2
+        f0, g0 = tree.f[0][0, 0], tree.g[0][0, 0]
+        for (f,), _, (g,), _ in (report["plus"], report["minus"]):
+            assert (f - f0) * (g - g0) == quad / 2
 
         # 9. convex-combination identity  10. product formula 2^-k (1 +- a)
         assert report["identity_exact"]

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from dyadlab import bellman
-from dyadlab.bellman import (BellmanConfig, BellmanTable, MartingalePoint,
-                             bellman_oracle, concavity_gain_check,
-                             lemma51_verify, modified_points, range_check,
+from dyadlab.bellman import (BellmanConfig, BellmanTable, bellman_oracle,
+                             concavity_gain_check, lemma51_verify,
+                             modified_points, range_check,
                              tree_from_functions)
 from dyadlab.dyadic import DyadicError, DyadicSystem, sample_system
 from dyadlab.exact import Sqrt2Rational
@@ -64,29 +64,18 @@ def domain_margin(tree):
 # -- state trees ---------------------------------------------------------
 
 
-def test_martingale_point_coords_guard():
-    pt = MartingalePoint((1.0, 2.0), 5.0, (0.0, 0.0), 1.0)
-    assert pt.d == 2
-    with pytest.raises(DyadicError):
-        pt.coords()
-    scalar = MartingalePoint((Fraction(1, 2),), Fraction(1, 4),
-                             (Fraction(0),), Fraction(0))
-    assert scalar.coords() == (0.5, 0.25, 0.0, 0.0)
-
-
 def test_tree_exact_at_p2():
     f, g = exact_pair(1, depth=3)
     tree = tree_from_functions(f, g, SpaceSpec(p=2.0))
     assert tree.exact
     assert tree.depth == 3
-    assert len(tree.points_at_depth(3)) == 8
+    assert [len(x[3]) for x in (tree.f, tree.F, tree.g, tree.G)] == [8] * 4
     assert dynamics_gap(tree) == 0.0
     assert domain_margin(tree) >= -FLOAT_TOL
-    root = tree.root_point()
     mean = sum(f.values[:, 0], Fraction(0)) / 8
-    assert root.f[0] == mean
+    assert tree.f[0][0, 0] == mean
     power_mean = sum(v * v for v in f.values[:, 0]) / 8
-    assert root.F == power_mean
+    assert tree.F[0][0] == power_mean
 
 
 def test_tree_float_mode_for_general_exponent():
@@ -141,16 +130,16 @@ def test_modified_points_against_direct_reweighting():
     k = 2
     alpha = quarter_alpha(k)
     out = modified_points(tree, alpha, k=k)
-    pts = tree.points_at_depth(k)
+    f, F, g, G = tree.f[k][:, 0], tree.F[k], tree.g[k][:, 0], tree.G[k]
     weights = [(1 + a) / Fraction(4) for a in alpha.values]
     assert sum(weights) == 1
     for tag, sign in (("plus", 1), ("minus", -1)):
         w = [(1 + sign * a) / Fraction(4) for a in alpha.values]
-        got = out[tag]
-        assert got.f[0] == sum(wi * p.f[0] for wi, p in zip(w, pts))
-        assert got.F == sum(wi * p.F for wi, p in zip(w, pts))
-        assert got.g[0] == sum(wi * p.g[0] for wi, p in zip(w, pts))
-        assert got.G == sum(wi * p.G for wi, p in zip(w, pts))
+        (got_f,), got_F, (got_g,), got_G = out[tag]
+        assert got_f == sum(wi * x for wi, x in zip(w, f))
+        assert got_F == sum(wi * x for wi, x in zip(w, F))
+        assert got_g == sum(wi * x for wi, x in zip(w, g))
+        assert got_G == sum(wi * x for wi, x in zip(w, G))
 
 
 def test_modified_points_pairing_matches_quadratic_form():
@@ -162,9 +151,8 @@ def test_modified_points_pairing_matches_quadratic_form():
     out = modified_points(tree, alpha, k=k, lam=lam)
     quad = sum(alpha.values[i] * lam.values[i, j] * alpha.values[j]
                for i in range(4) for j in range(4))
-    root = tree.root_point()
-    plus = out["plus"]
-    lhs = (plus.f[0] - root.f[0]) * (plus.g[0] - root.g[0])
+    (plus_f,), _, (plus_g,), _ = out["plus"]
+    lhs = (plus_f - tree.f[0][0, 0]) * (plus_g - tree.g[0][0, 0])
     assert lhs == quad / 2
     assert out["pairing_value"] == pytest.approx(float(quad) / 2.0)
 
@@ -317,8 +305,7 @@ def test_tree_lambda_and_modulation_match_per_node_reference(mode):
             out = modified_points(tree, alpha, k=k, lam=lam)
             want = reference_modified(ref, ref_lam, alpha.values, k, exact)
             for tag in ("plus", "minus"):
-                pt = out[tag]
-                got = (pt.f, pt.F, pt.g, pt.G)
+                got = out[tag]
                 if exact:
                     assert got == want[tag], (k, tag)
                     continue
@@ -862,17 +849,39 @@ def test_batched_read_matches_the_per_state_read(p):
 
 
 def test_tree_states_are_the_point_coordinates():
-    """The state array the oracle reads holds the bits of ``coords()`` of
-    every point, on exact trees (leaves in Q(sqrt(2)) too) and float
-    ones."""
+    """The state array the oracle reads holds the bits of ``float`` of the
+    level values of every node, on exact trees (leaves in Q(sqrt(2)) too)
+    and float ones."""
     f, g = exact_pair(73, depth=4, M=1)
     root2 = StepFunction(f.system, f.values * Sqrt2Rational(1, 1)
                          + Fraction(1, 3))
     for x, p in ((f, 2.0), (root2, 2.0), (f, 3.0), (f.as_float(), 2.0)):
         tree = tree_from_functions(x, g, SpaceSpec(p=p))
         for k in range(tree.depth + 1):
-            want = np.array([pt.coords() for pt in tree.points_at_depth(k)])
+            want = np.array(
+                [[float(v) for v in state] for state in
+                 zip(tree.f[k][:, 0], tree.F[k], tree.g[k][:, 0],
+                     tree.G[k])])
             assert tree._states(k).tobytes() == want.tobytes()
+
+
+def test_evaluate_reads_exact_coordinates_as_their_floats():
+    """States given as ``Fraction`` and ``Sqrt2Rational`` read the index,
+    value, snap distance and bump of their floats, a bumped one too."""
+    table = bellman_oracle(BellmanConfig(), depth=2)
+    r = Sqrt2Rational(Fraction(1, 3), Fraction(1, 5))
+    states = [
+        (Fraction(1, 3), Fraction(7, 5), Fraction(-2, 7), Fraction(9, 4)),
+        (r, r * r + Fraction(1, 9), -r, Sqrt2Rational(1, 1)),
+        (Fraction(2), Sqrt2Rational(0, 2), Fraction(0), Fraction(4)),
+    ]
+    bumped = []
+    for state, bump in itertools.product(states, (False, True)):
+        want = table.evaluate(2, tuple(float(x) for x in state), bump)
+        got = table.evaluate(2, state, bump)
+        assert repr(got) == repr(want)
+        bumped.append(got["bumped"])
+    assert any(bumped)
 
 
 def test_evaluate_rejects_non_finite_states():
@@ -1193,6 +1202,33 @@ def test_lemma51_refuses_an_oracle_depth_above_the_cap_first(monkeypatch):
     with pytest.raises(DyadicError, match="depth 7 exceeds the table cap"):
         lemma51_verify(f, g, SpaceSpec(p=2.0), k=7,
                        bellman_depth=bellman.MAX_TABLE_DEPTH + 1)
+
+
+@pytest.mark.parametrize("kind, p", [("rational", 2.0), ("sqrt2", 2.0),
+                                     ("float", 2.0), ("float", 3.0)])
+def test_auto_config_spans_the_exact_leaf_maxima(kind, p):
+    """Each axis of the automatic oracle grid is the ceiling of the float of
+    the exact largest ``|leaf state|`` on it, and at least 2 on a mean axis
+    and 4 on a power axis.  g is scaled apart from f, so a swapped state
+    column shows."""
+    for seed in range(12):
+        f, g = exact_pair(seed, depth=4, M=seed % 3 - 1)
+        g = StepFunction(g.system, g.values * Fraction(5, 2))
+        if kind == "sqrt2":
+            f = StepFunction(f.system, f.values * Sqrt2Rational(1, 1)
+                             + Fraction(1, 3))
+        elif kind == "float":
+            f, g = f.as_float(), g.as_float()
+        space = SpaceSpec(p=p)
+        tree = tree_from_functions(f, g, space)
+        assert tree.exact == (kind != "float")
+        leaves = (tree.f[-1][:, 0], tree.F[-1], tree.g[-1][:, 0], tree.G[-1])
+        want = [max(floor, float(math.ceil(float(max(abs(v)
+                                                     for v in x.tolist())))))
+                for floor, x in zip((2.0, 4.0, 2.0, 4.0), leaves)]
+        config = bellman._auto_config(tree, space)
+        assert (config.p, config.f_max, config.F_max, config.g_max,
+                config.G_max) == (p, *want)
 
 
 def test_constant_pair_is_degenerate():

@@ -383,6 +383,18 @@ def test_lemma51_refuses_a_shallow_oracle_before_the_search(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", ["1.0000001", "1e308"])
+def test_lemma51_refuses_overflowing_leaf_powers_on_one_line(tmp_path, capsys,
+                                                             p):
+    """Leaf powers that overflow are refused with the error line alone: no
+    numpy ``RuntimeWarning`` comes first (it is an error here)."""
+    assert run(tmp_path, "lemma51", "--p", p) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dyadlab: error")
+    assert "not finite floats" in err[0]
+
+
 def test_umd_probe_passes(tmp_path):
     assert run(tmp_path, "umd-probe", "--depth", "3", "--trials", "2",
                "--restarts", "2", "--iters", "30") == 0

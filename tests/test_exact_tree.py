@@ -61,8 +61,9 @@ def text(values):
     return "\n".join(to_text(v) for v in np.ravel(values))
 
 
-def point_text(pt):
-    return text([*pt.f, pt.F, *pt.g, pt.G])
+def point_text(state):
+    f, F, g, G = state
+    return text([*f, F, *g, G])
 
 
 def report_lines(mod):
@@ -71,8 +72,8 @@ def report_lines(mod):
 
 
 def float_report_lines(mod):
-    lines = [np.array([*pt.f, pt.F, *pt.g, pt.G], dtype=float).tobytes().hex()
-             for pt in (mod["plus"], mod["minus"])]
+    lines = [np.array([*f, F, *g, G], dtype=float).tobytes().hex()
+             for f, F, g, G in (mod["plus"], mod["minus"])]
     return lines + [f"{key}={mod[key]!r}" for key in MOD_FIELDS]
 
 

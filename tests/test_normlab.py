@@ -14,7 +14,6 @@ from dyadlab.dyadic import DyadicError, sample_system
 from dyadlab.normlab import (NormEstimate, ScalingReport,
                              discrete_hilbert_transform, hilbert_demo,
                              opnorm_lp_lower, shift_scaling_study, umd_probe)
-from dyadlab.normlab import _norm_dual
 from dyadlab.shifts import random_extremal_shift, shift_matrix, symmetrize
 from dyadlab.signal import SpaceSpec
 
@@ -23,6 +22,11 @@ DEMO_RESIDUAL_TOL = 0.1
 
 
 # -- mixed norms and duality maps ---------------------------------------
+
+
+def _norm_dual(v, p, q, d):
+    (N,), W = normlab._norm_duals(v.reshape(1, -1), p, q, d)
+    return N, W[0]
 
 
 def _mixed_norm(x, p, q, d):
