@@ -49,15 +49,18 @@ __all__ = [
 
 MAX_TABLE_DEPTH = 6
 MAX_AXIS_POINTS = 65
-# Candidate pairs a swept layer (t >= 2) may evaluate, counted as in a sweep
+# Candidate pairs a swept layer (t >= 3) may evaluate, counted as in a sweep
 # over every centre although each plane sweeps only its nonnegative half.
+# Layers 1 and 2 are built without a sweep, from the split lists alone.
 _MAX_LAYER_PAIRS = 5_000_000_000
 # A swept layer gathers its (g, G) split ends once, in bands of whole (g, G)
 # centre groups of at most _GATHER_BLOCK entries per array (512 KiB of
 # floats; the two arrays share one buffer per layer), and sweeps each band
 # in blocks of at most _SWEEP_BLOCK candidate entries, whole rows (256 KiB).
-# Both bound memory only: every candidate adds the same values in the same
-# order whatever the cuts, and maxima are exact, so a layer keeps its bytes.
+# Layer 2 holds at most _GATHER_BLOCK cells per block of its front planes
+# and entries per band of its triple tables.  All of them bound memory only:
+# every candidate adds the same values in the same order whatever the cuts,
+# and maxima are exact, so a layer keeps its bytes.
 _SWEEP_BLOCK = 1 << 15
 _GATHER_BLOCK = 2 * _SWEEP_BLOCK
 # Attempts per block of the concavity check.  The samples do not depend on
@@ -452,6 +455,71 @@ def _bands(edges, width):
         k = j
 
 
+def _fronts(top, splits):
+    """The front of each centre group of ``splits`` (plus ends, minus ends,
+    first offset coordinates, group starts): the distinct triples
+    ``(top[plus], top[minus], |first|)`` of the group that no other triple
+    of it dominates in every coordinate.
+
+    Returns their codes ``(i * n + j) * n + k``, increasing within each
+    group, the start of each group's codes, and ``n = top.max() + 1``.  Of
+    the triples ``(i, j, .)`` of a group only the one with the largest
+    ``k``, ``K[i, j]``, can be on the front, so each block of groups holds
+    ``K`` on a plane of shape ``(groups, n + 1, n + 1)``, padded with -1,
+    and takes suffix maxima along both axes, so that ``M[i, j]`` is the
+    largest ``K`` at or beyond ``(i, j)``.  The triple ``(i, j, K[i, j])``
+    is dominated exactly when ``M`` at ``(i + 1, j)`` or ``(i, j + 1)`` is
+    at least ``K[i, j]``.  Blocks hold at most ``_GATHER_BLOCK`` cells (one
+    group at least).
+    """
+    plus, minus, first, starts = splits
+    n = int(top.max()) + 1
+    ends = np.append(starts, plus.size)
+    group = np.repeat(np.arange(starts.size), np.diff(ends))
+    ij = top[plus], top[minus]
+    k = np.abs(first)
+    step = max(1, _GATHER_BLOCK // (n + 1) ** 2)
+    codes, counts = [], []
+    for g0 in range(0, starts.size, step):
+        g1 = min(g0 + step, starts.size)
+        s = slice(ends[g0], ends[g1])
+        K = np.full((g1 - g0, n + 1, n + 1), -1, dtype=np.intp)
+        np.maximum.at(K, (group[s] - g0, ij[0][s], ij[1][s]), k[s])
+        M = K.copy()
+        for r in range(n - 2, -1, -1):
+            np.maximum(M[:, r], M[:, r + 1], out=M[:, r])
+        for r in range(n - 2, -1, -1):
+            np.maximum(M[:, :, r], M[:, :, r + 1], out=M[:, :, r])
+        above = np.maximum(M[:, 1:, :-1], M[:, :-1, 1:])
+        g, i, j = np.nonzero(K[:, :-1, :-1] > above)
+        codes.append((i * n + j) * n + K[g, i, j])
+        counts.append(np.bincount(g, minlength=g1 - g0))
+    counts = np.concatenate(counts)
+    return np.concatenate(codes), np.cumsum(counts) - counts, n
+
+
+def _ranks(codes, size):
+    """The distinct values of ``codes``, ints in ``[0, size)``, in
+    increasing order, and the position of each code among them."""
+    seen = np.zeros(size, dtype=bool)
+    seen[codes] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes]
+
+
+def _group_max(values, index, starts):
+    """Row ``i``: the elementwise maximum of the rows ``values[index[s]]``
+    over the group ``starts[i] <= s < starts[i + 1]`` (the last one runs to
+    the end of ``index``), one row gather per position in a group, the
+    shorter groups padded with their first row."""
+    sizes = np.diff(np.append(starts, index.size))
+    cols = np.arange(sizes.max())
+    pos = index[starts[:, None] + np.where(cols < sizes[:, None], cols, 0)]
+    out = values[pos[:, 0]]
+    for col in pos.T[1:]:
+        np.maximum(out, values[col], out=out)
+    return out
+
+
 class BellmanTable:
     """Cached DP layers; ``layer(t)`` is the depth-``t`` gain bound.
 
@@ -470,12 +538,15 @@ class BellmanTable:
     cap is checked from both planes' split counts before either plane's
     splits are extracted, so a refused grid allocates no split arrays.
 
-    A swept layer gathers the (g, G) split ends of every (f, F) node once,
-    in bands of whole (g, G) centre groups of at most ``_GATHER_BLOCK``
-    entries per array, and each (f, F) centre reads its rows from them.  The
-    bands bound the memory of the gather (1 MiB at any grid size) and keep
-    every bit: each candidate adds the same values in the same order, and
-    maxima are exact.
+    Layer 1 is in closed form (:meth:`_first_layer`).  Layer 2 depends on
+    each split only through two small integer triples, so it is read off
+    the distinct undominated triples of each centre (:meth:`_second_layer`).
+    Layers from 3 on are swept (:meth:`_dp_layer`).  A swept layer gathers
+    the (g, G) split ends of every (f, F) node once, in bands of whole
+    (g, G) centre groups of at most ``_GATHER_BLOCK`` entries per array, and
+    each (f, F) centre reads its rows from them.  The bands bound the memory
+    of the gather (1 MiB at any grid size) and keep every bit: each
+    candidate adds the same values in the same order, and maxima are exact.
     """
 
     def __init__(self, config):
@@ -525,9 +596,11 @@ class BellmanTable:
     def layer(self, t):
         """Depth-``t`` gain bound on the whole grid, ``-inf`` off the
         domain.  Layers are built once, in order, and cached: layer 1 in
-        closed form (:meth:`_first_layer`), each later one by sweeping the
-        one before (:meth:`_dp_layer`), and the nodes below the middle row of
-        each plane copied from their mirror images."""
+        closed form (:meth:`_first_layer`), layer 2 from the fronts of the
+        split triples of layer 1's integer structure
+        (:meth:`_second_layer`), each later one by sweeping the one before
+        (:meth:`_dp_layer`), and the nodes below the middle row of each
+        plane copied from their mirror images."""
         if t < 0:
             raise DyadicError(f"depth {t} is negative")
         if t > MAX_TABLE_DEPTH:
@@ -536,6 +609,8 @@ class BellmanTable:
         while self.depth < t:
             if self.depth == 0:
                 out = self._first_layer()
+            elif self.depth == 1:
+                out = self._second_layer()
             else:
                 out = self._dp_layer(self._layers[-1])
             out[:self._f_mirror.size] = out[self._f_mirror]
@@ -545,6 +620,24 @@ class BellmanTable:
             self._layers.append(nxt)
         return self._layers[t]
 
+    @cached_property
+    def _tops(self):
+        """The largest ``a`` among the swept (f, F) splits of each compact
+        (f, F) node, and the largest ``|c|`` among the (g, G) splits of each
+        compact (g, G) node; a node below the middle row reads its mirror
+        image's, as :meth:`layer` copies its values."""
+        tops = []
+        for (_, _, first, starts), mirror, size in (
+                (self._f_swept, self._f_mirror, self._f_nodes.size),
+                (self._g_all, self._g_mirror, self._g_nodes.size)):
+            # every feasible node centres the zero split, so there is one
+            # group per swept node
+            top = np.empty(size, dtype=np.intp)
+            top[mirror.size:] = np.maximum.reduceat(np.abs(first), starts)
+            top[:mirror.size] = top[mirror]
+            tops.append(top)
+        return tops
+
     def _first_layer(self):
         """Layer 1 on the compact matrix of feasible nodes, in closed form.
 
@@ -553,19 +646,67 @@ class BellmanTable:
         (every rounding step is monotone): the best split of a node pair
         pairs the largest ``a`` among the (f, F) splits of its row from
         (0, 0) on, all of which have ``a >= 0``, with the largest ``|c|``
-        among the (g, G) splits of its column."""
-        # every feasible node centres the zero split, so there is one group
-        # per swept node
-        _, _, first, starts = self._f_swept
-        amax = np.zeros(self._f_nodes.size, dtype=np.intp)
-        amax[self._f_mirror.size:] = np.maximum.reduceat(first, starts)
-        _, _, first, starts = self._g_all
-        cmax = np.zeros(self._g_nodes.size, dtype=np.intp)
-        cmax[self._g_mirror.size:] = np.maximum.reduceat(np.abs(first), starts)
+        among the (g, G) splits of its column (:attr:`_tops`)."""
+        amax, cmax = self._tops
         return _gains(amax[:, None], cmax, *self.steps[::2])
 
+    def _second_layer(self):
+        """Layer 2 on the compact matrix of feasible nodes, from the integer
+        structure of layer 1 instead of a sweep.
+
+        Layer 1 is ``T[amax[x], cmax[y]]`` with ``T = _gains(i, j)`` on the
+        integers ``i, j`` (:meth:`_first_layer`), and the gain of a split
+        pair is ``T[a, |c|]`` (rounding is symmetric in sign).  So the
+        candidate that :meth:`_dp_layer` sweeps for an (f, F) split ``(plus,
+        minus, a)`` and a (g, G) split ``(vp, vm, c)``, ``(H[plus, vp] +
+        H[minus, vm]) + gain`` with ``H`` half of layer 1, is ``(Th[u0, v0]
+        + Th[u1, v1]) + T[u2, v2]`` with ``Th = T * 0.5`` and the triples
+        ``u = (amax[plus], amax[minus], a)`` and ``v = (cmax[vp], cmax[vm],
+        |c|)``: the same values added in the same order, so the same bits.
+
+        Every rounding step (products, halving, sums) is monotone on
+        nonnegative inputs, so a candidate does not fall when a coordinate
+        of either triple rises.  Among the triples of one centre, a repeat
+        or one that another dominates in every coordinate therefore never
+        gives a larger maximum, and each centre keeps only its front
+        (:func:`_fronts`).  A node's value is the largest candidate over its
+        two fronts; the zero splits give its layer-1 value, so no maximum
+        with layer 1 is needed.  Maxima are exact, so the layer equals the
+        sweep's byte for byte, whatever the order and cuts of the work.
+
+        The candidates of a band of whole (g, G) centres are a table of its
+        distinct front triples against the distinct (f, F) front triples,
+        reduced by row gathers: a running maximum over each (g, G) centre's
+        front, then over each (f, F) centre's (:func:`_group_max`).  Bands
+        hold at most ``_GATHER_BLOCK`` table entries (one centre at least),
+        so memory stays bounded at any grid size.  Only the nodes from the
+        middle row of each plane on are filled; :meth:`layer` copies the
+        rest from their mirror images."""
+        amax, cmax = self._tops
+        fcodes, fstarts, na = _fronts(amax, self._f_swept)
+        gcodes, gstarts, nc = _fronts(cmax, self._g_all)
+        # transposed: a band's table has one row per (g, G) triple
+        T = _gains(np.arange(na)[:, None], np.arange(nc), *self.steps[::2]).T
+        Th = T * 0.5
+        fdistinct, franks = _ranks(fcodes, na ** 3)
+        fa = np.unravel_index(fdistinct, (na, na, na))
+        out = np.empty((self._f_nodes.size, self._g_nodes.size))
+        f0, g0 = self._f_mirror.size, self._g_mirror.size
+        edges = np.append(gstarts, gcodes.size)
+        width = _GATHER_BLOCK // max(fdistinct.size, fstarts.size)
+        for k, j in _bands(edges, width):
+            gdistinct, granks = _ranks(gcodes[edges[k]:edges[j]], nc ** 3)
+            ga = np.unravel_index(gdistinct, (nc, nc, nc))
+            table = Th[ga[0]][:, fa[0]]
+            table += Th[ga[1]][:, fa[1]]
+            table += T[ga[2]][:, fa[2]]
+            by_g = _group_max(table, granks, edges[k:j] - edges[k])
+            out[f0:, g0 + k:g0 + j] = _group_max(
+                np.ascontiguousarray(by_g.T), franks, fstarts)
+        return out
+
     def _dp_layer(self, B):
-        """Layer ``t + 1`` from layer ``t = B`` (``t >= 1``) on the compact
+        """Layer ``t + 1`` from layer ``t = B`` (``t >= 2``) on the compact
         matrix of feasible nodes, rows in the (f, F) plane: each swept node
         keeps its value or takes its best split with feasible ends, the mean
         of the end values plus the gain.
@@ -654,6 +795,9 @@ class BellmanTable:
         ``(n, 4)`` float array ``states``, from one snap, one distance
         computation and one feasibility bump: ``(index, snap distance,
         bumped)``, one row of each per state."""
+        if states.ndim != 2 or states.shape[1] != 4:
+            raise DyadicError("a state has four coordinates (f, F, g, G); "
+                              f"got an array of shape {states.shape}")
         if not np.isfinite(states).all():
             bad = states[~np.isfinite(states).all(axis=1)][0]
             raise DyadicError(f"state {tuple(bad.tolist())} is not finite")

@@ -6,9 +6,11 @@ deterministic JSON report into the output directory, and exits with
 * 0 when every checked claim held,
 * 2 when a mathematical claim was falsified by the run,
 * 1 on usage errors (bad flags, malformed or unknown config keys,
-  parameters rejected with ``DyadicError``).
-
-Any other exception is a bug and propagates with its traceback.
+  parameters rejected with ``DyadicError``),
+* 3 on a bug: any other exception.  :func:`main` lets it propagate; the
+  console entry point (:func:`entry`, also ``python -m dyadlab.cli``)
+  prints its traceback and exits 3, so a bug never looks like a usage
+  error or a falsified claim.
 
 Options may come from a flat ``key = value`` config file (``--config``);
 explicit flags override the file, which overrides built-in defaults.  The
@@ -23,6 +25,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -588,5 +591,16 @@ def main(argv=None):
     return 0 if ok else 2
 
 
+def entry(argv=None):
+    """The console entry point: :func:`main`, with a bug mapped to exit
+    code 3 after its traceback.  ``main`` turns usage errors into exit code
+    1 itself, so any exception that reaches this wrapper is a bug."""
+    try:
+        return main(argv)
+    except Exception:
+        traceback.print_exc()
+        return 3
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -578,21 +578,58 @@ def test_narrow_gather_bands_keep_every_byte(monkeypatch, kwargs, hexdigest,
         assert_layers_match_reference_loop(table)
 
 
+# every reference table, the criterion-4 box, p = 1.25 and the 13-point
+# benchmark tables, capped radii down to 0, and a 21-point grid, whose
+# layer-2 fronts need more than one band and one block of centres
+SECOND_LAYER_CASES = REFERENCE_CONFIGS + [
+    dict(p=2.0, f_max=4.0, F_max=16.0, g_max=4.0, G_max=16.0),
+    dict(p=1.25, n_f=9, n_F=9, n_g=9, n_G=9),
+    dict(p=1.25, n_f=13, n_F=13, n_g=13, n_G=13),
+    *(dict(p=p, n_f=13, n_F=13, n_g=13, n_G=13) for p in (2.0, 3.0, 1.5)),
+    dict(n_f=13, n_F=13, n_g=13, n_G=13, max_offset=0),
+    dict(p=4.0, n_f=13, n_F=8, n_g=13, n_G=10, max_offset=3),
+    dict(n_f=21, n_F=21, n_g=21, n_G=21),
+]
+SECOND_LAYER_IDS = REFERENCE_IDS + [
+    "criterion-4", "9-p1.25", "13-p1.25", "13-p2", "13-p3", "13-p1.5",
+    "13-max-offset-0", "13-p4-even-capped", "21-p2"]
+
+
+@pytest.mark.parametrize("budget", ["default", "one-centre"])
+@pytest.mark.parametrize("kwargs", SECOND_LAYER_CASES, ids=SECOND_LAYER_IDS)
+def test_second_layer_matches_the_sweep(monkeypatch, kwargs, budget):
+    """Layer 2 read off the split-triple fronts equals a sweep of layer 1
+    byte for byte on the block :meth:`_second_layer` fills (the nodes from
+    the middle row of each plane on; ``layer`` copies the rest), with the
+    default budget and with one centre per band and per block."""
+    table = BellmanTable(BellmanConfig(**kwargs))
+    swept = table._dp_layer(table.layer(1))
+    if budget == "one-centre":
+        monkeypatch.setattr(bellman, "_GATHER_BLOCK", 1)
+    f0, g0 = table._f_mirror.size, table._g_mirror.size
+    assert (table._second_layer()[f0:, g0:].tobytes()
+            == swept[f0:, g0:].tobytes())
+
+
 # tracemalloc peaks of the builds below when every (f, F) centre gathered
 # all (g, G) split ends for itself (the sweep before the banded gather)
-PER_CENTRE_GATHER_PEAK_MIB = {"21-points": 6.27, "criterion-4": 3.64}
+PER_CENTRE_GATHER_PEAK_MIB = {"21-points": 6.27, "criterion-4": 3.64,
+                              "25-points": 11.69}
 
 
 @pytest.mark.parametrize("name, kwargs, depth", [
     ("21-points", dict(n_f=21, n_F=21, n_g=21, n_G=21), 2),
     ("criterion-4", dict(p=2.0, f_max=4.0, F_max=16.0, g_max=4.0,
                          G_max=16.0), 3),
+    ("25-points", dict(n_f=25, n_F=25, n_g=25, n_G=25), 2),
 ])
 def test_banded_gather_memory_stays_within_its_budget(name, kwargs, depth):
     """An unbounded per-layer gather would take 46 MiB more at 21 points
     and 13 MiB more on the 17-point criterion-4 grid; the bands keep the
     peak within 1 MiB, the budget of the two gathered arrays, of the old
-    one."""
+    one.  Layer 2 is built from triple tables in bands instead: one
+    unbounded table of every (f, F) against every (g, G) triple peaks at
+    20.7 MiB at 25 points."""
     tracemalloc.start()
     try:
         BellmanTable(BellmanConfig(**kwargs)).layer(depth)
@@ -889,6 +926,17 @@ def test_evaluate_rejects_non_finite_states():
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(DyadicError):
             table.evaluate(1, (x, 1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_evaluate_rejects_states_without_four_coordinates(n):
+    """One coordinate once broadcast to all four, and 0 or 5 raised
+    numpy's broadcasting error."""
+    table = bellman_oracle(BellmanConfig(), depth=1)
+    with pytest.raises(DyadicError, match="four coordinates"):
+        table.evaluate(1, (0.5,) * n)
+    with pytest.raises(DyadicError, match="four coordinates"):
+        table._nearest(np.full((2, n), 0.5))
 
 
 def test_concavity_slack_on_grid_pairs():

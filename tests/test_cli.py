@@ -1,7 +1,8 @@
 """End-to-end tests of the ``dyadlab`` command line driver.
 
 Exit-code contract: 0 when every checked claim held, 2 when a run
-falsified a claim, 1 for usage errors.
+falsified a claim, 1 for usage errors, 3 for a bug (from the console entry
+point; ``main`` lets the exception propagate).
 """
 
 import hashlib
@@ -138,6 +139,24 @@ def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch,
     with pytest.raises(ValueError, match="internal failure"):
         run(tmp_path, "series-bound")
     assert "dyadlab: error" not in capsys.readouterr().err
+
+
+def test_entry_point_exits_3_on_a_bug(tmp_path, monkeypatch, capsys):
+    """The console entry point prints a bug's traceback and exits 3, and
+    keeps the usage-error and success codes of ``main``."""
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "series_bound", broken)
+    assert cli.entry(["series-bound", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: internal failure" in err
+    assert "dyadlab: error" not in err
+    assert cli.entry(["schur-check", "--k", "11",
+                      "--out", str(tmp_path)]) == 1
+    assert "dyadlab: error" in capsys.readouterr().err
+    assert cli.entry(["identities", "--depth", "3", "--trials", "1",
+                      "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
