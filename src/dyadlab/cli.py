@@ -52,8 +52,9 @@ __all__ = ["main", "identity_battery"]
 
 _BILINEAR_TOL = 1e-9
 _IDENTITY_TOL = 1e-9
-# Largest schur-check --k: one sign matrix took 18 s at k = 10 on a 2-core
-# machine (the default run probes 4), and each step costs 5 to 7 times more.
+# Largest schur-check --k, and 2**k the largest --n: one n x n SVD probe took
+# 18 s at n = 1024 on a 2-core machine (the default run probes 4 sign
+# matrices), and each step of k costs 5 to 7 times more.
 _MAX_SIGN_K = 10
 
 
@@ -194,6 +195,9 @@ def _cmd_schur_check(opts, outdir):
     if opts["k"] > _MAX_SIGN_K:
         raise UsageError(f"k must be at most {_MAX_SIGN_K}: the sign-matrix "
                          "probe costs 5 to 7 times more per step")
+    if opts["n"] > 2 ** _MAX_SIGN_K:
+        raise UsageError(f"n must be at most {2 ** _MAX_SIGN_K}: the rank-one "
+                         "probe runs the same n x n SVD as the sign matrices")
     rank_one = rank_one_multiplier_check(opts["n"], trials=opts["trials"],
                                          seed=opts["seed"])
     signs = sign_multiplier_check(opts["k"], trials=opts["sign_trials"],

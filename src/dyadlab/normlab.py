@@ -13,22 +13,21 @@ reported value is attained by an explicit witness vector.
 The restarts of one estimate are independent.  On one thread they run in
 lockstep: each step takes one matrix-vector product per running start and
 then one pass over all of them for their norms and duality maps, which
-costs little more than a pass over one.  On a matrix of 2 MiB or more,
-with a one-thread BLAS and two or more usable CPUs, each plain thread
-started and joined within the call claims one start at a time instead (the
-products release the GIL).  Either way a start gets the bytes it gets when
-run alone, and results and errors are merged in start order, so every
-estimate, witness, step count and error is the one of running the starts
-one after another.
+costs little more than a pass over one.  If the block raises, the starts
+run again alone, in start order, until one raises.  On a matrix of 2 MiB
+or more, with a one-thread BLAS and two or more usable CPUs, a thread pool
+runs each start alone instead (the products release the GIL) and reads the
+results in start order.  Either way a start gets the bytes it gets when run
+alone, so every estimate, witness, step count and error is the one of
+running the starts one after another.
 """
 
 from __future__ import annotations
 
 import contextvars
-import itertools
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -36,8 +35,8 @@ import numpy as np
 
 from .dyadic import DyadicError, DyadicSystem, sample_system
 from .signal import SpaceSpec
-from .shifts import (petermichl_shift, random_extremal_shift, shift_matrix,
-                     symmetrize)
+from .shifts import (MAX_MATRIX_DIM, petermichl_shift, random_extremal_shift,
+                     shift_matrix, symmetrize)
 
 __all__ = [
     "NormEstimate",
@@ -149,129 +148,85 @@ def _start_threads():
         return os.cpu_count() or 1
 
 
+def _products(M, V):
+    """``M @ v`` for each row ``v`` of ``V``: one matrix-vector product per
+    row, so that each row gets the bytes of a product on its own."""
+    P = np.empty((len(V), M.shape[0]))
+    for t, v in enumerate(V):
+        np.matmul(M, v, out=P[t])
+    return P
+
+
 def _power_starts(A, X0, p, q, pd, qd, d, iters):
     """Starts of the power iteration in lockstep, one per row of ``X0``.
 
-    Returns ``[obj, witness, steps, error]`` for each start: ``(obj,
-    witness)`` is the first step whose objective is the largest of the
-    start, ``steps`` counts its products ``A @ x`` and ``error`` is the
-    exception that stopped it, or ``None``.  A step takes one product per
+    Returns ``[obj, witness, steps]`` for each start: ``(obj, witness)`` is
+    the first step whose objective is the largest of the start and
+    ``steps`` counts its products ``A @ x``.  A step takes one product per
     running start, then one mixed-norm pass over all of them, for ``A`` and
     then for ``A.T``, so each start gets the bytes it gets when run alone.
-    A start leaves the block when it stalls, reaches zero or fails; once
-    one fails the later ones leave too, since the caller raises the first
-    error in start order.
+    A start leaves the block when it stalls or reaches zero.  The first
+    error met is raised, whichever start it belongs to.
     """
-    out = [[0.0, None, 0, None] for _ in X0]
+    out = [[0.0, None, 0] for _ in X0]
     prev = [-math.inf] * len(X0)
+    norms, _ = _norm_duals(X0, p, q, d)
+    if not all(0.0 < nx < math.inf for nx in norms):
+        raise DyadicError("a start vector has zero or non-finite norm")
+    X = X0 / np.array(norms)[:, None]
     rows = list(range(len(X0)))  # the start of each row of the block
-    left = set()  # the rows that leave the block at the next prune
-
-    def fail(t, error):
-        if t not in left:
-            out[rows[t]][3] = error
-            left.update(range(t, len(rows)))
-
-    def prune(V):
-        if not left:
-            return V
-        keep = [t for t in range(len(rows)) if t not in left]
-        rows[:] = [rows[t] for t in keep]
-        left.clear()
-        return V[keep]
-
-    def products(M, V):
-        P = np.empty((len(V), M.shape[0]))
-        for t, v in enumerate(V):
-            try:
-                np.matmul(M, v, out=P[t])
-            except Exception as error:  # raised by the caller, in start order
-                fail(t, error)
-        return P
-
-    def duals(V, p, q):
-        # a block pass that raises is redone row by row, so that the error
-        # goes to the start that raises it
-        try:
-            return _norm_duals(V, p, q, d)
-        except Exception:
-            pass
-        norms, W = [math.nan] * len(V), np.zeros(V.shape)
-        for t in range(len(V)):
-            try:
-                (norms[t],), W[t:t + 1] = _norm_duals(V[t:t + 1], p, q, d)
-            except Exception as error:
-                fail(t, error)
-        return norms, W
-
-    norms, _ = duals(X0, p, q)
-    for t, nx in enumerate(norms):
-        if not 0.0 < nx < math.inf:
-            fail(t, DyadicError("a start vector has zero or non-finite norm"))
-    X = prune(X0 / [[1.0 if t in left else nx] for t, nx in enumerate(norms)])
     At = A.T
     for _ in range(iters):
         if not rows:
             break
-        for j in rows:
+        objs, W = _norm_duals(_products(A, X), p, q, d)
+        keep = []
+        for t, (j, obj) in enumerate(zip(rows, objs)):
             out[j][2] += 1
-        objs, W = duals(products(A, X), p, q)
-        for t, obj in enumerate(objs):
-            if t in left:  # failed in its product or pass
-                continue
-            j = rows[t]
             if not math.isfinite(obj):
-                fail(t, DyadicError("power-iteration objective is not "
-                                    "finite"))
-            elif obj < prev[j] - _MONOTONE_SLACK * max(1.0, abs(prev[j])):
-                fail(t, RuntimeError("power-iteration objective decreased"))
-            else:
-                if obj > out[j][0] or out[j][1] is None:
-                    out[j][:2] = obj, X[t].copy()
-                if obj == 0.0 or obj - prev[j] <= _STALL_TOL * max(1.0, obj):
-                    left.add(t)
-                prev[j] = obj
-        nzs, X = duals(products(At, prune(W)), pd, qd)
-        left.update(t for t, nz in enumerate(nzs) if nz == 0.0)
-        X = prune(X)
+                raise DyadicError("power-iteration objective is not finite")
+            if obj < prev[j] - _MONOTONE_SLACK * max(1.0, abs(prev[j])):
+                raise RuntimeError("power-iteration objective decreased")
+            if obj > out[j][0] or out[j][1] is None:
+                out[j][:2] = obj, X[t].copy()
+            if obj == 0.0 or obj - prev[j] <= _STALL_TOL * max(1.0, obj):
+                continue  # the start leaves the block
+            prev[j] = obj
+            keep.append(t)
+        if len(keep) < len(rows):  # copy only when a start leaves
+            rows, W = [rows[t] for t in keep], W[keep]
+        nzs, X = _norm_duals(_products(At, W), pd, qd, d)
+        keep = [t for t, nz in enumerate(nzs) if nz != 0.0]
+        if len(keep) < len(rows):
+            rows, X = [rows[t] for t in keep], X[keep]
     return out
 
 
 def _run_starts(run, X0, n_threads):
     """``run`` over the starts ``X0``: the result of each start, in order.
 
-    With one thread, ``run(X0)`` takes every start in one block.  Otherwise
-    the caller's thread and ``n_threads - 1`` more each take the next
-    unclaimed start and run it alone, and none takes another once a start
-    has failed; since starts are claimed in order, every start before a
-    failed one still runs.  Extra threads run in a copy of the caller's
-    context, so numpy error states set by the caller hold there too, and
-    all of them are joined before this returns.
+    With one thread, ``run(X0)`` takes every start in one block; an error
+    there may be a later start's, so the starts then run again alone, in
+    order, and the first that fails raises.  Otherwise a pool of
+    ``n_threads`` threads runs each start alone in a copy of the caller's
+    context, which holds its numpy error state.  The results are read in
+    start order, so the first error in start order is raised; the starts
+    not begun are then cancelled, and the threads are joined on return.
     """
+    def alone(i):
+        return run(X0[i:i + 1])[0]
+
     if n_threads == 1:
-        return run(X0)
-    results = [None] * len(X0)
-    order = itertools.count()  # next() hands out each index once
-    failed = threading.Event()
-
-    def work():
-        while not failed.is_set() and (i := next(order)) < len(X0):
-            results[i] = run(X0[i:i + 1])[0]
-            if results[i][3] is not None:
-                failed.set()
-
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(work,))
-               for _ in range(n_threads - 1)]
-    for t in threads:
-        t.start()
-    try:
-        work()
-    finally:
-        failed.set()  # on an interrupt, let the threads stop early too
-        for t in threads:
-            t.join()
-    return results
+        try:
+            return run(X0)
+        except Exception:  # it may be a later start's: rerun them alone
+            pass
+        return [alone(i) for i in range(len(X0))]
+    # one context per start: a context is entered by one thread at a time
+    contexts = [contextvars.copy_context() for _ in X0]
+    with ThreadPoolExecutor(n_threads) as pool:
+        return list(pool.map(lambda context, i: context.run(alone, i),
+                             contexts, range(len(X0))))
 
 
 def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None):
@@ -287,12 +242,12 @@ def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None):
 
     Starts are independent.  For a matrix of at least 2 MiB (``n >= 512``)
     with two or more starts, and with the BLAS told to run one thread
-    (``OPENBLAS_NUM_THREADS=1`` or the like) on two or more usable CPUs,
-    they run on up to one thread per CPU; otherwise they run in lockstep on
-    the caller's thread.  The results are merged in start order and the
-    first error in start order is raised, so the estimate, its witness,
-    the step count and any error are those of running the starts one after
-    another.
+    (``OPENBLAS_NUM_THREADS=1`` or the like) on two or more usable CPUs, a
+    pool of up to one thread per CPU runs each start alone; otherwise they
+    run in lockstep on the caller's thread, and alone after an error.  The
+    results are merged in start order and the first error in start order is
+    raised, so the estimate, its witness, the step count and any error are
+    those of running the starts one after another.
     """
     if restarts + len(starts or []) < 1:
         raise DyadicError("power iteration needs at least one start vector")
@@ -318,19 +273,12 @@ def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None):
     if A.nbytes >= _CONCURRENT_MIN_BYTES and len(inits) > 1:
         n_threads = min(_start_threads(), len(inits))
     results = _run_starts(run, np.array(inits), n_threads)
-    best_val = 0.0
-    best_wit = None
-    total_iters = 0
-    for val, wit, steps, error in results:  # a start not run follows an error
-        if error is not None:
-            raise error
-        total_iters += steps
-        if val > best_val or best_wit is None:
-            best_val = val
-            best_wit = wit
+    # max keeps the first of equal objectives, as a run in start order does
+    best_val, best_wit, _ = max(results, key=lambda r: r[0])
     return NormEstimate(lower=best_val, upper=math.inf,
                         method="nonlinear_power_iteration",
-                        iterations=total_iters, witness=best_wit)
+                        iterations=sum(r[2] for r in results),
+                        witness=best_wit)
 
 
 # -- martingale transform probe -----------------------------------------
@@ -344,12 +292,16 @@ def umd_probe(depth=6, p=4.0, q=2.0, d=1, trials=12, seed=0, restarts=4,
     from below, and compares the maximum with the reference constant.  A
     dual-exponent rerun seeded by the duality map of the best witness
     reports the gap between the two runs (equal in exact arithmetic because
-    the matrices are symmetric).
+    the matrices are symmetric).  A matrix of more than ``MAX_MATRIX_DIM``
+    rows (``2**depth * d``) raises ``DyadicError`` before any draw.
     """
     if trials < 1:
         raise DyadicError("umd probe needs at least one trial")
     space = SpaceSpec(p=p, q=q, d=d)
     system = DyadicSystem(Fraction(0), 0, depth)
+    if system.n_leaves * d > MAX_MATRIX_DIM:
+        raise DyadicError(f"a transform matrix of 2**{depth} * {d} rows "
+                          f"exceeds the cap of {MAX_MATRIX_DIM}")
     rows = []
     best = None
     for t in range(trials):

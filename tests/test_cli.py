@@ -96,6 +96,8 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("lemma51", "--depth", "40"),
     ("lambda-equivalence", "--k", "40"),
     ("schur-check", "--k", "40"),
+    ("schur-check", "--n", "1025"),
+    ("umd-probe", "--d", "65"),
 ])
 def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
     # each is refused before any long computation

@@ -1,6 +1,7 @@
 """Tests for operator-norm estimation and the averaging experiments."""
 
 import hashlib
+import itertools
 import math
 import os
 import threading
@@ -285,6 +286,31 @@ def test_lockstep_starts_keep_the_callers_numpy_error_state(monkeypatch):
     _keeps_error_state(monkeypatch, 1, n=4, restarts=8)
 
 
+def test_lockstep_starts_rerun_alone_only_after_an_error(monkeypatch):
+    used = _threaded(monkeypatch, 1)
+    blocks = []
+    power_starts = normlab._power_starts
+
+    def spy(A, X0, *args):
+        blocks.append(X0.tobytes())
+        return power_starts(A, X0, *args)
+
+    monkeypatch.setattr(normlab, "_power_starts", spy)
+    A = _symmetrized(6, 2, seed=66)
+    X = np.random.default_rng(66).standard_normal((3, 64))
+    opnorm_lp_lower(A, SpaceSpec(p=4.0), restarts=0, iters=20,
+                    starts=list(X))
+    assert blocks == [X.tobytes()]
+    # the block, then each start alone up to the zero start, which raises
+    blocks.clear()
+    X[1] = 0.0
+    with pytest.raises(DyadicError, match="start"):
+        opnorm_lp_lower(A, SpaceSpec(p=4.0), restarts=0, iters=20,
+                        starts=list(X))
+    assert blocks == [X.tobytes(), X[:1].tobytes(), X[1:2].tobytes()]
+    assert used == [1, 1]
+
+
 def test_lockstep_starts_with_mixed_fates_match_one_start_per_thread(
         monkeypatch):
     A = _symmetrized(9, 2, seed=67)
@@ -313,7 +339,6 @@ def test_lockstep_starts_with_mixed_fates_match_one_start_per_thread(
                                est.witness.tobytes())
     steps = [fate[2] for fate in fates]
     assert steps[0] < 12 and steps[1:] == [12, 1, 12]
-    assert all(fate[3] is None for fate in fates)
     assert fates[2][0] == 0.0
     assert runs[1] == runs[len(starts)]
     assert runs[1][1] == sum(steps)
@@ -476,7 +501,9 @@ def test_opnorm_lp_decrease_raises(monkeypatch):
     """A falling objective is an error, checked without ``assert`` so that
     ``python -O`` keeps the check."""
     import dyadlab.normlab as normlab
-    norms = iter([1.0, 2.0, 1.0, 1.0])  # start, step 1, dual, step 2
+    # start, step 1, dual, step 2; the rerun of the start alone sees the
+    # same values
+    norms = itertools.cycle([1.0, 2.0, 1.0, 1.0])
     monkeypatch.setattr(normlab, "_norm_duals",
                         lambda V, *args: ([next(norms) for _ in V],
                                           np.ones(V.shape)))
