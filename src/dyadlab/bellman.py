@@ -53,16 +53,13 @@ MAX_AXIS_POINTS = 65
 # over every centre although each plane sweeps only its nonnegative half.
 # Layers 1 and 2 are built without a sweep, from the split lists alone.
 _MAX_LAYER_PAIRS = 5_000_000_000
-# A swept layer gathers its (g, G) split ends once, in bands of whole (g, G)
-# centre groups of at most _GATHER_BLOCK entries per array (512 KiB of
-# floats; the two arrays share one buffer per layer), and sweeps each band
-# in blocks of at most _SWEEP_BLOCK candidate entries, whole rows (256 KiB).
-# Layer 2 holds at most _GATHER_BLOCK cells per block of its front planes
-# and entries per band of its triple tables.  All of them bound memory only:
-# every candidate adds the same values in the same order whatever the cuts,
-# and maxima are exact, so a layer keeps its bytes.
-_SWEEP_BLOCK = 1 << 15
-_GATHER_BLOCK = 2 * _SWEEP_BLOCK
+# A swept layer gathers its (g, G) split ends in bands of whole centre
+# groups of at most _GATHER_BYTES per array and sweeps each band in blocks
+# of at most _SWEEP_BYTES of candidates; layer 2 holds at most _GATHER_BYTES
+# per block of front planes and per band of triple tables.  They bound
+# memory only: the layers are integers, so every cut gives the same maxima.
+_SWEEP_BYTES = 1 << 18
+_GATHER_BYTES = 2 * _SWEEP_BYTES
 # Attempts per block of the concavity check.  The samples do not depend on
 # it; larger blocks only raise peak memory.
 _CHECK_CHUNK = 1024
@@ -348,14 +345,16 @@ class BellmanConfig:
         if self.max_offset is not None and self.max_offset < 0:
             raise DyadicError(
                 f"max_offset must be at least 0, got {self.max_offset}")
-        # the DP halves and adds exactly: |f|^p, |g|^p' are finite, and layer
-        # t, in [0, 4 t f_max g_max] and >= 4 h_f h_g / 2**(t-1) where > 0,
-        # stays normal when halved
+        # layer t is u_t N_t, with the unit u_t = 4 h_f h_g / 2**(t-1) and an
+        # integer 0 <= N_t <= t 2**(t-1) A C, where the largest offsets have
+        # A h_f <= f_max and C h_g <= g_max: |f|^p, |g|^p' and 4 t f_max
+        # g_max must be finite, and the smallest unit normal (with a factor
+        # 2 to spare)
         with np.errstate(over="ignore"):
             top = np.float64([self.f_max, self.g_max]) ** [self.p, self.p_dual]
         fg = self.f_max * self.g_max
         low = 16.0 * fg / ((self.n_f - 1) * (self.n_g - 1) << MAX_TABLE_DEPTH)
-        if not (np.isfinite(top).all() and 8 * MAX_TABLE_DEPTH * fg
+        if not (np.isfinite(top).all() and 4 * MAX_TABLE_DEPTH * fg
                 < math.inf and low >= np.finfo(float).tiny):
             raise DyadicError("grid values leave the normal float range")
 
@@ -436,13 +435,6 @@ def _plane(feasible, half0, half1, swept=False):
     return nodes, mirror, counts, splits
 
 
-def _gains(a, c, hf, hg):
-    """Split gains ``4 |a hf c hg|``, rounded as one product, in place."""
-    gains = a * hf * c
-    gains *= hg
-    return np.multiply(np.abs(gains, out=gains), 4.0, out=gains)
-
-
 def _bands(edges, width):
     """Pairs ``(k, j)`` that cut the groups ``edges[i]:edges[i + 1]`` into
     consecutive runs ``edges[k]:edges[j]`` of at most ``width`` entries, or
@@ -469,8 +461,8 @@ def _fronts(top, splits):
     and takes suffix maxima along both axes, so that ``M[i, j]`` is the
     largest ``K`` at or beyond ``(i, j)``.  The triple ``(i, j, K[i, j])``
     is dominated exactly when ``M`` at ``(i + 1, j)`` or ``(i, j + 1)`` is
-    at least ``K[i, j]``.  Blocks hold at most ``_GATHER_BLOCK`` cells (one
-    group at least).
+    at least ``K[i, j]``.  Blocks hold at most ``_GATHER_BYTES`` of cells
+    (one group at least).
     """
     plus, minus, first, starts = splits
     n = int(top.max()) + 1
@@ -478,7 +470,8 @@ def _fronts(top, splits):
     group = np.repeat(np.arange(starts.size), np.diff(ends))
     ij = top[plus], top[minus]
     k = np.abs(first)
-    step = max(1, _GATHER_BLOCK // (n + 1) ** 2)
+    step = max(1, _GATHER_BYTES // (np.dtype(np.intp).itemsize
+                                    * (n + 1) ** 2))
     codes, counts = [], []
     for g0 in range(0, starts.size, step):
         g1 = min(g0 + step, starts.size)
@@ -523,30 +516,27 @@ def _group_max(values, index, starts):
 class BellmanTable:
     """Cached DP layers; ``layer(t)`` is the depth-``t`` gain bound.
 
+    Every candidate of the DP is a sum of halved end values plus a gain
+    ``4 |a h_f c h_g|``, where the offsets ``a`` and ``c`` are integers, so
+    layer ``t`` is ``u_t N_t`` with the unit ``u_t = 4 h_f h_g / 2**(t-1)``
+    and an integer matrix ``N_t`` on the compact matrix of feasible nodes:
+    ``N_1 = amax cmax`` and
+
+        N_{t+1} = max(2 N_t[node], N_t[+] + N_t[-] + 2**t a |c|)
+
+    over the splits of each node.  So ``0 <= N_t <= t 2**(t-1) A C``, where
+    ``A`` and ``C`` are the largest ``amax`` and ``cmax`` (:meth:`_bound`),
+    and each layer is held in int16 where that bound fits, int32 otherwise.
+    The DP runs on ``N_t`` alone, exactly; :meth:`layer` rounds ``u_t N_t``
+    once.
+
     The mean axes are exact mirror images of themselves (``fs == -fs[::-1]``
-    and ``gs == -gs[::-1]``), so each feasibility mask is its own mirror
-    image under ``f -> -f`` for the (f, F) plane and ``g -> -g`` for the
-    (g, G) plane, and every layer is mirror-symmetric in f and in g: the
-    gain is even in each mean offset, and a mirrored node's candidates are
-    the same end values added in the other order.  Each plane therefore
-    keeps only the splits centred on its nonnegative half, and one copy
-    along the mirror map of its compact ids completes each layer, bit for
-    bit as a sweep over every centre would.
-
-    Each plane's splits come from one pass of :func:`_plane` over a padded
-    window of its node ids, already grouped by centre.  The per-layer pair
-    cap is checked from both planes' split counts before either plane's
-    splits are extracted, so a refused grid allocates no split arrays.
-
-    Layer 1 is in closed form (:meth:`_first_layer`).  Layer 2 depends on
-    each split only through two small integer triples, so it is read off
-    the distinct undominated triples of each centre (:meth:`_second_layer`).
-    Layers from 3 on are swept (:meth:`_dp_layer`).  A swept layer gathers
-    the (g, G) split ends of every (f, F) node once, in bands of whole
-    (g, G) centre groups of at most ``_GATHER_BLOCK`` entries per array, and
-    each (f, F) centre reads its rows from them.  The bands bound the memory
-    of the gather (1 MiB at any grid size) and keep every bit: each
-    candidate adds the same values in the same order, and maxima are exact.
+    and ``gs == -gs[::-1]``), so each feasibility mask and every layer is
+    mirror-symmetric in f and in g (the gain is even in each offset).  Each
+    plane keeps only the splits centred on its nonnegative half, from one
+    pass of :func:`_plane`, and one copy along the mirror map of its
+    compact ids completes each layer.  The pair cap is checked from both
+    planes' split counts before any split is extracted.
     """
 
     def __init__(self, config):
@@ -587,51 +577,71 @@ class BellmanTable:
         self._nodes = np.ix_(self._f_nodes, self._g_nodes)
         self._mask = (self._feasible_f[:, :, None, None]
                       & self._feasible_g[None, None, :, :])
-        self._layers = [np.where(self._mask, 0.0, -np.inf)]
+        self._counts = [np.zeros((self._f_nodes.size, self._g_nodes.size),
+                                 dtype=np.int16)]
+        self._layers = [self._grid(self._counts[0])]
 
     @property
     def depth(self):
         return len(self._layers) - 1
 
     def layer(self, t):
-        """Depth-``t`` gain bound on the whole grid, ``-inf`` off the
-        domain.  Layers are built once, in order, and cached: layer 1 in
-        closed form (:meth:`_first_layer`), layer 2 from the fronts of the
-        split triples of layer 1's integer structure
-        (:meth:`_second_layer`), each later one by sweeping the one before
-        (:meth:`_dp_layer`), and the nodes below the middle row of each
-        plane copied from their mirror images."""
+        """Depth-``t`` gain bound on the whole grid, ``u_t N_t`` rounded
+        once, ``-inf`` off the domain, built once and cached: ``N_1`` in
+        closed form, ``N_2`` from split fronts, later ones swept, and the
+        nodes below the middle row of each plane copied from their mirror
+        images."""
         if t < 0:
             raise DyadicError(f"depth {t} is negative")
         if t > MAX_TABLE_DEPTH:
             raise DyadicError(
                 f"depth {t} exceeds the table cap of {MAX_TABLE_DEPTH}")
         while self.depth < t:
-            if self.depth == 0:
+            s = self.depth
+            if s == 0:
                 out = self._first_layer()
-            elif self.depth == 1:
+            elif s == 1:
                 out = self._second_layer()
             else:
-                out = self._dp_layer(self._layers[-1])
+                out = self._dp_layer(self._counts[s], s)
             out[:self._f_mirror.size] = out[self._f_mirror]
             out[:, :self._g_mirror.size] = out[:, self._g_mirror]
-            nxt = np.full(self._mask.shape, -np.inf)
-            nxt.reshape(self._feasible_f.size, -1)[self._nodes] = out
-            self._layers.append(nxt)
+            self._counts.append(out)
+            self._layers.append(self._grid(self._unit(s + 1) * out))
         return self._layers[t]
+
+    def _grid(self, values):
+        """``values`` on the whole grid as float64, ``-inf`` off the domain."""
+        out = np.full(self._mask.shape, -np.inf)
+        out.reshape(self._feasible_f.size, -1)[self._nodes] = values
+        return out
+
+    def _unit(self, t):
+        """``u_t = 4 h_f h_g / 2**(t-1)``, normal by :class:`BellmanConfig`."""
+        return math.ldexp(4.0 * self.steps[0] * self.steps[2], 1 - t)
+
+    def _bound(self, t):
+        """``t 2**(t-1) A C >= N_t``: a layer at most doubles the one before
+        and adds a gain of at most ``2**(t-1) A C``."""
+        amax, cmax = self._tops
+        return t * 2 ** t // 2 * int(amax.max()) * int(cmax.max())
+
+    def _dtype(self, t):
+        """int16 for ``N_t`` where its bound fits, else int32 (the caps keep
+        the bound within ``6 * 2**5 * 32 * 32``)."""
+        return np.dtype(np.int16 if self._bound(t) < 2 ** 15 else np.int32)
 
     @cached_property
     def _tops(self):
-        """The largest ``a`` among the swept (f, F) splits of each compact
-        (f, F) node, and the largest ``|c|`` among the (g, G) splits of each
-        compact (g, G) node; a node below the middle row reads its mirror
-        image's, as :meth:`layer` copies its values."""
+        """``amax`` and ``cmax``: the largest ``a`` among the swept (f, F)
+        splits of each compact (f, F) node, and the largest ``|c|`` among
+        the (g, G) splits of each compact (g, G) node (mirrored below the
+        middle row)."""
         tops = []
         for (_, _, first, starts), mirror, size in (
                 (self._f_swept, self._f_mirror, self._f_nodes.size),
                 (self._g_all, self._g_mirror, self._g_nodes.size)):
-            # every feasible node centres the zero split, so there is one
-            # group per swept node
+            # every feasible node centres the zero split: one group each
             top = np.empty(size, dtype=np.intp)
             top[mirror.size:] = np.maximum.reduceat(np.abs(first), starts)
             top[:mirror.size] = top[mirror]
@@ -639,120 +649,104 @@ class BellmanTable:
         return tops
 
     def _first_layer(self):
-        """Layer 1 on the compact matrix of feasible nodes, in closed form.
-
-        Layer 0 is 0 on every feasible node, so each candidate of a sweep
-        from it is its gain alone, which grows with ``|a|`` and ``|c|``
-        (every rounding step is monotone): the best split of a node pair
-        pairs the largest ``a`` among the (f, F) splits of its row from
-        (0, 0) on, all of which have ``a >= 0``, with the largest ``|c|``
-        among the (g, G) splits of its column (:attr:`_tops`)."""
+        """``N_1 = amax cmax`` on the compact matrix of feasible nodes: each
+        candidate from layer 0 is its gain ``a |c|`` alone (:attr:`_tops`)."""
         amax, cmax = self._tops
-        return _gains(amax[:, None], cmax, *self.steps[::2])
+        return np.multiply.outer(amax, cmax).astype(self._dtype(1))
 
     def _second_layer(self):
-        """Layer 2 on the compact matrix of feasible nodes, from the integer
-        structure of layer 1 instead of a sweep.
+        """``N_2`` on the compact matrix of feasible nodes, from the integer
+        structure of ``N_1`` instead of a sweep.
 
-        Layer 1 is ``T[amax[x], cmax[y]]`` with ``T = _gains(i, j)`` on the
-        integers ``i, j`` (:meth:`_first_layer`), and the gain of a split
-        pair is ``T[a, |c|]`` (rounding is symmetric in sign).  So the
-        candidate that :meth:`_dp_layer` sweeps for an (f, F) split ``(plus,
-        minus, a)`` and a (g, G) split ``(vp, vm, c)``, ``(H[plus, vp] +
-        H[minus, vm]) + gain`` with ``H`` half of layer 1, is ``(Th[u0, v0]
-        + Th[u1, v1]) + T[u2, v2]`` with ``Th = T * 0.5`` and the triples
-        ``u = (amax[plus], amax[minus], a)`` and ``v = (cmax[vp], cmax[vm],
-        |c|)``: the same values added in the same order, so the same bits.
+        ``N_1`` is ``T[amax[x], cmax[y]]`` with ``T[i, j] = i j``
+        (:meth:`_first_layer`).  So the candidate of an (f, F) split
+        ``(plus, minus, a)`` and a (g, G) split ``(vp, vm, c)``, ``N_1[plus,
+        vp] + N_1[minus, vm] + 2 a |c|``, is ``u0 v0 + u1 v1 + 2 u2 v2`` for
+        the triples ``u = (amax[plus], amax[minus], a)`` and ``v =
+        (cmax[vp], cmax[vm], |c|)`` of nonnegative integers.
 
-        Every rounding step (products, halving, sums) is monotone on
-        nonnegative inputs, so a candidate does not fall when a coordinate
-        of either triple rises.  Among the triples of one centre, a repeat
-        or one that another dominates in every coordinate therefore never
-        gives a larger maximum, and each centre keeps only its front
-        (:func:`_fronts`).  A node's value is the largest candidate over its
-        two fronts; the zero splits give its layer-1 value, so no maximum
-        with layer 1 is needed.  Maxima are exact, so the layer equals the
-        sweep's byte for byte, whatever the order and cuts of the work.
+        A candidate does not fall when a coordinate of either triple rises,
+        so each centre keeps only its front (:func:`_fronts`), and a node
+        takes the largest candidate over its two fronts (the zero splits
+        give ``2 N_1``).
 
         The candidates of a band of whole (g, G) centres are a table of its
         distinct front triples against the distinct (f, F) front triples,
         reduced by row gathers: a running maximum over each (g, G) centre's
         front, then over each (f, F) centre's (:func:`_group_max`).  Bands
-        hold at most ``_GATHER_BLOCK`` table entries (one centre at least),
-        so memory stays bounded at any grid size.  Only the nodes from the
-        middle row of each plane on are filled; :meth:`layer` copies the
-        rest from their mirror images."""
+        hold at most ``_GATHER_BYTES`` of table (one centre at least).  Only
+        the nodes from the middle row of each plane on are filled."""
         amax, cmax = self._tops
         fcodes, fstarts, na = _fronts(amax, self._f_swept)
         gcodes, gstarts, nc = _fronts(cmax, self._g_all)
-        # transposed: a band's table has one row per (g, G) triple
-        T = _gains(np.arange(na)[:, None], np.arange(nc), *self.steps[::2]).T
-        Th = T * 0.5
+        dtype = self._dtype(2)  # transposed: one row per (g, G) triple
+        T = np.multiply.outer(np.arange(nc), np.arange(na)).astype(dtype)
+        T2 = 2 * T
         fdistinct, franks = _ranks(fcodes, na ** 3)
         fa = np.unravel_index(fdistinct, (na, na, na))
-        out = np.empty((self._f_nodes.size, self._g_nodes.size))
+        out = np.empty((self._f_nodes.size, self._g_nodes.size), dtype=dtype)
         f0, g0 = self._f_mirror.size, self._g_mirror.size
         edges = np.append(gstarts, gcodes.size)
-        width = _GATHER_BLOCK // max(fdistinct.size, fstarts.size)
+        width = _GATHER_BYTES // (dtype.itemsize
+                                  * max(fdistinct.size, fstarts.size))
         for k, j in _bands(edges, width):
             gdistinct, granks = _ranks(gcodes[edges[k]:edges[j]], nc ** 3)
             ga = np.unravel_index(gdistinct, (nc, nc, nc))
-            table = Th[ga[0]][:, fa[0]]
-            table += Th[ga[1]][:, fa[1]]
-            table += T[ga[2]][:, fa[2]]
+            table = T[ga[0]][:, fa[0]]
+            table += T[ga[1]][:, fa[1]]
+            table += T2[ga[2]][:, fa[2]]
             by_g = _group_max(table, granks, edges[k:j] - edges[k])
             out[f0:, g0 + k:g0 + j] = _group_max(
                 np.ascontiguousarray(by_g.T), franks, fstarts)
         return out
 
-    def _dp_layer(self, B):
-        """Layer ``t + 1`` from layer ``t = B`` (``t >= 2``) on the compact
-        matrix of feasible nodes, rows in the (f, F) plane: each swept node
-        keeps its value or takes its best split with feasible ends, the mean
-        of the end values plus the gain.
+    def _dp_layer(self, N, t):
+        """``N_{t+1}`` from ``N = N_t`` (``t >= 2``) on the compact matrix
+        of feasible nodes, rows in the (f, F) plane: each swept node keeps
+        ``2 N_t`` or takes its best split, ``N_t[+] + N_t[-] + 2**t a |c|``.
 
         Each swept (f, F) centre pairs its splits from the offset (0, 0) on
         with every (g, G) split: a column maximum over its splits, then one
         over each (g, G) centre's group, into its row.  The pairs of (0, 0)
         with (0, 0) and with the negative (g, G) offsets bring nothing new:
-        the first adds a node's half to itself, its own value, and each of
-        the others is the candidate of the mirror offset with the two halves
-        added in the other order.
+        the first gives ``2 N_t``, and each of the others is the candidate
+        of the mirror offset with its two ends added in the other order.
 
-        The (g, G) split ends ``H[:, vp]`` and ``H[:, vm]`` are gathered once
-        per layer, in bands of whole (g, G) centre groups of at most
-        ``_GATHER_BLOCK`` entries per array, into one buffer that every band
-        reuses, and each centre reads its rows from them.  Every candidate
-        adds the same halves and gain in the same order as a gather per
-        centre would, and maxima are exact, so the bands keep every bit."""
-        out = B.reshape(self._feasible_f.size, -1)[self._nodes]
-        H = out * 0.5  # exact: BellmanConfig keeps the halves normal
-        n = H.shape[0]
+        The (g, G) split ends ``N[:, vp]`` and ``N[:, vm]`` are gathered
+        once per layer into one buffer, in bands of at most
+        ``_GATHER_BYTES`` per array, and each centre reads its rows from
+        them in blocks of at most ``_SWEEP_BYTES``.  Every sum stays within
+        :meth:`_bound` of ``t + 1``, so it is exact in the layer's dtype."""
+        dtype = self._dtype(t + 1)
+        N = N.astype(dtype, copy=False)
+        out = 2 * N
+        n = N.shape[0]
         plus, minus, first, fstarts = self._f_swept
         vp, vm, vc, starts = self._g_all
         g0 = self._g_mirror.size
-        a = np.arange(first.max() + 1)[:, None]
+        a = np.arange(first.max() + 1, dtype=dtype)[:, None]
         spans = list(enumerate(zip(fstarts.tolist(),
                                    fstarts[1:].tolist() + [plus.size]),
                                self._f_mirror.size))
         edges = np.append(starts, vp.size)
-        bands = list(_bands(edges, _GATHER_BLOCK // n))
-        ends = np.empty((2, n * max(edges[j] - edges[k] for k, j in bands)))
+        bands = list(_bands(edges, _GATHER_BYTES // (n * dtype.itemsize)))
+        ends = np.empty((2, n * max(edges[j] - edges[k] for k, j in bands)),
+                        dtype=dtype)
         for k, j in bands:
             c0, c1 = edges[k], edges[j]
-            Hp, Hm = ends[:, :n * (c1 - c0)].reshape(2, n, -1)
+            Np, Nm = ends[:, :n * (c1 - c0)].reshape(2, n, -1)
             # "clip" writes straight into the buffer; every id is in range
-            np.take(H, vp[c0:c1], axis=1, out=Hp, mode="clip")
-            np.take(H, vm[c0:c1], axis=1, out=Hm, mode="clip")
-            gains = _gains(a, vc[c0:c1], *self.steps[::2])
+            np.take(N, vp[c0:c1], axis=1, out=Np, mode="clip")
+            np.take(N, vm[c0:c1], axis=1, out=Nm, mode="clip")
+            gains = a * (np.abs(vc[c0:c1]) << t).astype(dtype)
             groups = starts[k:j] - c0
-            step = max(1, _SWEEP_BLOCK // (c1 - c0))
+            step = max(1, _SWEEP_BYTES // ((c1 - c0) * dtype.itemsize))
             for centre, (s0, e) in spans:
                 row = out[centre, g0 + k:g0 + j]
                 for s in range(s0, e, step):
                     s1 = min(s + step, e)
-                    cand = Hp[plus[s:s1]]
-                    cand += Hm[minus[s:s1]]
+                    cand = Np[plus[s:s1]]
+                    cand += Nm[minus[s:s1]]
                     cand += gains[first[s:s1]]
                     best = np.maximum.reduceat(cand.max(axis=0), groups)
                     np.maximum(row, best, out=row)
@@ -836,15 +830,15 @@ def bellman_oracle(config, depth=0):
 
 
 def range_check(table, t):
-    """Feasible values lie in ``[0, 4 t f_max g_max]`` (per-step gain cap)."""
+    """Feasible values lie in ``[0, 4 t f_max g_max]`` (per-step gain cap);
+    ``ok`` checks the integer bound ``0 <= N_t <= t 2**(t-1) A C``."""
     layer = table.layer(t)
     finite = layer[np.isfinite(layer)]
-    bound = 4.0 * t * table.config.f_max * table.config.g_max
-    lo = float(finite.min())
-    hi = float(finite.max())
-    return {"min": lo, "max": hi, "upper_bound": bound,
+    counts = table._counts[t]
+    return {"min": float(finite.min()), "max": float(finite.max()),
+            "upper_bound": 4.0 * t * table.config.f_max * table.config.g_max,
             "n_finite": int(finite.size),
-            "ok": bool(lo >= 0.0 and hi <= bound + 1e-9)}
+            "ok": bool(counts.min() >= 0 and counts.max() <= table._bound(t))}
 
 
 def _grid_draws(u, shape, max_offset=None):
@@ -876,8 +870,10 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
 
     Grid mode: a uniform offset within the DP's split radius and a uniform
     centre that keeps both ends on the grid (:func:`_grid_draws`); attempts
-    with an infeasible end are rejected.  Every on-grid split can be drawn,
-    so a split the DP missed shows as a negative slack, and no other does.
+    with an infeasible end are rejected.  The slack ``N_{t+1}[mid] -
+    (N_t[+] + N_t[-] + 2**t |j_f j_g|)`` is exact, in integer units, and
+    reported times ``u_{t+1}``.  A split the DP missed shows as a negative
+    slack, and no other does.
 
     Snapped mode: ``f0, g0, F0, G0, df, dF, dg, dG`` are uniform, in this
     order, on the boxes kept two grid steps inside the grid (a grid with
@@ -896,11 +892,15 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
     if n_samples < 1:
         raise DyadicError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    upper = table.layer(t + 1)
-    lower = table.layer(t)
+    upper, lower = table.layer(t + 1), table.layer(t)
     hf, hF, hg, hG = table.steps
     cfg = table.config
-    if snapped:
+    if not snapped:
+        # N_{t+1} and N_t, whose floats are exact
+        upper, lower = (table._grid(table._counts[s]) for s in (t + 1, t))
+        half, unit = 1.0, table._unit(t + 1)
+    else:
+        half, unit = 0.5, 1.0
         lo = np.array([-cfg.f_max + 2 * hf, -cfg.g_max + 2 * hg, 0.0, 0.0,
                        -2 * hf, -2 * hF, -2 * hg, -2 * hG])
         hi = np.array([cfg.f_max - 2 * hf, cfg.g_max - 2 * hg,
@@ -934,7 +934,7 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
         else:
             j, mid = _grid_draws(np.ascontiguousarray(rng.random((b, 8)).T),
                                  lower.shape, cfg.max_offset)
-            gain = _gains(j[0], j[2], hf, hg)
+            gain = np.abs(j[0] * j[2]) * 2.0 ** t
             mid, j = sizes @ mid, sizes @ j
             plus, minus = mid + j, mid - j
             ok = True
@@ -945,7 +945,7 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
             ok &= np.isfinite(vmid)
         rows = np.flatnonzero(ok)[:n_samples - n_eval]
         if rows.size:
-            slack = vmid[rows] - (0.5 * (vp[rows] + vm[rows]) + gain[rows])
+            slack = vmid[rows] - (half * (vp[rows] + vm[rows]) + gain[rows])
             min_slack = min(min_slack, float(slack.min()))
             n_eval += rows.size
     if not n_eval:
@@ -956,7 +956,7 @@ def concavity_gain_check(table, t, n_samples=200, seed=0, snapped=False):
     if snapped:
         allowance = float(16.0 * hf * hg
                           + 4.0 * (hf * cfg.g_max + hg * cfg.f_max))
-    return {"min_slack": min_slack, "n_evaluated": n_eval,
+    return {"min_slack": min_slack * unit, "n_evaluated": n_eval,
             "snapped": snapped, "t": t, "allowance": allowance}
 
 

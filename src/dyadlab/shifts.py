@@ -343,10 +343,13 @@ def _block_keys(system, m, n):
     _check_blocks(m, n)
     rows = _block_rows(system.depth, m, n)
     if rows * _ROW_BYTES > _MAX_TABLE_BYTES:
+        # a count past 64 bits is named by its bit length: formatting it
+        # in digits raises beyond 4300 of them
+        size = (f"{rows} rows ({rows * _ROW_BYTES} bytes)" if rows >> 64 == 0
+                else f"a {rows.bit_length()}-bit count of rows")
         raise DyadicError(
-            f"a ({m}, {n}) shift at depth {system.depth} has {rows} rows "
-            f"({rows * _ROW_BYTES} bytes), over the table cap of "
-            f"{_MAX_TABLE_BYTES} bytes")
+            f"a ({m}, {n}) shift at depth {system.depth} has {size}, over "
+            f"the table cap of {_MAX_TABLE_BYTES} bytes")
     r = np.arange(rows)
     heap = (r >> (m + n)) + 1  # L's heap row, 2**level + index
     lev = np.frexp(heap)[1].astype(np.int64) - 1
@@ -565,8 +568,8 @@ def slice_bilinear_sides(shift, j, f, g):
 
 def _check_matrix_dim(system):
     if system.n_leaves > MAX_MATRIX_DIM:
-        raise DyadicError(
-            f"{system.n_leaves} leaf cells exceed matrix cap {MAX_MATRIX_DIM}")
+        raise DyadicError(f"2**{system.depth} leaf cells exceed matrix cap "
+                          f"{MAX_MATRIX_DIM}")
 
 
 def shift_matrix(shift):

@@ -357,8 +357,8 @@ def test_config_refuses_a_negative_max_offset():
 
 
 def test_config_refuses_values_outside_the_float_range():
-    """|f|^p overflows; 8 * depth * f_max * g_max overflows; the smallest
-    positive value of a deep layer falls below the normal range."""
+    """|f|^p overflows; 4 * depth * f_max * g_max overflows; the unit of a
+    deep layer falls below the normal range."""
     for kwargs in (dict(f_max=1e200, F_max=1e300, g_max=1.0),
                    dict(p=1.5, f_max=1e205, g_max=1e102, F_max=1e308,
                         G_max=1e308),
@@ -431,10 +431,12 @@ def test_oracle_cache_keeps_most_recent_configs(monkeypatch):
 # -- grid oracle: the DP against a reference loop -----------------------
 
 
-def reference_layer(B, hf, hg, max_offset):
-    """Offset-by-offset DP step: every symmetric split of the full 4-D
-    grid, one offset ``j ~ -j`` at a time, feasible or not."""
-    out = B.copy()
+def reference_layer(B, t, max_offset):
+    """Offset-by-offset DP step in integer units, ``N_t -> N_{t+1}``: every
+    symmetric split of the full 4-D grid, one offset ``j ~ -j`` at a time,
+    feasible or not.  ``B`` holds ``N_t`` as floats, ``-inf`` off the
+    domain; its values are small integers, so every sum is exact."""
+    out = 2 * B
     half = [(n - 1) // 2 for n in B.shape]
     if max_offset is not None:
         half = [min(h, max_offset) for h in half]
@@ -449,8 +451,7 @@ def reference_layer(B, hf, hg, max_offset):
             ps.append(slice(a + ja, n - a + ja))
             ms.append(slice(a - ja, n - a - ja))
         cand = B[tuple(ps)] + B[tuple(ms)]
-        cand *= 0.5
-        gain = 4.0 * abs(j[0] * hf * j[2] * hg)
+        gain = abs(j[0] * j[2]) << t
         if gain:
             cand += gain
         view = out[tuple(cs)]
@@ -479,31 +480,31 @@ REFERENCE_IDS = ["p2", "p3", "p1.5", "non-square", "max-offset-1",
                  "linspace-ulp-f-axis"]
 
 
-# sha256 of layers 0..3 of each reference table, recorded with the
-# offset-by-offset sweep
+# sha256 of layers 0..3 of each reference table, ``u_t N_t`` with ``N_t``
+# from the offset-by-offset loop in integer units
 REFERENCE_SHA256 = [
     "4be1629d15b5a7b19d078d903603c3ffcb42df71388b0a740470322486118ade",
     "3eb385571fce62fdac8a56eaada26f9145510d6be73e3f1948f438208b0e0238",
     "1b43e22f6fabcdbe0dda493dc8ec5f7445b4931d03edc75cd137c196a209d7cd",
-    "d2383b900825f605eecfa733305ec7e5e59349df5db56d2f1a7b853e982397f7",
+    "0ee1cd0ea86509d605050ed8a6d427a7738ab9608b5173c3a9e935154738a7c4",
     "1a1d2449bd44109ec6b915f13777c89b41de6dca5c5c11793fa6a12fd79e58f0",
     "553f0bc61394d8a69bf8e0d6e8abbe37e8c25da4cd78cdc165fb71f6b0bb22e9",
     "6111d66e00ccb8f495bdd01e8d4293468740dac7feadb5f273da661f77ffb2fe",
     "9a9c3d331992a0e612124dd4fa289e6132d1d0effe8ce54e7cf4cca47a9df8b9",
     "594cdeb9a114708fb8c841a79042c5b5b8650b923db606f702b8599e39eca081",
     "394dc751b917ac9e73594502eef9ac9d82f9e1dd3f339ee15b01e44dbdadd343",
-    "b74eacfc0bc61acf6f6beb5ab748f0a7eef5b736972bcb68ca51da66778d48fa",
+    "29130fd5b9329747f7dd81f4a55517aea518c236b34664fec48e5c33edf2bbce",
 ]
 
 
 # sha256 of layers 0..3 of the 13-point tables at p = 2, 3, 3/2 (the
-# largest ones the benchmark builds), recorded with every layer swept; the
-# offset-by-offset loop in ``reference_layer`` gives the same digests, in
-# about 1.4 s per table, so the band test below checks these tables by them
+# largest ones the benchmark builds); ``N_t`` from the loop in
+# ``reference_layer`` gives the same digests, in about 1.4 s per table, so
+# the band test below checks these tables by them
 BENCHMARK_SHA256 = {
-    2.0: "95bd1366352cba9205ec417840a6d543186f38a62a2705493f83f33977f20348",
-    3.0: "7eab36eefd88229725db7701c8ac6e88558b76c79ca8a1b5b6191dd0c9a27889",
-    1.5: "9e458882eb9fb33a5d8af772fe6e7358ca6d5506f95fd205586ea92353897b3b",
+    2.0: "3584c0b54746896368172337efd84e9ba19c9a9de162e06cdb9281732229b3e9",
+    3.0: "e26b6702c59339a00cee6af2cf1e6adf92bf58bd33d0eb1cbeedf55cee9876d1",
+    1.5: "9bee04c96412501036912677c8961f7989d882b82888f8aae82d12de9c5f9bd8",
 }
 
 
@@ -522,19 +523,75 @@ def test_reference_table_bytes_are_frozen(kwargs, hexdigest):
     assert layer_digest(BellmanTable(BellmanConfig(**kwargs))) == hexdigest
 
 
+def count_layer(table, t):
+    """``N_t`` on the whole grid as floats, ``-inf`` off the domain."""
+    table.layer(t)
+    return table._grid(table._counts[t])
+
+
 def assert_layers_match_reference_loop(table):
-    hf, hg = table.steps[0], table.steps[2]
     ref = table.layer(0)
     for t in (1, 2, 3):
-        ref = reference_layer(ref, hf, hg, table.config.max_offset)
+        ref = reference_layer(ref, t - 1, table.config.max_offset)
         ref[~table._mask] = -np.inf
-        assert table.layer(t).tobytes() == ref.tobytes(), t
+        assert count_layer(table, t).tobytes() == ref.tobytes(), t
 
 
 @pytest.mark.parametrize("kwargs", REFERENCE_CONFIGS, ids=REFERENCE_IDS)
 def test_dp_layers_match_reference_loop(kwargs):
-    """Layer 1 (closed form) and layers 2, 3 (swept) against the loop."""
+    """``N_1`` (closed form), ``N_2`` (fronts) and ``N_3`` (swept) against
+    the loop."""
     assert_layers_match_reference_loop(BellmanTable(BellmanConfig(**kwargs)))
+
+
+def python_integer_dp(table, depth):
+    """``N_1 .. N_depth`` by a pure-Python loop over every pair of feasible
+    plane nodes and every pair of their symmetric splits with feasible
+    ends, the zero split included: dicts from ``((i, k), (l, m))`` to
+    ints."""
+    def splits(feasible, h0, h1):
+        n0, n1 = len(feasible), len(feasible[0])
+        return {(i, k): [((i + a, k + b), (i - a, k - b), a)
+                         for a in range(-h0, h0 + 1)
+                         for b in range(-h1, h1 + 1)
+                         if abs(a) <= min(i, n0 - 1 - i)
+                         and abs(b) <= min(k, n1 - 1 - k)
+                         and feasible[i + a][k + b]
+                         and feasible[i - a][k - b]]
+                for i in range(n0) for k in range(n1) if feasible[i][k]}
+
+    cfg = table.config
+    half = [(n - 1) // 2 for n in (cfg.n_f, cfg.n_F, cfg.n_g, cfg.n_G)]
+    if cfg.max_offset is not None:
+        half = [min(h, cfg.max_offset) for h in half]
+    fs = splits(table._feasible_f.tolist(), *half[:2])
+    gs = splits(table._feasible_g.tolist(), *half[2:])
+    N = {(x, y): 0 for x in fs for y in gs}
+    layers = []
+    for t in range(depth):
+        N = {(x, y): max(N[p, q] + N[m, r] + (abs(a * c) << t)
+                         for p, m, a in fs[x] for q, r, c in gs[y])
+             for x in fs for y in gs}
+        layers.append(N)
+    return layers
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_f=5, n_F=5, n_g=5, n_G=5),
+    dict(p=3.0, n_f=7, n_F=7, n_g=7, n_G=7),
+    dict(n_f=5, n_F=9, n_g=7, n_G=3),
+    dict(n_f=7, n_F=7, n_g=7, n_G=7, max_offset=1),
+], ids=["5-points", "7-points", "non-square", "max-offset-1"])
+def test_integer_layers_match_a_python_loop(kwargs):
+    """``N_1 .. N_3`` equal a pure-Python integer DP on every node."""
+    table = BellmanTable(BellmanConfig(**kwargs))
+    table.layer(3)
+    nF, nG = table.config.n_F, table.config.n_G
+    f_nodes = [divmod(x, nF) for x in table._f_nodes.tolist()]
+    g_nodes = [divmod(y, nG) for y in table._g_nodes.tolist()]
+    for t, ref in enumerate(python_integer_dp(table, 3), 1):
+        want = [[ref[x, y] for y in g_nodes] for x in f_nodes]
+        assert table._counts[t].tolist() == want, t
 
 
 def test_bands_cut_whole_groups_within_the_width():
@@ -571,8 +628,9 @@ def test_narrow_gather_bands_keep_every_byte(monkeypatch, kwargs, hexdigest,
     table = BellmanTable(BellmanConfig(**kwargs))
     vp, _, _, starts = table._g_all
     widest = int(np.diff(np.append(starts, vp.size)).max())
-    size = 1 if budget == "one-group" else table._f_nodes.size * widest
-    monkeypatch.setattr(bellman, "_GATHER_BLOCK", size)
+    size = 1 if budget == "one-group" else (
+        table._f_nodes.size * widest * table._dtype(3).itemsize)
+    monkeypatch.setattr(bellman, "_GATHER_BYTES", size)
     assert layer_digest(table) == hexdigest
     if kwargs["n_f"] < 13:
         assert_layers_match_reference_loop(table)
@@ -598,17 +656,30 @@ SECOND_LAYER_IDS = REFERENCE_IDS + [
 @pytest.mark.parametrize("budget", ["default", "one-centre"])
 @pytest.mark.parametrize("kwargs", SECOND_LAYER_CASES, ids=SECOND_LAYER_IDS)
 def test_second_layer_matches_the_sweep(monkeypatch, kwargs, budget):
-    """Layer 2 read off the split-triple fronts equals a sweep of layer 1
-    byte for byte on the block :meth:`_second_layer` fills (the nodes from
-    the middle row of each plane on; ``layer`` copies the rest), with the
-    default budget and with one centre per band and per block."""
+    """``N_2`` read off the split-triple fronts equals a sweep of ``N_1``
+    on the block :meth:`_second_layer` fills (the nodes from the middle row
+    of each plane on; ``layer`` copies the rest), with the default budget
+    and with one centre per band and per block."""
     table = BellmanTable(BellmanConfig(**kwargs))
-    swept = table._dp_layer(table.layer(1))
+    table.layer(1)
+    swept = table._dp_layer(table._counts[1], 1)
     if budget == "one-centre":
-        monkeypatch.setattr(bellman, "_GATHER_BLOCK", 1)
+        monkeypatch.setattr(bellman, "_GATHER_BYTES", 1)
     f0, g0 = table._f_mirror.size, table._g_mirror.size
     assert (table._second_layer()[f0:, g0:].tobytes()
             == swept[f0:, g0:].tobytes())
+
+
+@pytest.mark.parametrize("kwargs", SECOND_LAYER_CASES, ids=SECOND_LAYER_IDS)
+def test_float_layers_are_the_integer_layers_rounded_once(kwargs):
+    """Layer ``t`` is ``N_t`` times ``u_t = 4 h_f h_g / 2**(t-1)``, each
+    entry rounded once, and ``-inf`` off the domain."""
+    table = BellmanTable(BellmanConfig(**kwargs))
+    hf, hg = table.steps[0], table.steps[2]
+    for t in range(4):
+        unit = 4.0 * hf * hg / 2.0 ** (t - 1)
+        want = count_layer(table, t) * unit
+        assert table.layer(t).tobytes() == want.tobytes(), t
 
 
 # tracemalloc peaks of the builds below when every (f, F) centre gathered
@@ -655,11 +726,10 @@ def test_reference_layers_are_mirror_symmetric(kwargs):
         assert np.array_equal(axis, -axis[::-1])
     for mask in (table._feasible_f, table._feasible_g):
         assert np.array_equal(mask, mask[::-1])
-    hf, hg = table.steps[0], table.steps[2]
     ref = table.layer(0)
     for t in range(4):
         if t:
-            ref = reference_layer(ref, hf, hg, cfg.max_offset)
+            ref = reference_layer(ref, t - 1, cfg.max_offset)
             ref[~table._mask] = -np.inf
         for flip in MIRROR_FLIPS:
             assert ref.tobytes() == ref[flip].tobytes(), (t, flip)
@@ -1019,15 +1089,15 @@ def test_benchmark_table_bytes_are_frozen(grid_tables):
 
 
 # sha256 of layers 0..3 of the 9- and 11-point tables at p = 2, 3, 3/2,
-# the smaller ones the benchmark builds, recorded with the offset-by-offset
-# sweep
+# the smaller ones the benchmark builds; the band test checks the 9-point
+# ones against the loop in ``reference_layer``
 SMALL_GRID_SHA256 = {
     (9, 2.0): "4be1629d15b5a7b19d078d903603c3ffcb42df71388b0a740470322486118ade",
     (9, 3.0): "3eb385571fce62fdac8a56eaada26f9145510d6be73e3f1948f438208b0e0238",
     (9, 1.5): "1b43e22f6fabcdbe0dda493dc8ec5f7445b4931d03edc75cd137c196a209d7cd",
-    (11, 2.0): "5b84422f069f3333c76e826094bb8c040e4a19f99e758d4619287152ddd3e293",
-    (11, 3.0): "2c774aac3bba60d37cab55098d1131a4f22aa388c46d90bbec2d51b24c7cb388",
-    (11, 1.5): "789cee476191c442b6932ca7de5d6b368599f1a9900ada812a28bdad356fe944",
+    (11, 2.0): "6e095bf26d34d423129b0506d14d7631da5b2d2022f8f10522accc34e68dc818",
+    (11, 3.0): "37c023938f5a6826ce2b17c7058ad3f73f7d431ec522b841363e0dfe80343a69",
+    (11, 1.5): "35fdbf102a5de4e0b289def42931be440514e1f2f8f11d321d421128101a2c49",
 }
 
 
@@ -1134,9 +1204,9 @@ def test_concavity_check_rejects_vacuous_sample_counts():
 
 
 def test_concavity_check_detects_a_step_without_gain():
-    """A copy whose layer ``t+1`` is layer ``t`` gains nothing from a
-    split, so grid mode must report a negative slack, also on tables with
-    a capped split radius."""
+    """A copy whose layer ``t+1`` is layer ``t`` (``N_{t+1} = 2 N_t``)
+    gains nothing from a split, so grid mode must report a negative slack,
+    also on tables with a capped split radius."""
     for kwargs in (dict(n_f=7, n_F=7, n_g=7, n_G=7),
                    dict(n_f=9, n_F=9, n_g=9, n_G=9, max_offset=1),
                    dict(n_f=9, n_F=9, n_g=9, n_G=9, max_offset=2)):
@@ -1144,7 +1214,7 @@ def test_concavity_check_detects_a_step_without_gain():
         for t in (0, 1, 2):
             assert concavity_gain_check(table, t, seed=3)["min_slack"] >= 0.0
             broken = copy.copy(table)
-            broken._layers = table._layers[:t + 1] + [table._layers[t]]
+            broken._counts = table._counts[:t + 1] + [2 * table._counts[t]]
             rep = concavity_gain_check(broken, t, seed=3)
             assert rep["n_evaluated"] == 200
             assert rep["min_slack"] < 0.0, (kwargs, t)

@@ -98,6 +98,7 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("schur-check", "--k", "40"),
     ("schur-check", "--n", "1025"),
     ("umd-probe", "--d", "65"),
+    ("scaling-study", "--depth", "20000", "--k-max", "1", "--trials", "1"),
 ])
 def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
     # each is refused before any long computation

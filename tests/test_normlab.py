@@ -4,8 +4,11 @@ import hashlib
 import itertools
 import math
 import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,6 +459,26 @@ def _shift_norms_op(op, depth, k):
 def test_depth10_shift_norms_are_frozen(monkeypatch, case, n_threads):
     _threaded(monkeypatch, n_threads)
     assert _shift_norms_op(case[0], 10, case[1]) == SHIFT_NORMS_DEPTH10[case]
+
+
+def test_depth10_shift_norms_do_not_depend_on_the_blas_threads():
+    """The four depth-10 cases above, run in one subprocess whose BLAS
+    runs each product on two threads, keep their pins."""
+    script = (
+        "import test_normlab as t\n"
+        "for n in (1, 2):\n"
+        "    t.normlab._start_threads = lambda: n\n"
+        "    for case in sorted(t.SHIFT_NORMS_DEPTH10):\n"
+        "        got = t._shift_norms_op(case[0], 10, case[1])\n"
+        "        assert got == t.SHIFT_NORMS_DEPTH10[case], (case, n, got)\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in normlab._BLAS_THREAD_VARS}
+    tests = Path(__file__).resolve().parent
+    env.update(OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("case", sorted(SHIFT_NORMS_DEPTH8))
