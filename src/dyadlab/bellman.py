@@ -53,13 +53,12 @@ MAX_AXIS_POINTS = 65
 # over every centre although each plane sweeps only its nonnegative half.
 # Layers 1 and 2 are built without a sweep, from the split lists alone.
 _MAX_LAYER_PAIRS = 5_000_000_000
-# A swept layer gathers its (g, G) split ends in bands of whole centre
-# groups of at most _GATHER_BYTES per array and sweeps each band in blocks
-# of at most _SWEEP_BYTES of candidates; layer 2 holds at most _GATHER_BYTES
-# per block of front planes and per band of triple tables.  They bound
-# memory only: the layers are integers, so every cut gives the same maxima.
-_SWEEP_BYTES = 1 << 18
-_GATHER_BYTES = 2 * _SWEEP_BYTES
+# The DP's memory budget: a swept layer gathers its (g, G) split ends in
+# bands of whole centre groups of at most _GATHER_BYTES per array, and
+# layer 2 holds at most that per block of front planes and per band of
+# triple tables.  It bounds memory only: the layers are integers, so every
+# cut gives the same maxima.
+_GATHER_BYTES = 1 << 19
 # Attempts per block of the concavity check.  The samples do not depend on
 # it; larger blocks only raise peak memory.
 _CHECK_CHUNK = 1024
@@ -380,18 +379,19 @@ def _plane(feasible, half0, half1, swept=False):
     Returns the flat indices of its feasible nodes (their compact ids are
     positions in this array, so the rows below the middle come first), the
     compact id of the mirror image of each node below the middle row, the
-    number of splits per offset ``(a, b)`` over every centre, in
-    lexicographic offset order, and a function that extracts the splits
-    centred on the middle row or above it.  Splits are symmetric, on the
-    grid and with all three nodes feasible.  The extraction groups them by
-    centre, in compact-id order, with the offsets in lexicographic order
-    within a group (from ``(0, 0)`` on when ``swept``), and returns their
-    plus ends, minus ends, first offset coordinates and the start of each
-    group; every feasible centre has the zero split.
+    number of splits over every centre, the largest ``|a|`` among the
+    splits of each node, and a function that extracts the splits centred
+    on the middle row or above it.  Splits are symmetric, on the grid and
+    with all three nodes feasible.  The extraction groups them by centre,
+    in compact-id order, with the offsets in lexicographic order within a
+    group (from ``(0, 0)`` on when ``swept``), and returns their plus ends,
+    minus ends, first offset coordinates and the start of each group;
+    every feasible centre has the zero split.
 
     The mask is tested at those centres only: a centre below the middle
-    row has the splits of its mirror image at ``(a, -b)``, and ``(-a, -b)``
-    has the count of ``(a, b)``.
+    row has the splits of its mirror image at ``(a, -b)``, and a split at
+    ``(a, b)`` is the one at ``(-a, -b)`` with its ends swapped, so a
+    centre has twice its splits with ``a > 0`` plus those with ``a = 0``.
     """
     n0, n1 = feasible.shape
     mid = n0 // 2
@@ -412,12 +412,15 @@ def _plane(feasible, half0, half1, swept=False):
     # ok[k, i, j]: offset (i + lo - half0, j - half1) splits centre k
     lo = half0 if swept else 0
     ok = near[:, lo:] & near[:, 2 * half0 - lo::-1, ::-1]
-    # the counts of the offsets with a >= 0, the centres above the middle
-    # row counted again for their mirror images, then those with a < 0
+    # the splits with a >= 0; the centres above the middle row count again
+    # for their mirror images, and the top of each is its last a with one
     pos = ok[:, half0 - lo:]
-    above = pos[np.count_nonzero(rows == mid):].sum(axis=0)
-    counts = pos.sum(axis=0) + above[:, ::-1]
-    counts = np.concatenate([counts[:0:-1, ::-1], counts]).ravel()
+    per = (2 * np.count_nonzero(pos, axis=(1, 2))
+           - np.count_nonzero(pos[:, 0], axis=1))
+    total = int(per.sum() + per[np.count_nonzero(rows == mid):].sum())
+    top = np.empty(nodes.size, dtype=np.intp)
+    top[mirror.size:] = half0 - np.argmax(pos.any(axis=2)[:, ::-1], axis=1)
+    top[:mirror.size] = top[mirror]
     if swept:
         ok[:, 0, :half1] = False
 
@@ -432,7 +435,7 @@ def _plane(feasible, half0, half1, swept=False):
         starts = np.flatnonzero(np.diff(k, prepend=-1))
         return ends[centre + step], ends[centre - step], first, starts
 
-    return nodes, mirror, counts, splits
+    return nodes, mirror, total, top, splits
 
 
 def _bands(edges, width):
@@ -536,7 +539,9 @@ class BellmanTable:
     plane keeps only the splits centred on its nonnegative half, from one
     pass of :func:`_plane`, and one copy along the mirror map of its
     compact ids completes each layer.  The pair cap is checked from both
-    planes' split counts before any split is extracted.
+    planes' split totals before any split is extracted, and ``_tops`` keeps
+    ``amax`` and ``cmax``, the largest ``|a|`` and ``|c|`` among the splits
+    of each node, from the same two passes.
     """
 
     def __init__(self, config):
@@ -558,27 +563,25 @@ class BellmanTable:
         half = [(n - 1) // 2 for n in shape]
         if config.max_offset is not None:
             half = [min(h, config.max_offset) for h in half]
-        self._f_nodes, self._f_mirror, f_counts, f_splits = _plane(
+        self._f_nodes, self._f_mirror, f_total, amax, f_splits = _plane(
             self._feasible_f, *half[:2], swept=True)
-        self._g_nodes, self._g_mirror, g_counts, g_splits = _plane(
+        self._g_nodes, self._g_mirror, g_total, cmax, g_splits = _plane(
             self._feasible_g, *half[2:])
         # candidates of a sweep over every centre: j and -j give the same
-        # candidate, so the (f, F) offsets stop at (0, 0), the middle of the
-        # lexicographic order, which pairs only with the positive (g, G) ones
-        zf, zg = f_counts.size // 2, g_counts.size // 2
-        pairs = (int(f_counts[zf]) * int(g_counts[zg + 1:].sum())
-                 + int(f_counts[zf + 1:].sum()) * int(g_counts.sum()))
+        # candidate, so the (f, F) offsets stop at (0, 0), which pairs only
+        # with the positive (g, G) ones; each node has one zero split, and
+        # the others are half positive, half negative
+        f0, g0 = self._f_nodes.size, self._g_nodes.size
+        pairs = f0 * (g_total - g0) // 2 + (f_total - f0) // 2 * g_total
         if pairs > _MAX_LAYER_PAIRS:
             raise DyadicError(
                 f"grid needs {pairs:.2e} candidate pairs per layer; shrink "
                 "the axes or set max_offset")
         self._f_swept = f_splits()
         self._g_all = g_splits()
+        self._tops = amax, cmax
         self._nodes = np.ix_(self._f_nodes, self._g_nodes)
-        self._mask = (self._feasible_f[:, :, None, None]
-                      & self._feasible_g[None, None, :, :])
-        self._counts = [np.zeros((self._f_nodes.size, self._g_nodes.size),
-                                 dtype=np.int16)]
+        self._counts = [np.zeros((f0, g0), dtype=np.int16)]
         self._layers = [self._grid(self._counts[0])]
 
     @property
@@ -612,7 +615,8 @@ class BellmanTable:
 
     def _grid(self, values):
         """``values`` on the whole grid as float64, ``-inf`` off the domain."""
-        out = np.full(self._mask.shape, -np.inf)
+        out = np.full(self._feasible_f.shape + self._feasible_g.shape,
+                      -np.inf)
         out.reshape(self._feasible_f.size, -1)[self._nodes] = values
         return out
 
@@ -630,23 +634,6 @@ class BellmanTable:
         """int16 for ``N_t`` where its bound fits, else int32 (the caps keep
         the bound within ``6 * 2**5 * 32 * 32``)."""
         return np.dtype(np.int16 if self._bound(t) < 2 ** 15 else np.int32)
-
-    @cached_property
-    def _tops(self):
-        """``amax`` and ``cmax``: the largest ``a`` among the swept (f, F)
-        splits of each compact (f, F) node, and the largest ``|c|`` among
-        the (g, G) splits of each compact (g, G) node (mirrored below the
-        middle row)."""
-        tops = []
-        for (_, _, first, starts), mirror, size in (
-                (self._f_swept, self._f_mirror, self._f_nodes.size),
-                (self._g_all, self._g_mirror, self._g_nodes.size)):
-            # every feasible node centres the zero split: one group each
-            top = np.empty(size, dtype=np.intp)
-            top[mirror.size:] = np.maximum.reduceat(np.abs(first), starts)
-            top[:mirror.size] = top[mirror]
-            tops.append(top)
-        return tops
 
     def _first_layer(self):
         """``N_1 = amax cmax`` on the compact matrix of feasible nodes: each
@@ -715,8 +702,10 @@ class BellmanTable:
         The (g, G) split ends ``N[:, vp]`` and ``N[:, vm]`` are gathered
         once per layer into one buffer, in bands of at most
         ``_GATHER_BYTES`` per array, and each centre reads its rows from
-        them in blocks of at most ``_SWEEP_BYTES``.  Every sum stays within
-        :meth:`_bound` of ``t + 1``, so it is exact in the layer's dtype."""
+        them in one block.  A centre's plus ends are distinct nodes, so its
+        block is never larger than one gathered array.  Every sum stays
+        within :meth:`_bound` of ``t + 1``, so it is exact in the layer's
+        dtype."""
         dtype = self._dtype(t + 1)
         N = N.astype(dtype, copy=False)
         out = 2 * N
@@ -740,16 +729,13 @@ class BellmanTable:
             np.take(N, vm[c0:c1], axis=1, out=Nm, mode="clip")
             gains = a * (np.abs(vc[c0:c1]) << t).astype(dtype)
             groups = starts[k:j] - c0
-            step = max(1, _SWEEP_BYTES // ((c1 - c0) * dtype.itemsize))
-            for centre, (s0, e) in spans:
+            for centre, (s, e) in spans:
+                cand = Np[plus[s:e]]
+                cand += Nm[minus[s:e]]
+                cand += gains[first[s:e]]
                 row = out[centre, g0 + k:g0 + j]
-                for s in range(s0, e, step):
-                    s1 = min(s + step, e)
-                    cand = Np[plus[s:s1]]
-                    cand += Nm[minus[s:s1]]
-                    cand += gains[first[s:s1]]
-                    best = np.maximum.reduceat(cand.max(axis=0), groups)
-                    np.maximum(row, best, out=row)
+                np.maximum(row, np.maximum.reduceat(cand.max(axis=0), groups),
+                           out=row)
         return out
 
     def _snap(self, states):
@@ -831,14 +817,17 @@ def bellman_oracle(config, depth=0):
 
 def range_check(table, t):
     """Feasible values lie in ``[0, 4 t f_max g_max]`` (per-step gain cap);
-    ``ok`` checks the integer bound ``0 <= N_t <= t 2**(t-1) A C``."""
-    layer = table.layer(t)
-    finite = layer[np.isfinite(layer)]
-    counts = table._counts[t]
-    return {"min": float(finite.min()), "max": float(finite.max()),
+    ``ok`` checks the integer bound ``0 <= N_t <= t 2**(t-1) A C``.  The
+    feasible values of layer ``t`` are ``u_t N_t`` rounded once, which is
+    monotone in ``N_t``, so their extremes are ``u_t`` times those of
+    ``N_t``, and ``N_t`` holds one entry per feasible node."""
+    table.layer(t)
+    counts, unit = table._counts[t], table._unit(t)
+    low, high = int(counts.min()), int(counts.max())
+    return {"min": unit * low, "max": unit * high,
             "upper_bound": 4.0 * t * table.config.f_max * table.config.g_max,
-            "n_finite": int(finite.size),
-            "ok": bool(counts.min() >= 0 and counts.max() <= table._bound(t))}
+            "n_finite": int(counts.size),
+            "ok": bool(low >= 0 and high <= table._bound(t))}
 
 
 def _grid_draws(u, shape, max_offset=None):

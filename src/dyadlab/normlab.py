@@ -61,6 +61,12 @@ _CONCURRENT_MIN_BYTES = 2 << 20
 # Where OpenBLAS and MKL read their thread counts, in the order they do.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                      "OMP_NUM_THREADS")
+# Largest exponent, and largest dual exponent, that umd_probe and
+# shift_scaling_study take.  Measured on their matrices at depths 3 to 12:
+# every p and q tried in [16/15, 16] kept the mixed-norm powers in the float
+# range, while a cap of 32 let a depth-9 transform matrix overflow (p = 32,
+# q = 32/31), and one of 64 a depth-6 one.
+MAX_EXPONENT = 16.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,6 +287,17 @@ def opnorm_lp_lower(A, space, restarts=8, iters=120, seed=0, starts=None):
                         witness=best_wit)
 
 
+def _check_exponents(**exponents):
+    """Refuse, with ``DyadicError``, an exponent outside ``[E/(E-1), E]``
+    for ``E = MAX_EXPONENT``, so that it and its dual are at most ``E``."""
+    top = MAX_EXPONENT
+    for name, x in exponents.items():
+        if not top / (top - 1.0) <= x <= top:
+            raise DyadicError(
+                f"{name} must lie in [{top:g}/{top - 1.0:g}, {top:g}] so that "
+                f"it and its dual exponent are at most {top:g}; got {x}")
+
+
 # -- martingale transform probe -----------------------------------------
 
 
@@ -293,11 +310,13 @@ def umd_probe(depth=6, p=4.0, q=2.0, d=1, trials=12, seed=0, restarts=4,
     dual-exponent rerun seeded by the duality map of the best witness
     reports the gap between the two runs (equal in exact arithmetic because
     the matrices are symmetric).  A matrix of more than ``MAX_MATRIX_DIM``
-    rows (``2**depth * d``) raises ``DyadicError`` before any draw.
+    rows (``2**depth * d``), or ``p`` or ``q`` outside ``[16/15, 16]``
+    (``MAX_EXPONENT``), raises ``DyadicError`` before any draw.
     """
     if trials < 1:
         raise DyadicError("umd probe needs at least one trial")
     space = SpaceSpec(p=p, q=q, d=d)
+    _check_exponents(p=p, q=q)
     system = DyadicSystem(Fraction(0), 0, depth)
     if system.n_leaves * d > MAX_MATRIX_DIM:
         raise DyadicError(f"a transform matrix of 2**{depth} * {d} rows "
@@ -375,12 +394,15 @@ def shift_scaling_study(k_values=(1, 2, 3, 4, 5), depth=8, p=4.0, trials=50,
     ``implied_c`` divides that maximum by ``k * 2**(k/2)`` times the
     reference constant; ``fitted_c`` is the largest implied value and the
     homogeneity ratio compares the extreme implied values across ``k``.
+    ``p`` outside ``[16/15, 16]`` (``MAX_EXPONENT``) raises ``DyadicError``
+    before any draw.
     """
     if not k_values:
         raise DyadicError("scaling study needs at least one complexity")
     if trials < 1:
         raise DyadicError("scaling study needs at least one trial")
     space = SpaceSpec(p=p)
+    _check_exponents(p=p)
     system = DyadicSystem(Fraction(0), 0, depth)
     report = ScalingReport(p=float(p), depth=depth, trials=trials, seed=seed,
                            reference=float(space.beta_ref))

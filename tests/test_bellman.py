@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -370,9 +371,13 @@ def test_config_refuses_values_outside_the_float_range():
 
 
 def test_layer_ops_guard():
-    big = BellmanConfig(n_f=65, n_F=65, n_g=65, n_G=65)
-    with pytest.raises(DyadicError):
-        BellmanTable(big)
+    """The pair cap, read off the two planes' split totals, refuses 33 and
+    65 points per axis with the pair counts an offset-by-offset count
+    gives, and admits 25."""
+    for n, pairs in ((33, "7.39e+09"), (65, "1.82e+12")):
+        message = re.escape(f"needs {pairs} candidate pairs")
+        with pytest.raises(DyadicError, match=message):
+            BellmanTable(BellmanConfig(n_f=n, n_F=n, n_g=n, n_G=n))
     capped = BellmanConfig(n_f=65, n_F=65, n_g=65, n_G=65, max_offset=1)
     BellmanTable(capped)  # fits under the per-layer candidate budget
     # 7.8e8 feasible candidate pairs per layer, under the budget; counting
@@ -533,7 +538,7 @@ def assert_layers_match_reference_loop(table):
     ref = table.layer(0)
     for t in (1, 2, 3):
         ref = reference_layer(ref, t - 1, table.config.max_offset)
-        ref[~table._mask] = -np.inf
+        ref[np.isinf(table.layer(0))] = -np.inf
         assert count_layer(table, t).tobytes() == ref.tobytes(), t
 
 
@@ -730,7 +735,7 @@ def test_reference_layers_are_mirror_symmetric(kwargs):
     for t in range(4):
         if t:
             ref = reference_layer(ref, t - 1, cfg.max_offset)
-            ref[~table._mask] = -np.inf
+            ref[np.isinf(table.layer(0))] = -np.inf
         for flip in MIRROR_FLIPS:
             assert ref.tobytes() == ref[flip].tobytes(), (t, flip)
 
@@ -788,10 +793,12 @@ def grouped_reference(splits, first_centre, swept):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_plane_splits_match_offset_loop(p):
-    """Same nodes, mirror map and counts over every centre, and equal
-    grouped arrays (values and dtypes) over the centres from the middle row
-    on, for the swept half and for every offset, on odd, even and
-    non-square planes, with full and capped radii."""
+    """Same nodes, mirror map, number of splits over every centre and
+    largest ``|a|`` among each node's splits (the nodes below the middle
+    row included), and equal grouped arrays (values and dtypes) over the
+    centres from the middle row on, for the swept half and for every
+    offset, on odd, even and non-square planes, with full and capped
+    radii."""
     for n0, n1 in [(9, 9), (13, 13), (9, 4), (7, 11), (5, 2), (3, 6)]:
         feasible = (np.abs(bellman._mirror_axis(2.0, n0))[:, None] ** p
                     <= np.linspace(0.0, 4.0, n1)[None, :])
@@ -799,8 +806,8 @@ def test_plane_splits_match_offset_loop(p):
             half = [(n - 1) // 2 for n in (n0, n1)]
             if cap is not None:
                 half = [min(h, cap) for h in half]
-            nodes, mirror, counts, splits = bellman._plane(feasible, *half,
-                                                           swept=swept)
+            nodes, mirror, total, top, splits = bellman._plane(
+                feasible, *half, swept=swept)
             ref_nodes, ref = offset_loop_splits(feasible, *half)
             assert np.array_equal(nodes, ref_nodes)
             # the mirror map sends each node below the middle row to the
@@ -810,10 +817,12 @@ def test_plane_splits_match_offset_loop(p):
             assert mirror.size == below.sum()
             assert np.array_equal(rows[mirror], n0 - 1 - rows[below])
             assert np.array_equal(cols[mirror], cols[below])
-            offsets = list(itertools.product(range(-half[0], half[0] + 1),
-                                             range(-half[1], half[1] + 1)))
-            sizes = {s[0]: s[1].size for s in ref}
-            assert counts.tolist() == [sizes.get(o, 0) for o in offsets]
+            assert total == sum(s[1].size for s in ref)
+            want_top = np.zeros(nodes.size, dtype=np.intp)
+            for (a, _), centres, _, _ in ref:
+                np.maximum.at(want_top, centres, abs(a))
+            assert top.dtype == want_top.dtype
+            assert np.array_equal(top, want_top)
             want = grouped_reference(ref, np.count_nonzero(below), swept)
             for x, y in zip(splits(), want):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -837,7 +846,7 @@ def test_p2_table_below_closed_form():
     F = table.Fs[None, :, None, None]
     g = table.gs[None, None, :, None]
     G = table.Gs[None, None, None, :]
-    mask = table._mask
+    mask = np.isfinite(table.layer(0))
     variances = np.where(mask, (F - f * f) * (G - g * g), 0.0)
     bound = 4.0 * np.sqrt(variances)
     for t in (1, 2, 3):
@@ -883,11 +892,21 @@ def test_nested_grid_refinement_is_monotone():
 
 
 def test_range_check():
-    table = bellman_oracle(BellmanConfig(), depth=3)
-    for t in range(4):
-        rep = range_check(table, t)
-        assert rep["ok"], rep
-        assert rep["max"] <= 4.0 * t * 2.0 * 2.0 + 1e-9
+    """On the default grid and every reference grid, the report read off
+    ``N_t`` and ``u_t`` has the extremes and the size of the finite entries
+    of the float layer, to the bit."""
+    for kwargs in [{}] + REFERENCE_CONFIGS:
+        cfg = BellmanConfig(**kwargs)
+        table = bellman_oracle(cfg, depth=3)
+        for t in range(4):
+            rep = range_check(table, t)
+            assert rep["ok"], rep
+            assert rep["max"] <= 4.0 * t * cfg.f_max * cfg.g_max + 1e-9
+            layer = table.layer(t)
+            finite = layer[np.isfinite(layer)]
+            assert (repr(rep["min"]), repr(rep["max"]), rep["n_finite"]) == (
+                repr(float(finite.min())), repr(float(finite.max())),
+                finite.size), (kwargs, t)
 
 
 def test_infeasible_region_masked():
@@ -1298,6 +1317,23 @@ def test_lemma51_verify_skips_oracle_for_vectors():
     report = lemma51_verify(f, g, SpaceSpec(p=2.0, d=2), k=1)
     assert report["bellman_skipped"]
     assert report["c_emp"] is None
+
+
+def test_lemma51_verify_reports_an_off_domain_cell_as_degenerate():
+    """A grid whose power axes stop at 2 holds no feasible node for some
+    depth-1 cell state even after the bump, so that cell reads -inf: the
+    report has no drop, no cell mean and no constant, and is degenerate."""
+    system = sample_system((0, 0), 4)
+    f, g = (random_step_function(system, seed=(0, i), exact=True)
+            for i in (1, 2))
+    config = BellmanConfig(p=2.0, f_max=4.0, F_max=2.0, g_max=4.0, G_max=2.0,
+                           n_f=5, n_F=5, n_g=5, n_G=5)
+    report = lemma51_verify(f, g, SpaceSpec(p=2.0), k=1, bellman_depth=2,
+                            config=config)
+    assert report["drop"] is None and report["c_emp"] is None
+    assert report["cell_mean_value"] is None
+    assert report["degenerate"] is True
+    assert math.isfinite(report["root_value"])
 
 
 def test_lemma51_verify_depth_guards():

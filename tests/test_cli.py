@@ -55,6 +55,25 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# exponents outside [16/15, 16], on which the power iteration leaves the
+# float range: it stops with "objective decreased" or a non-finite
+# objective, or finishes after overflow warnings
+EXPONENTS_OUTSIDE_THE_CAP = [
+    ("umd-probe", "--p", "1.0000001"),
+    ("umd-probe", "--p", "1.001"),
+    ("umd-probe", "--p", "1e3"),
+    ("umd-probe", "--p", "1e6"),
+    ("umd-probe", "--p", "1e308"),
+    ("umd-probe", "--q", "1.0000001"),
+    ("umd-probe", "--q", "1.001"),
+    ("umd-probe", "--q", "1.01"),
+    ("umd-probe", "--q", "128"),
+    ("scaling-study", "--p", "1.0000001"),
+    ("scaling-study", "--p", "1e3"),
+    ("scaling-study", "--p", "1e308"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("umd-probe", "--p", "0.5"),
     ("umd-probe", "--trials", "0"),
@@ -99,6 +118,7 @@ def test_invalid_parameters_exit_1(tmp_path, capsys):
     ("schur-check", "--n", "1025"),
     ("umd-probe", "--d", "65"),
     ("scaling-study", "--depth", "20000", "--k-max", "1", "--trials", "1"),
+    *EXPONENTS_OUTSIDE_THE_CAP,
 ])
 def test_bad_parameter_values_exit_1(tmp_path, capsys, argv):
     # each is refused before any long computation
@@ -415,6 +435,19 @@ def test_lemma51_refuses_overflowing_leaf_powers_on_one_line(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("dyadlab: error")
     assert "not finite floats" in err[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", EXPONENTS_OUTSIDE_THE_CAP)
+def test_exponents_outside_the_cap_are_refused_on_one_line(tmp_path, capsys,
+                                                           argv):
+    """An exponent outside [16/15, 16] is refused before any matrix is
+    built, with the error line alone, naming the cap: no numpy
+    ``RuntimeWarning`` comes first (it is an error here)."""
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dyadlab: error")
+    assert "[16/15, 16]" in err[0]
 
 
 def test_umd_probe_passes(tmp_path):

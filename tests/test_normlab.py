@@ -646,6 +646,27 @@ def test_umd_probe_deterministic():
     assert a == b
 
 
+@pytest.mark.filterwarnings("error")
+def test_exponent_cap_admits_its_ends_and_refuses_beyond_them():
+    """``[E/(E-1), E]`` for ``E = MAX_EXPONENT``: both ends run without a
+    float warning on both commands, and the next floats out are refused
+    before any draw."""
+    top = normlab.MAX_EXPONENT
+    low = top / (top - 1.0)
+    for p, q in itertools.product((low, top), repeat=2):
+        umd_probe(depth=6, p=p, q=q, trials=2, restarts=2, iters=30)
+    for p in (low, top):
+        shift_scaling_study(k_values=(1, 2), depth=4, p=p, trials=2,
+                            restarts=2, iters=30)
+    for x in (np.nextafter(low, 0.0), np.nextafter(top, math.inf)):
+        with pytest.raises(DyadicError, match="at most 16"):
+            umd_probe(p=x)
+        with pytest.raises(DyadicError, match="at most 16"):
+            umd_probe(q=x)
+        with pytest.raises(DyadicError, match="at most 16"):
+            shift_scaling_study(p=x)
+
+
 # -- scaling study -------------------------------------------------------
 
 

@@ -151,6 +151,24 @@ def test_frozen_k1_norms():
     assert sorted(alpha.tolist()) == pytest.approx([-0.25, 0.25])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_norm2_local_search_above_the_enumeration_size(seed):
+    """At n = 32 the bilinear sup comes from the local search: a value
+    attained by the sign vectors it reports, the same bytes on a second
+    call with the same seed."""
+    lam = random_admissible_lambda(5, seed)
+    rep = norm2_report(lam, seed=seed)
+    assert rep["method"] == "local_search_lower_bound"
+    for v in (rep["alpha"], rep["beta"]):
+        assert v.shape == (32,) and set(v.tolist()) <= {-1.0, 1.0}
+    A = lam.as_float()
+    assert rep["value"] == abs(rep["alpha"] @ A @ rep["beta"]) > 0.0
+    again = norm2_report(lam, seed=seed)
+    assert again["value"] == rep["value"]
+    assert again["alpha"].tobytes() == rep["alpha"].tobytes()
+    assert again["beta"].tobytes() == rep["beta"].tobytes()
+
+
 def test_frozen_k1_modulation_yield():
     lam = frozen_k1_matrix()
     alpha, report = find_alpha(lam)
